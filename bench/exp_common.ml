@@ -5,6 +5,7 @@
 module Value = Emma_value.Value
 module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
+module Config = Emma_engine.Config
 module Pipeline = Emma_compiler.Pipeline
 
 module Json = Emma_util.Json
@@ -49,13 +50,9 @@ let write_report ~dir name =
   Emma_util.Wal.write_atomic path (Json.to_string report ^ "\n");
   Printf.eprintf "report written to %s\n" path
 
-let run_config ?config ?faults ?checkpoint_every ?mem_budget ?spill ?max_inflight
-    ~rt ~opts prog tables =
+let run_config ?config ~rt ~opts prog tables =
   let algo = Emma.parallelize ~opts prog in
-  let outcome =
-    Emma.run_on ?config ?faults ?checkpoint_every ?mem_budget ?spill ?max_inflight rt
-      algo ~tables
-  in
+  let outcome = Emma.run_on ?config rt algo ~tables in
   note_outcome outcome;
   match outcome with
   | Emma.Finished { metrics; _ } -> Time (metrics.Metrics.sim_time_s, metrics)

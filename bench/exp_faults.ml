@@ -77,7 +77,7 @@ let rate_sweep name prog tables data_scale table_scales =
     (fun factor ->
       let faults = Faults.seeded ~rates:(scale_rates factor) 42 in
       match
-        run_config ~faults
+        run_config ~config:(Config.with_faults faults Config.default)
           ~rt:(rt ~profile:spark ~data_scale ~table_scales ())
           ~opts prog tables
       with
@@ -99,7 +99,8 @@ let checkpoint_sweep prog tables data_scale table_scales =
     (fun every ->
       let checkpoint_every = match every with 0 -> None | k -> Some k in
       match
-        run_config ~faults ?checkpoint_every
+        run_config
+          ~config:Config.(default |> with_faults faults |> with_checkpoint_every checkpoint_every)
           ~rt:(rt ~profile:spark ~data_scale ~table_scales ())
           ~opts prog tables
       with

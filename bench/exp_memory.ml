@@ -43,13 +43,15 @@ let budget_label = function
   | Some b when b < 1e6 -> Printf.sprintf "%.0f KB" (b /. 1e3)
   | Some b -> Printf.sprintf "%.0f MB" (b /. 1e6)
 
+let governed ~spill mem_budget = Config.(default |> with_mem_budget mem_budget |> with_spill spill)
+
 let spill_sweep prog tables data_scale =
   let baseline = ref None in
   List.map
     (fun mem_budget ->
       match
-        run_config ?mem_budget ~spill:true ~rt:(rt ~profile:spark ~data_scale ())
-          ~opts prog tables
+        run_config ~config:(governed ~spill:true mem_budget)
+          ~rt:(rt ~profile:spark ~data_scale ()) ~opts prog tables
       with
       | Time (s, m) ->
           let base_s =
@@ -73,8 +75,8 @@ let oom_sweep prog tables data_scale =
   List.map
     (fun mem_budget ->
       match
-        run_config ?mem_budget ~spill:false ~rt:(rt ~profile:spark ~data_scale ())
-          ~opts prog tables
+        run_config ~config:(governed ~spill:false mem_budget)
+          ~rt:(rt ~profile:spark ~data_scale ()) ~opts prog tables
       with
       | Time (s, m) ->
           [ budget_label mem_budget;
@@ -89,7 +91,8 @@ let cache_sweep prog tables data_scale table_scales =
   List.map
     (fun (mem_budget, max_inflight) ->
       match
-        run_config ?mem_budget ~spill:true ?max_inflight
+        run_config
+          ~config:(Config.with_max_inflight max_inflight (governed ~spill:true mem_budget))
           ~rt:(rt ~profile:spark ~data_scale ~table_scales ())
           ~opts prog tables
       with

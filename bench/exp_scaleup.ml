@@ -249,7 +249,8 @@ let run () =
   let reference_rows = ref None in
   let run_at ?(chunk = !chunk_spec) ~pool ~tables algo =
     let rt = Emma.{ cluster; profile = Cluster.spark_like; timeout_s = None } in
-    let outcome = Emma.run_on ~pool ~chunk rt algo ~tables in
+    let config = Emma.Config.(default |> with_pool (Some pool) |> with_chunk chunk) in
+    let outcome = Emma.run_on ~config rt algo ~tables in
     Exp_common.note_outcome outcome;
     match outcome with
     | Emma.Finished r -> (r.Emma.value, r.Emma.metrics)

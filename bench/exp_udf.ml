@@ -103,7 +103,8 @@ let cost_fields (m : Metrics.t) =
 
 let run_mode ~pool ~udf_mode algo tables =
   let rt = Emma.{ cluster; profile = Cluster.spark_like; timeout_s = None } in
-  let r = Emma.run_on_exn ~udf_mode ~pool rt algo ~tables in
+  let config = Emma.Config.(default |> with_udf_mode udf_mode |> with_pool (Some pool)) in
+  let r = Emma.run_on_exn ~config rt algo ~tables in
   (r.Emma.value, r.Emma.metrics)
 
 let mode_name = function Engine.Interp -> "interp" | Engine.Compiled -> "compiled"

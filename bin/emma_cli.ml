@@ -197,12 +197,12 @@ let udf_mode_term =
 
 let timeout_term =
   let doc =
-    "Operator limit on the simulated clock: a run past $(docv) seconds is \
-     aborted with a classified TIMEOUT. Distinct from $(b,--deadline), which \
-     is a per-query service budget. A value conflicting with the runtime's \
-     own timeout is rejected at startup with exit 2."
+    "Operator limit on the simulated clock (default 3600): a run past \
+     $(docv) seconds is aborted with a classified TIMEOUT. Distinct from \
+     $(b,--deadline), which is a per-query service budget. Repeating the \
+     flag with a different value is a usage error."
   in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"S" ~doc)
+  Arg.(value & opt_all float [] & info [ "timeout" ] ~docv:"S" ~doc)
 
 let deadline_term =
   let doc =
@@ -251,42 +251,77 @@ let usage_fail fmt =
       exit 2)
     fmt
 
-(* The one shared flag-validation path (satellite of ISSUE 8): every
-   run/bench/serve knob parses through Config.of_cli, which holds the
-   one-line exit-2 messages. *)
-let config_of_flags ?udf_mode ?chunk ?chaos_seed ?chaos_rates ?checkpoint_every
-    ?mem_per_slot ?spill ?max_inflight ?domains ?plan_cache ?timeout ?deadline
-    ?max_queue ?breaker ?drain_after ?wal ?wal_sync ?snapshot_every () =
-  match
-    Emma.Config.of_cli ?udf_mode ?chunk ?chaos_seed ?chaos_rates
-      ?checkpoint_every ?mem_per_slot ?spill ?max_inflight ?domains ?plan_cache
-      ?timeout ?deadline ?max_queue ?breaker ?drain_after ?wal ?wal_sync
-      ?snapshot_every ()
-  with
-  | Ok c -> c
-  | Error m -> usage_fail "%s" m
+(* Every run/serve knob parses through Config.of_cli, the one shared
+   flag-validation path, which holds the one-line exit-2 messages. *)
+let config_or_exit = function Ok c -> c | Error m -> usage_fail "%s" m
+
+(* [--timeout] values, 3600 s when absent; a repeat must agree, the same
+   rule Session.create applies between the runtime and Config *)
+let timeout_or_exit = function
+  | [] -> 3600.0
+  | t :: rest -> (
+      match List.find_opt (fun t' -> t' <> t) rest with
+      | Some t' ->
+          usage_fail
+            "conflicting timeouts: --timeout %g vs --timeout %g (give it once)"
+            t t'
+      | None -> t)
+
+(* --ops-trace: one line per operator stage span, barrier spans skipped,
+   in start order. Stage spans nest on the coordinator domain, so a stack
+   pairs each end event (output size) with its begin event (clock). *)
+let print_ops_trace tracer =
+  let module T = Emma_util.Trace in
+  let rows = ref [] and open_spans = ref [] in
+  List.iter
+    (fun (ev : T.event) ->
+      if ev.T.ev_cat = "stage" && ev.T.ev_name <> "barrier" then
+        match (ev.T.ev_ph, !open_spans) with
+        | T.B, _ ->
+            let row = (ev, ref []) in
+            rows := row :: !rows;
+            open_spans := row :: !open_spans
+        | T.E, (_, out) :: rest ->
+            out := ev.T.ev_args;
+            open_spans := rest
+        | _ -> ())
+    (T.events tracer);
+  print_endline "\ntrace (stage spans in start order: clock, operator, output):";
+  List.iter
+    (fun ((b : T.event), out) ->
+      let arg k = List.assoc_opt k !out in
+      let output =
+        match (arg "out_records", arg "out_bytes", arg "out") with
+        | Some (T.A_float n), Some (T.A_float bytes), _ ->
+            Printf.sprintf "%12.0f recs %14.0f B" n bytes
+        | _, _, Some (T.A_str kind) -> kind
+        | _ -> "-"
+      in
+      let clock =
+        match List.assoc_opt "sim_s" b.T.ev_args with Some (T.A_float s) -> s | _ -> Float.nan
+      in
+      Printf.printf "  %8.1fs  %-10s %s\n" clock b.T.ev_name output)
+    (List.rev !rows)
 
 let run_cmd =
   let run name opts engine scale dop domains tables_dir trace_file ops_trace chaos_seed
       chaos_rates checkpoint_every mem_per_slot spill max_inflight udf_mode chunk
       timeout deadline =
     with_entry name (fun e ->
-        let config =
-          config_of_flags ?udf_mode ~chunk ?chaos_seed ?chaos_rates
-            ?checkpoint_every ?mem_per_slot ~spill ?max_inflight ~domains
-            ?timeout ?deadline ()
+        (* --ops-trace renders the same spans --trace writes *)
+        let tracer =
+          if trace_file = None && not ops_trace then Emma_util.Trace.disabled
+          else Emma_util.Trace.create ()
         in
-        Emma_util.Pool.set_default_domains domains;
+        let config =
+          Emma.Config.of_cli ?udf_mode ~chunk ?chaos_seed ?chaos_rates
+            ?checkpoint_every ?mem_per_slot ~spill ?max_inflight ~domains
+            ~timeout:(timeout_or_exit timeout) ?deadline ()
+          |> config_or_exit |> Emma.Config.with_trace (Some tracer)
+        in
         (* Install the tracer before compiling so the compile-phase spans
            land in the same file as the execution spans. *)
-        let tracer =
-          match trace_file with
-          | None -> Emma_util.Trace.disabled
-          | Some _ ->
-              let tr = Emma_util.Trace.create () in
-              Emma_util.Trace.set_global tr;
-              tr
-        in
+        Emma_util.Trace.set_global tracer;
         let algo = Emma.parallelize ~opts e.Registry.program in
         let cluster =
           let c =
@@ -302,52 +337,31 @@ let run_cmd =
           | `Spark -> Emma_engine.Cluster.spark_like
           | `Flink -> Emma_engine.Cluster.flink_like
         in
-        (* drive the engine directly so the execution trace is available *)
-        let ctx = Emma.Eval.create_ctx () in
-        List.iter (fun (n, rows) -> Emma.Eval.register_table ctx n rows)
-          (load_tables e tables_dir);
-        let eng =
-          Emma.Engine.create ~timeout_s:(Option.value timeout ~default:3600.0)
-            ~config:(Emma.Config.with_trace (Some tracer) config)
-            ~cluster ~profile ctx
+        let session =
+          Emma.Session.create ~config { Emma.cluster; profile; timeout_s = None }
         in
-        let print_ops_trace () =
-          if ops_trace then begin
-            print_endline "\ntrace (operator, logical records in, logical bytes in, clock):";
-            List.iter
-              (fun ev ->
-                Printf.printf "  %8.1fs  %-10s %12.0f recs %14.0f B\n"
-                  ev.Emma.Engine.ev_clock ev.Emma.Engine.ev_op ev.Emma.Engine.ev_records
-                  ev.Emma.Engine.ev_bytes)
-              (Emma.Engine.trace eng)
-          end
+        let outcome =
+          Emma.Session.run session algo ~tables:(load_tables e tables_dir)
         in
-        (* compute the exit code first: [exit] does not unwind, so the
-           trace file must be written before calling it *)
+        Emma.Session.close session;
         let code =
-          match Emma.Engine.run eng algo.Emma.compiled with
-          | value ->
-              Format.printf "result: %a@.@.%a@." Emma.Value.pp value Emma.Metrics.pp
-                (Emma.Engine.metrics eng);
-              print_ops_trace ();
+          match outcome with
+          | Emma.Finished { value; _ } ->
+              Format.printf "result: %a@." Emma.Value.pp value;
               0
-          | exception Emma.Engine.Engine_failure reason ->
-              Format.printf "FAILED: %s@.@.%a@." reason Emma.Metrics.pp
-                (Emma.Engine.metrics eng);
-              print_ops_trace ();
+          | Emma.Failed { reason; _ } ->
+              Format.printf "FAILED: %s@." reason;
               2
-          | exception Emma.Engine.Engine_timeout at_s ->
-              Format.printf "TIMEOUT at %.0f simulated s@.@.%a@." at_s Emma.Metrics.pp
-                (Emma.Engine.metrics eng);
-              print_ops_trace ();
+          | Emma.Timed_out { at_s; _ } ->
+              Format.printf "TIMEOUT at %.0f simulated s@." at_s;
               3
-          | exception Emma.Engine.Engine_cancelled (at_s, reason) ->
-              Format.printf "CANCELLED at %.0f simulated s (%s)@.@.%a@." at_s
-                reason Emma.Metrics.pp
-                (Emma.Engine.metrics eng);
-              print_ops_trace ();
+          | Emma.Cancelled { at_s; reason; _ } ->
+              Format.printf "CANCELLED at %.0f simulated s (%s)@." at_s reason;
               3
         in
+        Format.printf "@.%a@." Emma.Metrics.pp (Emma.metrics_of_outcome outcome);
+        if ops_trace then print_ops_trace tracer;
+        (* [exit] does not unwind, so the trace file is written first *)
         (match trace_file with
         | Some path ->
             Emma_util.Trace.write_chrome_json tracer path;
@@ -369,7 +383,11 @@ let run_cmd =
                  and partition-task spans (open in chrome://tracing or ui.perfetto.dev).")
       $ Arg.(
           value & flag
-          & info [ "ops-trace" ] ~doc:"Print the per-operator execution trace.")
+          & info [ "ops-trace" ]
+              ~doc:
+                "Print one line per executed operator, rendered from the \
+                 engine's stage spans: simulated clock at operator start, \
+                 kind, output records and bytes.")
       $ chaos_seed_term $ chaos_rates_term $ checkpoint_term $ mem_per_slot_term
       $ spill_term $ max_inflight_term $ udf_mode_term $ chunk_term
       $ timeout_term $ deadline_term)
@@ -486,10 +504,11 @@ let serve_cmd =
     let recovering = recover <> None in
     let wal = match recover with Some _ as r -> r | None -> wal in
     let config =
-      config_of_flags ?udf_mode ~chunk ?chaos_seed ?chaos_rates
+      Emma.Config.of_cli ?udf_mode ~chunk ?chaos_seed ?chaos_rates
         ?checkpoint_every ?mem_per_slot ~spill ?max_inflight ~domains
-        ~plan_cache ?timeout ?deadline ?max_queue ?breaker ?drain_after ?wal
-        ?wal_sync ?snapshot_every ()
+        ~plan_cache ~timeout:(timeout_or_exit timeout) ?deadline
+        ?max_queue ?breaker ?drain_after ?wal ?wal_sync ?snapshot_every ()
+      |> config_or_exit
     in
     if config.Emma.Config.wal_dir <> None && mode = `Real then
       usage_fail
@@ -539,13 +558,8 @@ let serve_cmd =
       | `Spark -> Emma_engine.Cluster.spark_like
       | `Flink -> Emma_engine.Cluster.flink_like
     in
-    let rt = { Emma.cluster; profile; timeout_s = Some 3600.0 } in
     let session =
-      (* Session.create rejects conflicting runtime/config timeouts with
-         Invalid_argument — surfaced as the same one-line exit-2 error as
-         any other flag-validation failure *)
-      try Emma.Session.create ~config rt
-      with Invalid_argument m -> usage_fail "%s" m
+      Emma.Session.create ~config { Emma.cluster; profile; timeout_s = None }
     in
     let counters =
       Fun.protect

@@ -27,9 +27,8 @@ let check name =
           ~timeout_s:3600.0 ()
       in
       let unbounded = Emma.run_on_exn rt algo ~tables in
-      let governed =
-        Emma.run_on_exn ~mem_budget:tiny_budget ~spill:true rt algo ~tables
-      in
+      let config = Emma.Config.(default |> with_mem_budget (Some tiny_budget) |> with_spill true) in
+      let governed = Emma.run_on_exn ~config rt algo ~tables in
       if not (Value.equal unbounded.Emma.value governed.Emma.value) then
         fail "%s: governed result differs from the unbounded run" name;
       let m = governed.Emma.metrics in

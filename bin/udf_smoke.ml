@@ -44,8 +44,11 @@ let check name =
             (Emma.Cluster.paper_cluster ~table_scales:e.Registry.table_scales ())
           ~timeout_s:3600.0 ()
       in
-      let interp = Emma.run_on_exn ~udf_mode:Engine.Interp rt algo ~tables in
-      let compiled = Emma.run_on_exn ~udf_mode:Engine.Compiled rt algo ~tables in
+      let run mode =
+        Emma.run_on_exn ~config:(Emma.Config.with_udf_mode mode Emma.Config.default) rt algo ~tables
+      in
+      let interp = run Engine.Interp in
+      let compiled = run Engine.Compiled in
       if not (Value.equal interp.Emma.value compiled.Emma.value) then
         fail "%s: compiled result differs from the interpreter oracle" name;
       if cost_sig interp.Emma.metrics <> cost_sig compiled.Emma.metrics then

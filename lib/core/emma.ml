@@ -59,62 +59,18 @@ let run_native algo ~tables =
   let value = Eval.eval_program ctx algo.source in
   (value, ctx)
 
-(* Deprecated shim over Session: folds the legacy per-knob optional
-   arguments into a Config (knobs override the corresponding [config]
-   field), then runs on a throwaway single-use session. The one-shot
-   session never allocates a plan cache and never creates its own pool —
-   [pool]/[domains] semantics are unchanged from the historical run_on. *)
-let config_of_knobs ?config ?udf_mode ?faults ?checkpoint_every ?mem_budget
-    ?spill ?max_inflight ?pool ?chunk ?trace () =
-  let base = match config with Some c -> c | None -> Config.default in
-  {
-    Config.udf_mode = Option.value udf_mode ~default:base.Config.udf_mode;
-    faults = Option.value faults ~default:base.Config.faults;
-    checkpoint_every =
-      (match checkpoint_every with
-      | Some _ as k -> k
-      | None -> base.Config.checkpoint_every);
-    mem_budget =
-      (match mem_budget with Some _ as b -> b | None -> base.Config.mem_budget);
-    spill = Option.value spill ~default:base.Config.spill;
-    max_inflight =
-      (match max_inflight with
-      | Some _ as k -> k
-      | None -> base.Config.max_inflight);
-    pool = (match pool with Some _ as p -> p | None -> base.Config.pool);
-    chunk = Option.value chunk ~default:base.Config.chunk;
-    trace = (match trace with Some _ as tr -> tr | None -> base.Config.trace);
-    (* session-only concerns: a one-shot run never owns a pool or a cache *)
-    domains = None;
-    plan_cache = None;
-    (* robustness knobs have no per-knob shims — they ride the base config *)
-    timeout_s = base.Config.timeout_s;
-    deadline_s = base.Config.deadline_s;
-    max_queue = base.Config.max_queue;
-    breaker = base.Config.breaker;
-    drain_after_s = base.Config.drain_after_s;
-    wal_dir = base.Config.wal_dir;
-    wal_sync = base.Config.wal_sync;
-    snapshot_every = base.Config.snapshot_every;
-  }
-
-let run_on ?config ?udf_mode ?faults ?checkpoint_every ?mem_budget ?spill
-    ?max_inflight ?pool ?chunk ?trace rt algo ~tables =
-  let cfg =
-    config_of_knobs ?config ?udf_mode ?faults ?checkpoint_every ?mem_budget
-      ?spill ?max_inflight ?pool ?chunk ?trace ()
-  in
-  let session = Session.create ~config:cfg rt in
+(* A throwaway single-use session. It never allocates a plan cache and
+   never creates its own pool: [domains] and [plan_cache] are session
+   concerns. *)
+let run_on ?(config = Config.default) rt algo ~tables =
+  let config = { config with Config.domains = None; plan_cache = None } in
+  let session = Session.create ~config rt in
   Fun.protect
     ~finally:(fun () -> Session.close session)
     (fun () -> Session.run session algo ~tables)
 
-let run_on_exn ?config ?udf_mode ?faults ?checkpoint_every ?mem_budget ?spill
-    ?max_inflight ?pool ?chunk ?trace rt algo ~tables =
-  match
-    run_on ?config ?udf_mode ?faults ?checkpoint_every ?mem_budget ?spill
-      ?max_inflight ?pool ?chunk ?trace rt algo ~tables
-  with
+let run_on_exn ?config rt algo ~tables =
+  match run_on ?config rt algo ~tables with
   | Finished r -> r
   | Failed { reason; _ } -> failwith ("engine failure: " ^ reason)
   | Timed_out { at_s; _ } -> failwith (Printf.sprintf "engine timeout at %.0f s" at_s)

@@ -22,8 +22,7 @@
     [Config.default] and functional [with_*] setters or parsed from raw
     CLI values with [Config.of_cli]. {!Session} binds a [Config] to a
     runtime once and accepts any number of submissions — the substrate of
-    [emma serve]. {!run_on}'s per-knob optional arguments are deprecated
-    shims kept for one release; see the README migration guide. *)
+    [emma serve]; {!run_on} is a one-shot session. *)
 
 module Value = Emma_value.Value
 module Databag = Emma_databag.Databag
@@ -95,51 +94,24 @@ val run_native : algorithm -> tables:(string * Value.t list) list -> Value.t * E
 
 val run_on :
   ?config:Config.t ->
-  ?udf_mode:Engine.udf_mode ->
-  ?faults:Faults.t ->
-  ?checkpoint_every:int ->
-  ?mem_budget:float ->
-  ?spill:bool ->
-  ?max_inflight:int ->
-  ?pool:Pool.t ->
-  ?chunk:Engine.chunk_spec ->
-  ?trace:Trace.t ->
   runtime ->
   algorithm ->
   tables:(string * Value.t list) list ->
   outcome
-(** Executes the compiled program on the simulated engine — a thin shim
-    over a single-use {!Session}.
-
-    {b Deprecated knobs.} The per-knob optional arguments ([udf_mode],
-    [faults], [checkpoint_every], [mem_budget], [spill], [max_inflight],
-    [pool], [chunk], [trace]) are kept for one release as shims: each,
-    when passed, overrides the corresponding field of [config] (default
-    {!Config.default}). New code should build a {!Config.t} and pass only
-    [?config] — or hold a {!Session} open across runs. The knobs'
-    semantics are unchanged; see {!Config.t} for their meaning and
-    {!Engine.create} for the execution model (pool/chunk/trace move only
-    wall-clock and observability, never results or cost-model metrics;
-    faults/memory governance keep results bit-identical to the clean
-    run).
+(** Executes the compiled program on the simulated engine through a
+    single-use {!Session} built from [config] (default {!Config.default});
+    see {!Config.t} for the knobs and {!Engine.create} for the execution
+    model. Hold a {!Session} open to amortize set-up across runs.
 
     [config.domains] and [config.plan_cache] are session concerns and are
-    ignored by this one-shot entry point. *)
+    ignored by this one-shot entry point: it never creates a pool of its
+    own and never allocates a plan cache. *)
 
 val run_on_exn :
   ?config:Config.t ->
-  ?udf_mode:Engine.udf_mode ->
-  ?faults:Faults.t ->
-  ?checkpoint_every:int ->
-  ?mem_budget:float ->
-  ?spill:bool ->
-  ?max_inflight:int ->
-  ?pool:Pool.t ->
-  ?chunk:Engine.chunk_spec ->
-  ?trace:Trace.t ->
   runtime ->
   algorithm ->
   tables:(string * Value.t list) list ->
   run_result
-(** Like {!run_on} but raises [Failure] on engine failure or timeout.
-    Same deprecation note applies. *)
+(** Like {!run_on} but raises [Failure] on engine failure, timeout or
+    cancellation. *)

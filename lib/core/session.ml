@@ -78,10 +78,10 @@ type t = {
          concurrently in real serve mode *)
 }
 
-(* Timeout unification: [Session.spark ?timeout_s] (the legacy runtime
-   shim) and [Config.timeout_s] must agree. One source set wins; both set
-   to the same value is fine; both set and different is a configuration
-   error rejected with a one-line message (the CLI maps it to exit 2). *)
+(* Timeout unification: [Session.spark ?timeout_s] and [Config.timeout_s]
+   must agree. One source set wins; both set to the same value is fine;
+   both set and different is a configuration error rejected with a
+   one-line message (the CLI maps it to exit 2). *)
 let resolve_timeout rt config =
   match (rt.timeout_s, config.Config.timeout_s) with
   | None, t | t, None -> t
@@ -158,27 +158,20 @@ let terminal_instant tracer outcome =
   end
 
 let run ?config ?cancel ?cluster t algo ~tables =
+  (* a per-run config override with no timeout of its own still inherits
+     the session's resolved timeout *)
   let cfg =
     match config with
+    | Some ({ Config.timeout_s = None; _ } as c) ->
+        { c with Config.pool = Some t.pool; timeout_s = t.config.Config.timeout_s }
     | Some c -> { c with Config.pool = Some t.pool }
     | None -> t.config
-  in
-  (* a per-run config override with no timeout of its own still inherits
-     the session's resolved timeout (historically rt.timeout_s applied to
-     every run regardless of per-run knobs) *)
-  let timeout_s =
-    match cfg.Config.timeout_s with
-    | Some _ as s -> s
-    | None -> t.config.Config.timeout_s
   in
   (* [cluster] narrows the execution slice for this run only — the serve
      degradation ladder halves dop with it; defaults to the runtime's *)
   let cluster = Option.value cluster ~default:t.rt.cluster in
   let ctx = make_ctx tables in
-  let engine =
-    Engine.create ?timeout_s ?cancel ~config:cfg ~cluster
-      ~profile:t.rt.profile ctx
-  in
+  let engine = Engine.create ?cancel ~config:cfg ~cluster ~profile:t.rt.profile ctx in
   let outcome =
     match Engine.run engine algo.compiled with
     | value -> Finished { value; metrics = Engine.metrics engine; ctx }

@@ -45,9 +45,9 @@ type runtime = {
 
 val spark : ?cluster:Cluster.t -> ?timeout_s:float -> unit -> runtime
 val flink : ?cluster:Cluster.t -> ?timeout_s:float -> unit -> runtime
-(** [?timeout_s] is a deprecated shim kept one release: the canonical
-    home of the execution timeout is [Config.timeout_s]. {!create}
-    accepts either source (or both set to the {e same} value) and rejects
+(** [?timeout_s] sets [runtime.timeout_s], the second source of the
+    execution timeout next to [Config.timeout_s]. {!create} accepts
+    either source (or both set to the {e same} value) and rejects
     conflicting values with [Invalid_argument] — the CLI maps that to a
     one-line exit-2 error. *)
 
@@ -86,11 +86,10 @@ val create : ?config:Config.t -> runtime -> t
     {!Pool.default}. [config.plan_cache = Some n] equips the session with
     an [n]-entry LRU plan cache ({!Emma_compiler.Plan_cache}).
 
-    Also unifies the legacy [runtime.timeout_s] shim with
-    [config.timeout_s]: one source set wins, both set to the same value
-    is accepted, and conflicting values raise [Invalid_argument] with a
-    one-line message (exit 2 at the CLI). The resolved value lands in
-    [config t].timeout_s. *)
+    Also unifies [runtime.timeout_s] with [config.timeout_s]: one source
+    set wins, both set to the same value is accepted, and conflicting
+    values raise [Invalid_argument] with a one-line message (exit 2 at
+    the CLI). The resolved value lands in [config t].timeout_s. *)
 
 val close : t -> unit
 (** Shuts down the session-owned pool, if any. Borrowed pools are left
@@ -124,10 +123,10 @@ val run :
     execution slice for this run only (the serve degradation ladder
     halves dop with it).
 
-    Unlike historical [run_on], every outcome path also emits a terminal
-    Trace instant ([session:query_terminal], tagged with the outcome
-    status and final [sim_time_s]) when tracing is enabled, so failed,
-    timed-out and cancelled queries keep their trace/metrics linkage. *)
+    Every outcome path also emits a terminal Trace instant
+    ([session:query_terminal], tagged with the outcome status and final
+    [sim_time_s]) when tracing is enabled, so failed, timed-out and
+    cancelled queries keep their trace/metrics linkage. *)
 
 type cache_status =
   | Hit  (** compiled plan reused from the session plan cache *)

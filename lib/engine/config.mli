@@ -1,12 +1,9 @@
 (** First-class engine configuration.
 
-    One record consolidates every execution knob that previously traveled
-    as nine separate optional arguments duplicated across
-    [Emma.run_on], [Emma.run_on_exn], {!Exec.create} and the CLI. Build
-    one with {!default} and the functional [with_*] setters (or
-    {!of_cli} from raw flag values), then hand it to
-    [Emma.Session.create] / [Exec.create ?config] — the per-knob
-    optional arguments survive only as deprecated shims.
+    One record holds every execution knob of [Emma.run_on],
+    {!Exec.create}, sessions and the CLI. Build one with {!default} and
+    the functional [with_*] setters (or {!of_cli} from raw flag values),
+    then hand it to [Emma.Session.create] / [Exec.create ?config].
 
     [Config] is also the canonical home of {!udf_mode} and
     {!chunk_spec}; {!Exec} re-exports both so existing
@@ -63,10 +60,8 @@ type t = {
           recently used compiled plans (default [Some 64]); [None] turns
           the cache off. Ignored by bare [Exec.create]. *)
   timeout_s : float option;
-      (** simulated-clock execution timeout (default none) — the
-          canonical home of the knob historically passed as
-          [Session.spark ?timeout_s]. Sessions reject conflicting values
-          between the runtime shim and this field. *)
+      (** simulated-clock execution timeout (default none). Sessions
+          reject a conflicting [Session.spark ?timeout_s] value. *)
   deadline_s : float option;
       (** per-query latency budget on the simulated clock (default
           none): the engine raises a classified [Cancelled] outcome as

@@ -95,20 +95,11 @@ type t = {
          loop loss restarts from the last checkpoint instead of iteration
          0 *)
   mutable cache_hit_counter : int;
-  mutable trace : trace_event list;
-      (* chronological record of executed operators, most recent first *)
   tracer : Trace.t;
       (* structured span sink (job/stage/partition-task spans, data-motion
          counters). Never consulted by cost charging: with the tracer on or
          off, results and every cost-model field are bit-identical — only
          observability output differs (property-tested in test_trace.ml) *)
-}
-
-and trace_event = {
-  ev_op : string;
-  ev_records : float;  (* logical input records *)
-  ev_bytes : float;  (* logical input bytes *)
-  ev_clock : float;  (* simulated clock when the operator started *)
 }
 
 type dval =
@@ -148,54 +139,29 @@ and env = (string * dval) list
 
 type out = Obag of Pdata.t | Oscalar of Value.t | Ostateful of state_handle
 
-let create ?timeout_s ?cancel ?(config = Config.default) ?udf_mode ?faults
-    ?checkpoint_every ?mem_budget ?spill ?max_inflight ?pool ?chunk ?trace
-    ~cluster ~profile eval_ctx =
-  (* per-knob optional args are deprecated shims: when given they override
-     the corresponding [config] field, preserving pre-Config call sites *)
-  let timeout_s =
-    match timeout_s with Some _ as s -> s | None -> config.Config.timeout_s
-  in
-  let udf_mode = Option.value udf_mode ~default:config.Config.udf_mode in
-  let faults = Option.value faults ~default:config.Config.faults in
-  let checkpoint_every =
-    match checkpoint_every with
-    | Some _ as k -> k
-    | None -> config.Config.checkpoint_every
-  in
-  let mem_budget =
-    match mem_budget with Some _ as b -> b | None -> config.Config.mem_budget
-  in
-  let spill = Option.value spill ~default:config.Config.spill in
-  let max_inflight =
-    match max_inflight with
-    | Some _ as k -> k
-    | None -> config.Config.max_inflight
-  in
-  let chunk = Option.value chunk ~default:config.Config.chunk in
-  let trace =
-    match trace with Some _ as tr -> tr | None -> config.Config.trace
-  in
+let create ?cancel ?(config = Config.default) ~cluster ~profile eval_ctx =
   let pool =
-    match pool with
-    | Some p -> p
-    | None -> (
-        match config.Config.pool with Some p -> p | None -> Pool.default ())
+    match config.Config.pool with Some p -> p | None -> Pool.default ()
+  in
+  let checkpoint_every =
+    match config.Config.checkpoint_every with
+    | Some k when k < 1 -> invalid_arg "Exec.create: checkpoint_every must be >= 1"
+    | k -> k
   in
   { cluster;
     profile;
     metrics = Metrics.create ();
     eval_ctx;
     pool;
-    chunk;
+    chunk = config.Config.chunk;
     steal_seen = Pool.stats pool;
-    timeout_s;
+    timeout_s = config.Config.timeout_s;
     deadline_s = config.Config.deadline_s;
     cancel;
     job_depth = 0;
     iteration_rerun = false;
-    udf_mode;
-    faults;
+    udf_mode = config.Config.udf_mode;
+    faults = config.Config.faults;
     chaos =
       { barrier_seq = 0;
         cpu_stage_seq = 0;
@@ -207,24 +173,15 @@ let create ?timeout_s ?cancel ?(config = Config.default) ?udf_mode ?faults
         node_failures = Array.make (max 1 cluster.Cluster.nodes) 0;
         blacklisted = Array.make (max 1 cluster.Cluster.nodes) false };
     memman =
-      Memman.create ?budget:mem_budget ~spill ?max_inflight
+      Memman.create ?budget:config.Config.mem_budget ~spill:config.Config.spill
+        ?max_inflight:config.Config.max_inflight
         ~slots_per_node:cluster.Cluster.slots_per_node ~dop:(Cluster.dop cluster) ();
-    checkpoint_every =
-      (match checkpoint_every with Some k when k >= 1 -> Some k | _ -> None);
+    checkpoint_every;
     cache_hit_counter = 0;
-    trace = [];
-    tracer = (match trace with Some tr -> tr | None -> Trace.global ()) }
+    tracer =
+      (match config.Config.trace with Some tr -> tr | None -> Trace.global ()) }
 
 let metrics t = t.metrics
-let trace t = List.rev t.trace
-
-let note_op t op pd =
-  t.trace <-
-    { ev_op = op;
-      ev_records = Pdata.logical_records pd;
-      ev_bytes = Pdata.logical_bytes pd;
-      ev_clock = t.metrics.Metrics.sim_time_s }
-    :: t.trace
 
 (* ------------------------------------------------------------------ *)
 (* Cost charging                                                        *)
@@ -902,7 +859,7 @@ let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
 (* ------------------------------------------------------------------ *)
 
 (* Operator-kind names for stage spans; matches the vocabulary that
-   [note_op] / [Plan] pretty-printing already use. *)
+   [Plan] pretty-printing already uses. *)
 let plan_op_name : Plan.t -> string = function
   | Plan.Read _ -> "read"
   | Plan.Scan _ -> "scan"
@@ -1142,6 +1099,7 @@ and exec_plan t env (p : Plan.t) : out =
   if not (Trace.enabled t.tracer) then exec_plan_inner t env p
   else
     Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
+      ~args:[ ("sim_s", Trace.A_float t.metrics.Metrics.sim_time_s) ]
       ~end_args:(function
         | Obag pd ->
             [ ("out_records", Trace.A_float (Pdata.logical_records pd));
@@ -1179,7 +1137,6 @@ and exec_plan_inner t env (p : Plan.t) : out =
       Obag (Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs)
   | Plan.Map (u, q) ->
       let pd = exec_to_bag t env q in
-      note_op t "map" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
@@ -1187,7 +1144,6 @@ and exec_plan_inner t env (p : Plan.t) : out =
       Obag (par_map_parts_chunked t (List.map f) pd)
   | Plan.Flat_map (u, q) ->
       let pd = exec_to_bag t env q in
-      note_op t "flatMap" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
@@ -1195,7 +1151,6 @@ and exec_plan_inner t env (p : Plan.t) : out =
       Obag (par_map_parts_chunked t (List.concat_map (fun v -> Value.to_bag (f v))) pd)
   | Plan.Filter (u, q) ->
       let pd = exec_to_bag t env q in
-      note_op t "filter" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
@@ -1204,17 +1159,14 @@ and exec_plan_inner t env (p : Plan.t) : out =
   | Plan.Eq_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "join" (Pdata.union lpd rpd);
       exec_join t env ~semi:false ~lkey ~rkey lpd rpd
   | Plan.Semi_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "semijoin" (Pdata.union lpd rpd);
       exec_join t env ~semi:true ~lkey ~rkey lpd rpd
   | Plan.Anti_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "antijoin" (Pdata.union lpd rpd);
       exec_anti_join t env ~lkey ~rkey lpd rpd
   | Plan.Cross (a, b) ->
       let apd = exec_to_bag t env a in
@@ -1245,14 +1197,12 @@ and exec_plan_inner t env (p : Plan.t) : out =
       Obag result
   | Plan.Group_by (key, q) ->
       let pd = exec_to_bag t env q in
-      note_op t "groupBy" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let keyfn = udf_fn t env key in
       exec_group_by t key keyfn pd
   | Plan.Agg_by { key; fold; input } ->
       let pd = exec_to_bag t env input in
-      note_op t "aggBy" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let keyfn = udf_fn t env key in
@@ -1260,7 +1210,6 @@ and exec_plan_inner t env (p : Plan.t) : out =
       exec_agg_by t key keyfn ~empty ~single ~union pd
   | Plan.Fold (fns, q) ->
       let pd = exec_to_bag t env q in
-      note_op t "fold" pd;
       charge_stage t;
       charge_local_cpu t pd;
       let empty, single, union = fold_runtime t env fns in

@@ -73,18 +73,8 @@ type udf_mode = Config.udf_mode =
 type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
 
 val create :
-  ?timeout_s:float ->
   ?cancel:Cancel.t ->
   ?config:Config.t ->
-  ?udf_mode:udf_mode ->
-  ?faults:Faults.t ->
-  ?checkpoint_every:int ->
-  ?mem_budget:float ->
-  ?spill:bool ->
-  ?max_inflight:int ->
-  ?pool:Emma_util.Pool.t ->
-  ?chunk:chunk_spec ->
-  ?trace:Emma_util.Trace.t ->
   cluster:Cluster.t ->
   profile:Cluster.profile ->
   Eval.ctx ->
@@ -92,41 +82,40 @@ val create :
 (** The [Eval.ctx] provides the named input tables and receives written
     sinks, so engine runs and native runs are directly comparable.
 
-    [config] carries every knob below in one record ({!Config.t}, default
-    {!Config.default}); its [domains]/[plan_cache] fields are session
-    concerns and ignored here, as are the serve-layer knobs
-    [max_queue]/[breaker]/[drain_after_s]. The per-knob optional
-    arguments are deprecated shims kept for one release: when passed they
-    override the corresponding [config] field — [timeout_s] in
-    particular falls back to [config.timeout_s] when the shim is absent.
-    New code should build a [Config] and pass only [?config] (see the
-    README migration guide).
+    [config] carries every execution knob in one record ({!Config.t},
+    default {!Config.default}); its [domains]/[plan_cache] fields are
+    session concerns and ignored here, as are the serve-layer knobs
+    [max_queue]/[breaker]/[drain_after_s]/[wal_dir]/[wal_sync]/
+    [snapshot_every]. Raises [Invalid_argument] on [config.mem_budget]
+    [<= 0], [config.max_inflight < 1] or [config.checkpoint_every < 1].
 
     [cancel] is a cooperative {!Cancel} token: requesting it makes the
     run raise {!Engine_cancelled} at the next safepoint (every cost
     charge, every partition-dispatch barrier). [config.deadline_s] is
     checked at the same safepoints and raises the same exception once the
-    run's own simulated time exceeds the budget.
+    run's own simulated time exceeds the budget; [config.timeout_s]
+    raises {!Engine_timeout} once the simulated clock exceeds it.
 
-    [udf_mode] (default [Compiled]) selects how worker-side UDF bodies
-    execute. Both modes share the same cost charging and UDF tally, so
-    results and every cost-model metric are bit-identical between them —
-    only [wall_time_s] moves; the interpreter is retained as the
-    differential-testing oracle.
+    [config.udf_mode] (default [Compiled]) selects how worker-side UDF
+    bodies execute. Both modes share the same cost charging and UDF
+    tally, so results and every cost-model metric are bit-identical
+    between them — only [wall_time_s] moves; the interpreter is retained
+    as the differential-testing oracle.
 
-    [faults] is a deterministic fault plan (default {!Faults.none}): it
-    injects task-attempt failures, executor losses, shuffle-fetch
-    failures, stragglers and driver-loop losses at seeded or scripted
-    points, which the engine answers with retries, lineage recomputation,
-    speculative copies, blacklisting and checkpoint restores (knobs in
-    {!Cluster.recovery}). Results are bit-identical to the fault-free
-    run; only the simulated clock and the recovery counters in
-    {!Metrics} change. Recovery time is charged through the same clock
-    the timeout watches, so [timeout_s] fires mid-recovery too.
+    [config.faults] is a deterministic fault plan (default
+    {!Faults.none}): it injects task-attempt failures, executor losses,
+    shuffle-fetch failures, stragglers and driver-loop losses at seeded
+    or scripted points, which the engine answers with retries, lineage
+    recomputation, speculative copies, blacklisting and checkpoint
+    restores (knobs in {!Cluster.recovery}). Results are bit-identical to
+    the fault-free run; only the simulated clock and the recovery
+    counters in {!Metrics} change. Recovery time is charged through the
+    same clock the timeout watches, so [config.timeout_s] fires
+    mid-recovery too.
 
-    [checkpoint_every] (default off) checkpoints driver-loop state —
-    assigned loop variables and stateful bags — every [k] completed
-    iterations, priced as DFS I/O and counted in
+    [config.checkpoint_every] (default off) checkpoints driver-loop
+    state — assigned loop variables and stateful bags — every [k]
+    completed iterations, priced as DFS I/O and counted in
     [checkpoints]/[checkpoint_bytes]; an injected loop loss then restarts
     from the last checkpoint instead of the loop entry. Each checkpoint
     record carries a CRC32 of a deterministic fingerprint of its state;
@@ -135,41 +124,44 @@ val create :
     [checkpoint_corruptions] — falling back to the previous good one,
     paying the DFS read for every record examined.
 
-    [mem_budget] (logical bytes per slot, default unbounded) turns on
-    deterministic memory governance ({!Memman}): every state-building
+    [config.mem_budget] (logical bytes per slot, default unbounded) turns
+    on deterministic memory governance ({!Memman}): every state-building
     operator — [groupBy]/[aggBy] hash tables, join build sides, fold
     partials, sort buffers — reserves its per-slot state size before
-    running. Overflowing slots either spill to disk ([spill = true]:
-    priced as DFS I/O in the dedicated [mem_spills]/[mem_spill_bytes]
-    channels) or are OOM-killed and retried at halved parallelism
-    ([spill = false]: counted in [oom_kills]; the job fails with
-    [Engine_failure] once even one slot per node cannot hold the state).
-    The budget also caps the [Mem]-cache: cached bags past
+    running. Overflowing slots either spill to disk ([config.spill =
+    true]: priced as DFS I/O in the dedicated [mem_spills]/
+    [mem_spill_bytes] channels) or are OOM-killed and retried at halved
+    parallelism ([config.spill = false]: counted in [oom_kills]; the job
+    fails with [Engine_failure] once even one slot per node cannot hold
+    the state). The budget also caps the [Mem]-cache: cached bags past
     [mem_budget × dop] total are LRU-evicted (counted in
     [cache_evictions]/[evicted_bytes]) and rebuilt through lineage on
     next use. Results are bit-identical to the unbounded run for any
     sufficient budget; only [sim_time_s] and the memory counters move.
-    Without [mem_budget] the engine only tracks [mem_peak_bytes].
+    Without a budget the engine only tracks [mem_peak_bytes].
 
-    [max_inflight] (>= 1, default unbounded) gates job admission: a
-    submission past the in-flight budget waits for the earliest slot
+    [config.max_inflight] (>= 1, default unbounded) gates job admission:
+    a submission past the in-flight budget waits for the earliest slot
     release (completion + per-job overhead), counted in
     [jobs_queued]/[queue_wait_s] and charged to the simulated clock.
 
-    [pool] is the domain pool the multicore backend runs per-partition
-    operator work on (default: {!Emma_util.Pool.default}). Shuffles, the
-    driver, and all cost charging stay on the calling domain, so results
-    and every cost-model metric — [sim_time_s], [shuffle_bytes], [stages],
-    even [udf_invocations] — are bit-identical whatever the pool size;
-    only [wall_time_s] and the [par_*] counters reflect the parallelism.
+    [config.pool] is the domain pool the multicore backend runs
+    per-partition operator work on (default: {!Emma_util.Pool.default}).
+    Shuffles, the driver, and all cost charging stay on the calling
+    domain, so results and every cost-model metric — [sim_time_s],
+    [shuffle_bytes], [stages], even [udf_invocations] — are bit-identical
+    whatever the pool size; only [wall_time_s] and the [par_*] counters
+    reflect the parallelism. [config.chunk] sets the chunk-size policy
+    ({!chunk_spec}).
 
-    [trace] is a span tracer (default: {!Emma_util.Trace.global}, i.e.
-    disabled unless the CLI/bench installed one). When enabled the engine
-    emits job spans around each submitted dataflow, stage spans per
-    executed operator (tagged operator kind and output size), partition
-    task spans on the worker domains (tagged partition index and domain
-    id), and byte-motion counters. Tracing is pure observation: it is
-    never consulted by cost charging, so every cost-model metric is
+    [config.trace] is a span tracer (default: {!Emma_util.Trace.global},
+    i.e. disabled unless the CLI/bench installed one). When enabled the
+    engine emits job spans around each submitted dataflow, stage spans
+    per executed operator (tagged operator kind, the simulated clock at
+    operator start as [sim_s], and output size), partition task spans on
+    the worker domains (tagged partition index and domain id), and
+    byte-motion counters. Tracing is pure observation: it is never
+    consulted by cost charging, so every cost-model metric is
     bit-identical with tracing on or off. *)
 
 val metrics : t -> Metrics.t
@@ -189,14 +181,3 @@ val run : t -> Cprog.t -> Value.t
 
 val force_bag : t -> handle -> Value.t list
 (** Collects a distributed bag to the driver (charging the motion). *)
-
-type trace_event = {
-  ev_op : string;
-  ev_records : float;  (** logical input records *)
-  ev_bytes : float;  (** logical input bytes *)
-  ev_clock : float;  (** simulated clock when the operator started *)
-}
-
-val trace : t -> trace_event list
-(** Chronological record of the executed operators with their input sizes
-    — the engine's observability hook (surfaced by the CLI's [--trace]). *)

@@ -54,6 +54,14 @@ let cli =
 let run_cli args =
   Sys.command (Filename.quote_command cli args ^ " >/dev/null 2>&1")
 
+(* exit code and stdout lines of one invocation *)
+let run_cli_lines args =
+  let ic = Unix.open_process_args_in cli (Array.of_list (cli :: args)) in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, lines)
+  | _ -> Alcotest.fail "emma_cli was killed"
+
 let test_bad_flags_exit_2 () =
   List.iter
     (fun (name, args) ->
@@ -145,13 +153,76 @@ let test_tight_deadline_exits_3 () =
     (run_cli [ "run"; "group-min"; "--deadline"; "1e-9" ])
 
 let test_conflicting_timeouts_exit_2 () =
-  (* serve builds its runtime with a legacy default timeout; an explicit
-     conflicting --timeout must die in validation, not race it *)
-  Alcotest.(check int) "conflicting --timeout exits 2" 2
-    (run_cli [ "serve"; "--events"; "2"; "--timeout"; "7" ]);
+  (* a repeated --timeout must agree with itself, on run and serve alike *)
+  Alcotest.(check int) "run: conflicting --timeout exits 2" 2
+    (run_cli [ "run"; "q1"; "--timeout"; "5"; "--timeout"; "7" ]);
+  Alcotest.(check int) "serve: conflicting --timeout exits 2" 2
+    (run_cli [ "serve"; "--events"; "2"; "--timeout"; "5"; "--timeout"; "7" ]);
   Alcotest.(check int) "agreeing --timeout exits 0" 0
     (run_cli
-       [ "serve"; "--events"; "2"; "--queries"; "group-min"; "--timeout"; "3600" ])
+       [ "serve"; "--events"; "2"; "--queries"; "group-min"; "--timeout"; "3600";
+         "--timeout"; "3600" ])
+
+let test_serve_timeout_accepted () =
+  (* serve's 3600 s default lives in Config, so --timeout replaces it;
+     group-min needs about 8.6 simulated seconds *)
+  let code, lines =
+    run_cli_lines
+      [ "serve"; "--events"; "2"; "--queries"; "group-min"; "--timeout"; "7" ]
+  in
+  Alcotest.(check int) "--timeout 7 exits 0" 0 code;
+  Alcotest.(check bool) "both queries time out at 7 s" true
+    (List.mem "0 failed, 2 timed out, 0 cancelled" lines)
+
+let test_ops_trace_lines () =
+  let code, lines = run_cli_lines [ "run"; "q4"; "--ops-trace" ] in
+  Alcotest.(check int) "run q4 --ops-trace exits 0" 0 code;
+  let rec after_header = function
+    | [] -> []
+    | l :: rest ->
+        if String.starts_with ~prefix:"trace (" l then rest else after_header rest
+  in
+  let ops =
+    List.filter_map
+      (fun l -> try Some (Scanf.sscanf l " %fs %s" (fun c k -> (c, k))) with _ -> None)
+      (after_header lines)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " has a line") true
+        (List.exists (fun (_, k) -> k = kind) ops))
+    [ "filter"; "semijoin"; "map"; "aggBy" ];
+  let clocks = List.map fst ops in
+  Alcotest.(check bool) "lines in start order" true
+    (clocks = List.sort Float.compare clocks)
+
+let test_run_matches_run_on () =
+  let code, lines = run_cli_lines [ "run"; "group-min" ] in
+  Alcotest.(check int) "run group-min exits 0" 0 code;
+  let e = Option.get (Registry.find "group-min") in
+  let rt =
+    Emma.spark
+      ~cluster:
+        (Emma.Cluster.paper_cluster ~dop:320 ~data_scale:1.0
+           ~table_scales:e.Registry.table_scales ())
+      ()
+  in
+  let r =
+    Emma.run_on_exn
+      ~config:(Emma.Config.with_timeout_s (Some 3600.0) Emma.Config.default)
+      rt (Emma.parallelize e.Registry.program) ~tables:(e.Registry.tables ())
+  in
+  let in_process =
+    Format.asprintf "result: %a@.@.%a@." Emma.Value.pp r.Emma.value
+      Emma.Metrics.pp r.Emma.metrics
+  in
+  (* wall time and par_* measure the host *)
+  let cost_lines =
+    List.filter (fun l ->
+        not (String.starts_with ~prefix:"wall time" l || String.starts_with ~prefix:"par " l))
+  in
+  Alcotest.(check (list string)) "result and cost-model lines"
+    (cost_lines (String.split_on_char '\n' in_process)) (cost_lines lines)
 
 (* durability flags (--wal / --recover / --wal-sync / --snapshot-every /
    --wal-crash) validate through Config.of_cli and the serve wiring *)
@@ -256,6 +327,11 @@ let suite =
           test_tight_deadline_exits_3;
         Alcotest.test_case "conflicting timeouts exit 2" `Quick
           test_conflicting_timeouts_exit_2;
+        Alcotest.test_case "serve --timeout 7 runs" `Quick
+          test_serve_timeout_accepted;
+        Alcotest.test_case "run --ops-trace lines" `Quick test_ops_trace_lines;
+        Alcotest.test_case "run == in-process run_on" `Quick
+          test_run_matches_run_on;
         Alcotest.test_case "bad wal flags exit 2" `Quick
           test_bad_wal_flags_exit_2;
         Alcotest.test_case "wal then recover exits 0" `Quick

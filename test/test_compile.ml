@@ -11,9 +11,9 @@ module Expr = Emma_lang.Expr
 module Eval = Emma_lang.Eval
 module Compile = Emma_lang.Compile
 module S = Emma_lang.Surface
-module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
+module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 open Helpers
 
@@ -74,13 +74,9 @@ let cost_sig (m : Metrics.t) =
       m.Metrics.udf_invocations ) )
 
 let run_mode ?pool mode prog tables =
-  let ctx = ctx_with tables in
-  let eng =
-    Engine.create ?pool ~udf_mode:mode ~cluster:(Cluster.laptop ())
-      ~profile:Cluster.spark_like ctx
-  in
-  let v = Engine.run eng (Emma.parallelize prog).Emma.compiled in
-  (v, cost_sig (Engine.metrics eng))
+  let config = Config.(default |> with_pool pool |> with_udf_mode mode) in
+  let r = Emma.run_on_exn ~config (Emma.spark ()) (Emma.parallelize prog) ~tables in
+  (r.Emma.value, cost_sig r.Emma.metrics)
 
 let check_engine_parity ?pool msg prog tables =
   let vi, mi = run_mode ?pool Engine.Interp prog tables in

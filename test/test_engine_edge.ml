@@ -206,23 +206,34 @@ let test_stateful_read_snapshot () =
   check_value "engine matches native snapshot" native (run_value prog tables)
 
 let test_execution_trace () =
+  let module T = Emma.Trace in
   let prog =
     S.program
       ~ret:S.(count (with_filter (lam "x" (fun x -> field x "a" > int_ 0)) (read "t")))
       []
   in
-  let ctx = Emma.Eval.create_ctx () in
-  Emma.Eval.register_table ctx "t" (List.init 10 (fun i -> Helpers.row (i - 5) 0));
-  let eng =
-    Emma_engine.Exec.create ~cluster:(Emma_engine.Cluster.laptop ())
-      ~profile:Emma_engine.Cluster.spark_like ctx
+  let tracer = T.create () in
+  let config = Emma.Config.with_trace (Some tracer) Emma.Config.default in
+  let tables = [ ("t", List.init 10 (fun i -> Helpers.row (i - 5) 0)) ] in
+  ignore (Emma.run_on_exn ~config (Emma.spark ()) (Emma.parallelize prog) ~tables);
+  let stages ph =
+    List.filter
+      (fun e -> e.T.ev_cat = "stage" && e.T.ev_name <> "barrier" && e.T.ev_ph = ph)
+      (T.events tracer)
   in
-  let _ = Emma_engine.Exec.run eng (Emma.parallelize prog).Emma.compiled in
-  let ops = List.map (fun e -> e.Emma_engine.Exec.ev_op) (Emma_engine.Exec.trace eng) in
-  Alcotest.(check (list string)) "operator order" [ "filter"; "fold" ] ops;
-  let filter_ev = List.hd (Emma_engine.Exec.trace eng) in
-  Alcotest.(check (float 1e-9)) "filter saw all records" 10.0
-    filter_ev.Emma_engine.Exec.ev_records
+  let float_arg k e =
+    match List.assoc_opt k e.T.ev_args with Some (T.A_float f) -> f | _ -> nan
+  in
+  Alcotest.(check (list string)) "operator order (span start)"
+    [ "fold"; "filter"; "read" ]
+    (List.map (fun e -> e.T.ev_name) (stages T.B));
+  let clocks = List.map (float_arg "sim_s") (stages T.B) in
+  Alcotest.(check bool) "sim_s never decreases" true
+    (clocks = List.sort Float.compare clocks);
+  (* ends come innermost first: read, then filter *)
+  Alcotest.(check (list (float 1e-9))) "read and filter outputs" [ 10.0; 4.0 ]
+    (List.map (float_arg "out_records")
+       (List.filter (fun e -> e.T.ev_name <> "fold") (stages T.E)))
 
 let suite =
   [ ( "engine_edge",

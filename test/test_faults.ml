@@ -20,6 +20,7 @@ module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Faults = Emma_engine.Faults
+module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 module W = Emma_workloads
 module Pr = Emma_programs
@@ -54,14 +55,16 @@ let group_prog =
                    );
                    ("b", field (var "g") "key") ])) ]
 
-let run_engine ?faults ?checkpoint_every ?timeout_s ?cluster ?pool ?udf_mode prog
-    tables =
+let run_engine ?(faults = Faults.none) ?checkpoint_every ?timeout_s ?cluster ?pool
+    ?(udf_mode = Engine.Compiled) prog tables =
   let cluster = match cluster with Some c -> c | None -> Cluster.laptop () in
   let ctx = ctx_with tables in
-  let eng =
-    Engine.create ?timeout_s ?faults ?checkpoint_every ?pool ?udf_mode ~cluster
-      ~profile:Cluster.spark_like ctx
+  let config =
+    Config.(
+      default |> with_faults faults |> with_checkpoint_every checkpoint_every
+      |> with_timeout_s timeout_s |> with_pool pool |> with_udf_mode udf_mode)
   in
+  let eng = Engine.create ~config ~cluster ~profile:Cluster.spark_like ctx in
   let v = Engine.run eng (Emma.parallelize prog).Emma.compiled in
   (v, Engine.metrics eng)
 

@@ -24,6 +24,7 @@ module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Faults = Emma_engine.Faults
 module Memman = Emma_engine.Memman
+module Config = Emma_engine.Config
 module Pipeline = Emma_compiler.Pipeline
 module Pool = Emma_util.Pool
 open Helpers
@@ -32,11 +33,16 @@ open Helpers
 (* Harness                                                            *)
 (* ---------------------------------------------------------------- *)
 
-let run_engine ?faults ?mem_budget ?spill ?max_inflight ?opts ?pool prog tables =
+let run_engine ?(faults = Faults.none) ?mem_budget ?(spill = false) ?max_inflight
+    ?opts ?pool prog tables =
   let ctx = ctx_with tables in
+  let config =
+    Config.(
+      default |> with_faults faults |> with_mem_budget mem_budget
+      |> with_spill spill |> with_max_inflight max_inflight |> with_pool pool)
+  in
   let eng =
-    Engine.create ?faults ?mem_budget ?spill ?max_inflight ?pool
-      ~cluster:(Cluster.laptop ()) ~profile:Cluster.spark_like ctx
+    Engine.create ~config ~cluster:(Cluster.laptop ()) ~profile:Cluster.spark_like ctx
   in
   let v = Engine.run eng (Emma.parallelize ?opts prog).Emma.compiled in
   (v, Engine.metrics eng)
@@ -479,14 +485,16 @@ let test_generous_admission_is_free () =
 let test_engine_create_validates () =
   let ctx = ctx_with tables in
   let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "Engine.create rejects budget 0" true
-    (invalid (fun () ->
-         Engine.create ~mem_budget:0.0 ~cluster:(Cluster.laptop ())
-           ~profile:Cluster.spark_like ctx));
-  Alcotest.(check bool) "Engine.create rejects max_inflight 0" true
-    (invalid (fun () ->
-         Engine.create ~max_inflight:0 ~cluster:(Cluster.laptop ())
-           ~profile:Cluster.spark_like ctx))
+  List.iter
+    (fun (name, config) ->
+      Alcotest.(check bool) ("Engine.create rejects " ^ name) true
+        (invalid (fun () ->
+             Engine.create ~config ~cluster:(Cluster.laptop ())
+               ~profile:Cluster.spark_like ctx)))
+    Config.
+      [ ("budget 0", with_mem_budget (Some 0.0) default);
+        ("max_inflight 0", with_max_inflight (Some 0) default);
+        ("checkpoint_every 0", with_checkpoint_every (Some 0) default) ]
 
 let suite =
   [ ( "memman",

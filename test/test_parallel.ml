@@ -19,6 +19,7 @@ module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Faults = Emma_engine.Faults
+module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 module Prng = Emma_util.Prng
 module W = Emma_workloads
@@ -51,10 +52,13 @@ let with_pool domains f =
   let pool = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let run_at ?chunk ~domains prog tables =
+let run_at ?(chunk = Engine.Chunk_auto) ?(faults = Faults.none) ~domains prog tables =
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
-      let r = Emma.run_on_exn ?chunk ~pool (laptop_rt ()) algo ~tables in
+      let config =
+        Config.(default |> with_chunk chunk |> with_faults faults |> with_pool (Some pool))
+      in
+      let r = Emma.run_on_exn ~config (laptop_rt ()) algo ~tables in
       (r.Emma.value, r.Emma.metrics))
 
 (* ---------------------------------------------------------------- *)
@@ -325,18 +329,20 @@ let prop_skew_alpha =
 let render v m = (Format.asprintf "%a" Value.pp v, cost_sig m)
 
 let determinism_check ?(domains = 4) ?(faults = Faults.none) name prog tables =
+  let config pool = Config.(default |> with_faults faults |> with_pool (Some pool)) in
   let reference =
     (fun (v, m) -> render v m)
       (with_pool 1 (fun pool ->
            let r =
-             Emma.run_on_exn ~faults ~pool (laptop_rt ()) (Emma.parallelize prog) ~tables
+             Emma.run_on_exn ~config:(config pool) (laptop_rt ())
+               (Emma.parallelize prog) ~tables
            in
            (r.Emma.value, r.Emma.metrics)))
   in
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
       for i = 1 to 20 do
-        let r = Emma.run_on_exn ~faults ~pool (laptop_rt ()) algo ~tables in
+        let r = Emma.run_on_exn ~config:(config pool) (laptop_rt ()) algo ~tables in
         let got = render r.Emma.value r.Emma.metrics in
         if got <> reference then
           Alcotest.failf "%s: run %d under %d domains differs from sequential" name i
@@ -396,16 +402,8 @@ let loop_prog iters =
 
 let fault_tables = [ ("t", List.init 20 (fun i -> Helpers.row i (i mod 3))) ]
 
-let run_faulty ?chunk ~domains ~cache_loss_at prog tables =
-  with_pool domains (fun pool ->
-      let ctx = ctx_with tables in
-      let eng =
-        Engine.create
-          ~faults:(Faults.of_cache_loss_at cache_loss_at)
-          ?chunk ~pool ~cluster:(Cluster.laptop ()) ~profile:Cluster.spark_like ctx
-      in
-      let v = Engine.run eng (Emma.parallelize prog).Emma.compiled in
-      (v, Engine.metrics eng))
+let run_faulty ?chunk ~domains ~cache_loss_at =
+  run_at ?chunk ~faults:(Faults.of_cache_loss_at cache_loss_at) ~domains
 
 let test_faults_domain_independent () =
   List.iter

@@ -2,8 +2,8 @@
 
    Covers session lifecycle (owned vs borrowed pools), the plan-cache
    submit path (miss → hit, schema sensitivity, cache counters stamped
-   into per-query metrics), the deprecated-shim equivalence of run_on,
-   and the failure-path linkage fix: Failed and Timed_out queries still
+   into per-query metrics), run_on as a one-shot session, and the
+   failure-path linkage fix: Failed and Timed_out queries still
    surface their Metrics.t and a terminal Trace instant. *)
 
 module S = Emma_lang.Surface
@@ -115,24 +115,31 @@ let test_owned_pool_lifecycle () =
   Session.close s;
   Alcotest.(check pass) "close released the owned pool" () ()
 
-let test_run_on_shim_equivalence () =
-  (* the deprecated per-knob shim and the Config path produce identical
-     outcomes *)
+(* the cost-model part of a metrics record: host fields zeroed *)
+let cost_fields (m : Metrics.t) =
+  { m with Metrics.wall_time_s = 0.0; par_stages = 0; par_tasks = 0;
+    par_chunks = 0; par_steals = 0; par_steal_misses = 0 }
+
+(* Domain ids are handed out in spawn order, so the id of a fresh probe
+   domain tells how many domains were spawned since the previous probe. *)
+let next_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let test_run_on_equals_session_run () =
   let tables = [ ("rows", rows 40) ] in
   let algo = Emma.parallelize sum_prog in
-  let via_knobs = Emma.run_on_exn ~udf_mode:Emma.Engine.Interp rt algo ~tables in
-  let via_config =
-    Emma.run_on_exn
-      ~config:(Config.with_udf_mode Config.Interp Config.default)
-      rt algo ~tables
-  in
-  Helpers.check_value "values equal" via_knobs.Emma.value via_config.Emma.value;
-  Alcotest.(check (float 0.0)) "cost-model time equal"
-    via_knobs.Emma.metrics.Metrics.sim_time_s
-    via_config.Emma.metrics.Metrics.sim_time_s;
-  Alcotest.(check int) "udf invocations equal"
-    via_knobs.Emma.metrics.Metrics.udf_invocations
-    via_config.Emma.metrics.Metrics.udf_invocations
+  let config = Config.(default |> with_udf_mode Interp |> with_max_inflight (Some 1)) in
+  let via_session = with_session ~config rt (fun s -> finished (Session.run s algo ~tables)) in
+  let via_run_on = Emma.run_on_exn ~config rt algo ~tables in
+  Helpers.check_value "values equal" via_session.Emma.value via_run_on.Emma.value;
+  Alcotest.(check bool) "every cost field equal" true
+    (cost_fields via_session.Emma.metrics = cost_fields via_run_on.Emma.metrics);
+  (* config.domains is a session concern: run_on borrows the ambient pool *)
+  ignore (Emma.Pool.default ());
+  let before = next_domain_id () in
+  ignore (Emma.run_on_exn ~config:(Config.with_domains (Some 3) config) rt algo ~tables);
+  Alcotest.(check int) "run_on spawned no pool domain" (before + 1)
+    (next_domain_id ())
 
 let terminal_instants tracer =
   List.filter
@@ -379,8 +386,8 @@ let suite =
           test_schema_sensitivity;
         Alcotest.test_case "config.domains owns a pool across close" `Quick
           test_owned_pool_lifecycle;
-        Alcotest.test_case "run_on shims == Config path" `Quick
-          test_run_on_shim_equivalence;
+        Alcotest.test_case "run_on == Session.run" `Quick
+          test_run_on_equals_session_run;
         Alcotest.test_case "timeout keeps metrics + terminal trace" `Quick
           test_timeout_keeps_linkage;
         Alcotest.test_case "failure keeps metrics + terminal trace" `Quick

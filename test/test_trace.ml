@@ -14,6 +14,7 @@ module Metrics = Emma_engine.Metrics
 module Trace = Emma_util.Trace
 module Json = Emma_util.Json
 module Pool = Emma_util.Pool
+module Config = Emma_engine.Config
 open Helpers
 
 (* ---------------------------------------------------------------- *)
@@ -139,7 +140,8 @@ let metrics_sig (m : Metrics.t) =
 let run_at ~domains ~trace prog tables =
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
-      let r = Emma.run_on_exn ~pool ~trace (laptop_rt ()) algo ~tables in
+      let config = Config.(default |> with_pool (Some pool) |> with_trace (Some trace)) in
+      let r = Emma.run_on_exn ~config (laptop_rt ()) algo ~tables in
       (Format.asprintf "%a" Value.pp r.Emma.value, metrics_sig r.Emma.metrics))
 
 let prop_trace_invariant =
