@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
 
 all: build
 
@@ -28,6 +28,13 @@ test-parallel8:
 # with EMMA_UPDATE_GOLDEN=1 dune runtest --force.
 explain-golden:
 	dune exec test/test_main.exe -- test explain_golden
+
+# Golden-file checks pinning the cost model's absolute output (sim time,
+# every byte channel, stages/jobs/recomputes) for every registry program
+# on both engine profiles; part of the default `dune runtest`, regenerated
+# the same way as the explain goldens.
+cost-golden:
+	dune exec test/test_main.exe -- test cost_golden
 
 # Tracer well-formedness and cost-model-invariance properties (also part of
 # the default `dune runtest`).

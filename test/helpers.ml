@@ -96,3 +96,95 @@ let terminated_pipeline_gen =
 
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* Golden files                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Golden files live in test/golden/. Regenerate after an intentional
+   change with
+
+     EMMA_UPDATE_GOLDEN=1 dune runtest --force
+
+   which rewrites the files in the source tree and fails nothing. *)
+let update_golden = Sys.getenv_opt "EMMA_UPDATE_GOLDEN" = Some "1"
+
+let find_sub hay needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length hay then None
+    else if String.sub hay i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = find_sub hay needle <> None
+
+(* Tests execute in _build/default/test; golden updates must land in the
+   source tree (strip the "/_build/default" segment from the cwd) so they
+   can be committed. Reads try the source tree first, then the sandbox
+   copy dune stages via the (deps (glob_files golden/*.txt)) stanza. *)
+let golden_dir_candidates () =
+  let cwd = Sys.getcwd () in
+  let seg = "/_build/default" in
+  let src =
+    match find_sub cwd seg with
+    | Some i ->
+        (* under dune runtest: cwd is _build/default/test *)
+        [ Filename.concat
+            (String.sub cwd 0 i
+            ^ String.sub cwd
+                (i + String.length seg)
+                (String.length cwd - i - String.length seg))
+            "golden" ]
+    | None ->
+        (* under dune exec from the project root *)
+        [ Filename.concat cwd "test/golden" ]
+  in
+  src @ [ Filename.concat cwd "golden" ]
+
+let golden_write_dirs () =
+  match golden_dir_candidates () with
+  | src :: rest ->
+      (* source tree first so the update can be committed; also refresh
+         the staged _build copy when it exists *)
+      src :: List.filter (fun d -> Sys.file_exists d) rest
+  | [] -> []
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* Compare [got] with golden/[file] (or rewrite it under
+   EMMA_UPDATE_GOLDEN=1); [what] names the output in the failure. *)
+let check_golden ~what file got =
+  if update_golden then
+    List.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        write_file (Filename.concat dir file) got)
+      (golden_write_dirs ())
+  else
+    let dirs = golden_dir_candidates () in
+    match List.find_opt (fun d -> Sys.file_exists (Filename.concat d file)) dirs with
+    | None ->
+        Alcotest.failf "golden file %s missing; run EMMA_UPDATE_GOLDEN=1 dune runtest"
+          file
+    | Some dir ->
+        let expected = read_file (Filename.concat dir file) in
+        if got <> expected then
+          Alcotest.failf
+            "%s drifted from golden/%s (if intentional, regenerate with \
+             EMMA_UPDATE_GOLDEN=1 dune runtest).\n\
+             --- expected ---\n\
+             %s\n\
+             --- got ---\n\
+             %s"
+            what file expected got

@@ -10,7 +10,7 @@
      EMMA_UPDATE_GOLDEN=1 dune runtest
 
    which rewrites the files in test/golden/ (in the source tree) and
-   fails nothing. *)
+   fails nothing (see [Helpers.check_golden]). *)
 
 module Explain = Emma_compiler.Explain
 module Pipeline = Emma_compiler.Pipeline
@@ -22,90 +22,10 @@ let cases =
     ("kmeans", Pr.Kmeans.program Pr.Kmeans.default_params);
     ("spam", Pr.Spam_workflow.program Pr.Spam_workflow.default_params) ]
 
-let update_golden = Sys.getenv_opt "EMMA_UPDATE_GOLDEN" = Some "1"
-
-(* Tests execute in _build/default/test; golden updates must land in the
-   source tree (strip the "/_build/default" segment from the cwd) so they
-   can be committed. Reads try the source tree first, then the sandbox
-   copy dune stages via the (deps (glob_files golden/*.txt)) stanza. *)
-let find_sub hay needle =
-  let n = String.length needle in
-  let rec go i =
-    if i + n > String.length hay then None
-    else if String.sub hay i n = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let contains hay needle = find_sub hay needle <> None
-
-let golden_dir_candidates () =
-  let cwd = Sys.getcwd () in
-  let seg = "/_build/default" in
-  let src =
-    match find_sub cwd seg with
-    | Some i ->
-        (* under dune runtest: cwd is _build/default/test *)
-        [ Filename.concat
-            (String.sub cwd 0 i
-            ^ String.sub cwd
-                (i + String.length seg)
-                (String.length cwd - i - String.length seg))
-            "golden" ]
-    | None ->
-        (* under dune exec from the project root *)
-        [ Filename.concat cwd "test/golden" ]
-  in
-  src @ [ Filename.concat cwd "golden" ]
-
-let golden_write_dirs () =
-  match golden_dir_candidates () with
-  | src :: rest ->
-      (* source tree first so the update can be committed; also refresh
-         the staged _build copy when it exists *)
-      src :: List.filter (fun d -> Sys.file_exists d) rest
-  | [] -> []
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 let golden_test name prog () =
-  let got = Explain.to_string (Explain.run prog) in
-  let file = Printf.sprintf "explain_%s.txt" name in
-  let dirs = golden_dir_candidates () in
-  if update_golden then
-    List.iter
-      (fun dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        write_file (Filename.concat dir file) got)
-      (golden_write_dirs ())
-  else
-    let path =
-      List.find_opt (fun d -> Sys.file_exists (Filename.concat d file)) dirs
-    in
-    match path with
-    | None ->
-        Alcotest.failf "golden file %s missing; run EMMA_UPDATE_GOLDEN=1 dune runtest"
-          file
-    | Some dir ->
-        let expected = read_file (Filename.concat dir file) in
-        if got <> expected then
-          Alcotest.failf
-            "explain %s drifted from golden/%s (if intentional, regenerate with \
-             EMMA_UPDATE_GOLDEN=1 dune runtest).\n\
-             --- expected ---\n\
-             %s\n\
-             --- got ---\n\
-             %s"
-            name file expected got
+  Helpers.check_golden ~what:("explain " ^ name)
+    (Printf.sprintf "explain_%s.txt" name)
+    (Explain.to_string (Explain.run prog))
 
 (* The rendering must not depend on process history: compiling other
    programs in between (which advances the global fresh-name counter)
@@ -155,7 +75,7 @@ let test_explain_opts () =
   Alcotest.(check bool) "fusion phase disabled" false fusion.Pipeline.ph_enabled;
   let s = Explain.to_string t in
   Alcotest.(check bool) "report says fusion not applied" true
-    (contains s "fold-group fusion   not applied")
+    (Helpers.contains s "fold-group fusion   not applied")
 
 let suite =
   [ ( "explain_golden",

@@ -100,7 +100,7 @@ let test_pp_renders_rows () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("pp mentions " ^ needle) true
-        (Test_explain.contains s needle))
+        (Helpers.contains s needle))
     [ "sim time"; "123.5 s"; "wall time"; "0.123457 s" ]
 
 let test_to_json_roundtrip () =

@@ -104,7 +104,7 @@ let test_text_tree () =
   Trace.span tr "outer" (fun () -> Trace.span tr "inner" (fun () -> ()));
   let s = Trace.to_text_tree tr in
   Alcotest.(check bool) "mentions both spans" true
-    (Test_explain.contains s "outer" && Test_explain.contains s "inner")
+    (Helpers.contains s "outer" && Helpers.contains s "inner")
 
 (* ---------------------------------------------------------------- *)
 (* Property: tracing never changes results or cost metrics            *)
