@@ -76,6 +76,9 @@ type t = {
          counter is a process global and the plan cache must observe a
          deterministic probe/store order; execution itself still runs
          concurrently in real serve mode *)
+  read_memo : Engine.read_memo;
+      (* every run's partitioned input tables: a table submitted again
+         (the same row list) is partitioned and sized once per session *)
 }
 
 (* Timeout unification: [Session.spark ?timeout_s] and [Config.timeout_s]
@@ -115,6 +118,7 @@ let create ?(config = Config.default) rt =
     owns_pool;
     cache;
     compile_lock = Mutex.create ();
+    read_memo = Engine.read_memo ();
   }
 
 let close t = if t.owns_pool then Pool.shutdown t.pool
@@ -171,7 +175,9 @@ let run ?config ?cancel ?cluster t algo ~tables =
      degradation ladder halves dop with it; defaults to the runtime's *)
   let cluster = Option.value cluster ~default:t.rt.cluster in
   let ctx = make_ctx tables in
-  let engine = Engine.create ?cancel ~config:cfg ~cluster ~profile:t.rt.profile ctx in
+  let engine =
+    Engine.create ?cancel ~config:cfg ~read_memo:t.read_memo ~cluster ~profile:t.rt.profile ctx
+  in
   let outcome =
     match Engine.run engine algo.compiled with
     | value -> Finished { value; metrics = Engine.metrics engine; ctx }

@@ -86,6 +86,12 @@ val create : ?config:Config.t -> runtime -> t
     {!Pool.default}. [config.plan_cache = Some n] equips the session with
     an [n]-entry LRU plan cache ({!Emma_compiler.Plan_cache}).
 
+    Every session also owns a read memo ({!Emma_engine.Exec.read_memo})
+    that all its runs share: a table submitted again as the same row list
+    is partitioned and sized once, not once per run. It holds one
+    partition layout per table name and never changes a result or a
+    cost.
+
     Also unifies [runtime.timeout_s] with [config.timeout_s]: one source
     set wins, both set to the same value is accepted, and conflicting
     values raise [Invalid_argument] with a one-line message (exit 2 at

@@ -50,6 +50,24 @@ type chaos = {
   blacklisted : bool array;
 }
 
+(* Partitioned input tables, shared by every run of a session. A [Read]
+   partitions its table and sizes it once per (row list, partition count,
+   table scale): the entry for a name is reused only while all three are
+   unchanged — the rows compared physically, so a table replaced under the
+   same name, or a degraded run at half the dop, builds a fresh entry,
+   which then replaces the old one. Entries are published with their stats
+   forced, since concurrent serve lanes share them across domains. *)
+type read_entry = {
+  r_rows : Value.t list;
+  r_nparts : int;
+  r_scale : float;
+  r_pd : Pdata.t;
+}
+
+type read_memo = { r_lock : Mutex.t; r_entries : (string, read_entry) Hashtbl.t }
+
+let read_memo () = { r_lock = Mutex.create (); r_entries = Hashtbl.create 8 }
+
 type t = {
   cluster : Cluster.t;
   profile : Cluster.profile;
@@ -95,6 +113,7 @@ type t = {
          loop loss restarts from the last checkpoint instead of iteration
          0 *)
   mutable cache_hit_counter : int;
+  read_memo : read_memo;
   tracer : Trace.t;
       (* structured span sink (job/stage/partition-task spans, data-motion
          counters). Never consulted by cost charging: with the tracer on or
@@ -139,7 +158,8 @@ and env = (string * dval) list
 
 type out = Obag of Pdata.t | Oscalar of Value.t | Ostateful of state_handle
 
-let create ?cancel ?(config = Config.default) ~cluster ~profile eval_ctx =
+let create ?cancel ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~profile
+    eval_ctx =
   let pool =
     match config.Config.pool with Some p -> p | None -> Pool.default ()
   in
@@ -178,6 +198,7 @@ let create ?cancel ?(config = Config.default) ~cluster ~profile eval_ctx =
         ~slots_per_node:cluster.Cluster.slots_per_node ~dop:(Cluster.dop cluster) ();
     checkpoint_every;
     cache_hit_counter = 0;
+    read_memo;
     tracer =
       (match config.Config.trace with Some tr -> tr | None -> Trace.global ()) }
 
@@ -223,9 +244,6 @@ let charge_stage t =
   t.metrics.Metrics.stages <- t.metrics.Metrics.stages + 1;
   charge t
     ((t.profile.Cluster.sched_linear_s *. d) +. (t.profile.Cluster.sched_quad_s *. d *. d))
-
-let list_bytes vs =
-  List.fold_left (fun acc v -> acc +. float_of_int (Value.byte_size v)) 0.0 vs
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection (chaos)                                              *)
@@ -397,12 +415,7 @@ let charge_local_cpu t (pd : Pdata.t) =
     cost_of ~recs:(Pdata.logical_records pd) ~bytes:(Pdata.logical_bytes pd)
     /. float_of_int (Pdata.nparts pd)
   in
-  let largest_record =
-    Array.fold_left
-      (fun acc part ->
-        List.fold_left (fun acc v -> max acc (float_of_int (Value.byte_size v))) acc part)
-      0.0 pd.Pdata.parts
-  in
+  let largest_record = float_of_int (Pdata.max_elem_bytes pd) in
   let base =
     Float.max avg (cost_of ~recs:pd.Pdata.rmult ~bytes:(largest_record *. pd.Pdata.bmult))
   in
@@ -447,6 +460,36 @@ let charge_parallelize t bytes =
   t.metrics.Metrics.parallelize_bytes <- t.metrics.Metrics.parallelize_bytes +. bytes;
   motion_counter t "parallelize_bytes" t.metrics.Metrics.parallelize_bytes;
   charge t (bytes /. t.cluster.Cluster.net_bw)
+
+(* DRV → DFL: partition a driver-local bag and charge its bytes. *)
+let parallelize t vs =
+  let pd = Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs in
+  charge_parallelize t (Pdata.bytes pd);
+  Obag pd
+
+(* The partitioned form of table [name], whose rows are [rows]: from the
+   read memo when its entry still matches, else built, sized and
+   published. Building happens outside the lock; two runs racing on the
+   same table build equal layouts and the last one is kept. *)
+let read_pdata t name rows =
+  let nparts = dop t and scale = Cluster.table_scale t.cluster name in
+  let m = t.read_memo in
+  let cached =
+    Mutex.protect m.r_lock (fun () ->
+        match Hashtbl.find_opt m.r_entries name with
+        | Some e when e.r_rows == rows && e.r_nparts = nparts && Float.equal e.r_scale scale ->
+            Some e.r_pd
+        | _ -> None)
+  in
+  match cached with
+  | Some pd -> pd
+  | None ->
+      let pd = Pdata.of_list ~pool:t.pool ~rmult:scale ~bmult:scale ~nparts rows in
+      Pdata.force_stats pd;
+      Mutex.protect m.r_lock (fun () ->
+          Hashtbl.replace m.r_entries name
+            { r_rows = rows; r_nparts = nparts; r_scale = scale; r_pd = pd });
+      pd
 
 let charge_spill t bytes =
   t.metrics.Metrics.spilled_bytes <- t.metrics.Metrics.spilled_bytes +. bytes;
@@ -538,7 +581,7 @@ let reserve_memory t ~op ~needs =
    physical bytes × the provenance byte multiplier (logical bytes, the
    budget's unit). *)
 let part_needs (pd : Pdata.t) =
-  Array.map (fun part -> list_bytes part *. pd.Pdata.bmult) pd.Pdata.parts
+  Array.map (fun b -> float_of_int b *. pd.Pdata.bmult) (Pdata.part_bytes pd)
 
 (* Admit a freshly materialized Mem-cached bag to the LRU registry,
    evicting least-recently-used cached bags to stay under the cache
@@ -703,7 +746,8 @@ let par_run t n (f : int -> 'a) : 'a array =
    list homomorphism (e.g. within-partition dedup) and must stay one task
    per partition. *)
 let par_map_parts_preserving t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_run t (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)) }
+  Pdata.make ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+    (par_run t (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive chunking                                                    *)
@@ -849,10 +893,11 @@ let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
   end
 
 let par_map_parts_chunked t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_chunked t f pd; Pdata.part_key = None }
+  Pdata.make ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult (par_chunked t f pd)
 
 let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_chunked t f pd }
+  Pdata.make ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+    (par_chunked t f pd)
 
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
@@ -1001,10 +1046,15 @@ and worker_env t env ~params body_exprs =
         (function
           | Expr.Read (Expr.Src_table name) when not (List.mem name !seen_tables) ->
               seen_tables := name :: !seen_tables;
-              let rows = try Eval.read_table t.eval_ctx name with Eval.Eval_error _ -> [] in
-              let sc = Cluster.table_scale t.cluster name in
-              inner_records := !inner_records +. (float_of_int (List.length rows) *. sc);
-              charge_broadcast t (list_bytes rows *. sc)
+              let records, bytes =
+                match Eval.read_table t.eval_ctx name with
+                | rows ->
+                    let pd = read_pdata t name rows in
+                    (Pdata.logical_records pd, Pdata.logical_bytes pd)
+                | exception Eval.Eval_error _ -> (0.0, 0.0)
+              in
+              inner_records := !inner_records +. records;
+              charge_broadcast t bytes
           | _ -> ())
         e)
     body_exprs;
@@ -1115,8 +1165,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
         try Eval.read_table t.eval_ctx name
         with Eval.Eval_error m -> raise (Engine_failure m)
       in
-      let sc = Cluster.table_scale t.cluster name in
-      let pd = Pdata.of_list ~pool:t.pool ~rmult:sc ~bmult:sc ~nparts:(dop t) rows in
+      let pd = read_pdata t name rows in
       charge_stage t;
       charge_dfs_read t (Pdata.logical_bytes pd);
       Obag pd
@@ -1125,16 +1174,13 @@ and exec_plan_inner t env (p : Plan.t) : out =
       | Dbag h -> Obag (materialize t h)
       | Dscalar (Eval.V (Value.Bag vs)) ->
           (* DRV → DFL: parallelize a driver-local bag. *)
-          charge_parallelize t (list_bytes vs);
-          Obag (Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs)
+          parallelize t vs
       | Dscalar _ -> raise (Engine_failure (Printf.sprintf "scan %s: not a bag" x))
       | Dstateful _ ->
           raise (Engine_failure (Printf.sprintf "scan %s: use statefulRead" x))
     end
   | Plan.Local e ->
-      let vs = Value.to_bag (eval_driver_expr t env e) in
-      charge_parallelize t (list_bytes vs);
-      Obag (Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs)
+      parallelize t (Value.to_bag (eval_driver_expr t env e))
   | Plan.Map (u, q) ->
       let pd = exec_to_bag t env q in
       charge_stage t;
@@ -1216,21 +1262,14 @@ and exec_plan_inner t env (p : Plan.t) : out =
       (* partial fold per partition (the parallel leaves), then combine the
          partials at the driver — the data-parallel fold of §2.2.2 *)
       let partials =
-        Array.to_list
-          (par_run t (Pdata.nparts pd) (fun i ->
-               List.fold_left
-                 (fun acc v -> union acc (single v))
-                 empty pd.Pdata.parts.(i)))
+        par_run t (Pdata.nparts pd) (fun i ->
+            List.fold_left (fun acc v -> union acc (single v)) empty pd.Pdata.parts.(i))
       in
+      let sizes = Array.map (fun v -> float_of_int (Value.byte_size v)) partials in
       (* each slot holds its partition's accumulator while folding *)
-      reserve_memory t ~op:"fold"
-        ~needs:
-          (Array.of_list
-             (List.map
-                (fun v -> float_of_int (Value.byte_size v) *. pd.Pdata.bmult)
-                partials));
-      charge_collect t (list_bytes partials);
-      Oscalar (List.fold_left union empty partials)
+      reserve_memory t ~op:"fold" ~needs:(Array.map (fun b -> b *. pd.Pdata.bmult) sizes);
+      charge_collect t (Array.fold_left ( +. ) 0.0 sizes);
+      Oscalar (Array.fold_left union empty partials)
   | Plan.Union (a, b) ->
       let apd = exec_to_bag t env a in
       let bpd = exec_to_bag t env b in
@@ -1260,7 +1299,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
               (Emma_databag.Databag.minus ~cmp:Value.compare da db))
       in
       charge_local_cpu t apd;
-      Obag { Pdata.parts; part_key = Some idkey; rmult = apd.Pdata.rmult; bmult = apd.Pdata.bmult }
+      Obag (Pdata.make ~part_key:idkey ~rmult:apd.Pdata.rmult ~bmult:apd.Pdata.bmult parts)
   | Plan.Distinct a ->
       let pd = exec_to_bag t env a in
       charge_stage t;
@@ -1322,7 +1361,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
               (fun h -> Hashtbl.fold (fun _ r acc -> !r :: acc) h [])
               sh.s_parts
           in
-          Obag { Pdata.parts; part_key = Some sh.s_key; rmult = sh.s_rmult; bmult = sh.s_bmult }
+          Obag (Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult parts)
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" x))
     end
   | Plan.Stateful_update { state; udf } -> begin
@@ -1345,12 +1384,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
                   h;
                 !delta)
           in
-          let pd =
-            { Pdata.parts = delta_parts;
-              part_key = Some sh.s_key;
-              rmult = sh.s_rmult;
-              bmult = sh.s_bmult }
-          in
+          let pd = Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult delta_parts in
           charge_local_cpu t pd;
           Obag pd
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" state))
@@ -1386,11 +1420,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
                   mpart;
                 Hashtbl.fold (fun _ r acc -> !r :: acc) changed [])
           in
-          Obag
-            { Pdata.parts = delta_parts;
-              part_key = Some sh.s_key;
-              rmult = sh.s_rmult;
-              bmult = sh.s_bmult }
+          Obag (Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult delta_parts)
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" state))
     end
 
@@ -1411,7 +1441,8 @@ and shuffle_by t key keyfn (pd : Pdata.t) : Pdata.t =
     in
     let parts = Array.make nparts [] in
     Array.iter (List.iter (fun (i, v) -> parts.(i) <- v :: parts.(i))) routed;
-    { pd with Pdata.parts = Array.map List.rev parts; Pdata.part_key = Some key }
+    Pdata.make ~part_key:key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+      (Array.map List.rev parts)
   end
 
 and exec_group_by t key keyfn (pd : Pdata.t) : out =
@@ -1452,9 +1483,7 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
               (max_group_logical /. 1e6)
               (t.cluster.Cluster.mem_per_slot /. 1e6)))
   end;
-  let out =
-    { Pdata.parts; part_key = Some (group_key_udf ()); rmult = out_rmult; bmult = out_bmult }
-  in
+  let out = Pdata.make ~part_key:(group_key_udf ()) ~rmult:out_rmult ~bmult:out_bmult parts in
   (* budget governance is a second, per-slot layer over the legacy
      single-group check above: the whole hash table of groups a slot
      materializes must fit its budget *)
@@ -1476,10 +1505,8 @@ and exec_agg_by t key keyfn ~empty ~single ~union (pd : Pdata.t) : out =
     Hashtbl.fold (fun k acc l -> Value.tuple [ k; !acc ] :: l) h []
   in
   let combined =
-    { Pdata.parts = par_run t (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i));
-      part_key = None;
-      rmult = 1.0;
-      bmult = 1.0 }
+    Pdata.make ~rmult:1.0 ~bmult:1.0
+      (par_run t (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i)))
   in
   (* the map-side combine hash table: one (key, acc) pair per distinct
      key per partition *)
@@ -1509,11 +1536,8 @@ and exec_agg_by t key keyfn ~empty ~single ~union (pd : Pdata.t) : out =
     Hashtbl.fold (fun k acc l -> Value.record [ ("key", k); ("agg", !acc) ] :: l) h []
   in
   let out =
-    { Pdata.parts =
-        par_run t (Pdata.nparts shuffled) (fun i -> reduce shuffled.Pdata.parts.(i));
-      part_key = Some (group_key_udf ());
-      rmult = 1.0;
-      bmult = 1.0 }
+    Pdata.make ~part_key:(group_key_udf ()) ~rmult:1.0 ~bmult:1.0
+      (par_run t (Pdata.nparts shuffled) (fun i -> reduce shuffled.Pdata.parts.(i)))
   in
   (* the reduce-side merge hash table *)
   reserve_memory t ~op:"aggBy" ~needs:(part_needs out);
@@ -1634,7 +1658,7 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
       if semi then (lpd.Pdata.rmult, lpd.Pdata.bmult)
       else (Float.max lpd.Pdata.rmult rpd.Pdata.rmult, Float.max lpd.Pdata.bmult rpd.Pdata.bmult)
     in
-    Obag { Pdata.parts; part_key; rmult; bmult }
+    Obag (Pdata.make ?part_key ~rmult ~bmult parts)
   end
 
 (* Anti-join: left elements with NO right match. The right side only
@@ -1679,11 +1703,7 @@ and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
           List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) rpart;
           List.filter (fun v -> not (Hashtbl.mem keyset (lfn v))) l.Pdata.parts.(i))
     in
-    Obag
-      { Pdata.parts;
-        part_key = Some lkey;
-        rmult = lpd.Pdata.rmult;
-        bmult = lpd.Pdata.bmult }
+    Obag (Pdata.make ~part_key:lkey ~rmult:lpd.Pdata.rmult ~bmult:lpd.Pdata.bmult parts)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2077,7 +2097,7 @@ let run t (prog : Cprog.t) : Value.t =
             Eval.register_table t.eval_ctx name (Pdata.to_list pd);
             env
         | Dscalar (Eval.V (Value.Bag vs)) ->
-            charge_dfs_write t (list_bytes vs);
+            charge_dfs_write t (Pdata.bytes (Pdata.make ~rmult:1.0 ~bmult:1.0 [| vs |]));
             Eval.register_table t.eval_ctx name vs;
             env
         | _ -> raise (Engine_failure "write: expected a bag")

@@ -49,6 +49,16 @@ exception Engine_cancelled of float * string
 type t
 (** An engine instance: cluster + profile + metrics + table storage. *)
 
+type read_memo
+(** Partitioned input tables reused across runs: each table a [Read]
+    scans is partitioned and sized once per (row list, partition count,
+    table scale), and reused while its name still maps to the physically
+    same row list at the same dop and scale. Safe to share between runs
+    on different domains. *)
+
+val read_memo : unit -> read_memo
+(** A fresh, empty memo. *)
+
 type udf_mode = Config.udf_mode =
   | Interp  (** tree-walk every UDF body per tuple with {!Emma_lang.Eval} *)
   | Compiled
@@ -75,12 +85,19 @@ type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
 val create :
   ?cancel:Cancel.t ->
   ?config:Config.t ->
+  ?read_memo:read_memo ->
   cluster:Cluster.t ->
   profile:Cluster.profile ->
   Eval.ctx ->
   t
 (** The [Eval.ctx] provides the named input tables and receives written
     sinks, so engine runs and native runs are directly comparable.
+
+    [read_memo] (default: a fresh memo for this run) holds the
+    partitioned form of every table the run reads; a {!Emma.Session}
+    passes its own so that repeated submissions over the same tables
+    partition and size them once. It never changes a result or a cost:
+    the memo stores exactly the layout a fresh [Read] would build.
 
     [config] carries every execution knob in one record ({!Config.t},
     default {!Config.default}); its [domains]/[plan_cache] fields are

@@ -2,12 +2,40 @@ module Value = Emma_value.Value
 module Plan = Emma_dataflow.Plan
 module Pool = Emma_util.Pool
 
+type stats = {
+  records : int;
+  bytes : int;
+  part_bytes : int array;
+  max_elem_bytes : int;
+}
+
 type t = {
   parts : Value.t list array;
   part_key : Plan.udf option;
   rmult : float;
   bmult : float;
+  stats : stats Lazy.t;
 }
+
+(* One pass over every value: sizes each element once. *)
+let compute_stats parts =
+  let records = ref 0 and largest = ref 0 in
+  let rec sum acc = function
+    | [] -> acc
+    | v :: rest ->
+        incr records;
+        let b = Value.byte_size v in
+        if b > !largest then largest := b;
+        sum (acc + b) rest
+  in
+  let part_bytes = Array.map (sum 0) parts in
+  { records = !records;
+    bytes = Array.fold_left ( + ) 0 part_bytes;
+    part_bytes;
+    max_elem_bytes = !largest }
+
+let make ?part_key ~rmult ~bmult parts =
+  { parts; part_key; rmult; bmult; stats = lazy (compute_stats parts) }
 
 let nparts t = Array.length t.parts
 
@@ -24,39 +52,23 @@ let of_list ?pool ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
         let rec go i acc = if i < r then acc else go (i - n) (arr.(i) :: acc) in
         if last < 0 then [] else go last []
       in
-      { parts = Pool.parmap p slice (Array.init n Fun.id);
-        part_key = None;
-        rmult;
-        bmult }
+      make ~rmult ~bmult (Pool.parmap p slice (Array.init n Fun.id))
   | _ ->
       let parts = Array.make n [] in
       List.iteri (fun i v -> parts.(i mod n) <- v :: parts.(i mod n)) vs;
-      { parts = Array.map List.rev parts; part_key = None; rmult; bmult }
-
-let init ?pool ?(rmult = 1.0) ?(bmult = 1.0) ~nparts f =
-  let n = max 1 nparts in
-  let parts =
-    match pool with
-    | Some p when Pool.size p > 1 && n > 1 -> Pool.parmap p f (Array.init n Fun.id)
-    | _ -> Array.init n f
-  in
-  { parts; part_key = None; rmult; bmult }
+      make ~rmult ~bmult (Array.map List.rev parts)
 
 let with_mult ~rmult ~bmult t = { t with rmult; bmult }
+let stats t = Lazy.force t.stats
+let force_stats t = ignore (stats t)
 
 let to_list t = List.concat (Array.to_list t.parts)
-
-let part_records t = Array.map List.length t.parts
-let records t = Array.fold_left (fun acc p -> acc + List.length p) 0 t.parts
+let records t = (stats t).records
 let logical_records t = float_of_int (records t) *. t.rmult
-
-let part_bytes t =
-  Array.map
-    (fun p -> List.fold_left (fun acc v -> acc +. float_of_int (Value.byte_size v)) 0.0 p)
-    t.parts
-
-let bytes t = Array.fold_left ( +. ) 0.0 (part_bytes t)
+let bytes t = float_of_int (stats t).bytes
 let logical_bytes t = bytes t *. t.bmult
+let part_bytes t = (stats t).part_bytes
+let max_elem_bytes t = (stats t).max_elem_bytes
 
 let repartition ~nparts ~key keyfn t =
   let parts = Array.make (max 1 nparts) [] in
@@ -65,25 +77,40 @@ let repartition ~nparts ~key keyfn t =
          let i = abs (Value.hash (keyfn v)) mod Array.length parts in
          parts.(i) <- v :: parts.(i)))
     t.parts;
-  { t with parts = Array.map List.rev parts; part_key = Some key }
+  make ~part_key:key ~rmult:t.rmult ~bmult:t.bmult (Array.map List.rev parts)
 
 let co_partitioned t key =
   match t.part_key with
   | Some k -> Plan.udf_alpha_equal k key
   | None -> false
 
-let map_parts f t = { t with parts = Array.map f t.parts; part_key = None }
-let map_parts_preserving f t = { t with parts = Array.map f t.parts }
+let map_parts f t = make ~rmult:t.rmult ~bmult:t.bmult (Array.map f t.parts)
+
+let map_parts_preserving f t =
+  make ?part_key:t.part_key ~rmult:t.rmult ~bmult:t.bmult (Array.map f t.parts)
 
 let union a b =
   let n = max (nparts a) (nparts b) in
-  let parts =
+  let zip get empty combine =
     Array.init n (fun i ->
-        let pa = if i < nparts a then a.parts.(i) else [] in
-        let pb = if i < nparts b then b.parts.(i) else [] in
-        pa @ pb)
+        combine
+          (if i < nparts a then get a i else empty)
+          (if i < nparts b then get b i else empty))
   in
-  { parts;
-    part_key = None;
-    rmult = Float.max a.rmult b.rmult;
-    bmult = Float.max a.bmult b.bmult }
+  let u =
+    make
+      ~rmult:(Float.max a.rmult b.rmult)
+      ~bmult:(Float.max a.bmult b.bmult)
+      (zip (fun t i -> t.parts.(i)) [] ( @ ))
+  in
+  if Lazy.is_val a.stats && Lazy.is_val b.stats then begin
+    let sa = stats a and sb = stats b in
+    { u with
+      stats =
+        Lazy.from_val
+          { records = sa.records + sb.records;
+            bytes = sa.bytes + sb.bytes;
+            part_bytes = zip (fun t i -> (stats t).part_bytes.(i)) 0 ( + );
+            max_elem_bytes = max sa.max_elem_bytes sb.max_elem_bytes } }
+  end
+  else u

@@ -141,6 +141,106 @@ let test_pdata_key_property () =
   Alcotest.(check bool) "union clears key" false
     (Pdata.co_partitioned (Pdata.union pd pd) key)
 
+(* ---- Cached stats ----------------------------------------------------- *)
+
+(* Values of every size class: blobs (declared sizes), nested bags,
+   vectors, tuples, strings and scalars. *)
+let value_gen =
+  QCheck2.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Value.unit;
+                 map Value.bool bool;
+                 map Value.int (int_range (-50) 50);
+                 map Value.string (string_size (int_bound 8));
+                 map (fun b -> Value.blob ~bytes:b ~tag:0) (int_bound 100_000);
+                 map (fun l -> Value.vector (Array.of_list l)) (list_size (int_bound 5) float) ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (3, leaf);
+                 (1, map Value.bag (list_size (int_bound 4) (self (n - 1))));
+                 (1, map Value.tuple (list_size (int_bound 3) (self (n - 1)))) ]))
+
+(* Partition arrays with empty partitions among them. *)
+let parts_gen =
+  QCheck2.Gen.(
+    map Array.of_list
+      (list_size (int_range 1 6)
+         (frequency [ (1, return []); (3, list_size (int_bound 6) value_gen) ])))
+
+(* The walks the stats replace, exactly as the engine used to do them. *)
+let walk_part_bytes (pd : Pdata.t) =
+  Array.map
+    (fun p -> List.fold_left (fun acc v -> acc +. float_of_int (Value.byte_size v)) 0.0 p)
+    pd.Pdata.parts
+
+let walk_largest (pd : Pdata.t) =
+  Array.fold_left
+    (fun acc part ->
+      List.fold_left (fun acc v -> max acc (float_of_int (Value.byte_size v))) acc part)
+    0.0 pd.Pdata.parts
+
+let walk_records (pd : Pdata.t) =
+  Array.fold_left (fun acc p -> acc + List.length p) 0 pd.Pdata.parts
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let stats_match (pd : Pdata.t) =
+  let walked = walk_part_bytes pd in
+  let bytes = Array.fold_left ( +. ) 0.0 walked in
+  Pdata.records pd = walk_records pd
+  && Pdata.part_bytes pd |> Array.map float_of_int |> Array.for_all2 same_float walked
+  && same_float (float_of_int (Pdata.max_elem_bytes pd)) (walk_largest pd)
+  && same_float (Pdata.bytes pd) bytes
+  && same_float (Pdata.logical_bytes pd) (bytes *. pd.Pdata.bmult)
+  && same_float (Pdata.logical_records pd) (float_of_int (walk_records pd) *. pd.Pdata.rmult)
+
+(* Every way to build a collection, applied to two random inputs; the
+   unions run with their inputs' stats unforced and forced (the summed
+   path). *)
+let constructions (parts, parts') =
+  let pool = Emma_util.Pool.default () in
+  let vs = List.concat (Array.to_list parts) in
+  let n = Array.length parts in
+  let key = key_udf "k" in
+  let fresh () = Pdata.make ~rmult:3.0 ~bmult:1.5 parts in
+  let forced () =
+    let pd = fresh () in
+    Pdata.force_stats pd;
+    pd
+  in
+  let other () =
+    Pdata.of_list ~bmult:2.0 ~nparts:(n + 1) (List.concat (Array.to_list parts'))
+  in
+  let forced_other () =
+    let pd = other () in
+    Pdata.force_stats pd;
+    pd
+  in
+  [ ("make", fresh ());
+    ("of_list", Pdata.of_list ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
+    ("of_list pooled", Pdata.of_list ~pool ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
+    ("repartition", Pdata.repartition ~nparts:3 ~key Fun.id (fresh ()));
+    ("map_parts", Pdata.map_parts (List.filter (fun v -> Value.byte_size v > 8)) (fresh ()));
+    ("map_parts_preserving", Pdata.map_parts_preserving List.rev (forced ()));
+    ("union", Pdata.union (fresh ()) (other ()));
+    ("union forced", Pdata.union (forced ()) (forced_other ()));
+    ("union half forced", Pdata.union (forced ()) (other ()));
+    ("with_mult", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (forced ()));
+    ("with_mult unforced", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (fresh ())) ]
+
+let test_stats_equal_walk =
+  Helpers.qcheck_case ~count:200 "cached stats == a fresh walk"
+    QCheck2.Gen.(pair parts_gen parts_gen)
+    (fun inputs ->
+      List.for_all
+        (fun (name, pd) -> stats_match pd || QCheck2.Test.fail_reportf "%s: stats differ" name)
+        (constructions inputs))
+
 let suite =
   [ ( "plan",
       [ Alcotest.test_case "udf alpha equality" `Quick test_udf_alpha_equal;
@@ -153,4 +253,5 @@ let suite =
       [ Alcotest.test_case "round trip" `Quick test_pdata_roundtrip;
         Alcotest.test_case "repartition" `Quick test_pdata_repartition;
         Alcotest.test_case "multiplier propagation" `Quick test_pdata_mult_propagation;
-        Alcotest.test_case "key property" `Quick test_pdata_key_property ] ) ]
+        Alcotest.test_case "key property" `Quick test_pdata_key_property;
+        test_stats_equal_walk ] ) ]

@@ -377,6 +377,160 @@ let test_timeout_mid_recovery_classified () =
   | [ e ] -> Alcotest.(check string) "terminal instant status" "timed_out" (status_of e)
   | l -> Alcotest.failf "expected exactly one terminal instant, got %d" (List.length l)
 
+(* ---------------------------------------------------------------- *)
+(* The per-session Read memo                                          *)
+(* ---------------------------------------------------------------- *)
+
+module Serve = Emma_serve.Serve
+module Arrival = Emma_serve.Arrival
+module Pool = Emma_util.Pool
+
+(* cost fields without the plan-cache stamps, which legitimately differ
+   between a warm session (hit) and a fresh one (miss) *)
+let memo_cost (m : Metrics.t) =
+  { (cost_fields m) with Metrics.plan_cache_hits = 0; plan_cache_misses = 0;
+    plan_cache_evictions = 0 }
+
+let keys n = List.init n (fun i -> Value.record [ ("a", Value.Int i) ])
+
+(* keeps its table read inside the filter UDF when unnesting is off, so
+   the read is priced as a broadcast by the worker-side environment *)
+let keys_prog =
+  S.program
+    ~ret:
+      S.(
+        count
+          (with_filter
+             (lam "x" (fun x ->
+                  exists (lam "y" (fun y -> field y "a" = field x "b")) (read "keys")))
+             (read "rows")))
+    []
+
+let memo_cases () =
+  let entry name = Option.get (Registry.find name) in
+  let q3 = entry "q3" and gm = entry "group-min" in
+  let data = rows 60 in
+  [ ("sum", None, sum_prog, [ ("rows", data) ]);
+    ( "udf read",
+      Some (Emma_compiler.Pipeline.with_ ~unnest:false ()),
+      keys_prog,
+      [ ("rows", data); ("keys", keys 3) ] );
+    ("q3", None, q3.Registry.program, q3.Registry.tables ());
+    ("group-min", None, gm.Registry.program, gm.Registry.tables ()) ]
+
+let submit_case ?cluster s (_, opts, prog, tables) =
+  finished (fst (Session.submit ?opts ?cluster s prog ~tables))
+
+let check_same_run name (expected : Emma.run_result) (got : Emma.run_result) =
+  Helpers.check_value (name ^ ": value") expected.Emma.value got.Emma.value;
+  if memo_cost expected.Emma.metrics <> memo_cost got.Emma.metrics then
+    Alcotest.failf "%s: cost fields differ from a fresh session's" name
+
+let test_memo_repeat_equals_fresh () =
+  let cases = memo_cases () in
+  let fresh = List.map (fun c -> with_session rt (fun s -> submit_case s c)) cases in
+  List.iter2
+    (fun (name, _, _, _) (r : Emma.run_result) ->
+      if name = "udf read" then
+        Alcotest.(check bool) "the UDF's table read is broadcast" true
+          (r.Emma.metrics.Metrics.broadcast_bytes > 0.0))
+    cases fresh;
+  with_session rt @@ fun s ->
+  for round = 1 to 2 do
+    List.iter2
+      (fun ((name, _, _, _) as c) expected ->
+        check_same_run (Printf.sprintf "%s, submit %d" name round) expected (submit_case s c))
+      cases fresh
+  done
+
+let test_memo_replaced_table () =
+  with_session rt @@ fun s ->
+  let run data = finished (fst (Session.submit s sum_prog ~tables:[ ("rows", data) ])) in
+  let first = run (rows 40) in
+  (* same length and byte sizes, different values *)
+  let doubled =
+    List.init 40 (fun i -> Value.record [ ("a", Value.Int (2 * i)); ("b", Value.Int (i mod 5)) ])
+  in
+  let second = run doubled in
+  Helpers.check_value "first table's sum" (Value.Int 780) first.Emma.value;
+  Helpers.check_value "replaced table's sum" (Value.Int 1560) second.Emma.value;
+  let shorter = run (rows 10) in
+  Helpers.check_value "shorter table's sum" (Value.Int 45) shorter.Emma.value;
+  check_same_run "shorter table"
+    (with_session rt (fun s' ->
+         finished (fst (Session.submit s' sum_prog ~tables:[ ("rows", rows 10) ]))))
+    shorter
+
+(* The serve degradation ladder's half-dop slice, and a rescaled cluster:
+   each must price its reads like a fresh session, and the full-size run
+   after them too. *)
+let test_memo_half_dop () =
+  let cluster = Cluster.laptop () in
+  let half = { cluster with Cluster.slots_per_node = max 1 (cluster.Cluster.slots_per_node / 2) } in
+  let scaled = { cluster with Cluster.data_scale = 4.0 } in
+  Alcotest.(check bool) "half the dop" true (Cluster.dop half < Cluster.dop cluster);
+  let cases = memo_cases () in
+  with_session rt @@ fun s ->
+  List.iter
+    (fun ((name, _, _, _) as c) ->
+      let fresh cluster = with_session rt (fun f -> submit_case ~cluster f c) in
+      let full = fresh cluster in
+      check_same_run (name ^ ", warm") full (submit_case ~cluster s c);
+      check_same_run (name ^ ", half dop on a warm session") (fresh half)
+        (submit_case ~cluster:half s c);
+      check_same_run (name ^ ", scale 4 on a warm session") (fresh scaled)
+        (submit_case ~cluster:scaled s c);
+      check_same_run (name ^ ", full dop again") full (submit_case ~cluster s c))
+    cases
+
+(* Per-query values and cost fields in submission order: the part of a
+   serve run that is deterministic in real-concurrency mode too. *)
+let result_fingerprint (c : Serve.counters) =
+  List.map
+    (fun (r : Serve.query_result) ->
+      let m = Emma.metrics_of_outcome r.Serve.qr_outcome in
+      let value =
+        match r.Serve.qr_outcome with
+        | Emma.Finished { value; _ } -> Value.to_display value
+        | _ -> "not finished"
+      in
+      Printf.sprintf "sub=%d query=%s value=%s sim=%h shuffle=%h broadcast=%h dfs=%h stages=%d"
+        r.Serve.qr_sub r.Serve.qr_query value m.Metrics.sim_time_s m.Metrics.shuffle_bytes
+        m.Metrics.broadcast_bytes m.Metrics.dfs_read_bytes m.Metrics.stages)
+    (List.sort (fun a b -> compare a.Serve.qr_sub b.Serve.qr_sub) c.Serve.sv_results)
+  |> String.concat "\n"
+
+let test_memo_concurrent_lanes () =
+  (* one physical table shared by every query, so the lanes race on the
+     same memo entry *)
+  let shared = rows 80 in
+  let workload =
+    [ ("sum", (sum_prog, [ ("rows", shared) ]));
+      ("count", (S.program ~ret:S.(count (read "rows")) [], [ ("rows", shared) ]));
+      ("keys", (keys_prog, [ ("rows", shared); ("keys", keys 3) ])) ]
+  in
+  let names = [ "a"; "b"; "c"; "d" ] in
+  let tenants = List.map (fun n -> Serve.tenant n) names in
+  let events =
+    Arrival.generate ~seed:9 ~rate:4.0 ~alpha:1.1 ~tenants:names
+      ~queries:(List.map fst workload) ~n:24
+  in
+  let reference =
+    with_session rt (fun s -> result_fingerprint (Serve.run_sim s tenants workload events))
+  in
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+      let config = Config.with_pool (Some pool) Config.default in
+      let got =
+        with_session ~config rt (fun s ->
+            result_fingerprint (Serve.run_concurrent s tenants workload events))
+      in
+      if got <> reference then
+        Alcotest.failf "run_concurrent at %d domains moved the fingerprint" domains)
+    [ 2; 4; 8 ]
+
 let suite =
   [ ( "session",
       [ Alcotest.test_case "submit: miss then hit, metrics stamped" `Quick
@@ -403,4 +557,12 @@ let suite =
         Alcotest.test_case "would_hit peeks without counting" `Quick
           test_would_hit_is_uncounted;
         Alcotest.test_case "timeout mid-recovery is classified" `Quick
-          test_timeout_mid_recovery_classified ] ) ]
+          test_timeout_mid_recovery_classified;
+        Alcotest.test_case "read memo: repeat submits == fresh sessions" `Quick
+          test_memo_repeat_equals_fresh;
+        Alcotest.test_case "read memo: replaced table is re-read" `Quick
+          test_memo_replaced_table;
+        Alcotest.test_case "read memo: half dop on a warm session" `Quick
+          test_memo_half_dop;
+        Alcotest.test_case "read memo: concurrent lanes at 2/4/8 domains" `Quick
+          test_memo_concurrent_lanes ] ) ]
