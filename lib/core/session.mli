@@ -90,7 +90,11 @@ val create : ?config:Config.t -> runtime -> t
     that all its runs share: a table submitted again as the same row list
     is partitioned and sized once, not once per run. It holds one
     partition layout per table name and never changes a result or a
-    cost.
+    cost. Entries are never evicted: each table name the session has
+    read keeps its last row list and a partitioned copy of it for the
+    life of the session, so the memo's memory grows with the number of
+    distinct table names read (a replaced table's old rows stay pinned
+    until that name is read again).
 
     Also unifies [runtime.timeout_s] with [config.timeout_s]: one source
     set wins, both set to the same value is accepted, and conflicting

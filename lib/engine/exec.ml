@@ -461,31 +461,39 @@ let charge_parallelize t bytes =
   motion_counter t "parallelize_bytes" t.metrics.Metrics.parallelize_bytes;
   charge t (bytes /. t.cluster.Cluster.net_bw)
 
+(* Physical bytes of a driver-side row list, for the charges that never
+   partition it. *)
+let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
+
 (* DRV → DFL: partition a driver-local bag and charge its bytes. *)
 let parallelize t vs =
   let pd = Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs in
   charge_parallelize t (Pdata.bytes pd);
   Obag pd
 
+(* The read memo's partitioned form of table [name] at this run's dop and
+   scale, if its entry still matches [rows]. *)
+let memo_find t name rows =
+  let nparts = dop t and scale = Cluster.table_scale t.cluster name in
+  let m = t.read_memo in
+  Mutex.protect m.r_lock (fun () ->
+      match Hashtbl.find_opt m.r_entries name with
+      | Some e when e.r_rows == rows && e.r_nparts = nparts && Float.equal e.r_scale scale ->
+          Some e.r_pd
+      | _ -> None)
+
 (* The partitioned form of table [name], whose rows are [rows]: from the
    read memo when its entry still matches, else built, sized and
    published. Building happens outside the lock; two runs racing on the
    same table build equal layouts and the last one is kept. *)
 let read_pdata t name rows =
-  let nparts = dop t and scale = Cluster.table_scale t.cluster name in
-  let m = t.read_memo in
-  let cached =
-    Mutex.protect m.r_lock (fun () ->
-        match Hashtbl.find_opt m.r_entries name with
-        | Some e when e.r_rows == rows && e.r_nparts = nparts && Float.equal e.r_scale scale ->
-            Some e.r_pd
-        | _ -> None)
-  in
-  match cached with
+  match memo_find t name rows with
   | Some pd -> pd
   | None ->
+      let nparts = dop t and scale = Cluster.table_scale t.cluster name in
       let pd = Pdata.of_list ~pool:t.pool ~rmult:scale ~bmult:scale ~nparts rows in
       Pdata.force_stats pd;
+      let m = t.read_memo in
       Mutex.protect m.r_lock (fun () ->
           Hashtbl.replace m.r_entries name
             { r_rows = rows; r_nparts = nparts; r_scale = scale; r_pd = pd });
@@ -1048,9 +1056,16 @@ and worker_env t env ~params body_exprs =
               seen_tables := name :: !seen_tables;
               let records, bytes =
                 match Eval.read_table t.eval_ctx name with
-                | rows ->
-                    let pd = read_pdata t name rows in
-                    (Pdata.logical_records pd, Pdata.logical_bytes pd)
+                | rows -> begin
+                    (* a memo entry prices the table for free; on a miss one
+                       walk is cheaper than building the partitioned form *)
+                    match memo_find t name rows with
+                    | Some pd -> (Pdata.logical_records pd, Pdata.logical_bytes pd)
+                    | None ->
+                        let sc = Cluster.table_scale t.cluster name in
+                        ( float_of_int (List.length rows) *. sc,
+                          float_of_int (rows_bytes rows) *. sc )
+                  end
                 | exception Eval.Eval_error _ -> (0.0, 0.0)
               in
               inner_records := !inner_records +. records;
@@ -2097,7 +2112,7 @@ let run t (prog : Cprog.t) : Value.t =
             Eval.register_table t.eval_ctx name (Pdata.to_list pd);
             env
         | Dscalar (Eval.V (Value.Bag vs)) ->
-            charge_dfs_write t (Pdata.bytes (Pdata.make ~rmult:1.0 ~bmult:1.0 [| vs |]));
+            charge_dfs_write t (float_of_int (rows_bytes vs));
             Eval.register_table t.eval_ctx name vs;
             env
         | _ -> raise (Engine_failure "write: expected a bag")

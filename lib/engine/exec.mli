@@ -53,8 +53,9 @@ type read_memo
 (** Partitioned input tables reused across runs: each table a [Read]
     scans is partitioned and sized once per (row list, partition count,
     table scale), and reused while its name still maps to the physically
-    same row list at the same dop and scale. Safe to share between runs
-    on different domains. *)
+    same row list at the same dop and scale. One entry per table name,
+    replaced but never evicted. Safe to share between runs on different
+    domains. *)
 
 val read_memo : unit -> read_memo
 (** A fresh, empty memo. *)

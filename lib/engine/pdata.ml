@@ -91,26 +91,8 @@ let map_parts_preserving f t =
 
 let union a b =
   let n = max (nparts a) (nparts b) in
-  let zip get empty combine =
-    Array.init n (fun i ->
-        combine
-          (if i < nparts a then get a i else empty)
-          (if i < nparts b then get b i else empty))
-  in
-  let u =
-    make
-      ~rmult:(Float.max a.rmult b.rmult)
-      ~bmult:(Float.max a.bmult b.bmult)
-      (zip (fun t i -> t.parts.(i)) [] ( @ ))
-  in
-  if Lazy.is_val a.stats && Lazy.is_val b.stats then begin
-    let sa = stats a and sb = stats b in
-    { u with
-      stats =
-        Lazy.from_val
-          { records = sa.records + sb.records;
-            bytes = sa.bytes + sb.bytes;
-            part_bytes = zip (fun t i -> (stats t).part_bytes.(i)) 0 ( + );
-            max_elem_bytes = max sa.max_elem_bytes sb.max_elem_bytes } }
-  end
-  else u
+  let part t i = if i < nparts t then t.parts.(i) else [] in
+  make
+    ~rmult:(Float.max a.rmult b.rmult)
+    ~bmult:(Float.max a.bmult b.bmult)
+    (Array.init n (fun i -> part a i @ part b i))

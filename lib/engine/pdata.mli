@@ -25,8 +25,10 @@
     read.
 
     {b Bit-identical floats.} [Value.byte_size] is an [int], and the stats
-    sum those ints. Every partial sum the engine sees is far below 2{^53},
-    and every integer below 2{^53} is exact as a float, so each float
+    sum those ints. Every partial sum the engine sees is far below
+    2{^53} (about 9·10{^15}): the values live in host memory, and the
+    declared sizes of blobs are kilobytes. Every integer below 2{^53} is
+    exact as a float, so each float
     addition of the old left-to-right fold
     [acc +. float_of_int (Value.byte_size v)] was exact too. Hence
     [float_of_int] of the int sum equals that fold bit for bit, in
@@ -42,12 +44,9 @@
 module Value = Emma_value.Value
 module Plan = Emma_dataflow.Plan
 
-type stats = {
-  records : int;  (** physical records *)
-  bytes : int;  (** physical bytes: the sum of [Value.byte_size] *)
-  part_bytes : int array;  (** physical bytes of each partition *)
-  max_elem_bytes : int;  (** the largest element's bytes; 0 when empty *)
-}
+type stats
+(** Record count, total bytes, bytes per partition and largest element's
+    bytes, all physical; read through the accessors below. *)
 
 type t = private {
   parts : Value.t list array;
@@ -113,5 +112,4 @@ val map_parts_preserving : (Value.t list -> Value.t list) -> t -> t
 
 val union : t -> t -> t
 (** Zips partitions pairwise; clears the key property; multipliers are the
-    pairwise maxima. When both inputs' stats are already computed, the
-    union's are summed from them instead of walking the values again. *)
+    pairwise maxima. *)

@@ -199,9 +199,7 @@ let stats_match (pd : Pdata.t) =
   && same_float (Pdata.logical_bytes pd) (bytes *. pd.Pdata.bmult)
   && same_float (Pdata.logical_records pd) (float_of_int (walk_records pd) *. pd.Pdata.rmult)
 
-(* Every way to build a collection, applied to two random inputs; the
-   unions run with their inputs' stats unforced and forced (the summed
-   path). *)
+(* Every way to build a collection, applied to two random inputs. *)
 let constructions (parts, parts') =
   let pool = Emma_util.Pool.default () in
   let vs = List.concat (Array.to_list parts) in
@@ -216,11 +214,6 @@ let constructions (parts, parts') =
   let other () =
     Pdata.of_list ~bmult:2.0 ~nparts:(n + 1) (List.concat (Array.to_list parts'))
   in
-  let forced_other () =
-    let pd = other () in
-    Pdata.force_stats pd;
-    pd
-  in
   [ ("make", fresh ());
     ("of_list", Pdata.of_list ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
     ("of_list pooled", Pdata.of_list ~pool ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
@@ -228,8 +221,6 @@ let constructions (parts, parts') =
     ("map_parts", Pdata.map_parts (List.filter (fun v -> Value.byte_size v > 8)) (fresh ()));
     ("map_parts_preserving", Pdata.map_parts_preserving List.rev (forced ()));
     ("union", Pdata.union (fresh ()) (other ()));
-    ("union forced", Pdata.union (forced ()) (forced_other ()));
-    ("union half forced", Pdata.union (forced ()) (other ()));
     ("with_mult", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (forced ()));
     ("with_mult unforced", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (fresh ())) ]
 
