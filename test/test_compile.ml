@@ -121,18 +121,7 @@ let qcheck_engine_parity =
 
 (* Same program, same mode, 1/2/4 domains: compiled execution keeps the
    engine's domain-count invariance (results and cost metrics fixed). *)
-let test_domain_invariance () =
-  let prog =
-    S.program
-      ~ret:
-        S.(
-          sum
-            (map
-               (lam "x" (fun x -> field x "a" * int_ 3 + field x "b"))
-               (with_filter (lam "x" (fun x -> field x "a" > int_ 2)) (read "rows"))))
-      []
-  in
-  let tables = rows_tables (List.init 24 (fun i -> row i (i mod 4))) in
+let check_domain_invariance prog tables =
   let runs =
     List.map
       (fun domains ->
@@ -159,6 +148,19 @@ let test_domain_invariance () =
           Alcotest.(check bool) "metrics invariant across domain counts" true (m1 = m))
         rest
   | [] -> assert false
+
+let test_domain_invariance () =
+  let prog =
+    S.program
+      ~ret:
+        S.(
+          sum
+            (map
+               (lam "x" (fun x -> field x "a" * int_ 3 + field x "b"))
+               (with_filter (lam "x" (fun x -> field x "a" > int_ 2)) (read "rows"))))
+      []
+  in
+  check_domain_invariance prog (rows_tables (List.init 24 (fun i -> row i (i mod 4))))
 
 (* ---------------------------------------------------------------- *)
 (* Targeted coverage                                                  *)
@@ -324,6 +326,139 @@ let test_captured_curried_closure () =
   check_parity "single application of curried closure errors"
     (env_expr (S.app (S.var "f") (S.int_ 1)))
 
+(* ---------------------------------------------------------------- *)
+(* Constructors, fold algebras and field order                        *)
+(* ---------------------------------------------------------------- *)
+
+(* Tuple and record literals evaluate their components left to right, so
+   with two raising components the first one's error is the one raised. *)
+let test_constructor_errors () =
+  let tables = rows_tables [ row 3 0; row 4 1 ] in
+  let over_rows body = S.map (S.lam "x" body) (S.read "rows") in
+  check_parity ~tables "tuple: div then missing field"
+    (over_rows (fun x -> S.tup [ S.(field x "a" / field x "b"); S.field x "nope" ]));
+  check_parity ~tables "tuple: missing field then div"
+    (over_rows (fun x -> S.tup [ S.field x "nope"; S.(field x "a" / int_ 0) ]));
+  check_parity ~tables "tuple: ok, bad projection, div"
+    (over_rows (fun x ->
+         S.tup [ S.field x "a"; Expr.Proj (x, 0); S.(field x "a" mod int_ 0) ]));
+  check_parity ~tables "record: missing field then div"
+    (over_rows (fun x ->
+         S.record [ ("p", S.field x "nope"); ("q", S.(field x "a" / int_ 0)) ]));
+  check_parity ~tables "record: div then missing field"
+    (over_rows (fun x ->
+         S.record [ ("p", S.(field x "b" mod int_ 0)); ("q", S.field x "zz") ]));
+  check_parity "static tuple: two raisers"
+    (S.tup [ S.(int_ 1 / int_ 0); Expr.Field (S.int_ 1, "f") ])
+
+(* Random fold algebras over the rows table. [single] is a tuple literal
+   and [union] a curried lambda, drawn so that the fused accumulate step's
+   preconditions hold in some draws and fail in others: a component used
+   twice, under an [If] or not at all, a projection out of range, binders
+   shadowing each other, an ill-typed [empty], raising components. *)
+let algebra_gen =
+  let open QCheck2.Gen in
+  let component x = function
+    | 0 -> S.field x "a"
+    | 1 -> S.(field x "a" * int_ 3)
+    | 2 -> S.(field x "b" + float_ 0.5)
+    | 3 -> S.(field x "a" / field x "b")
+    | 4 -> S.field x "nope"
+    | _ -> S.int_ 1
+  in
+  let union_part a b n i = function
+    | 0 -> S.(proj a i + proj b i)
+    | 1 -> S.(proj a i + proj b i + proj b i)
+    | 2 -> S.if_ S.(proj a i > int_ 4) (S.proj b i) (S.proj a i)
+    | 3 -> S.proj a i
+    | 4 -> S.(proj b i + proj a i)
+    | 5 -> S.(proj a i + proj b n)
+    | _ -> S.(let_ "t" (proj b i) (fun t -> t * int_ 2 + proj a i))
+  in
+  int_range 1 3 >>= fun n ->
+  list_repeat n (int_range 0 5) >>= fun comps ->
+  list_repeat n (frequency [ (6, pure 0); (1, int_range 1 6) ]) >>= fun parts ->
+  oneofl [ ("x", "a", "b"); ("a", "a", "b"); ("x", "b", "b"); ("b", "a", "b") ]
+  >>= fun (xn, an, bn) ->
+  frequency
+    [ (6, pure (S.tup (List.init n (fun _ -> S.int_ 0))));
+      (1, pure (Expr.Const (Value.String "empty")));
+      (1, pure (S.tup [ S.int_ 0 ])) ]
+  >|= fun empty ->
+  let single = S.lam xn (fun x -> S.tup (List.map (component x) comps)) in
+  let union =
+    S.lam an (fun a ->
+        S.lam bn (fun b -> S.tup (List.mapi (fun i k -> union_part a b n i k) parts)))
+  in
+  { Expr.f_empty = empty; f_single = single; f_union = union; f_tag = Expr.Tag_generic }
+
+let print_algebra (fns : Expr.fold_fns) =
+  Fmt.str "empty=%a single=%a union=%a" Emma_lang.Pretty.pp_expr fns.Expr.f_empty
+    Emma_lang.Pretty.pp_expr fns.Expr.f_single Emma_lang.Pretty.pp_expr fns.Expr.f_union
+
+(* The engine's accumulate loop, [acc := union acc (single v)] per row,
+   gives the same value or classified error in both modes; so does the
+   tree-shaped [Fold] expression. *)
+let qcheck_fold_algebras =
+  QCheck2.Test.make ~count:300 ~name:"random fold algebras: compiled ≡ interpreted"
+    ~print:(fun (fns, _) -> print_algebra fns)
+    QCheck2.Gen.(pair algebra_gen rows_gen)
+    (fun (fns, rows) ->
+      let ctx = ctx_with (rows_tables rows) in
+      let env = Eval.empty_env in
+      let interp =
+        classify (fun () ->
+            let empty = Eval.eval_value ctx env fns.Expr.f_empty in
+            let single = Eval.eval ctx env fns.Expr.f_single in
+            let union = Eval.eval ctx env fns.Expr.f_union in
+            List.fold_left
+              (fun acc v -> Eval.apply2_rv ctx union acc (Eval.apply_rv ctx single v))
+              empty rows)
+      in
+      let compiled =
+        classify (fun () ->
+            let empty, single, union = Compile.fold_fns ctx env fns in
+            List.fold_left (fun acc v -> union acc (single v)) empty rows)
+      in
+      let same a b =
+        match (a, b) with
+        | Val x, Val y -> Value.equal x y
+        | Err x, Err y -> String.equal x y
+        | _ -> false
+      in
+      let fold_i, fold_c = both ~tables:(rows_tables rows) (Expr.Fold (fns, S.read "rows")) in
+      same interp compiled && same fold_i fold_c)
+  |> QCheck_alcotest.to_alcotest
+
+(* Rows holding the same fields in different orders: a compiled field
+   access must find the right field whichever layout the previous row had. *)
+let test_mixed_field_order () =
+  let rows =
+    List.init 30 (fun i ->
+        let a = ("a", Value.Int i) and b = ("b", Value.Int (i mod 4)) in
+        let c = ("c", Value.Int (i * 7)) in
+        Value.record
+          (match i mod 3 with 0 -> [ a; b; c ] | 1 -> [ c; b; a ] | _ -> [ b; a; c ]))
+  in
+  let prog =
+    S.program
+      ~ret:
+        S.(
+          tup
+            [ sum
+                (map
+                   (lam "x" (fun x -> field x "a" * int_ 3 + field x "b" - field x "c"))
+                   (with_filter (lam "x" (fun x -> field x "a" > int_ 2)) (read "rows")));
+              sum
+                (for_
+                   [ gen "g" (group_by (lam "x" (fun x -> field x "b")) (read "rows")) ]
+                   ~yield:
+                     (sum (map (lam "x" (fun x -> field x "c")) (field (var "g") "values"))))
+            ])
+      []
+  in
+  check_domain_invariance prog (rows_tables rows)
+
 let suite =
   [ ( "compile_differential",
       [ qcheck_value_parity;
@@ -338,5 +473,8 @@ let suite =
         Alcotest.test_case "dead branch" `Quick test_dead_branch_not_evaluated;
         Alcotest.test_case "folded errors" `Quick test_folded_error_still_raises;
         Alcotest.test_case "fn2 shadowing" `Quick test_fn2_shadowing;
-        Alcotest.test_case "captured curried closure" `Quick test_captured_curried_closure
+        Alcotest.test_case "captured curried closure" `Quick test_captured_curried_closure;
+        Alcotest.test_case "constructor errors" `Quick test_constructor_errors;
+        qcheck_fold_algebras;
+        Alcotest.test_case "mixed field order" `Quick test_mixed_field_order
       ] ) ]
