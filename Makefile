@@ -51,7 +51,7 @@ chaos-smoke:
 mem-smoke:
 	dune build @mem-smoke --force
 
-# TPC-H Q1 and Q3 in both UDF modes (interpreted oracle vs staged-compiled):
+# Every registry program in both UDF modes (interpreted oracle vs staged-compiled):
 # results and cost-model metrics must be bit-identical.
 udf-smoke:
 	dune build @udf-smoke --force

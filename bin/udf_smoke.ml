@@ -1,6 +1,6 @@
 (* udf-smoke: the staged-UDF-compilation gate of `make check`.
 
-   Runs TPC-H Q1 and Q3 from the registry twice each — once with the
+   Runs every registry program twice — once with the
    interpreter (`--udf-mode interp`, the differential oracle) and once
    with the staged compiler (`--udf-mode compiled`, the default) — and
    asserts the compilation contract: bit-identical results and
@@ -32,31 +32,28 @@ let cost_sig (m : Metrics.t) =
       m.Metrics.udf_invocations,
       m.Metrics.cache_hits ) )
 
-let check name =
-  match Registry.find name with
-  | None -> fail "unknown registry program %S" name
-  | Some e ->
-      let algo = Emma.parallelize e.Registry.program in
-      let tables = e.Registry.tables () in
-      let rt =
-        Emma.spark
-          ~cluster:
-            (Emma.Cluster.paper_cluster ~table_scales:e.Registry.table_scales ())
-          ~timeout_s:3600.0 ()
-      in
-      let run mode =
-        Emma.run_on_exn ~config:(Emma.Config.with_udf_mode mode Emma.Config.default) rt algo ~tables
-      in
-      let interp = run Engine.Interp in
-      let compiled = run Engine.Compiled in
-      if not (Value.equal interp.Emma.value compiled.Emma.value) then
-        fail "%s: compiled result differs from the interpreter oracle" name;
-      if cost_sig interp.Emma.metrics <> cost_sig compiled.Emma.metrics then
-        fail "%s: cost-model metrics differ between UDF modes" name;
-      Printf.printf
-        "udf-smoke %-4s ok: values equal, cost metrics bit-identical (%d UDF \
-         invocations, %d stages)\n"
-        name compiled.Emma.metrics.Metrics.udf_invocations
-        compiled.Emma.metrics.Metrics.stages
+let check (e : Registry.entry) =
+  let name = e.Registry.name in
+  let algo = Emma.parallelize e.Registry.program in
+  let tables = e.Registry.tables () in
+  let rt =
+    Emma.spark
+      ~cluster:(Emma.Cluster.paper_cluster ~table_scales:e.Registry.table_scales ())
+      ~timeout_s:3600.0 ()
+  in
+  let run mode =
+    Emma.run_on_exn ~config:(Emma.Config.with_udf_mode mode Emma.Config.default) rt algo ~tables
+  in
+  let interp = run Engine.Interp in
+  let compiled = run Engine.Compiled in
+  if not (Value.equal interp.Emma.value compiled.Emma.value) then
+    fail "%s: compiled result differs from the interpreter oracle" name;
+  if cost_sig interp.Emma.metrics <> cost_sig compiled.Emma.metrics then
+    fail "%s: cost-model metrics differ between UDF modes" name;
+  Printf.printf
+    "udf-smoke %-4s ok: values equal, cost metrics bit-identical (%d UDF \
+     invocations, %d stages)\n"
+    name compiled.Emma.metrics.Metrics.udf_invocations
+    compiled.Emma.metrics.Metrics.stages
 
-let () = List.iter check [ "q1"; "q3" ]
+let () = List.iter check Registry.all

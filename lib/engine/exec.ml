@@ -1140,8 +1140,8 @@ and udf2_fn t env (u : Plan.udf2) : Value.t -> Value.t -> Value.t =
     bump_udf t;
     f a b
 
-(* Runtime form of a fold algebra: (empty, single, union). *)
-and fold_runtime t env (fns : Expr.fold_fns) =
+(* Runtime form of a fold algebra. *)
+and fold_runtime t env (fns : Expr.fold_fns) : Compile.algebra =
   let base, _ =
     worker_env t env ~params:[] [ fns.Expr.f_empty; fns.Expr.f_single; fns.Expr.f_union ]
   in
@@ -1152,7 +1152,7 @@ and fold_runtime t env (fns : Expr.fold_fns) =
       let union_rv = Eval.eval t.eval_ctx base fns.Expr.f_union in
       let single v = Eval.apply_rv t.eval_ctx single_rv v in
       let union a b = Eval.apply2_rv t.eval_ctx union_rv a b in
-      (empty, single, union)
+      { Compile.empty; single; union; step = (fun acc v -> union acc (single v)) }
   | Compiled -> Compile.fold_fns t.eval_ctx base fns
 
 and exec_to_bag t env p =
@@ -1267,18 +1267,16 @@ and exec_plan_inner t env (p : Plan.t) : out =
       charge_stage t;
       charge_local_cpu t pd;
       let keyfn = udf_fn t env key in
-      let empty, single, union = fold_runtime t env fold in
-      exec_agg_by t key keyfn ~empty ~single ~union pd
+      exec_agg_by t key keyfn (fold_runtime t env fold) pd
   | Plan.Fold (fns, q) ->
       let pd = exec_to_bag t env q in
       charge_stage t;
       charge_local_cpu t pd;
-      let empty, single, union = fold_runtime t env fns in
+      let { Compile.empty; union; step; _ } = fold_runtime t env fns in
       (* partial fold per partition (the parallel leaves), then combine the
          partials at the driver — the data-parallel fold of §2.2.2 *)
       let partials =
-        par_run t (Pdata.nparts pd) (fun i ->
-            List.fold_left (fun acc v -> union acc (single v)) empty pd.Pdata.parts.(i))
+        par_run t (Pdata.nparts pd) (fun i -> List.fold_left step empty pd.Pdata.parts.(i))
       in
       let sizes = Array.map (fun v -> float_of_int (Value.byte_size v)) partials in
       (* each slot holds its partition's accumulator while folding *)
@@ -1506,16 +1504,17 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
   charge_local_cpu t out;
   Obag out
 
-and exec_agg_by t key keyfn ~empty ~single ~union (pd : Pdata.t) : out =
-  (* map-side combine: one (key, acc) pair per distinct key per partition *)
+and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : out =
+  (* map-side combine: one (key, acc) pair per distinct key per partition;
+     [Hashtbl.find] rather than [find_opt] allocates no [Some] per row *)
   let combine part =
     let h : (Value.t, Value.t ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun v ->
         let k = keyfn v in
-        match Hashtbl.find_opt h k with
-        | Some acc -> acc := union !acc (single v)
-        | None -> Hashtbl.add h k (ref (union empty (single v))))
+        match Hashtbl.find h k with
+        | acc -> acc := step !acc v
+        | exception Not_found -> Hashtbl.add h k (ref (step empty v)))
       part;
     Hashtbl.fold (fun k acc l -> Value.tuple [ k; !acc ] :: l) h []
   in

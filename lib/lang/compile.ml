@@ -111,27 +111,39 @@ let static_or_raiser f =
   | exception e when classified e -> Dyn (fun _ -> raise e)
 
 (* Compile-time environment. [Cdyn] entries occupy a runtime slot;
-   [Cstatic] entries were evaluated at compile time and occupy none. *)
-type centry = Cdyn of string | Cstatic of string * sv
+   [Cstatic] entries were evaluated at compile time and occupy none.
+   [Cfused (b, gs)] is a fold union's binder [b] in a fused accumulate
+   step (see [fused_step]): its slot holds the row [v], and [b._i]
+   compiles to component [gs.(i)] of [single], run on that slot. *)
+type centry =
+  | Cdyn of string
+  | Cstatic of string * sv
+  | Cfused of string * (sv list -> Value.t) array
 
 (* A compiled comprehension qualifier: generator sources stage straight to
    element lists, guards to (boolean) values. *)
 type cqual = CGen of (sv list -> Value.t list) | CGuard of (sv list -> Value.t)
 
-let rec resolve cenv x i =
+(* The innermost entry binding [x], with its runtime slot index. *)
+let rec lookup cenv x i =
   match cenv with
   | [] -> None
-  | Cdyn y :: rest ->
-      if String.equal y x then Some (Dyn (slot i)) else resolve rest x (i + 1)
-  | Cstatic (y, sv) :: rest ->
-      if String.equal y x then Some (Static sv) else resolve rest x i
+  | (Cdyn y | Cfused (y, _)) as ce :: rest ->
+      if String.equal y x then Some (ce, i) else lookup rest x (i + 1)
+  | Cstatic (y, _) as ce :: rest -> if String.equal y x then Some (ce, i) else lookup rest x i
 
-and slot i : sv list -> sv =
+let slot i : sv list -> sv =
   match i with
   | 0 -> ( function v :: _ -> v | [] -> invalid_arg "Compile.slot" )
   | 1 -> ( function _ :: v :: _ -> v | _ -> invalid_arg "Compile.slot" )
   | 2 -> ( function _ :: _ :: v :: _ -> v | _ -> invalid_arg "Compile.slot" )
   | i -> fun env -> List.nth env i
+
+let rec drop k env = if k = 0 then env else drop (k - 1) (List.tl env)
+
+(* The fusion rule guarantees a fused binder occurs only as [b._i]; were it
+   used whole, this classified error sends the step to its unfused path. *)
+let bare_fused = Dyn (fun _ -> invalid_arg "Compile: fused binder used whole")
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
@@ -147,8 +159,10 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
   match e with
   | Const v -> Static (Sval v)
   | Var x -> begin
-      match resolve cenv x 0 with
-      | Some c -> c
+      match lookup cenv x 0 with
+      | Some (Cdyn _, i) -> Dyn (slot i)
+      | Some (Cstatic (_, sv), _) -> Static sv
+      | Some (Cfused _, _) -> bare_fused
       | None -> begin
           match Eval.lookup_opt base x with
           | Some rv -> Static (of_rvalue ctx rv)
@@ -176,20 +190,39 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           let av = ga env in
           apply1 fv av)
   | Tuple es ->
-      comp_nary ctx base cenv es (fun vs -> Value.tuple vs)
+      comp_nary ctx base cenv es (fun vs -> Value.tuple vs) ~residual:(fun gs ->
+          let n = Array.length gs in
+          Dynv
+            (fun env ->
+              let a = Array.make n Value.Unit in
+              for i = 0 to n - 1 do
+                a.(i) <- gs.(i) env
+              done;
+              Value.Tuple a))
   | Proj (a, i) -> begin
-      match comp ctx base cenv a with
-      | Static _ as c ->
+      match (fused_component cenv a i, comp ctx base cenv a) with
+      | Some c, _ -> c
+      | None, (Static _ as c) ->
           let g = vstage c in
           static_or_raiser (fun () -> Sval (Value.proj (g []) i))
-      | (Dyn _ | Dynv _) as c ->
+      | None, ((Dyn _ | Dynv _) as c) ->
           let g = vstage c in
           Dynv (fun env -> Value.proj (g env) i)
     end
   | Record fields ->
       let names = List.map fst fields in
-      comp_nary ctx base cenv (List.map snd fields) (fun vs ->
-          Value.record (List.combine names vs))
+      let anames = Array.of_list names in
+      comp_nary ctx base cenv (List.map snd fields)
+        (fun vs -> Value.record (List.combine names vs))
+        ~residual:(fun gs ->
+          let n = Array.length gs in
+          Dynv
+            (fun env ->
+              let a = Array.make n ("", Value.Unit) in
+              for i = 0 to n - 1 do
+                a.(i) <- (anames.(i), gs.(i) env)
+              done;
+              Value.Record a))
   | Field (a, n) -> begin
       match comp ctx base cenv a with
       | Static _ as c ->
@@ -197,7 +230,9 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           static_or_raiser (fun () -> Sval (Value.field (g []) n))
       | (Dyn _ | Dynv _) as c ->
           let g = vstage c in
-          Dynv (fun env -> Value.field (g env) n)
+          (* one slot hint per access site; see [Value.field_hinted] *)
+          let hint = ref 0 in
+          Dynv (fun env -> Value.field_hinted hint (g env) n)
     end
   | Prim (p, args) ->
       let cs = List.map (comp ctx base cenv) args in
@@ -268,7 +303,10 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
                 let av = fa env in
                 fb (av :: env))
     end
-  | BagOf es -> comp_nary ctx base cenv es (fun vs -> Value.bag vs)
+  | BagOf es ->
+      comp_nary ctx base cenv es (fun vs -> Value.bag vs) ~residual:(fun gs ->
+          let gs = Array.to_list gs in
+          Dynv (fun env -> Value.bag (List.map (fun g -> g env) gs)))
   | Range (lo, hi) ->
       let clo = comp ctx base cenv lo in
       let chi = comp ctx base cenv hi in
@@ -454,29 +492,69 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
               Value.bag (Databag.to_list delta)
           | _ -> fail "update: expected a stateful bag")
 
-(* n-ary value constructors (tuples, records, bag literals): fold when every
-   piece is static, otherwise emit one residual body. *)
-and comp_nary ctx base cenv es build =
+(* n-ary value constructors (tuples, records, bag literals): fold with
+   [build] when every piece is static, otherwise [residual] builds the value
+   from the staged pieces, which it must run left to right, in [Eval]'s
+   [List.map] order. *)
+and comp_nary ctx base cenv es build ~residual =
   let cs = List.map (comp ctx base cenv) es in
   let gs = List.map vstage cs in
   if List.for_all is_static cs then
     static_or_raiser (fun () -> Sval (build (List.map (fun g -> g []) gs)))
-  else Dynv (fun env -> build (List.map (fun g -> g env) gs))
+  else residual (Array.of_list gs)
+
+(* [b._i] for a fused binder [b] ([Cfused]): component [i] of [single], run
+   on the row in [b]'s slot, [k] slots down the runtime environment. *)
+and fused_component cenv a i =
+  match a with
+  | Var x -> begin
+      match lookup cenv x 0 with
+      | Some (Cfused (_, gs), k) when i >= 0 && i < Array.length gs ->
+          let g = gs.(i) in
+          Some (if k = 0 then Dynv g else Dynv (fun env -> g (drop k env)))
+      | _ -> None
+    end
+  | _ -> None
+
+(* A fold algebra's [single] and [union] as per-run functions. A literal
+   [Lam (x, s)] compiles to a one-slot body and a literal
+   [Lam (a, Lam (b, u))] to a two-slot body ([b] shadowing [a], as in
+   [fn2]), so applying them allocates no [Sfun] closure; the interpreter's
+   evaluation of such a lambda cannot fail, so skipping it is unobservable.
+   Any other form is evaluated per run and applied like [Eval.apply_rv] /
+   [Eval.apply2_rv]. *)
+and comp_single ctx base cenv = function
+  | Lam (x, s) ->
+      let g = vstage (comp ctx base (Cdyn x :: cenv) s) in
+      fun env v -> g (Sval v :: env)
+  | f ->
+      let gf = stage (comp ctx base cenv f) in
+      fun env ->
+        let fv = gf env in
+        fun v -> apply1 fv v
+
+and comp_union ctx base cenv = function
+  | Lam (a, Lam (b, u)) ->
+      let g = vstage (comp ctx base (Cdyn b :: Cdyn a :: cenv) u) in
+      fun env x y -> g (Sval y :: Sval x :: env)
+  | f ->
+      let gf = stage (comp ctx base cenv f) in
+      fun env ->
+        let fv = gf env in
+        fun x y -> apply2 fv x y
 
 (* Fold algebras re-evaluate [empty]/[single]/[union] per run (and [AggBy]
-   per group), exactly like [Eval.eval_fold]. *)
+   per group), exactly like [Eval.eval_fold], and keep [Databag.fold]'s
+   tree shape, so float association does not change. *)
 and comp_fold ctx base cenv (fns : Expr.fold_fns) =
   let vempty = vstage (comp ctx base cenv fns.f_empty) in
-  let gsingle = stage (comp ctx base cenv fns.f_single) in
-  let gunion = stage (comp ctx base cenv fns.f_union) in
+  let gsingle = comp_single ctx base cenv fns.f_single in
+  let gunion = comp_union ctx base cenv fns.f_union in
   fun env elems ->
     let empty = vempty env in
     let single = gsingle env in
     let union = gunion env in
-    Databag.fold ~empty
-      ~single:(fun x -> apply1 single x)
-      ~union:(fun a b -> apply2 union a b)
-      (Databag.of_list elems)
+    Databag.fold ~empty ~single ~union (Databag.of_list elems)
 
 and comp_quals ctx base cenv = function
   | [] -> ([], cenv)
@@ -504,11 +582,74 @@ let fn2 ctx base ~param1 ~param2 body =
   let f = vstage (comp ctx base [ Cdyn param2; Cdyn param1 ] body) in
   fun a b -> f [ Sval b; Sval a ]
 
+type algebra = {
+  empty : Value.t;
+  single : Value.t -> Value.t;
+  union : Value.t -> Value.t -> Value.t;
+  step : Value.t -> Value.t -> Value.t;
+}
+
+(* The fusion rule for [step]: every free occurrence of [b] in [u] is a
+   projection [b._i] with [i < n], each [i] occurs exactly once, and each
+   occurrence is evaluated exactly once whenever [u] is. A subterm under a
+   lambda, an [If] branch, a comprehension or an [AggBy] (whose algebra
+   runs per group) may run zero or many times, so [b] must not occur
+   there. *)
+let fusable b n u =
+  let uses = Array.make n 0 in
+  let mentions e = Emma_util.Strset.mem b (Expr.free_vars e) in
+  let rec strict e =
+    match e with
+    | Proj (Var y, i) when String.equal y b ->
+        i >= 0 && i < n
+        && begin
+             uses.(i) <- uses.(i) + 1;
+             true
+           end
+    | Var y -> not (String.equal y b)
+    | Lam _ | Comp _ | AggBy _ -> not (mentions e)
+    | If (c, t, el) -> strict c && (not (mentions t)) && not (mentions el)
+    | Let (y, a, body) -> strict a && (String.equal y b || strict body)
+    | e ->
+        let ok = ref true in
+        ignore
+          (Expr.map_children
+             (fun c ->
+               if !ok && not (strict c) then ok := false;
+               c)
+             e);
+        !ok
+  in
+  strict u && Array.for_all (fun c -> c = 1) uses
+
+(* [union acc (single v)] as one body, when [single] is a tuple literal and
+   [union]'s [b] passes [fusable]: [b._i] becomes [single]'s component [i]
+   (the [Cfused] entry), so no intermediate tuple is built. The step's
+   environment is [v; acc]: [b]'s slot holds the row. *)
+let fused_step ctx base (fns : Expr.fold_fns) =
+  match (fns.f_single, fns.f_union) with
+  | Lam (x, Tuple cs), Lam (a, Lam (b, u)) when fusable b (List.length cs) u ->
+      let gs = Array.of_list (List.map (fun c -> vstage (comp ctx base [ Cdyn x ] c)) cs) in
+      let g = vstage (comp ctx base [ Cfused (b, gs); Cdyn a ] u) in
+      Some (fun acc v -> g [ Sval v; Sval acc ])
+  | _ -> None
+
 let fold_fns ctx base (fns : Expr.fold_fns) =
   (* Evaluated eagerly, like the engine's interpreted fold runtime. *)
   let empty = vstage (comp ctx base [] fns.f_empty) [] in
-  let single = stage (comp ctx base [] fns.f_single) [] in
-  let union = stage (comp ctx base [] fns.f_union) [] in
-  (empty, (fun x -> apply1 single x), (fun a b -> apply2 union a b))
+  let single = comp_single ctx base [] fns.f_single [] in
+  let union = comp_union ctx base [] fns.f_union [] in
+  let unfused acc v = union acc (single v) in
+  let step =
+    match fused_step ctx base fns with
+    | None -> unfused
+    | Some fused ->
+        (* Emma expressions are pure, and on success the fused body
+           evaluates the same subterms on the same values as [unfused]; on
+           a classified error, re-running [unfused] raises the
+           interpreter's error, in its order. *)
+        fun acc v -> ( try fused acc v with e when classified e -> unfused acc v)
+  in
+  { empty; single; union; step }
 
 let value ctx base e = vstage (comp ctx base [] e) []

@@ -40,16 +40,29 @@ val fn2 :
     and shadows [param1] if the names coincide, like the interpreter's bind
     order. *)
 
-val fold_fns :
-  Eval.ctx ->
-  Eval.env ->
-  Expr.fold_fns ->
-  Emma_value.Value.t
-  * (Emma_value.Value.t -> Emma_value.Value.t)
-  * (Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t)
-(** Compiles a fold algebra to [(empty, single, union)]. The three
-    expressions are evaluated eagerly (when [fold_fns] is called), matching
-    the engine's interpreted fold runtime. *)
+type algebra = {
+  empty : Emma_value.Value.t;
+  single : Emma_value.Value.t -> Emma_value.Value.t;
+  union : Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t;
+  step : Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t;
+      (** [step acc v] behaves exactly like [union acc (single v)]: same
+          value, same classified error. *)
+}
+(** A fold algebra's runtime form. *)
+
+val fold_fns : Eval.ctx -> Eval.env -> Expr.fold_fns -> algebra
+(** Compiles a fold algebra. [empty], [single] and [union] are evaluated
+    eagerly (when [fold_fns] is called), matching the engine's interpreted
+    fold runtime. A literal [single] lambda and a literal curried [union]
+    lambda run as one- and two-slot bodies, allocating no closure per call.
+
+    [step] is fused when [single] is [x => (c_0, ..., c_n-1)] and [union]'s
+    second binder [b] occurs only as [b._i], each component exactly once
+    and never under an [If], a lambda, a comprehension or an [AggBy]:
+    then [c_i] replaces [b._i] and no intermediate tuple is built. The
+    fused body runs under a handler that, on a classified error, re-runs
+    [union acc (single v)] so the interpreter's error is the one raised.
+    Otherwise [step] is [union acc (single v)]. *)
 
 val value : Eval.ctx -> Eval.env -> Expr.expr -> Emma_value.Value.t
 (** Whole-expression evaluation via staging; observationally equivalent to

@@ -59,7 +59,13 @@ let num2 op_name fi ff a b =
       Value.Float (ff (Value.to_number a) (Value.to_number b))
   | _ -> type_error "%s: expected numbers, got %s and %s" op_name (Value.type_name a) (Value.type_name b)
 
-let cmp2 rel a b = Value.Bool (rel (Value.compare a b) 0)
+let cmp2 rel a b = Value.bool (rel (Value.compare a b) 0)
+
+(* [n] occurs in [h] at offset [i] or later; compared in place. *)
+let rec contains_from h n i =
+  i + String.length n <= String.length h && (matches_at h n i 0 || contains_from h n (i + 1))
+
+and matches_at h n i j = j >= String.length n || (h.[i + j] = n.[j] && matches_at h n i (j + 1))
 
 let bad_application p = invalid_arg (Printf.sprintf "prim %s: bad application" (name p))
 
@@ -76,7 +82,7 @@ let apply1 p a =
   | Neg, Value.Int x -> Value.Int (-x)
   | Neg, Value.Float x -> Value.Float (-.x)
   | Neg, v -> type_error "neg: expected number, got %s" (Value.type_name v)
-  | Not, a -> Value.Bool (not (Value.to_bool a))
+  | Not, a -> Value.bool (not (Value.to_bool a))
   | Abs, Value.Int x -> Value.Int (abs x)
   | Abs, Value.Float x -> Value.Float (Float.abs x)
   | Abs, v -> type_error "abs: expected number, got %s" (Value.type_name v)
@@ -88,7 +94,7 @@ let apply1 p a =
   | To_int, v -> type_error "to_int: expected number, got %s" (Value.type_name v)
   | Vzeros, n -> Value.Vector (Emma_util.Vec.zeros (Value.to_int n))
   | Str_len, a -> Value.Int (String.length (Value.to_string_exn a))
-  | Is_some, v -> Value.Bool (Option.is_some (Value.to_option v))
+  | Is_some, v -> Value.bool (Option.is_some (Value.to_option v))
   | Opt_get, v -> begin
       match Value.to_option v with
       | Some x -> x
@@ -111,14 +117,14 @@ let apply2 p a b =
   | Mod, Value.Int x, Value.Int y ->
       if y = 0 then type_error "mod: modulo by zero" else Value.Int (x mod y)
   | Mod, _, _ -> type_error "mod: expected ints"
-  | Eq, a, b -> Value.Bool (Value.equal a b)
-  | Ne, a, b -> Value.Bool (not (Value.equal a b))
+  | Eq, a, b -> Value.bool (Value.equal a b)
+  | Ne, a, b -> Value.bool (not (Value.equal a b))
   | Lt, a, b -> cmp2 ( < ) a b
   | Le, a, b -> cmp2 ( <= ) a b
   | Gt, a, b -> cmp2 ( > ) a b
   | Ge, a, b -> cmp2 ( >= ) a b
-  | And, a, b -> Value.Bool (Value.to_bool a && Value.to_bool b)
-  | Or, a, b -> Value.Bool (Value.to_bool a || Value.to_bool b)
+  | And, a, b -> Value.bool (Value.to_bool a && Value.to_bool b)
+  | Or, a, b -> Value.bool (Value.to_bool a || Value.to_bool b)
   | Min2, a, b -> if Value.compare a b <= 0 then a else b
   | Max2, a, b -> if Value.compare a b >= 0 then a else b
   | Vadd, a, b -> Value.Vector (Emma_util.Vec.add (Value.to_vector a) (Value.to_vector b))
@@ -131,9 +137,7 @@ let apply2 p a b =
   | Str_concat, a, b -> Value.String (Value.to_string_exn a ^ Value.to_string_exn b)
   | Str_contains, hay, needle ->
       let h = Value.to_string_exn hay and n = Value.to_string_exn needle in
-      let nh = String.length h and nn = String.length n in
-      let rec go i = i + nn <= nh && (String.sub h i nn = n || go (i + 1)) in
-      Value.Bool (nn = 0 || go 0)
+      Value.bool (contains_from h n 0)
   | Opt_get_or, v, dflt -> Option.value (Value.to_option v) ~default:dflt
   | Mk_blob, n, tag -> Value.blob ~bytes:(Value.to_int n) ~tag:(Value.to_int tag)
   | _ -> bad_application p

@@ -30,7 +30,9 @@ let type_error expected v =
   raise (Type_error (Printf.sprintf "expected %s, got %s" expected (type_name v)))
 
 let unit = Unit
-let bool b = Bool b
+let vtrue = Bool true
+let vfalse = Bool false
+let bool b = if b then vtrue else vfalse
 let int n = Int n
 let float f = Float f
 let string s = String s
@@ -63,13 +65,34 @@ let proj v i =
       raise (Type_error (Printf.sprintf "tuple projection .%d out of bounds (arity %d)" i (Array.length a)))
   | v -> type_error "tuple" v
 
+let rec field_slot fields name i =
+  if i >= Array.length fields then -1
+  else if String.equal (fst fields.(i)) name then i
+  else field_slot fields name (i + 1)
+
+let no_field name = raise (Type_error (Printf.sprintf "record has no field %S" name))
+
 let field v name =
   match v with
-  | Record fields -> begin
-      match Array.find_opt (fun (n, _) -> String.equal n name) fields with
-      | Some (_, fv) -> fv
-      | None -> raise (Type_error (Printf.sprintf "record has no field %S" name))
-    end
+  | Record fields ->
+      let i = field_slot fields name 0 in
+      if i < 0 then no_field name else snd fields.(i)
+  | v -> type_error "record" v
+
+let field_hinted hint v name =
+  match v with
+  | Record fields ->
+      (* One read of the hint: a concurrent rewrite can make it stale,
+         which costs a rescan, never a wrong field. *)
+      let i = !hint in
+      if i >= 0 && i < Array.length fields && String.equal (fst fields.(i)) name then
+        snd fields.(i)
+      else begin
+        let j = field_slot fields name 0 in
+        if j < 0 then no_field name;
+        hint := j;
+        snd fields.(j)
+      end
   | v -> type_error "record" v
 
 let set_field v name fv =

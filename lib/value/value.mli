@@ -31,7 +31,10 @@ exception Type_error of string
 (** {1 Constructors} *)
 
 val unit : t
+
 val bool : bool -> t
+(** Returns one of two shared values; allocates nothing. *)
+
 val int : int -> t
 val float : float -> t
 val string : string -> t
@@ -61,7 +64,13 @@ val proj : t -> int -> t
 (** 0-based tuple projection. *)
 
 val field : t -> string -> t
-(** Record field lookup by name. *)
+(** Record field lookup by name; allocates nothing on success. *)
+
+val field_hinted : int ref -> t -> string -> t
+(** [field_hinted hint v name] is [field v name], but first tries slot
+    [!hint], checking the name there, and on a miss rescans and stores the
+    found slot in [hint]. The hint only saves the scan: any value of it,
+    including one raced by another domain, gives the same result. *)
 
 val set_field : t -> string -> t -> t
 (** Functional record update; raises [Type_error] if the field is absent. *)

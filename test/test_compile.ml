@@ -397,10 +397,11 @@ let print_algebra (fns : Expr.fold_fns) =
     Emma_lang.Pretty.pp_expr fns.Expr.f_single Emma_lang.Pretty.pp_expr fns.Expr.f_union
 
 (* The engine's accumulate loop, [acc := union acc (single v)] per row,
-   gives the same value or classified error in both modes; so does the
-   tree-shaped [Fold] expression. *)
+   gives the same value or classified error in both modes, and the
+   compiled [step acc v] gives exactly what [union acc (single v)] does;
+   so does the tree-shaped [Fold] expression. *)
 let qcheck_fold_algebras =
-  QCheck2.Test.make ~count:300 ~name:"random fold algebras: compiled ≡ interpreted"
+  QCheck2.Test.make ~count:500 ~name:"random fold algebras: compiled ≡ interpreted"
     ~print:(fun (fns, _) -> print_algebra fns)
     QCheck2.Gen.(pair algebra_gen rows_gen)
     (fun (fns, rows) ->
@@ -415,11 +416,12 @@ let qcheck_fold_algebras =
               (fun acc v -> Eval.apply2_rv ctx union acc (Eval.apply_rv ctx single v))
               empty rows)
       in
+      let alg = Compile.fold_fns ctx env fns in
       let compiled =
         classify (fun () ->
-            let empty, single, union = Compile.fold_fns ctx env fns in
-            List.fold_left (fun acc v -> union acc (single v)) empty rows)
+            List.fold_left (fun acc v -> alg.union acc (alg.single v)) alg.empty rows)
       in
+      let stepped = classify (fun () -> List.fold_left alg.step alg.empty rows) in
       let same a b =
         match (a, b) with
         | Val x, Val y -> Value.equal x y
@@ -427,7 +429,7 @@ let qcheck_fold_algebras =
         | _ -> false
       in
       let fold_i, fold_c = both ~tables:(rows_tables rows) (Expr.Fold (fns, S.read "rows")) in
-      same interp compiled && same fold_i fold_c)
+      same interp compiled && same compiled stepped && same fold_i fold_c)
   |> QCheck_alcotest.to_alcotest
 
 (* Rows holding the same fields in different orders: a compiled field
@@ -459,6 +461,71 @@ let test_mixed_field_order () =
   in
   check_domain_invariance prog (rows_tables rows)
 
+(* Allocation guard: minor-heap words per call of two staged functions,
+   measured on the calling domain. The bounds sit a little above what the
+   staged code allocates: 5 words for the field access (its one-slot
+   environment) and 65 for Q1's fused step (its environment, the boxed
+   float results and the new accumulator), where [union acc (single v)]
+   takes 79. A reintroduced per-access closure or intermediate tuple fails
+   here, not only in the benchmark. *)
+let minor_words_per_call f =
+  let calls = 2000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_allocation_guard () =
+  let ctx = ctx_with [] in
+  let wide =
+    Value.record
+      (List.init 11 (fun i -> (Printf.sprintf "g%d" i, Value.Int i)) @ [ ("f", Value.Int 42) ])
+  in
+  let get_f = Compile.fn ctx Eval.empty_env ~param:"x" (S.field (S.var "x") "f") in
+  check_value "x.f" (Value.Int 42) (get_f wide);
+  let field_words = minor_words_per_call (fun () -> get_f wide) in
+  (* Q1's fused aggBy algebra, as fold-group fusion emits it *)
+  let q1 =
+    let price x = S.field x "extendedPrice" and disc x = S.field x "discount" in
+    { Expr.f_empty = S.tup (List.init 6 (fun _ -> S.int_ 0));
+      f_single =
+        S.lam "x" (fun x ->
+            S.(
+              tup
+                [ price x * (float_ 1.0 - disc x);
+                  price x * (float_ 1.0 - disc x) * (float_ 1.0 + field x "tax");
+                  disc x;
+                  int_ 1;
+                  price x;
+                  field x "quantity" ]));
+      f_union =
+        S.lam2 "a" "b" (fun a b -> S.tup (List.init 6 (fun i -> S.(proj a i + proj b i))));
+      f_tag = Expr.Tag_generic }
+  in
+  let alg = Compile.fold_fns ctx Eval.empty_env q1 in
+  let line =
+    Value.record
+      [ ("orderKey", Value.Int 7); ("quantity", Value.Float 17.0);
+        ("extendedPrice", Value.Float 2104.5); ("discount", Value.Float 0.04);
+        ("tax", Value.Float 0.02); ("returnFlag", Value.String "N");
+        ("lineStatus", Value.String "O"); ("shipDate", Value.Int 9000) ]
+  in
+  let acc = alg.Compile.step alg.Compile.empty line in
+  check_value "step = union acc (single v)"
+    (alg.Compile.union acc (alg.Compile.single line))
+    (alg.Compile.step acc line);
+  let step_words = minor_words_per_call (fun () -> alg.Compile.step acc line) in
+  Printf.printf "allocation guard: x.f %.1f words/call, Q1 step %.1f words/call\n"
+    field_words step_words;
+  Alcotest.(check bool)
+    (Printf.sprintf "x.f allocates %.1f <= 6 words per call" field_words)
+    true (field_words <= 6.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "Q1 step allocates %.1f <= 70 words per call" step_words)
+    true (step_words <= 70.0)
+
 let suite =
   [ ( "compile_differential",
       [ qcheck_value_parity;
@@ -476,5 +543,6 @@ let suite =
         Alcotest.test_case "captured curried closure" `Quick test_captured_curried_closure;
         Alcotest.test_case "constructor errors" `Quick test_constructor_errors;
         qcheck_fold_algebras;
-        Alcotest.test_case "mixed field order" `Quick test_mixed_field_order
+        Alcotest.test_case "mixed field order" `Quick test_mixed_field_order;
+        Alcotest.test_case "allocation guard" `Quick test_allocation_guard
       ] ) ]

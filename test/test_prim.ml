@@ -59,6 +59,31 @@ let test_strings () =
   check "contains no" (b false) (apply Prim.Str_contains [ s "hello"; s "xyz" ]);
   check "contains empty" (b true) (apply Prim.Str_contains [ s "hello"; s "" ])
 
+(* [str_contains] through the interpreter and the staged compiler, the
+   haystack bound at run time so neither folds it at compile time. *)
+let test_str_contains_modes () =
+  let module Expr = Emma_lang.Expr in
+  let module Eval = Emma_lang.Eval in
+  let contains hay needle =
+    Expr.App
+      ( Expr.Lam ("h", Expr.Prim (Prim.Str_contains, [ Expr.Var "h"; Expr.Const (s needle) ])),
+        Expr.Const (s hay) )
+  in
+  let ctx = Eval.create_ctx () in
+  let big = String.init 4096 (fun k -> Char.chr (97 + (k * 7 mod 23))) in
+  List.iter
+    (fun (name, hay, needle, expected) ->
+      let e = contains hay needle in
+      check (name ^ " (interp)") (b expected) (Eval.eval_value ctx Eval.empty_env e);
+      check (name ^ " (compiled)") (b expected) (Emma_lang.Compile.value ctx Eval.empty_env e))
+    [ ("needle longer than haystack", "abc", "abcd", false);
+      ("match at the last offset", "hello world", "world", true);
+      ("last offset, last char differs", "hello world", "worle", false);
+      ("4 KB haystack, match at the end", big ^ "needle", "needle", true);
+      ("4 KB haystack, match in the middle", big, String.sub big 2000 17, true);
+      ("4 KB haystack, no match", big, "zzz", false);
+      ("empty needle in empty haystack", "", "", true) ]
+
 let test_vectors () =
   let v a = Value.vector a in
   check "vadd" (v [| 4.0; 6.0 |]) (apply Prim.Vadd [ v [| 1.0; 2.0 |]; v [| 3.0; 4.0 |] ]);
@@ -117,6 +142,7 @@ let suite =
         Alcotest.test_case "comparisons" `Quick test_comparisons;
         Alcotest.test_case "booleans" `Quick test_bool;
         Alcotest.test_case "strings" `Quick test_strings;
+        Alcotest.test_case "str_contains in both UDF modes" `Quick test_str_contains_modes;
         Alcotest.test_case "vectors" `Quick test_vectors;
         Alcotest.test_case "options" `Quick test_options;
         Alcotest.test_case "blobs" `Quick test_blobs;
