@@ -200,14 +200,17 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
               done;
               Value.Tuple a))
   | Proj (a, i) -> begin
-      match (fused_component cenv a i, comp ctx base cenv a) with
-      | Some c, _ -> c
-      | None, (Static _ as c) ->
-          let g = vstage c in
-          static_or_raiser (fun () -> Sval (Value.proj (g []) i))
-      | None, ((Dyn _ | Dynv _) as c) ->
-          let g = vstage c in
-          Dynv (fun env -> Value.proj (g env) i)
+      match fused_component cenv a i with
+      | Some c -> c
+      | None -> begin
+          match comp ctx base cenv a with
+          | Static _ as c ->
+              let g = vstage c in
+              static_or_raiser (fun () -> Sval (Value.proj (g []) i))
+          | (Dyn _ | Dynv _) as c ->
+              let g = vstage c in
+              Dynv (fun env -> Value.proj (g env) i)
+        end
     end
   | Record fields ->
       let names = List.map fst fields in
