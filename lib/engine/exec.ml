@@ -1505,16 +1505,17 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
   Obag out
 
 and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : out =
-  (* map-side combine: one (key, acc) pair per distinct key per partition;
-     [Hashtbl.find] rather than [find_opt] allocates no [Some] per row *)
+  (* map-side combine: one (key, acc) pair per distinct key per partition.
+     [find_opt]'s [Some] per row measured cheaper than [find] under an
+     exception handler per row. *)
   let combine part =
     let h : (Value.t, Value.t ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun v ->
         let k = keyfn v in
-        match Hashtbl.find h k with
-        | acc -> acc := step !acc v
-        | exception Not_found -> Hashtbl.add h k (ref (step empty v)))
+        match Hashtbl.find_opt h k with
+        | Some acc -> acc := step !acc v
+        | None -> Hashtbl.add h k (ref (step empty v)))
       part;
     Hashtbl.fold (fun k acc l -> Value.tuple [ k; !acc ] :: l) h []
   in

@@ -194,8 +194,8 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           let n = Array.length gs in
           Dynv
             (fun env ->
-              let a = Array.make n Value.Unit in
-              for i = 0 to n - 1 do
+              let a = Array.make n (gs.(0) env) in
+              for i = 1 to n - 1 do
                 a.(i) <- gs.(i) env
               done;
               Value.Tuple a))
@@ -221,8 +221,8 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           let n = Array.length gs in
           Dynv
             (fun env ->
-              let a = Array.make n ("", Value.Unit) in
-              for i = 0 to n - 1 do
+              let a = Array.make n (anames.(0), gs.(0) env) in
+              for i = 1 to n - 1 do
                 a.(i) <- (anames.(i), gs.(i) env)
               done;
               Value.Record a))
@@ -498,7 +498,9 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
 (* n-ary value constructors (tuples, records, bag literals): fold with
    [build] when every piece is static, otherwise [residual] builds the value
    from the staged pieces, which it must run left to right, in [Eval]'s
-   [List.map] order. *)
+   [List.map] order. A residual has at least one piece; tuples and records
+   seed their array with the first, so a 1-element literal stores nothing
+   after allocation. *)
 and comp_nary ctx base cenv es build ~residual =
   let cs = List.map (comp ctx base cenv) es in
   let gs = List.map vstage cs in
