@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
 
 all: build
 
@@ -35,6 +35,13 @@ explain-golden:
 # the same way as the explain goldens.
 cost-golden:
 	dune exec test/test_main.exe -- test cost_golden
+
+# Golden-file checks pinning the host allocation (minor words and words
+# allocated directly in the major heap) of a warm one-domain run of every
+# registry program; part of the default `dune runtest`, exact in the dev
+# profile it uses, regenerated the same way as the explain goldens.
+alloc-golden:
+	dune exec test/test_main.exe -- test alloc_golden
 
 # Tracer well-formedness and cost-model-invariance properties (also part of
 # the default `dune runtest`).
