@@ -461,6 +461,136 @@ let test_mixed_field_order () =
   in
   check_domain_invariance prog (rows_tables rows)
 
+(* ---------------------------------------------------------------- *)
+(* Comprehension-invariant subterms                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* A staged unary UDF applied row after row, the way an operator applies
+   it, against the interpreter: each row's value or classified error must
+   match, so a value cached for one call, or computed where the
+   interpreter never evaluates it, shows up. *)
+let check_udf_parity ?(tables = []) msg ~param body rows =
+  let ctx = ctx_with tables in
+  let staged = Compile.fn ctx Eval.empty_env ~param body in
+  List.iteri
+    (fun i v ->
+      let interp =
+        classify (fun () -> Eval.eval_value ctx (Eval.bind param (Eval.V v) Eval.empty_env) body)
+      in
+      Alcotest.check outcome_testable
+        (Printf.sprintf "%s (row %d)" msg i)
+        interp
+        (classify (fun () -> staged v)))
+    rows
+
+let comp ?(alg = Expr.Alg_bag) head quals = Expr.Comp { head; quals; alg }
+let qgen x src = Expr.QGen (x, src)
+
+(* [x.a / x.b] does not depend on the generator; the rows have [b = 0]
+   where it would raise. *)
+let test_invariant_not_evaluated () =
+  let inv x = S.(field x "a" / field x "b") in
+  let rows = [ row 7 0; row 8 2; row 9 0 ] in
+  check_udf_parity "raising invariant under an empty generator" ~param:"x"
+    (comp (inv (S.var "x")) [ qgen "n" (S.range (S.int_ 1) S.(field (var "x") "b" - int_ 1)) ])
+    rows;
+  check_udf_parity "raising invariant under a false guard" ~param:"x"
+    (comp (inv (S.var "x"))
+       [ qgen "n" (S.range (S.int_ 1) (S.int_ 3)); Expr.QGuard S.(field (var "x") "b" > int_ 0) ])
+    rows;
+  check_udf_parity "raising invariant under a per-element false guard" ~param:"x"
+    (comp (inv (S.var "x")) [ qgen "n" (S.range (S.int_ 1) (S.int_ 3)); Expr.QGuard S.(var "n" > int_ 5) ])
+    rows;
+  check_udf_parity "raising invariant in an untaken If branch" ~param:"x"
+    (comp
+       (S.if_ S.(var "n" > int_ 100) (inv (S.var "x")) (S.var "n"))
+       [ qgen "n" (S.range (S.int_ 1) (S.int_ 3)) ])
+    rows
+
+(* A generator rebinding [x] makes [x.a + 1] depend on the generator,
+   whether it shadows the UDF's parameter or an earlier generator. *)
+let test_invariant_shadowed () =
+  let rows = [ row 1 0; row 2 1 ] in
+  let inner = S.bag_of [ S.record [ ("a", S.int_ 10) ]; S.record [ ("a", S.int_ 20) ] ] in
+  check_udf_parity "generator shadows the parameter" ~param:"x"
+    (comp S.(tup [ field (var "x") "a" + int_ 1; var "n" ])
+       [ qgen "n" (S.range (S.int_ 1) (S.int_ 2)); qgen "x" inner ])
+    rows;
+  check_udf_parity "guard before and after the shadowing generator" ~param:"x"
+    (comp S.(field (var "x") "a" * int_ 2)
+       [ qgen "y" (S.range (S.int_ 1) (S.int_ 2));
+         Expr.QGuard S.(field (var "x") "a" < int_ 15);
+         qgen "x" inner;
+         Expr.QGuard S.(field (var "x") "a" > int_ 15) ])
+    rows;
+  check_udf_parity "lambda binder shadows inside the head" ~param:"x"
+    (comp
+       (S.sum (S.map (S.lam "x" (fun x -> S.(x * int_ 3 + var "n"))) (S.range (S.int_ 1) (S.int_ 3))))
+       [ qgen "n" (S.range (S.int_ 1) S.(field (var "x") "a" + int_ 1)) ])
+    rows
+
+(* The inner comprehension's invariant [m.a * 10] mentions the outer
+   generator [m]: it is fixed for one entry into the inner comprehension
+   and must be recomputed for the next [m]. *)
+let test_invariant_nested () =
+  let rows = [ row 0 3; row 1 2 ] in
+  let ms = S.bag_of (List.init 3 (fun i -> S.record [ ("a", S.int_ (i + 1)) ])) in
+  check_udf_parity "inner invariant mentions the outer generator" ~param:"x"
+    (comp
+       (comp S.(field (var "m") "a" * int_ 10 + var "k" + field (var "x") "b") [ qgen "k" (S.range (S.int_ 1) (S.int_ 2)) ])
+       [ qgen "m" ms ])
+    rows;
+  check_udf_parity "invariant of both comprehensions, under a fold" ~param:"x"
+    (comp
+       (S.count
+          (comp S.(var "k" + (field (var "x") "a" * field (var "x") "b"))
+             [ qgen "k" (S.range (S.int_ 1) S.(field (var "m") "a")) ]))
+       [ qgen "m" ms ])
+    rows
+
+(* A lambda built inside a comprehension captures the generator's value
+   and is applied after an inner loop has run, and again inside it; a
+   staged environment that reused the generator's storage would show
+   later values. *)
+let test_closure_captures_generator () =
+  let rows = [ row 5 1; row 6 2 ] in
+  let body =
+    comp
+      (S.let_ "f"
+         (S.lam "y" (fun y -> S.(y * int_ 100 + var "n" + field (var "x") "a")))
+         (fun f ->
+           S.tup
+             [ S.app f (S.int_ 1);
+               comp (S.app f (S.var "m")) [ qgen "m" (S.range (S.int_ 1) (S.var "n")) ];
+               S.sum (S.map f (S.range (S.int_ 1) (S.int_ 2)));
+               S.app f (S.int_ 2) ]))
+      [ qgen "n" (S.range (S.int_ 1) S.(field (var "x") "b" + int_ 1)) ]
+  in
+  check_udf_parity "closure over the generator, applied after the loop" ~param:"x" body rows;
+  check_parity ~tables:(rows_tables rows) "same closure through a map"
+    (S.map (S.lam "x" (fun _ -> body)) (S.read "rows"))
+
+(* PageRank's message shape: the invariant divides by the degree, and the
+   second vertex has no neighbors' weight to divide by. The first call
+   must succeed, the second raise the interpreter's error, the third
+   succeed again. *)
+let test_invariant_raises_second_call () =
+  let vertex rank nbrs =
+    Value.tuple
+      [ Value.record [ ("rank", Value.Int rank) ];
+        Value.record [ ("neighbors", Value.bag (List.map Value.int nbrs)); ("w", Value.Int (List.length nbrs - 2)) ] ]
+  in
+  let v = S.var "v" in
+  let body =
+    comp
+      (S.record
+         [ ("vertex", S.var "n");
+           ("rank", S.(field (proj v 0) "rank" / field (proj v 1) "w")) ])
+      [ qgen "n" (S.field (S.proj v 1) "neighbors") ]
+  in
+  check_udf_parity "invariant raises on the second vertex" ~param:"v" body
+    [ vertex 12 [ 1; 2; 3 ]; vertex 5 [ 4; 5 ]; vertex 7 [ 6; 7; 8; 9 ]; vertex 1 [] ]
+
 (* Allocation guard: minor-heap words per call of two staged functions,
    measured on the calling domain. The bounds sit a little above what the
    staged code allocates: 5 words for the field access (its one-slot
@@ -544,5 +674,11 @@ let suite =
         Alcotest.test_case "constructor errors" `Quick test_constructor_errors;
         qcheck_fold_algebras;
         Alcotest.test_case "mixed field order" `Quick test_mixed_field_order;
+        Alcotest.test_case "invariant not evaluated" `Quick test_invariant_not_evaluated;
+        Alcotest.test_case "invariant shadowed" `Quick test_invariant_shadowed;
+        Alcotest.test_case "nested invariant" `Quick test_invariant_nested;
+        Alcotest.test_case "closure captures generator" `Quick test_closure_captures_generator;
+        Alcotest.test_case "invariant raises on second call" `Quick
+          test_invariant_raises_second_call;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard
       ] ) ]
