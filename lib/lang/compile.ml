@@ -7,11 +7,18 @@
    the corresponding [Eval.eval] case, including its evaluation order and
    the exact classified errors it raises ([Eval_error], [Value.Type_error],
    [Invalid_argument]) — the differential test-suite holds the two modes to
-   byte-identical behaviour. *)
+   byte-identical behaviour.
+
+   Two let-insertions happen while staging. Every binder gets its own slot
+   in a flat per-call frame, so binding a value stores one word and
+   allocates nothing. And a comprehension's head and guards have their
+   maximal subterms that do not depend on its generators hoisted into
+   frame cells, filled on first use in each entry to the comprehension. *)
 
 module Value = Emma_value.Value
 module Databag = Emma_databag.Databag
 module Stateful_bag = Emma_databag.Stateful_bag
+module Strset = Emma_util.Strset
 open Expr
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Eval.Eval_error s)) fmt
@@ -58,41 +65,57 @@ let rec of_rvalue ctx (rv : Eval.rvalue) : sv =
   | Eval.Clo _ -> Sfun (fun v -> of_rvalue ctx (Eval.apply_step ctx rv v))
 
 (* ------------------------------------------------------------------ *)
-(* Staged code                                                          *)
+(* Frames and staged code                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The runtime environment of one call of a staged body: a flat array
+   with one slot per binder in the body (its parameters, [Let]s,
+   generators, and the parameters of nested lambdas and fold algebras)
+   and one per hoisted cell, each at an index fixed at staging time. No
+   two binders share a slot, so a slot changes only when its own binder
+   binds again. Frames are allocated per call by the entry points, never
+   at staging time: serve lanes and pool domains share staged closures.
+   Only first-class values live in slots; see the [Let] case for the
+   rest. *)
+type frame = Value.t array
+
+let no_frame : frame = [||]
+
+(* A block no computation returns: a hoisted cell holds it until it is
+   filled in the current entry to its comprehension. *)
+let unfilled = Value.Tuple (Array.make 0 Value.Unit)
+
 (* A compiled expression either evaluated completely at compile time
-   ([Static]) or is residual code over the runtime environment — a list of
-   semantic values indexed positionally, innermost binder first. Residual
-   code whose result is statically known to be a first-class value is kept
-   at the [Value.t] level ([Dynv]): chains of such nodes (all arithmetic,
-   projections, bag operators) call through to each other directly, paying
-   neither an [Sval] box nor a [force] match per node. *)
+   ([Static]) or is residual code over the runtime frame. Residual code
+   whose result is statically known to be a first-class value is kept at
+   the [Value.t] level ([Dynv]): chains of such nodes (all arithmetic,
+   projections, bag operators, variables) call through to each other
+   directly, paying neither an [Sval] box nor a [force] match per node. *)
 type code =
   | Static of sv
-  | Dyn of (sv list -> sv)
-  | Dynv of (sv list -> Value.t)
+  | Dyn of (frame -> sv)
+  | Dynv of (frame -> Value.t)
 
 let is_static = function Static _ -> true | Dyn _ | Dynv _ -> false
 
 let stage = function
   | Static sv -> fun _ -> sv
   | Dyn f -> f
-  | Dynv f -> fun env -> Sval (f env)
+  | Dynv f -> fun fr -> Sval (f fr)
 
 (* Stage to a first-class value; forcing a static non-value raises per
    evaluation, exactly when the interpreter would. *)
 let vstage = function
   | Static (Sval v) -> fun _ -> v
   | Static sv -> fun _ -> force sv
-  | Dyn f -> fun env -> force (f env)
+  | Dyn f -> fun fr -> force (f fr)
   | Dynv f -> f
 
 (* Stage a bag source: the value is forced first, then viewed as a bag, so
    the classified error order matches [Eval.as_bag]. *)
 let bstage c =
   let g = vstage c in
-  fun env -> Value.to_bag (g env)
+  fun fr -> Value.to_bag (g fr)
 
 (* [true] when evaluating the code can only produce a first-class value —
    the condition for staying at the [Dynv] level. *)
@@ -102,48 +125,209 @@ let classified = function
   | Eval.Eval_error _ | Value.Type_error _ | Invalid_argument _ -> true
   | _ -> false
 
+(* Code that raises [exn] at every evaluation. It never returns, so it can
+   stand at the value level. *)
+let raiser exn = Dynv (fun _ -> raise exn)
+
 (* Constant-fold [f], but turn a classified failure into residual code that
    re-raises at every evaluation — compiling never raises, and the error
    surfaces only if (and as often as) the interpreter would raise it. *)
 let static_or_raiser f =
-  match f () with
-  | sv -> Static sv
-  | exception e when classified e -> Dyn (fun _ -> raise e)
+  match f () with sv -> Static sv | exception e when classified e -> raiser e
 
-(* Compile-time environment. [Cdyn] entries occupy a runtime slot;
+(* ------------------------------------------------------------------ *)
+(* Staging state: slots and subterm facts                               *)
+(* ------------------------------------------------------------------ *)
+
+(* What the hoisting and fusion rules ask of a subterm: its free variables
+   (with [Eval]'s scoping: a comprehension's algebra sees the outer scope,
+   not its generators), and whether it is free of [Stateful_*] nodes. *)
+type info = { fv : Strset.t; pure : bool }
+
+module Phys = Hashtbl.Make (struct
+  type t = Expr.expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* One staging of one body: the next free frame slot, and [info] for every
+   subterm asked about, computed once per node, bottom up, on first
+   demand. Bodies without a comprehension or a fusion candidate never ask. *)
+type state = { mutable slots : int; infos : info Phys.t }
+
+let new_state ?(first_slot = 0) () = { slots = first_slot; infos = Phys.create 16 }
+
+let rec info st e =
+  match Phys.find_opt st.infos e with
+  | Some i -> i
+  | None ->
+      let i = analyse st e in
+      Phys.replace st.infos e i;
+      i
+
+and analyse st e =
+  let fv e = (info st e).fv and pure e = (info st e).pure in
+  match e with
+  | Const _ | Read _ -> { fv = Strset.empty; pure = true }
+  | Var x -> { fv = Strset.singleton x; pure = true }
+  | Lam (x, b) -> { fv = Strset.remove x (fv b); pure = pure b }
+  | Let (x, a, b) -> { fv = Strset.union (fv a) (Strset.remove x (fv b)); pure = pure a && pure b }
+  | Comp { head; quals; alg } ->
+      let outer =
+        match alg with
+        | Alg_bag -> { fv = Strset.empty; pure = true }
+        | Alg_fold fns ->
+            List.fold_left
+              (fun acc e -> { fv = Strset.union acc.fv (fv e); pure = acc.pure && pure e })
+              { fv = Strset.empty; pure = true }
+              [ fns.f_empty; fns.f_single; fns.f_union ]
+      in
+      let rec go bound = function
+        | [] ->
+            { fv = Strset.union (Strset.diff (fv head) bound) outer.fv;
+              pure = pure head && outer.pure }
+        | QGen (x, src) :: rest ->
+            let r = go (Strset.add x bound) rest in
+            { fv = Strset.union (Strset.diff (fv src) bound) r.fv; pure = pure src && r.pure }
+        | QGuard p :: rest ->
+            let r = go bound rest in
+            { fv = Strset.union (Strset.diff (fv p) bound) r.fv; pure = pure p && r.pure }
+      in
+      go Strset.empty quals
+  | Stateful_create _ | Stateful_bag _ | Stateful_update _ | Stateful_update_msgs _ ->
+      { (children st e) with pure = false }
+  | _ -> children st e
+
+and children st e =
+  let acc = ref { fv = Strset.empty; pure = true } in
+  ignore
+    (Expr.map_children
+       (fun c ->
+         let i = info st c in
+         acc := { fv = Strset.union !acc.fv i.fv; pure = !acc.pure && i.pure };
+         c)
+       e);
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* Scopes                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Compile-time environment entries. [Cslot] entries live in a frame slot;
    [Cstatic] entries were evaluated at compile time and occupy none.
-   [Cfused (b, gs)] is a fold union's binder [b] in a fused accumulate
-   step (see [fused_step]): its slot holds the row [v], and [b._i]
-   compiles to component [gs.(i)] of [single], run on that slot. *)
+   [Cfused] is a fold union's binder [b] in a fused accumulate step (see
+   [fused_step]): [slot] holds the row, and [b._i] compiles to component
+   [i] of [single]'s tuple literal, with [single]'s binder [x] in [slot]. *)
 type centry =
-  | Cdyn of string
+  | Cslot of string * int
   | Cstatic of string * sv
-  | Cfused of string * (sv list -> Value.t) array
+  | Cfused of { b : string; slot : int; x : string; comps : Expr.expr array }
+
+(* A comprehension whose head, guards or later generator sources are being
+   staged: [mark] is the first slot allocated after entering it, so a
+   variable resolving to a slot below [mark] was bound outside it. [cells]
+   are the slots of the subterms hoisted to it. *)
+type region = { mark : int; mutable cells : int list }
+
+type scope = {
+  ctx : Eval.ctx;
+  base : Eval.env;
+  names : centry list;  (** innermost first *)
+  regions : region list;  (** enclosing comprehensions, innermost first *)
+  st : state;
+}
+
+let top ctx base st = { ctx; base; names = []; regions = []; st }
+
+let new_slot sc =
+  let k = sc.st.slots in
+  sc.st.slots <- k + 1;
+  k
+
+(* [x] in a fresh slot. *)
+let bind sc x =
+  let k = new_slot sc in
+  (k, { sc with names = Cslot (x, k) :: sc.names })
+
+let entry_name = function Cslot (x, _) | Cstatic (x, _) | Cfused { b = x; _ } -> x
+
+let rec lookup names x =
+  match names with
+  | [] -> None
+  | ce :: rest -> if String.equal (entry_name ce) x then Some ce else lookup rest x
+
+(* The innermost region [e] is invariant to is the first of [sc.regions]
+   whose [mark] exceeds every slot [e]'s free variables resolve to here;
+   the hoisting target is the outermost such region, returned with the
+   regions outside it. Compile-time constants and driver captures are the
+   same in every iteration, so they bind nothing. Subterms with a
+   [Stateful_*] node are never hoisted. *)
+let hoist_target sc e =
+  let i = info sc.st e in
+  if not i.pure then None
+  else
+    let reach =
+      Strset.fold
+        (fun x acc ->
+          match lookup sc.names x with
+          | Some (Cslot (_, k)) | Some (Cfused { slot = k; _ }) -> max acc k
+          | Some (Cstatic _) | None -> acc)
+        i.fv (-1)
+    in
+    let rec outermost found = function
+      | r :: outer when reach < r.mark -> outermost (Some (r, outer)) outer
+      | _ -> found
+    in
+    outermost None sc.regions
+
+(* A hoisted cell: [g] runs at most once per entry into the cell's
+   comprehension, at the first evaluation that reaches it — where the
+   interpreter evaluates it first, so a subterm under an empty generator,
+   a false guard or an untaken branch is never run, and a classified error
+   surfaces at the same point. Emma expressions are pure, so later
+   evaluations would give the same value. *)
+let cell c g fr =
+  let v = fr.(c) in
+  if v != unfilled then v
+  else begin
+    let v = g fr in
+    fr.(c) <- v;
+    v
+  end
+
+let reset fr cells =
+  for i = 0 to Array.length cells - 1 do
+    fr.(cells.(i)) <- unfilled
+  done
 
 (* A compiled comprehension qualifier: generator sources stage straight to
-   element lists, guards to (boolean) values. *)
-type cqual = CGen of (sv list -> Value.t list) | CGuard of (sv list -> Value.t)
+   element lists bound one by one into the generator's slot, guards to
+   (boolean) values. *)
+type cqual = CGen of int * (frame -> Value.t list) | CGuard of (frame -> Value.t)
 
-(* The innermost entry binding [x], with its runtime slot index. *)
-let rec lookup cenv x i =
-  match cenv with
-  | [] -> None
-  | (Cdyn y | Cfused (y, _)) as ce :: rest ->
-      if String.equal y x then Some (ce, i) else lookup rest x (i + 1)
-  | Cstatic (y, _) as ce :: rest -> if String.equal y x then Some (ce, i) else lookup rest x i
+(* The qualifiers as one staged loop: [run fr acc] conses the head's value
+   for every binding onto [acc], in the interpreter's nested-loop order. *)
+let rec chain ghead = function
+  | [] -> fun fr acc -> ghead fr :: acc
+  | CGen (k, gsrc) :: rest ->
+      let inner = chain ghead rest in
+      fun fr acc -> each inner k fr acc (gsrc fr)
+  | CGuard gp :: rest ->
+      let inner = chain ghead rest in
+      fun fr acc -> if Value.to_bool (gp fr) then inner fr acc else acc
 
-let slot i : sv list -> sv =
-  match i with
-  | 0 -> ( function v :: _ -> v | [] -> invalid_arg "Compile.slot" )
-  | 1 -> ( function _ :: v :: _ -> v | _ -> invalid_arg "Compile.slot" )
-  | 2 -> ( function _ :: _ :: v :: _ -> v | _ -> invalid_arg "Compile.slot" )
-  | i -> fun env -> List.nth env i
+and each inner k fr acc = function
+  | [] -> acc
+  | v :: vs ->
+      fr.(k) <- v;
+      each inner k fr (inner fr acc) vs
 
-let rec drop k env = if k = 0 then env else drop (k - 1) (List.tl env)
-
-(* The fusion rule guarantees a fused binder occurs only as [b._i]; were it
-   used whole, this classified error sends the step to its unfused path. *)
-let bare_fused = Dyn (fun _ -> invalid_arg "Compile: fused binder used whole")
+(* A literal fold lambda [x => s] / [a => b => u] is staged as a slot body
+   ([Body1]/[Body2]: slots and body code), anything else as code for the
+   function value. *)
+type unary = Body1 of int * code | Fun1 of code
+type binary = Body2 of int * int * code | Fun2 of code
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
@@ -155,90 +339,136 @@ let bare_fused = Dyn (fun _ -> invalid_arg "Compile: fused binder used whole")
    exception: [Eval] itself uses operator-argument order there, so the
    residual code uses the identical expression shape. *)
 
-let rec comp ctx base cenv (e : Expr.expr) : code =
+(* Inside a comprehension's region every non-atomic subterm is first
+   checked for hoisting; a hoisted one is staged with the regions outside
+   its target only, so its own subterms may still go further out. A
+   subterm whose code is static needs no cell, and one that may evaluate
+   to a function or a stateful bag cannot have one. *)
+let rec comp sc (e : Expr.expr) : code =
+  match (sc.regions, e) with
+  | [], _ | _, (Const _ | Var _ | Lam _) -> comp_node sc e
+  | _ -> begin
+      match hoist_target sc e with
+      | None -> comp_node sc e
+      | Some (region, outer) -> begin
+          match comp_node { sc with regions = outer } e with
+          | Dynv g ->
+              let c = new_slot sc in
+              region.cells <- c :: region.cells;
+              Dynv (cell c g)
+          | (Static _ | Dyn _) as code -> code
+        end
+    end
+
+and comp_node sc (e : Expr.expr) : code =
   match e with
   | Const v -> Static (Sval v)
   | Var x -> begin
-      match lookup cenv x 0 with
-      | Some (Cdyn _, i) -> Dyn (slot i)
-      | Some (Cstatic (_, sv), _) -> Static sv
-      | Some (Cfused _, _) -> bare_fused
+      match lookup sc.names x with
+      | Some (Cslot (_, k)) -> Dynv (fun fr -> fr.(k))
+      | Some (Cstatic (_, sv)) -> Static sv
+      | Some (Cfused _) ->
+          (* The fusion rule guarantees a fused binder occurs only as
+             [b._i]; were it used whole, this classified error sends the
+             step to its unfused path. *)
+          raiser (Invalid_argument "Compile: fused binder used whole")
       | None -> begin
-          match Eval.lookup_opt base x with
-          | Some rv -> Static (of_rvalue ctx rv)
-          | None ->
-              let exn = Eval.Eval_error ("unbound variable " ^ x) in
-              Dyn (fun _ -> raise exn)
+          match Eval.lookup_opt sc.base x with
+          | Some rv -> Static (of_rvalue sc.ctx rv)
+          | None -> raiser (Eval.Eval_error ("unbound variable " ^ x))
         end
     end
   | Lam (x, b) -> begin
-      match comp ctx base (Cdyn x :: cenv) b with
+      let k, sc_b = bind sc x in
+      match comp sc_b b with
       | Static sv_b -> Static (Sfun (fun _ -> sv_b))
       | (Dyn _ | Dynv _) as cb ->
           let fb = stage cb in
-          Dyn (fun env -> Sfun (fun v -> fb (Sval v :: env)))
+          (* The closure keeps a copy of the frame as it is now, so later
+             bindings of the same slots (the next element of a generator)
+             do not reach it. Its calls bind [x] in that copy: a closure's
+             call never runs another call of the same closure, and the
+             closures built inside a call copy the frame in turn. *)
+          Dyn
+            (fun fr ->
+              let own = Array.copy fr in
+              Sfun
+                (fun v ->
+                  own.(k) <- v;
+                  fb own))
     end
+  | App (Lam (x, b), a) ->
+      (* A literal lambda applied on the spot: evaluating the lambda cannot
+         fail, so the interpreter's order is the argument, then the body
+         with [x] bound — here in [x]'s slot, with no closure built. *)
+      let ga = vstage (comp sc a) in
+      let k, sc_b = bind sc x in
+      let gb = vstage (comp sc_b b) in
+      Dynv
+        (fun fr ->
+          fr.(k) <- ga fr;
+          gb fr)
   | App (f, a) ->
       (* Never folded: folding applications of self-applying closures could
          diverge at compile time; the interpreter only pays when it runs.
          The result is forced ([apply1]), so the node is value-typed. *)
-      let gf = stage (comp ctx base cenv f) in
-      let ga = vstage (comp ctx base cenv a) in
+      let gf = stage (comp sc f) in
+      let ga = vstage (comp sc a) in
       Dynv
-        (fun env ->
-          let fv = gf env in
-          let av = ga env in
+        (fun fr ->
+          let fv = gf fr in
+          let av = ga fr in
           apply1 fv av)
   | Tuple es ->
-      comp_nary ctx base cenv es (fun vs -> Value.tuple vs) ~residual:(fun gs ->
+      comp_nary sc es (fun vs -> Value.tuple vs) ~residual:(fun gs ->
           let n = Array.length gs in
           Dynv
-            (fun env ->
-              let a = Array.make n (gs.(0) env) in
+            (fun fr ->
+              let a = Array.make n (gs.(0) fr) in
               for i = 1 to n - 1 do
-                a.(i) <- gs.(i) env
+                a.(i) <- gs.(i) fr
               done;
               Value.Tuple a))
   | Proj (a, i) -> begin
-      match fused_component cenv a i with
+      match fused_component sc a i with
       | Some c -> c
       | None -> begin
-          match comp ctx base cenv a with
+          match comp sc a with
           | Static _ as c ->
               let g = vstage c in
-              static_or_raiser (fun () -> Sval (Value.proj (g []) i))
+              static_or_raiser (fun () -> Sval (Value.proj (g no_frame) i))
           | (Dyn _ | Dynv _) as c ->
               let g = vstage c in
-              Dynv (fun env -> Value.proj (g env) i)
+              Dynv (fun fr -> Value.proj (g fr) i)
         end
     end
   | Record fields ->
       let names = List.map fst fields in
       let anames = Array.of_list names in
-      comp_nary ctx base cenv (List.map snd fields)
+      comp_nary sc (List.map snd fields)
         (fun vs -> Value.record (List.combine names vs))
         ~residual:(fun gs ->
           let n = Array.length gs in
           Dynv
-            (fun env ->
-              let a = Array.make n (anames.(0), gs.(0) env) in
+            (fun fr ->
+              let a = Array.make n (anames.(0), gs.(0) fr) in
               for i = 1 to n - 1 do
-                a.(i) <- (anames.(i), gs.(i) env)
+                a.(i) <- (anames.(i), gs.(i) fr)
               done;
               Value.Record a))
   | Field (a, n) -> begin
-      match comp ctx base cenv a with
+      match comp sc a with
       | Static _ as c ->
           let g = vstage c in
-          static_or_raiser (fun () -> Sval (Value.field (g []) n))
+          static_or_raiser (fun () -> Sval (Value.field (g no_frame) n))
       | (Dyn _ | Dynv _) as c ->
           let g = vstage c in
           (* one slot hint per access site; see [Value.field_hinted] *)
           let hint = ref 0 in
-          Dynv (fun env -> Value.field_hinted hint (g env) n)
+          Dynv (fun fr -> Value.field_hinted hint (g fr) n)
     end
   | Prim (p, args) ->
-      let cs = List.map (comp ctx base cenv) args in
+      let cs = List.map (comp sc) args in
       let gs = List.map vstage cs in
       if List.length args <> Prim.arity p then
         (* [Eval] evaluates the arguments before [Prim.apply] checks the
@@ -247,118 +477,130 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           Printf.sprintf "prim %s: arity %d expected, got %d" (Prim.name p)
             (Prim.arity p) (List.length args)
         in
-        Dyn
-          (fun env ->
-            let _ = List.map (fun g -> g env) gs in
+        Dynv
+          (fun fr ->
+            let _ = List.map (fun g -> g fr) gs in
             invalid_arg msg)
       else if List.for_all is_static cs then
         static_or_raiser (fun () ->
-            Sval (Prim.apply p (List.map (fun g -> g []) gs)))
+            Sval (Prim.apply p (List.map (fun g -> g no_frame) gs)))
       else begin
         match gs with
-        | [ g ] -> Dynv (fun env -> Prim.apply1 p (g env))
+        | [ g ] -> Dynv (fun fr -> Prim.apply1 p (g fr))
         | [ g1; g2 ] ->
             Dynv
-              (fun env ->
-                let a = g1 env in
-                let b = g2 env in
+              (fun fr ->
+                let a = g1 fr in
+                let b = g2 fr in
                 Prim.apply2 p a b)
-        | gs -> Dynv (fun env -> Prim.apply p (List.map (fun g -> g env) gs))
+        | gs -> Dynv (fun fr -> Prim.apply p (List.map (fun g -> g fr) gs))
       end
   | If (c, t, el) -> begin
-      match comp ctx base cenv c with
+      match comp sc c with
       | Static _ as cc -> begin
           let gc = vstage cc in
-          match Value.to_bool (gc []) with
-          | b -> comp ctx base cenv (if b then t else el)
-          | exception exn when classified exn -> Dyn (fun _ -> raise exn)
+          match Value.to_bool (gc no_frame) with
+          | b -> comp sc (if b then t else el)
+          | exception exn when classified exn -> raiser exn
         end
       | (Dyn _ | Dynv _) as cc ->
           let gc = vstage cc in
-          let ct = comp ctx base cenv t in
-          let ce = comp ctx base cenv el in
+          let ct = comp sc t in
+          let ce = comp sc el in
           if valueish ct && valueish ce then
             let gt = vstage ct and ge = vstage ce in
-            Dynv (fun env -> if Value.to_bool (gc env) then gt env else ge env)
+            Dynv (fun fr -> if Value.to_bool (gc fr) then gt fr else ge fr)
           else
             let gt = stage ct and ge = stage ce in
-            Dyn (fun env -> if Value.to_bool (gc env) then gt env else ge env)
+            Dyn (fun fr -> if Value.to_bool (gc fr) then gt fr else ge fr)
     end
   | Let (x, a, b) -> begin
-      match comp ctx base cenv a with
+      match comp sc a with
       | Static sv ->
           (* The binding is a pure compile-time value: inline it and spend
              no runtime slot. *)
-          comp ctx base (Cstatic (x, sv) :: cenv) b
-      | (Dyn _ | Dynv _) as ca ->
-          let fa = stage ca in
-          let cb = comp ctx base (Cdyn x :: cenv) b in
+          comp { sc with names = Cstatic (x, sv) :: sc.names } b
+      | Dynv ga ->
+          let k, sc_b = bind sc x in
+          let cb = comp sc_b b in
           if valueish cb then
-            let fb = vstage cb in
+            let gb = vstage cb in
             Dynv
-              (fun env ->
-                let av = fa env in
-                fb (av :: env))
+              (fun fr ->
+                fr.(k) <- ga fr;
+                gb fr)
           else
-            let fb = stage cb in
+            let gb = stage cb in
             Dyn
-              (fun env ->
-                let av = fa env in
-                fb (av :: env))
+              (fun fr ->
+                fr.(k) <- ga fr;
+                gb fr)
+      | Dyn ga ->
+          (* [a] may evaluate to a function or a stateful bag, which no
+             slot holds: a value takes the slot, anything else is bound by
+             staging [b] again ([restage]). *)
+          let k, sc_b = bind sc x in
+          let gb = stage (comp sc_b b) in
+          Dyn
+            (fun fr ->
+              match ga fr with
+              | Sval v ->
+                  fr.(k) <- v;
+                  gb fr
+              | sv -> restage sc x sv b fr)
     end
   | BagOf es ->
-      comp_nary ctx base cenv es (fun vs -> Value.bag vs) ~residual:(fun gs ->
+      comp_nary sc es (fun vs -> Value.bag vs) ~residual:(fun gs ->
           let gs = Array.to_list gs in
-          Dynv (fun env -> Value.bag (List.map (fun g -> g env) gs)))
+          Dynv (fun fr -> Value.bag (List.map (fun g -> g fr) gs)))
   | Range (lo, hi) ->
-      let clo = comp ctx base cenv lo in
-      let chi = comp ctx base cenv hi in
+      let clo = comp sc lo in
+      let chi = comp sc hi in
       let glo = vstage clo in
       let ghi = vstage chi in
-      let run env =
-        let lo = Value.to_int (glo env) in
-        let hi = Value.to_int (ghi env) in
+      let run fr =
+        let lo = Value.to_int (glo fr) in
+        let hi = Value.to_int (ghi fr) in
         if hi < lo then Value.bag []
         else Value.bag (List.init (hi - lo + 1) (fun i -> Value.Int (lo + i)))
       in
-      if is_static clo && is_static chi then
-        static_or_raiser (fun () -> Sval (run []))
+      if is_static clo && is_static chi then static_or_raiser (fun () -> Sval (run no_frame))
       else Dynv run
   | Read (Src_table t) ->
       (* Tables are mutated by [SWrite] between evaluations, so reads stay
          residual. *)
-      Dynv (fun _ -> Value.bag (Eval.read_table ctx t))
+      Dynv (fun _ -> Value.bag (Eval.read_table sc.ctx t))
   | Map (f, xs) ->
-      let gf = stage (comp ctx base cenv f) in
-      let gxs = bstage (comp ctx base cenv xs) in
+      let gf = stage (comp sc f) in
+      let gxs = bstage (comp sc xs) in
       Dynv
-        (fun env ->
-          let fv = gf env in
-          let elems = gxs env in
+        (fun fr ->
+          let fv = gf fr in
+          let elems = gxs fr in
           Value.bag (List.map (fun x -> apply1 fv x) elems))
   | FlatMap (f, xs) ->
-      let gf = stage (comp ctx base cenv f) in
-      let gxs = bstage (comp ctx base cenv xs) in
+      let gf = stage (comp sc f) in
+      let gxs = bstage (comp sc xs) in
       Dynv
-        (fun env ->
-          let fv = gf env in
-          let elems = gxs env in
+        (fun fr ->
+          let fv = gf fr in
+          let elems = gxs fr in
           Value.bag (List.concat_map (fun x -> Value.to_bag (apply1 fv x)) elems))
   | Filter (p, xs) ->
-      let gp = stage (comp ctx base cenv p) in
-      let gxs = bstage (comp ctx base cenv xs) in
+      let gp = stage (comp sc p) in
+      let gxs = bstage (comp sc xs) in
       Dynv
-        (fun env ->
-          let pv = gp env in
-          let elems = gxs env in
+        (fun fr ->
+          let pv = gp fr in
+          let elems = gxs fr in
           Value.bag (List.filter (fun x -> Value.to_bool (apply1 pv x)) elems))
   | GroupBy (k, xs) ->
-      let gk = stage (comp ctx base cenv k) in
-      let gxs = bstage (comp ctx base cenv xs) in
+      let gk = stage (comp sc k) in
+      let gxs = bstage (comp sc xs) in
       Dynv
-        (fun env ->
-          let kv = gk env in
-          let elems = gxs env in
+        (fun fr ->
+          let kv = gk fr in
+          let elems = gxs fr in
           let groups =
             Databag.group_by ~cmp:Value.compare
               (fun x -> apply1 kv x)
@@ -370,20 +612,20 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           in
           Value.bag (List.map to_record (Databag.to_list groups)))
   | Fold (fns, xs) ->
-      let gxs = bstage (comp ctx base cenv xs) in
-      let run_fold = comp_fold ctx base cenv fns in
+      let gxs = bstage (comp sc xs) in
+      let run_fold = comp_fold sc fns in
       Dynv
-        (fun env ->
-          let elems = gxs env in
-          run_fold env elems)
+        (fun fr ->
+          let elems = gxs fr in
+          run_fold fr elems)
   | AggBy (k, fns, xs) ->
-      let gk = stage (comp ctx base cenv k) in
-      let gxs = bstage (comp ctx base cenv xs) in
-      let run_fold = comp_fold ctx base cenv fns in
+      let gk = stage (comp sc k) in
+      let gxs = bstage (comp sc xs) in
+      let run_fold = comp_fold sc fns in
       Dynv
-        (fun env ->
-          let kv = gk env in
-          let elems = gxs env in
+        (fun fr ->
+          let kv = gk fr in
+          let elems = gxs fr in
           let groups =
             Databag.group_by ~cmp:Value.compare
               (fun x -> apply1 kv x)
@@ -391,101 +633,94 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
           in
           let to_record (g : (_, _) Databag.grp) =
             Value.record
-              [ ("key", g.key); ("agg", run_fold env (Databag.to_list g.values)) ]
+              [ ("key", g.key); ("agg", run_fold fr (Databag.to_list g.values)) ]
           in
           Value.bag (List.map to_record (Databag.to_list groups)))
   | Union (a, b) ->
-      let ga = bstage (comp ctx base cenv a) in
-      let gb = bstage (comp ctx base cenv b) in
-      Dynv (fun env -> Value.bag (ga env @ gb env))
+      let ga = bstage (comp sc a) in
+      let gb = bstage (comp sc b) in
+      Dynv (fun fr -> Value.bag (ga fr @ gb fr))
   | Minus (a, b) ->
-      let ga = bstage (comp ctx base cenv a) in
-      let gb = bstage (comp ctx base cenv b) in
+      let ga = bstage (comp sc a) in
+      let gb = bstage (comp sc b) in
       Dynv
-        (fun env ->
-          let xs = Databag.of_list (ga env) in
-          let ys = Databag.of_list (gb env) in
+        (fun fr ->
+          let xs = Databag.of_list (ga fr) in
+          let ys = Databag.of_list (gb fr) in
           Value.bag (Databag.to_list (Databag.minus ~cmp:Value.compare xs ys)))
   | Distinct a ->
-      let ga = bstage (comp ctx base cenv a) in
+      let ga = bstage (comp sc a) in
       Dynv
-        (fun env ->
-          let xs = Databag.of_list (ga env) in
+        (fun fr ->
+          let xs = Databag.of_list (ga fr) in
           Value.bag (Databag.to_list (Databag.distinct ~cmp:Value.compare xs)))
   | Comp { head; quals; alg } ->
-      let cquals, cenv' = comp_quals ctx base cenv quals in
-      let ghead = vstage (comp ctx base cenv' head) in
+      let region = { mark = sc.st.slots; cells = [] } in
+      let cquals, sc_head = comp_quals (Some sc) { sc with regions = region :: sc.regions } quals in
+      let run = chain (vstage (comp sc_head head)) cquals in
+      let cells = Array.of_list region.cells in
       let run_alg =
         match alg with
-        | Alg_bag -> fun _env produced -> Value.bag produced
+        | Alg_bag -> fun _fr produced -> Value.bag produced
         | Alg_fold fns ->
             (* The algebra evaluates in the comprehension's outer scope. *)
-            let run_fold = comp_fold ctx base cenv fns in
-            fun env produced -> run_fold env produced
+            comp_fold sc fns
       in
       Dynv
-        (fun env ->
-          let results = ref [] in
-          let rec go env = function
-            | [] -> results := ghead env :: !results
-            | CGen gsrc :: rest ->
-                let elems = gsrc env in
-                List.iter (fun v -> go (Sval v :: env) rest) elems
-            | CGuard gp :: rest -> if Value.to_bool (gp env) then go env rest
-          in
-          go env cquals;
-          let produced = List.rev !results in
-          run_alg env produced)
+        (fun fr ->
+          reset fr cells;
+          let produced = List.rev (run fr []) in
+          run_alg fr produced)
   | Flatten a ->
-      let ga = bstage (comp ctx base cenv a) in
+      let ga = bstage (comp sc a) in
       Dynv
-        (fun env ->
-          let outer = ga env in
+        (fun fr ->
+          let outer = ga fr in
           Value.bag (List.concat_map Value.to_bag outer))
   | Stateful_create { key; init } ->
-      let gkey = stage (comp ctx base cenv key) in
-      let ginit = bstage (comp ctx base cenv init) in
+      let gkey = stage (comp sc key) in
+      let ginit = bstage (comp sc init) in
       Dyn
-        (fun env ->
-          let kv = gkey env in
-          let init_elems = ginit env in
+        (fun fr ->
+          let kv = gkey fr in
+          let init_elems = ginit fr in
           Sst
             (Stateful_bag.create
                ~key:(fun x -> apply1 kv x)
                ~cmp:Value.compare
                (Databag.of_list init_elems)))
   | Stateful_bag a ->
-      let ga = stage (comp ctx base cenv a) in
+      let ga = stage (comp sc a) in
       Dynv
-        (fun env ->
-          match ga env with
+        (fun fr ->
+          match ga fr with
           | Sst st -> Value.bag (Databag.to_list (Stateful_bag.bag st))
           | _ -> fail "bag(): expected a stateful bag")
   | Stateful_update { state; udf } ->
-      let gstate = stage (comp ctx base cenv state) in
-      let gudf = stage (comp ctx base cenv udf) in
+      let gstate = stage (comp sc state) in
+      let gudf = stage (comp sc udf) in
       Dynv
-        (fun env ->
-          match gstate env with
+        (fun fr ->
+          match gstate fr with
           | Sst st ->
-              let u = gudf env in
+              let u = gudf fr in
               let delta =
                 Stateful_bag.update st (fun x -> Value.to_option (apply1 u x))
               in
               Value.bag (Databag.to_list delta)
           | _ -> fail "update: expected a stateful bag")
   | Stateful_update_msgs { state; msg_key; messages; udf } ->
-      let gstate = stage (comp ctx base cenv state) in
-      let gkey = stage (comp ctx base cenv msg_key) in
-      let gmsgs = bstage (comp ctx base cenv messages) in
-      let gudf = stage (comp ctx base cenv udf) in
+      let gstate = stage (comp sc state) in
+      let gkey = stage (comp sc msg_key) in
+      let gmsgs = bstage (comp sc messages) in
+      let gudf = stage (comp sc udf) in
       Dynv
-        (fun env ->
-          match gstate env with
+        (fun fr ->
+          match gstate fr with
           | Sst st ->
-              let kf = gkey env in
-              let msgs = gmsgs env in
-              let u = gudf env in
+              let kf = gkey fr in
+              let msgs = gmsgs fr in
+              let u = gudf fr in
               let delta =
                 Stateful_bag.update_with_messages st
                   ~msg_key:(fun m -> apply1 kf m)
@@ -495,97 +730,156 @@ let rec comp ctx base cenv (e : Expr.expr) : code =
               Value.bag (Databag.to_list delta)
           | _ -> fail "update: expected a stateful bag")
 
+(* A [Let] whose value is a function or a stateful bag: [b] is staged now
+   with the binding as a compile-time value, as a static [Let]'s body is,
+   and run on a copy of the frame extended with the new staging's slots,
+   so its writes (cells included) stay off the caller's frame. The new
+   staging hoists only into its own comprehensions. The registry programs
+   never take this path; it keeps the general case correct, not fast. *)
+and restage sc x sv b fr =
+  let n = Array.length fr in
+  let st = new_state ~first_slot:n () in
+  let g = stage (comp { sc with names = Cstatic (x, sv) :: sc.names; regions = []; st } b) in
+  let own = Array.make st.slots Value.Unit in
+  Array.blit fr 0 own 0 n;
+  g own
+
+(* A comprehension's qualifiers: the first generator's source is evaluated
+   once per entry, so it is staged outside the comprehension's region
+   ([outer]); later sources and every guard are in it ([sc]). *)
+and comp_quals outer sc = function
+  | [] -> ([], sc)
+  | QGen (x, src) :: rest ->
+      (* The source is evaluated before the binder is in scope. *)
+      let gsrc = bstage (comp (match outer with Some o -> o | None -> sc) src) in
+      let k, sc_x = bind sc x in
+      let qs, sc_end = comp_quals None sc_x rest in
+      (CGen (k, gsrc) :: qs, sc_end)
+  | QGuard p :: rest ->
+      let gp = vstage (comp sc p) in
+      let qs, sc_end = comp_quals outer sc rest in
+      (CGuard gp :: qs, sc_end)
+
 (* n-ary value constructors (tuples, records, bag literals): fold with
    [build] when every piece is static, otherwise [residual] builds the value
    from the staged pieces, which it must run left to right, in [Eval]'s
    [List.map] order. A residual has at least one piece; tuples and records
    seed their array with the first, so a 1-element literal stores nothing
    after allocation. *)
-and comp_nary ctx base cenv es build ~residual =
-  let cs = List.map (comp ctx base cenv) es in
+and comp_nary sc es build ~residual =
+  let cs = List.map (comp sc) es in
   let gs = List.map vstage cs in
   if List.for_all is_static cs then
-    static_or_raiser (fun () -> Sval (build (List.map (fun g -> g []) gs)))
+    static_or_raiser (fun () -> Sval (build (List.map (fun g -> g no_frame) gs)))
   else residual (Array.of_list gs)
 
-(* [b._i] for a fused binder [b] ([Cfused]): component [i] of [single], run
-   on the row in [b]'s slot, [k] slots down the runtime environment. *)
-and fused_component cenv a i =
+(* [b._i] for a fused binder [b] ([Cfused]): component [i] of [single],
+   staged here, where it is used (the fusion rule makes that exactly
+   once), with [single]'s binder in [b]'s slot. *)
+and fused_component sc a i =
   match a with
-  | Var x -> begin
-      match lookup cenv x 0 with
-      | Some (Cfused (_, gs), k) when i >= 0 && i < Array.length gs ->
-          let g = gs.(i) in
-          Some (if k = 0 then Dynv g else Dynv (fun env -> g (drop k env)))
+  | Var y -> begin
+      match lookup sc.names y with
+      | Some (Cfused { slot; x; comps; _ }) when i >= 0 && i < Array.length comps ->
+          Some (comp { sc with names = [ Cslot (x, slot) ]; regions = [] } comps.(i))
       | _ -> None
     end
   | _ -> None
 
-(* A fold algebra's [single] and [union] as per-run functions. A literal
-   [Lam (x, s)] compiles to a one-slot body and a literal
-   [Lam (a, Lam (b, u))] to a two-slot body ([b] shadowing [a], as in
-   [fn2]), so applying them allocates no [Sfun] closure; the interpreter's
-   evaluation of such a lambda cannot fail, so skipping it is unobservable.
-   Any other form is evaluated per run and applied like [Eval.apply_rv] /
-   [Eval.apply2_rv]. *)
-and comp_single ctx base cenv = function
+(* A fold algebra's [single] and [union]. A literal [Lam (x, s)] stages
+   [s] with [x] in a slot and a literal [Lam (a, Lam (b, u))] stages [u]
+   with [a] and [b] in slots ([b] shadowing [a], as in [fn2]), so applying
+   them allocates no [Sfun] closure; the interpreter's evaluation of such
+   a lambda cannot fail, so skipping it is unobservable. Any other form is
+   evaluated per run and applied like [Eval.apply_rv] / [Eval.apply2_rv]. *)
+and comp_single sc = function
   | Lam (x, s) ->
-      let g = vstage (comp ctx base (Cdyn x :: cenv) s) in
-      fun env v -> g (Sval v :: env)
-  | f ->
-      let gf = stage (comp ctx base cenv f) in
-      fun env ->
-        let fv = gf env in
-        fun v -> apply1 fv v
+      let k, sc_s = bind sc x in
+      Body1 (k, comp sc_s s)
+  | f -> Fun1 (comp sc f)
 
-and comp_union ctx base cenv = function
+and comp_union sc = function
   | Lam (a, Lam (b, u)) ->
-      let g = vstage (comp ctx base (Cdyn b :: Cdyn a :: cenv) u) in
-      fun env x y -> g (Sval y :: Sval x :: env)
-  | f ->
-      let gf = stage (comp ctx base cenv f) in
-      fun env ->
-        let fv = gf env in
-        fun x y -> apply2 fv x y
+      let ka, sc_a = bind sc a in
+      let kb, sc_u = bind sc_a b in
+      Body2 (ka, kb, comp sc_u u)
+  | f -> Fun2 (comp sc f)
 
 (* Fold algebras re-evaluate [empty]/[single]/[union] per run (and [AggBy]
    per group), exactly like [Eval.eval_fold], and keep [Databag.fold]'s
-   tree shape, so float association does not change. *)
-and comp_fold ctx base cenv (fns : Expr.fold_fns) =
-  let vempty = vstage (comp ctx base cenv fns.f_empty) in
-  let gsingle = comp_single ctx base cenv fns.f_single in
-  let gunion = comp_union ctx base cenv fns.f_union in
-  fun env elems ->
-    let empty = vempty env in
-    let single = gsingle env in
-    let union = gunion env in
+   tree shape, so float association does not change. A slot body binds
+   its arguments in the running frame: [Databag.fold] calls [single] and
+   [union] one at a time. *)
+and comp_fold sc (fns : Expr.fold_fns) =
+  let vempty = vstage (comp sc fns.f_empty) in
+  let gsingle =
+    match comp_single sc fns.f_single with
+    | Body1 (k, c) ->
+        let g = vstage c in
+        fun fr v ->
+          fr.(k) <- v;
+          g fr
+    | Fun1 c ->
+        let gf = stage c in
+        fun fr ->
+          let fv = gf fr in
+          fun v -> apply1 fv v
+  in
+  let gunion =
+    match comp_union sc fns.f_union with
+    | Body2 (ka, kb, c) ->
+        let g = vstage c in
+        fun fr x y ->
+          fr.(ka) <- x;
+          fr.(kb) <- y;
+          g fr
+    | Fun2 c ->
+        let gf = stage c in
+        fun fr ->
+          let fv = gf fr in
+          fun x y -> apply2 fv x y
+  in
+  fun fr elems ->
+    let empty = vempty fr in
+    let single = gsingle fr in
+    let union = gunion fr in
     Databag.fold ~empty ~single ~union (Databag.of_list elems)
-
-and comp_quals ctx base cenv = function
-  | [] -> ([], cenv)
-  | QGen (x, src) :: rest ->
-      (* The source is evaluated before the binder is in scope. *)
-      let gsrc = bstage (comp ctx base cenv src) in
-      let qs, cenv' = comp_quals ctx base (Cdyn x :: cenv) rest in
-      (CGen gsrc :: qs, cenv')
-  | QGuard p :: rest ->
-      let gp = vstage (comp ctx base cenv p) in
-      let qs, cenv' = comp_quals ctx base cenv rest in
-      (CGuard gp :: qs, cenv')
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Each entry point stages its body into a fresh [state] and allocates one
+   frame per call, of the staging's final slot count, filled with the
+   first argument (every slot is written before it is read, and each
+   comprehension resets its cells on entry). A static body needs no
+   frame. *)
+
 let fn ctx base ~param body =
-  let f = vstage (comp ctx base [ Cdyn param ] body) in
-  fun v -> f [ Sval v ]
+  let st = new_state () in
+  let _, sc = bind (top ctx base st) param in
+  let c = comp sc body in
+  let g = vstage c in
+  if is_static c then fun _ -> g no_frame
+  else
+    let n = st.slots in
+    fun v -> g (Array.make n v)
 
 let fn2 ctx base ~param1 ~param2 body =
   (* [param2] is the inner binder, so it shadows [param1] when the names
      coincide — matching the interpreter's bind order. *)
-  let f = vstage (comp ctx base [ Cdyn param2; Cdyn param1 ] body) in
-  fun a b -> f [ Sval b; Sval a ]
+  let st = new_state () in
+  let _, sc = bind (top ctx base st) param1 in
+  let k2, sc = bind sc param2 in
+  let c = comp sc body in
+  let g = vstage c in
+  if is_static c then fun _ _ -> g no_frame
+  else
+    let n = st.slots in
+    fun a b ->
+      let fr = Array.make n a in
+      fr.(k2) <- b;
+      g fr
 
 type algebra = {
   empty : Value.t;
@@ -600,9 +894,9 @@ type algebra = {
    lambda, an [If] branch, a comprehension or an [AggBy] (whose algebra
    runs per group) may run zero or many times, so [b] must not occur
    there. *)
-let fusable b n u =
+let fusable st b n u =
   let uses = Array.make n 0 in
-  let mentions e = Emma_util.Strset.mem b (Expr.free_vars e) in
+  let mentions e = Strset.mem b (info st e).fv in
   let rec strict e =
     match e with
     | Proj (Var y, i) when String.equal y b ->
@@ -630,20 +924,61 @@ let fusable b n u =
 (* [union acc (single v)] as one body, when [single] is a tuple literal and
    [union]'s [b] passes [fusable]: [b._i] becomes [single]'s component [i]
    (the [Cfused] entry), so no intermediate tuple is built. The step's
-   environment is [v; acc]: [b]'s slot holds the row. *)
+   frame holds [acc] in [a]'s slot and the row in [b]'s. *)
 let fused_step ctx base (fns : Expr.fold_fns) =
   match (fns.f_single, fns.f_union) with
-  | Lam (x, Tuple cs), Lam (a, Lam (b, u)) when fusable b (List.length cs) u ->
-      let gs = Array.of_list (List.map (fun c -> vstage (comp ctx base [ Cdyn x ] c)) cs) in
-      let g = vstage (comp ctx base [ Cfused (b, gs); Cdyn a ] u) in
-      Some (fun acc v -> g [ Sval v; Sval acc ])
+  | Lam (x, Tuple cs), Lam (a, Lam (b, u)) ->
+      let st = new_state () in
+      if not (fusable st b (List.length cs) u) then None
+      else begin
+        let _, sc = bind (top ctx base st) a in
+        let kb = new_slot sc in
+        let fused = Cfused { b; slot = kb; x; comps = Array.of_list cs } in
+        let g = vstage (comp { sc with names = fused :: sc.names } u) in
+        let n = st.slots in
+        Some
+          (fun acc v ->
+            let fr = Array.make n acc in
+            fr.(kb) <- v;
+            g fr)
+      end
   | _ -> None
 
 let fold_fns ctx base (fns : Expr.fold_fns) =
   (* Evaluated eagerly, like the engine's interpreted fold runtime. *)
-  let empty = vstage (comp ctx base [] fns.f_empty) [] in
-  let single = comp_single ctx base [] fns.f_single [] in
-  let union = comp_union ctx base [] fns.f_union [] in
+  let empty =
+    let st = new_state () in
+    let g = vstage (comp (top ctx base st) fns.f_empty) in
+    g (Array.make st.slots Value.Unit)
+  in
+  let single =
+    let st = new_state () in
+    match comp_single (top ctx base st) fns.f_single with
+    | Body1 (_, c) ->
+        (* the argument's slot is filled with the rest of the frame *)
+        let g = vstage c in
+        if is_static c then fun _ -> g no_frame
+        else
+          let n = st.slots in
+          fun v -> g (Array.make n v)
+    | Fun1 c ->
+        let fv = stage c (Array.make st.slots Value.Unit) in
+        fun v -> apply1 fv v
+  in
+  let union =
+    let st = new_state () in
+    match comp_union (top ctx base st) fns.f_union with
+    | Body2 (_, kb, c) ->
+        let g = vstage c in
+        let n = st.slots in
+        fun x y ->
+          let fr = Array.make n x in
+          fr.(kb) <- y;
+          g fr
+    | Fun2 c ->
+        let fv = stage c (Array.make st.slots Value.Unit) in
+        fun x y -> apply2 fv x y
+  in
   let unfused acc v = union acc (single v) in
   let step =
     match fused_step ctx base fns with
@@ -657,4 +992,7 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   in
   { empty; single; union; step }
 
-let value ctx base e = vstage (comp ctx base [] e) []
+let value ctx base e =
+  let st = new_state () in
+  let g = vstage (comp (top ctx base st) e) in
+  g (Array.make st.slots Value.Unit)
