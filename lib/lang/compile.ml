@@ -81,6 +81,24 @@ type frame = Value.t array
 
 let no_frame : frame = [||]
 
+(* A fresh frame with every slot holding [v]. Small frames are array
+   literals, allocated inline; [Array.make] is a call into the runtime. *)
+let new_frame n v : frame =
+  match n with
+  | 1 -> [| v |]
+  | 2 -> [| v; v |]
+  | 3 -> [| v; v; v |]
+  | 4 -> [| v; v; v; v |]
+  | 5 -> [| v; v; v; v; v |]
+  | 6 -> [| v; v; v; v; v; v |]
+  | n -> Array.make n v
+
+(* Slot readers. The first few are shared, so staging a variable
+   allocates no closure: a staged body lives as long as its operator runs,
+   and the minor collections during that time copy it to the major heap. *)
+let read k (fr : frame) = fr.(k)
+let readers = Array.init 16 read
+
 (* A block no computation returns: a hoisted cell holds it until it is
    filled in the current entry to its comprehension. *)
 let unfilled = Value.Tuple (Array.make 0 Value.Unit)
@@ -154,16 +172,17 @@ end)
 (* One staging of one body: the next free frame slot, and [info] for every
    subterm asked about, computed once per node, bottom up, on first
    demand. Bodies without a comprehension or a fusion candidate never ask. *)
-type state = { mutable slots : int; infos : info Phys.t }
+type state = { mutable slots : int; infos : info Phys.t Lazy.t }
 
-let new_state ?(first_slot = 0) () = { slots = first_slot; infos = Phys.create 16 }
+let new_state ?(first_slot = 0) () = { slots = first_slot; infos = lazy (Phys.create 16) }
 
 let rec info st e =
-  match Phys.find_opt st.infos e with
+  let infos = Lazy.force st.infos in
+  match Phys.find_opt infos e with
   | Some i -> i
   | None ->
       let i = analyse st e in
-      Phys.replace st.infos e i;
+      Phys.replace infos e i;
       i
 
 and analyse st e =
@@ -257,12 +276,12 @@ let rec lookup names x =
   | [] -> None
   | ce :: rest -> if String.equal (entry_name ce) x then Some ce else lookup rest x
 
-(* The innermost region [e] is invariant to is the first of [sc.regions]
-   whose [mark] exceeds every slot [e]'s free variables resolve to here;
-   the hoisting target is the outermost such region, returned with the
-   regions outside it. Compile-time constants and driver captures are the
-   same in every iteration, so they bind nothing. Subterms with a
-   [Stateful_*] node are never hoisted. *)
+(* [e] is invariant to a region when every slot its free variables
+   resolve to here lies below the region's [mark]; compile-time constants
+   and driver captures occupy no slot and are the same in every iteration.
+   The hoisting target is the outermost region [e] is invariant to,
+   returned with the regions outside it. Subterms with a [Stateful_*] node
+   are never hoisted. *)
 let hoist_target sc e =
   let i = info sc.st e in
   if not i.pure then None
@@ -365,7 +384,7 @@ and comp_node sc (e : Expr.expr) : code =
   | Const v -> Static (Sval v)
   | Var x -> begin
       match lookup sc.names x with
-      | Some (Cslot (_, k)) -> Dynv (fun fr -> fr.(k))
+      | Some (Cslot (_, k)) -> Dynv (if k < Array.length readers then readers.(k) else read k)
       | Some (Cstatic (_, sv)) -> Static sv
       | Some (Cfused _) ->
           (* The fusion rule guarantees a fused binder occurs only as
@@ -569,7 +588,8 @@ and comp_node sc (e : Expr.expr) : code =
   | Read (Src_table t) ->
       (* Tables are mutated by [SWrite] between evaluations, so reads stay
          residual. *)
-      Dynv (fun _ -> Value.bag (Eval.read_table sc.ctx t))
+      let ctx = sc.ctx in
+      Dynv (fun _ -> Value.bag (Eval.read_table ctx t))
   | Map (f, xs) ->
       let gf = stage (comp sc f) in
       let gxs = bstage (comp sc xs) in
@@ -751,7 +771,7 @@ and comp_quals outer sc = function
   | [] -> ([], sc)
   | QGen (x, src) :: rest ->
       (* The source is evaluated before the binder is in scope. *)
-      let gsrc = bstage (comp (match outer with Some o -> o | None -> sc) src) in
+      let gsrc = bstage (comp (Option.value outer ~default:sc) src) in
       let k, sc_x = bind sc x in
       let qs, sc_end = comp_quals None sc_x rest in
       (CGen (k, gsrc) :: qs, sc_end)
@@ -851,19 +871,31 @@ and comp_fold sc (fns : Expr.fold_fns) =
 
 (* Each entry point stages its body into a fresh [state] and allocates one
    frame per call, of the staging's final slot count, filled with the
-   first argument (every slot is written before it is read, and each
-   comprehension resets its cells on entry). A static body needs no
-   frame. *)
-
-let fn ctx base ~param body =
-  let st = new_state () in
-  let _, sc = bind (top ctx base st) param in
-  let c = comp sc body in
+   first argument, whose slot is 0 (every other slot is written before it
+   is read, and each comprehension resets its cells on entry). A static
+   body needs no frame. *)
+let entry1 st c =
   let g = vstage c in
   if is_static c then fun _ -> g no_frame
   else
     let n = st.slots in
-    fun v -> g (Array.make n v)
+    fun v -> g (new_frame n v)
+
+(* The same with a second argument in slot [kb]. *)
+let entry2 st kb c =
+  let g = vstage c in
+  if is_static c then fun _ _ -> g no_frame
+  else
+    let n = st.slots in
+    fun a b ->
+      let fr = new_frame n a in
+      fr.(kb) <- b;
+      g fr
+
+let fn ctx base ~param body =
+  let st = new_state () in
+  let _, sc = bind (top ctx base st) param in
+  entry1 st (comp sc body)
 
 let fn2 ctx base ~param1 ~param2 body =
   (* [param2] is the inner binder, so it shadows [param1] when the names
@@ -871,15 +903,7 @@ let fn2 ctx base ~param1 ~param2 body =
   let st = new_state () in
   let _, sc = bind (top ctx base st) param1 in
   let k2, sc = bind sc param2 in
-  let c = comp sc body in
-  let g = vstage c in
-  if is_static c then fun _ _ -> g no_frame
-  else
-    let n = st.slots in
-    fun a b ->
-      let fr = Array.make n a in
-      fr.(k2) <- b;
-      g fr
+  entry2 st k2 (comp sc body)
 
 type algebra = {
   empty : Value.t;
@@ -934,13 +958,7 @@ let fused_step ctx base (fns : Expr.fold_fns) =
         let _, sc = bind (top ctx base st) a in
         let kb = new_slot sc in
         let fused = Cfused { b; slot = kb; x; comps = Array.of_list cs } in
-        let g = vstage (comp { sc with names = fused :: sc.names } u) in
-        let n = st.slots in
-        Some
-          (fun acc v ->
-            let fr = Array.make n acc in
-            fr.(kb) <- v;
-            g fr)
+        Some (entry2 st kb (comp { sc with names = fused :: sc.names } u))
       end
   | _ -> None
 
@@ -954,13 +972,7 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   let single =
     let st = new_state () in
     match comp_single (top ctx base st) fns.f_single with
-    | Body1 (_, c) ->
-        (* the argument's slot is filled with the rest of the frame *)
-        let g = vstage c in
-        if is_static c then fun _ -> g no_frame
-        else
-          let n = st.slots in
-          fun v -> g (Array.make n v)
+    | Body1 (_, c) -> entry1 st c
     | Fun1 c ->
         let fv = stage c (Array.make st.slots Value.Unit) in
         fun v -> apply1 fv v
@@ -968,13 +980,7 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   let union =
     let st = new_state () in
     match comp_union (top ctx base st) fns.f_union with
-    | Body2 (_, kb, c) ->
-        let g = vstage c in
-        let n = st.slots in
-        fun x y ->
-          let fr = Array.make n x in
-          fr.(kb) <- y;
-          g fr
+    | Body2 (_, kb, c) -> entry2 st kb c
     | Fun2 c ->
         let fv = stage c (Array.make st.slots Value.Unit) in
         fun x y -> apply2 fv x y
