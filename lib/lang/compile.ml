@@ -9,11 +9,12 @@
    [Invalid_argument]) — the differential test-suite holds the two modes to
    byte-identical behaviour.
 
-   Two let-insertions happen while staging. Every binder gets its own slot
-   in a flat per-call frame, so binding a value stores one word and
-   allocates nothing. And a comprehension's head and guards have their
-   maximal subterms that do not depend on its generators hoisted into
-   frame cells, filled on first use in each entry to the comprehension. *)
+   Two let-insertions happen while staging. Every binder gets a slot, by
+   scope depth, in a flat per-call frame, so binding a value stores one
+   word and allocates nothing. And a comprehension's head and guards have
+   their maximal subterms that do not depend on its generators hoisted
+   into frame cells, filled on first use in each entry to the
+   comprehension. *)
 
 module Value = Emma_value.Value
 module Databag = Emma_databag.Databag
@@ -68,15 +69,16 @@ let rec of_rvalue ctx (rv : Eval.rvalue) : sv =
 (* Frames and staged code                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The runtime environment of one call of a staged body: a flat array
-   with one slot per binder in the body (its parameters, [Let]s,
-   generators, and the parameters of nested lambdas and fold algebras)
-   and one per hoisted cell, each at an index fixed at staging time. No
-   two binders share a slot, so a slot changes only when its own binder
-   binds again. Frames are allocated per call by the entry points, never
-   at staging time: serve lanes and pool domains share staged closures.
-   Only first-class values live in slots; see the [Let] case for the
-   rest. *)
+(* The runtime environment of one call of a staged body: a flat array.
+   A binder (a parameter, [Let], generator, or the parameter of a nested
+   lambda or fold algebra) takes the slot numbered by its scope depth, so
+   binders in sibling scopes share slots and the frame is as long as the
+   deepest nesting, plus one cell per hoisted subterm, counted from the
+   end. Binders in scope at a point hold the slots below its depth, and
+   everything evaluated there binds only at or above it. Frames are
+   allocated per call by the entry points, never at staging time: serve
+   lanes and pool domains share staged closures. Only first-class values
+   live in slots; see the [Let] case for the rest. *)
 type frame = Value.t array
 
 let no_frame : frame = [||]
@@ -169,12 +171,16 @@ module Phys = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* One staging of one body: the next free frame slot, and [info] for every
-   subterm asked about, computed once per node, bottom up, on first
-   demand. Bodies without a comprehension or a fusion candidate never ask. *)
-type state = { mutable slots : int; infos : info Phys.t Lazy.t }
+(* One staging of one body: the deepest binder slot used so far, the
+   cells allocated so far, and [info] for every subterm asked about,
+   computed once per node, bottom up, on first demand. Bodies without a
+   comprehension or a fusion candidate never ask. *)
+type state = { mutable depth : int; mutable cells : int; infos : info Phys.t Lazy.t }
 
-let new_state ?(first_slot = 0) () = { slots = first_slot; infos = lazy (Phys.create 16) }
+let new_state () = { depth = 0; cells = 0; infos = lazy (Phys.create 16) }
+
+(* The frame length a staging needs. *)
+let frame_size st = st.depth + st.cells
 
 let rec info st e =
   let infos = Lazy.force st.infos in
@@ -244,29 +250,31 @@ type centry =
   | Cfused of { b : string; slot : int; x : string; comps : Expr.expr array }
 
 (* A comprehension whose head, guards or later generator sources are being
-   staged: [mark] is the first slot allocated after entering it, so a
-   variable resolving to a slot below [mark] was bound outside it. [cells]
-   are the slots of the subterms hoisted to it. *)
+   staged: [mark] is the scope depth on entering it, so a variable
+   resolving to a slot below [mark] was bound outside it. [cells] are the
+   cells of the subterms hoisted to it. *)
 type region = { mark : int; mutable cells : int list }
 
 type scope = {
   ctx : Eval.ctx;
   base : Eval.env;
   names : centry list;  (** innermost first *)
+  depth : int;  (** the next binder's slot *)
   regions : region list;  (** enclosing comprehensions, innermost first *)
   st : state;
 }
 
-let top ctx base st = { ctx; base; names = []; regions = []; st }
+let top ctx base st = { ctx; base; names = []; depth = 0; regions = []; st }
 
-let new_slot sc =
-  let k = sc.st.slots in
-  sc.st.slots <- k + 1;
-  k
+(* The next binder slot, taken. *)
+let deeper sc =
+  let k = sc.depth in
+  if k >= sc.st.depth then sc.st.depth <- k + 1;
+  (k, { sc with depth = k + 1 })
 
-(* [x] in a fresh slot. *)
+(* [x] in the next binder slot. *)
 let bind sc x =
-  let k = new_slot sc in
+  let k, sc = deeper sc in
   (k, { sc with names = Cslot (x, k) :: sc.names })
 
 let entry_name = function Cslot (x, _) | Cstatic (x, _) | Cfused { b = x; _ } -> x
@@ -305,19 +313,22 @@ let hoist_target sc e =
    interpreter evaluates it first, so a subterm under an empty generator,
    a false guard or an untaken branch is never run, and a classified error
    surfaces at the same point. Emma expressions are pure, so later
-   evaluations would give the same value. *)
+   evaluations would give the same value. Cell [c] is the [c]-th slot
+   from the end of the frame. *)
 let cell c g fr =
-  let v = fr.(c) in
+  let i = Array.length fr - 1 - c in
+  let v = fr.(i) in
   if v != unfilled then v
   else begin
     let v = g fr in
-    fr.(c) <- v;
+    fr.(i) <- v;
     v
   end
 
 let reset fr cells =
+  let last = Array.length fr - 1 in
   for i = 0 to Array.length cells - 1 do
-    fr.(cells.(i)) <- unfilled
+    fr.(last - cells.(i)) <- unfilled
   done
 
 (* A compiled comprehension qualifier: generator sources stage straight to
@@ -372,7 +383,8 @@ let rec comp sc (e : Expr.expr) : code =
       | Some (region, outer) -> begin
           match comp_node { sc with regions = outer } e with
           | Dynv g ->
-              let c = new_slot sc in
+              let c = sc.st.cells in
+              sc.st.cells <- c + 1;
               region.cells <- c :: region.cells;
               Dynv (cell c g)
           | (Static _ | Dyn _) as code -> code
@@ -675,7 +687,7 @@ and comp_node sc (e : Expr.expr) : code =
           let xs = Databag.of_list (ga fr) in
           Value.bag (Databag.to_list (Databag.distinct ~cmp:Value.compare xs)))
   | Comp { head; quals; alg } ->
-      let region = { mark = sc.st.slots; cells = [] } in
+      let region = { mark = sc.depth; cells = [] } in
       let cquals, sc_head = comp_quals (Some sc) { sc with regions = region :: sc.regions } quals in
       let run = chain (vstage (comp sc_head head)) cquals in
       let cells = Array.of_list region.cells in
@@ -752,16 +764,16 @@ and comp_node sc (e : Expr.expr) : code =
 
 (* A [Let] whose value is a function or a stateful bag: [b] is staged now
    with the binding as a compile-time value, as a static [Let]'s body is,
-   and run on a copy of the frame extended with the new staging's slots,
-   so its writes (cells included) stay off the caller's frame. The new
-   staging hoists only into its own comprehensions. The registry programs
-   never take this path; it keeps the general case correct, not fast. *)
+   and run on a new frame holding the binders in scope, so its writes
+   (cells included) stay off the caller's frame. The new staging hoists
+   only into its own comprehensions. The registry programs never take
+   this path; it keeps the general case correct, not fast. *)
 and restage sc x sv b fr =
-  let n = Array.length fr in
-  let st = new_state ~first_slot:n () in
+  let st = new_state () in
+  st.depth <- sc.depth;
   let g = stage (comp { sc with names = Cstatic (x, sv) :: sc.names; regions = []; st } b) in
-  let own = Array.make st.slots Value.Unit in
-  Array.blit fr 0 own 0 n;
+  let own = Array.make (frame_size st) Value.Unit in
+  Array.blit fr 0 own 0 sc.depth;
   g own
 
 (* A comprehension's qualifiers: the first generator's source is evaluated
@@ -878,7 +890,7 @@ let entry1 st c =
   let g = vstage c in
   if is_static c then fun _ -> g no_frame
   else
-    let n = st.slots in
+    let n = frame_size st in
     fun v -> g (new_frame n v)
 
 (* The same with a second argument in slot [kb]. *)
@@ -886,7 +898,7 @@ let entry2 st kb c =
   let g = vstage c in
   if is_static c then fun _ _ -> g no_frame
   else
-    let n = st.slots in
+    let n = frame_size st in
     fun a b ->
       let fr = new_frame n a in
       fr.(kb) <- b;
@@ -956,7 +968,7 @@ let fused_step ctx base (fns : Expr.fold_fns) =
       if not (fusable st b (List.length cs) u) then None
       else begin
         let _, sc = bind (top ctx base st) a in
-        let kb = new_slot sc in
+        let kb, sc = deeper sc in
         let fused = Cfused { b; slot = kb; x; comps = Array.of_list cs } in
         Some (entry2 st kb (comp { sc with names = fused :: sc.names } u))
       end
@@ -967,14 +979,14 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   let empty =
     let st = new_state () in
     let g = vstage (comp (top ctx base st) fns.f_empty) in
-    g (Array.make st.slots Value.Unit)
+    g (Array.make (frame_size st) Value.Unit)
   in
   let single =
     let st = new_state () in
     match comp_single (top ctx base st) fns.f_single with
     | Body1 (_, c) -> entry1 st c
     | Fun1 c ->
-        let fv = stage c (Array.make st.slots Value.Unit) in
+        let fv = stage c (Array.make (frame_size st) Value.Unit) in
         fun v -> apply1 fv v
   in
   let union =
@@ -982,7 +994,7 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
     match comp_union (top ctx base st) fns.f_union with
     | Body2 (_, kb, c) -> entry2 st kb c
     | Fun2 c ->
-        let fv = stage c (Array.make st.slots Value.Unit) in
+        let fv = stage c (Array.make (frame_size st) Value.Unit) in
         fun x y -> apply2 fv x y
   in
   let unfused acc v = union acc (single v) in
@@ -1001,4 +1013,4 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
 let value ctx base e =
   let st = new_state () in
   let g = vstage (comp (top ctx base st) e) in
-  g (Array.make st.slots Value.Unit)
+  g (Array.make (frame_size st) Value.Unit)
