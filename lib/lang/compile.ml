@@ -353,12 +353,6 @@ and each inner k fr acc = function
       fr.(k) <- v;
       each inner k fr (inner fr acc) vs
 
-(* A literal fold lambda [x => s] / [a => b => u] is staged as a slot body
-   ([Body1]/[Body2]: slots and body code), anything else as code for the
-   function value. *)
-type unary = Body1 of int * code | Fun1 of code
-type binary = Body2 of int * int * code | Fun2 of code
-
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -827,15 +821,30 @@ and fused_component sc a i =
 and comp_single sc = function
   | Lam (x, s) ->
       let k, sc_s = bind sc x in
-      Body1 (k, comp sc_s s)
-  | f -> Fun1 (comp sc f)
+      let g = vstage (comp sc_s s) in
+      fun fr v ->
+        fr.(k) <- v;
+        g fr
+  | f ->
+      let gf = stage (comp sc f) in
+      fun fr ->
+        let fv = gf fr in
+        fun v -> apply1 fv v
 
 and comp_union sc = function
   | Lam (a, Lam (b, u)) ->
       let ka, sc_a = bind sc a in
       let kb, sc_u = bind sc_a b in
-      Body2 (ka, kb, comp sc_u u)
-  | f -> Fun2 (comp sc f)
+      let g = vstage (comp sc_u u) in
+      fun fr x y ->
+        fr.(ka) <- x;
+        fr.(kb) <- y;
+        g fr
+  | f ->
+      let gf = stage (comp sc f) in
+      fun fr ->
+        let fv = gf fr in
+        fun x y -> apply2 fv x y
 
 (* Fold algebras re-evaluate [empty]/[single]/[union] per run (and [AggBy]
    per group), exactly like [Eval.eval_fold], and keep [Databag.fold]'s
@@ -844,33 +853,8 @@ and comp_union sc = function
    [union] one at a time. *)
 and comp_fold sc (fns : Expr.fold_fns) =
   let vempty = vstage (comp sc fns.f_empty) in
-  let gsingle =
-    match comp_single sc fns.f_single with
-    | Body1 (k, c) ->
-        let g = vstage c in
-        fun fr v ->
-          fr.(k) <- v;
-          g fr
-    | Fun1 c ->
-        let gf = stage c in
-        fun fr ->
-          let fv = gf fr in
-          fun v -> apply1 fv v
-  in
-  let gunion =
-    match comp_union sc fns.f_union with
-    | Body2 (ka, kb, c) ->
-        let g = vstage c in
-        fun fr x y ->
-          fr.(ka) <- x;
-          fr.(kb) <- y;
-          g fr
-    | Fun2 c ->
-        let gf = stage c in
-        fun fr ->
-          let fv = gf fr in
-          fun x y -> apply2 fv x y
-  in
+  let gsingle = comp_single sc fns.f_single in
+  let gunion = comp_union sc fns.f_union in
   fun fr elems ->
     let empty = vempty fr in
     let single = gsingle fr in
@@ -886,14 +870,18 @@ and comp_fold sc (fns : Expr.fold_fns) =
    first argument, whose slot is 0 (every other slot is written before it
    is read, and each comprehension resets its cells on entry). A static
    body needs no frame. *)
-let entry1 st c =
+let fn ctx base ~param body =
+  let st = new_state () in
+  let _, sc = bind (top ctx base st) param in
+  let c = comp sc body in
   let g = vstage c in
   if is_static c then fun _ -> g no_frame
   else
     let n = frame_size st in
     fun v -> g (new_frame n v)
 
-(* The same with a second argument in slot [kb]. *)
+(* A two-argument entry: the first argument in slot 0, the second in
+   slot [kb]. *)
 let entry2 st kb c =
   let g = vstage c in
   if is_static c then fun _ _ -> g no_frame
@@ -903,11 +891,6 @@ let entry2 st kb c =
       let fr = new_frame n a in
       fr.(kb) <- b;
       g fr
-
-let fn ctx base ~param body =
-  let st = new_state () in
-  let _, sc = bind (top ctx base st) param in
-  entry1 st (comp sc body)
 
 let fn2 ctx base ~param1 ~param2 body =
   (* [param2] is the inner binder, so it shadows [param1] when the names
@@ -974,27 +957,28 @@ let fused_step ctx base (fns : Expr.fold_fns) =
       end
   | _ -> None
 
+(* [e] staged and run once, on a frame of its own. *)
+let eager ctx base e =
+  let st = new_state () in
+  let g = stage (comp (top ctx base st) e) in
+  g (Array.make (frame_size st) Value.Unit)
+
 let fold_fns ctx base (fns : Expr.fold_fns) =
-  (* Evaluated eagerly, like the engine's interpreted fold runtime. *)
-  let empty =
-    let st = new_state () in
-    let g = vstage (comp (top ctx base st) fns.f_empty) in
-    g (Array.make (frame_size st) Value.Unit)
-  in
+  (* Evaluated eagerly, like the engine's interpreted fold runtime; a
+     literal lambda's evaluation cannot fail, so it is staged instead. *)
+  let empty = force (eager ctx base fns.f_empty) in
   let single =
-    let st = new_state () in
-    match comp_single (top ctx base st) fns.f_single with
-    | Body1 (_, c) -> entry1 st c
-    | Fun1 c ->
-        let fv = stage c (Array.make (frame_size st) Value.Unit) in
+    match fns.f_single with
+    | Lam (param, s) -> fn ctx base ~param s
+    | f ->
+        let fv = eager ctx base f in
         fun v -> apply1 fv v
   in
   let union =
-    let st = new_state () in
-    match comp_union (top ctx base st) fns.f_union with
-    | Body2 (_, kb, c) -> entry2 st kb c
-    | Fun2 c ->
-        let fv = stage c (Array.make (frame_size st) Value.Unit) in
+    match fns.f_union with
+    | Lam (param1, Lam (param2, u)) -> fn2 ctx base ~param1 ~param2 u
+    | f ->
+        let fv = eager ctx base f in
         fun x y -> apply2 fv x y
   in
   let unfused acc v = union acc (single v) in
@@ -1010,7 +994,4 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   in
   { empty; single; union; step }
 
-let value ctx base e =
-  let st = new_state () in
-  let g = vstage (comp (top ctx base st) e) in
-  g (Array.make (frame_size st) Value.Unit)
+let value ctx base e = force (eager ctx base e)
