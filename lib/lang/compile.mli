@@ -5,10 +5,29 @@
     (see PAPERS.md): each fused UDF body emitted by the compiler pipeline is
     walked {e once} and turned into a nested OCaml closure over
     {!Emma_value.Value}, so per-tuple evaluation performs no tree dispatch
-    and no string-keyed environment lookups. Variables bound by the UDF's
-    own binders become positional slots; names captured from the driver
+    and no string-keyed environment lookups. Names captured from the driver
     environment (broadcast values, constants) are resolved and inlined at
     compile time.
+
+    {b Environment layout.} A call runs on one flat [Value.t array] frame.
+    Every binder in a body (parameters, [let]s, generators, the parameters
+    of nested lambdas and fold algebras) takes the slot numbered by its
+    scope depth, so sibling scopes share slots, and every hoisted cell
+    takes one slot counted from the end. Each call of a returned closure
+    allocates one frame; binding a value is a store, not an allocation.
+    Frames are never allocated at staging time, so one staged closure may
+    run on several domains at once.
+
+    {b Hoisting.} In a comprehension, the maximal non-atomic subterms of
+    the head, the guards and every generator source but the first that
+    mention no variable bound since entering it (its generators, or a
+    lambda, [let] or inner generator in between) are staged into cells of
+    the frame, for the outermost comprehension they are invariant to.
+    Subterms with a [Stateful_*] node are never hoisted. A comprehension
+    resets its cells on every entry, and a cell is filled by the first
+    evaluation that reaches it, where the interpreter first evaluates the
+    subterm: so a subterm under an empty generator, a false guard or an
+    untaken branch is never run, and errors surface at the same point.
 
     The reference interpreter ({!Eval}) remains the semantics and serves as
     the differential-testing oracle: compiled closures produce the same
@@ -25,7 +44,9 @@ val fn :
   Eval.ctx -> Eval.env -> param:string -> Expr.expr -> Emma_value.Value.t -> Emma_value.Value.t
 (** [fn ctx env ~param body] compiles the unary UDF [fun param -> body]
     under the captured environment [env]; the returned closure behaves like
-    [fun v -> Eval.eval_value ctx (Eval.bind param (V v) env) body]. *)
+    [fun v -> Eval.eval_value ctx (Eval.bind param (V v) env) body]. Each
+    call allocates one frame (one word per slot plus a header: 2 words for
+    [x => x.f]); a static body allocates none. *)
 
 val fn2 :
   Eval.ctx ->
@@ -54,15 +75,16 @@ val fold_fns : Eval.ctx -> Eval.env -> Expr.fold_fns -> algebra
 (** Compiles a fold algebra. [empty], [single] and [union] are evaluated
     eagerly (when [fold_fns] is called), matching the engine's interpreted
     fold runtime. A literal [single] lambda and a literal curried [union]
-    lambda run as one- and two-slot bodies, allocating no closure per call.
+    lambda run as slot bodies: a call allocates its frame and no closure.
 
     [step] is fused when [single] is [x => (c_0, ..., c_n-1)] and [union]'s
     second binder [b] occurs only as [b._i], each component exactly once
     and never under an [If], a lambda, a comprehension or an [AggBy]:
-    then [c_i] replaces [b._i] and no intermediate tuple is built. The
-    fused body runs under a handler that, on a classified error, re-runs
-    [union acc (single v)] so the interpreter's error is the one raised.
-    Otherwise [step] is [union acc (single v)]. *)
+    then [c_i] replaces [b._i], run with [x] bound to the row, and no
+    intermediate tuple is built; a call allocates one frame holding the
+    accumulator and the row. The fused body runs under a handler that, on
+    a classified error, re-runs [union acc (single v)] so the interpreter's
+    error is the one raised. Otherwise [step] is [union acc (single v)]. *)
 
 val value : Eval.ctx -> Eval.env -> Expr.expr -> Emma_value.Value.t
 (** Whole-expression evaluation via staging; observationally equivalent to
