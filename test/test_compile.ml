@@ -612,6 +612,64 @@ let test_invariant_raises_second_call () =
   check_udf_parity "invariant raises on the second vertex" ~param:"v" body
     [ vertex 12 [ 1; 2; 3 ]; vertex 5 [ 4; 5 ]; vertex 7 [ 6; 7; 8; 9 ]; vertex 1 [] ]
 
+(* Random comprehension bodies over the row [x] and the names [n] and [m],
+   which generators, [let]s and lambdas bind and shadow at any depth, with
+   divisions that raise, [If] branches and nested comprehensions: staged
+   and interpreted agree on every row, value or classified error
+   (unbound names included), whatever gets hoisted where. *)
+let comp_udf_gen =
+  let open QCheck2.Gen in
+  let x = S.var "x" in
+  let small e = S.(e mod int_ 3) in
+  let leaf =
+    oneofl [ S.var "n"; S.var "m"; S.field x "a"; S.field x "b"; S.int_ 1; S.int_ 2 ]
+  in
+  let binder = oneofl [ "n"; "m" ] in
+  let term =
+    fix (fun self d ->
+        if d = 0 then leaf
+        else
+          let sub = self (d - 1) in
+          frequency
+            [ (3, leaf);
+              (3, map2 (fun a b -> S.(a + b)) sub sub);
+              (1, map2 (fun a b -> S.(a / b)) sub sub);
+              (1, map3 (fun c t e -> S.if_ S.(c > int_ 1) t e) sub sub sub);
+              (1, map3 (fun y a b -> Expr.Let (y, a, b)) binder sub sub);
+              ( 1,
+                map3
+                  (fun y src h -> S.sum (comp h [ qgen y (S.range (S.int_ 1) (small src)) ]))
+                  binder sub sub );
+              ( 1,
+                map3
+                  (fun y body src -> S.sum (S.map (Expr.Lam (y, body)) (S.range (S.int_ 0) (small src))))
+                  binder sub sub ) ])
+  in
+  map3
+    (fun y head guard ->
+      comp head
+        [ qgen y (S.range (S.int_ 0) S.(field x "b" mod int_ 4)); Expr.QGuard S.(guard <> int_ 0) ])
+    binder (term 3) (term 2)
+
+let qcheck_comp_udfs =
+  QCheck2.Test.make ~count:300 ~name:"random comprehension UDFs: staged ≡ interpreted"
+    ~print:(fun (e, _) -> Emma_lang.Pretty.expr_to_string e)
+    QCheck2.Gen.(pair comp_udf_gen rows_gen)
+    (fun (body, rows) ->
+      let ctx = ctx_with [] in
+      let staged = Compile.fn ctx Eval.empty_env ~param:"x" body in
+      List.for_all
+        (fun v ->
+          let interp =
+            classify (fun () -> Eval.eval_value ctx (Eval.bind "x" (Eval.V v) Eval.empty_env) body)
+          in
+          match (interp, classify (fun () -> staged v)) with
+          | Val a, Val b -> Value.equal a b
+          | Err a, Err b -> String.equal a b
+          | _ -> false)
+        rows)
+  |> QCheck_alcotest.to_alcotest
+
 (* Allocation guard: minor-heap words per call of staged functions,
    measured on the calling domain. The bounds are what the staged code
    allocates: 2 words for the field access (its one-slot frame) and 58
@@ -750,6 +808,7 @@ let suite =
         Alcotest.test_case "closure captures generator" `Quick test_closure_captures_generator;
         Alcotest.test_case "invariant raises on second call" `Quick
           test_invariant_raises_second_call;
+        qcheck_comp_udfs;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
         Alcotest.test_case "PageRank message allocation" `Quick test_pagerank_message_allocation
       ] ) ]
