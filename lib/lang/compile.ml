@@ -82,24 +82,7 @@ let rec of_rvalue ctx (rv : Eval.rvalue) : sv =
 type frame = Value.t array
 
 let no_frame : frame = [||]
-
-(* A fresh frame with every slot holding [v]. Small frames are array
-   literals, allocated inline; [Array.make] is a call into the runtime. *)
-let new_frame n v : frame =
-  match n with
-  | 1 -> [| v |]
-  | 2 -> [| v; v |]
-  | 3 -> [| v; v; v |]
-  | 4 -> [| v; v; v; v |]
-  | 5 -> [| v; v; v; v; v |]
-  | 6 -> [| v; v; v; v; v; v |]
-  | n -> Array.make n v
-
-(* Slot readers. The first few are shared, so staging a variable
-   allocates no closure: a staged body lives as long as its operator runs,
-   and the minor collections during that time copy it to the major heap. *)
 let read k (fr : frame) = fr.(k)
-let readers = Array.init 16 read
 
 (* A block no computation returns: a hoisted cell holds it until it is
    filled in the current entry to its comprehension. *)
@@ -243,11 +226,15 @@ and children st e =
    [Cstatic] entries were evaluated at compile time and occupy none.
    [Cfused] is a fold union's binder [b] in a fused accumulate step (see
    [fused_step]): [slot] holds the row, and [b._i] compiles to component
-   [i] of [single]'s tuple literal, with [single]'s binder [x] in [slot]. *)
+   [i] of [single]'s tuple literal, with [single]'s binder [x] in [slot].
+   [Clam] is a [Let]-bound literal lambda [lam = Lam (param, body)], with
+   the entries in scope where it was bound: an application stages [body]
+   in place, and any other use builds the closure there. *)
 type centry =
   | Cslot of string * int
   | Cstatic of string * sv
   | Cfused of { b : string; slot : int; x : string; comps : Expr.expr array }
+  | Clam of { f : string; param : string; body : Expr.expr; lam : Expr.expr; names : centry list }
 
 (* A comprehension whose head, guards or later generator sources are being
    staged: [mark] is the scope depth on entering it, so a variable
@@ -277,31 +264,36 @@ let bind sc x =
   let k, sc = deeper sc in
   (k, { sc with names = Cslot (x, k) :: sc.names })
 
-let entry_name = function Cslot (x, _) | Cstatic (x, _) | Cfused { b = x; _ } -> x
+let entry_name = function
+  | Cslot (x, _) | Cstatic (x, _) | Cfused { b = x; _ } | Clam { f = x; _ } -> x
 
 let rec lookup names x =
   match names with
   | [] -> None
   | ce :: rest -> if String.equal (entry_name ce) x then Some ce else lookup rest x
 
-(* [e] is invariant to a region when every slot its free variables
-   resolve to here lies below the region's [mark]; compile-time constants
-   and driver captures occupy no slot and are the same in every iteration.
-   The hoisting target is the outermost region [e] is invariant to,
-   returned with the regions outside it. Subterms with a [Stateful_*] node
-   are never hoisted. *)
+(* The highest slot that the variables [fv] read, resolved in [names]
+   (-1 for none); a [Let]-bound lambda reads what its free variables read
+   where it was bound. *)
+let rec reach st names fv =
+  Strset.fold
+    (fun x acc ->
+      match lookup names x with
+      | Some (Cslot (_, k)) | Some (Cfused { slot = k; _ }) -> max acc k
+      | Some (Clam { lam; names; _ }) -> max acc (reach st names (info st lam).fv)
+      | Some (Cstatic _) | None -> acc)
+    fv (-1)
+
+(* [e] is invariant to a region when every slot it reads here lies below
+   the region's [mark]; compile-time constants and driver captures occupy
+   no slot and are the same in every iteration. The hoisting target is the
+   outermost region [e] is invariant to, returned with the regions outside
+   it. Subterms with a [Stateful_*] node are never hoisted. *)
 let hoist_target sc e =
   let i = info sc.st e in
   if not i.pure then None
   else
-    let reach =
-      Strset.fold
-        (fun x acc ->
-          match lookup sc.names x with
-          | Some (Cslot (_, k)) | Some (Cfused { slot = k; _ }) -> max acc k
-          | Some (Cstatic _) | None -> acc)
-        i.fv (-1)
-    in
+    let reach = reach sc.st sc.names i.fv in
     let rec outermost found = function
       | r :: outer when reach < r.mark -> outermost (Some (r, outer)) outer
       | _ -> found
@@ -390,13 +382,14 @@ and comp_node sc (e : Expr.expr) : code =
   | Const v -> Static (Sval v)
   | Var x -> begin
       match lookup sc.names x with
-      | Some (Cslot (_, k)) -> Dynv (if k < Array.length readers then readers.(k) else read k)
+      | Some (Cslot (_, k)) -> Dynv (read k)
       | Some (Cstatic (_, sv)) -> Static sv
       | Some (Cfused _) ->
           (* The fusion rule guarantees a fused binder occurs only as
              [b._i]; were it used whole, this classified error sends the
              step to its unfused path. *)
           raiser (Invalid_argument "Compile: fused binder used whole")
+      | Some (Clam { lam; names; _ }) -> comp_node { sc with names } lam
       | None -> begin
           match Eval.lookup_opt sc.base x with
           | Some rv -> Static (of_rvalue sc.ctx rv)
@@ -404,46 +397,35 @@ and comp_node sc (e : Expr.expr) : code =
         end
     end
   | Lam (x, b) -> begin
-      let k, sc_b = bind sc x in
+      (* The body's subterms hoist only into its own comprehensions: a
+         cell of an enclosing one would be filled in a call's private
+         frame (below) and recomputed by the next call. *)
+      let k, sc_b = bind { sc with regions = [] } x in
       match comp sc_b b with
       | Static sv_b -> Static (Sfun (fun _ -> sv_b))
       | (Dyn _ | Dynv _) as cb ->
           let fb = stage cb in
           (* The closure keeps a copy of the frame as it is now, so later
              bindings of the same slots (the next element of a generator)
-             do not reach it. Its calls bind [x] in that copy: a closure's
-             call never runs another call of the same closure, and the
-             closures built inside a call copy the frame in turn. *)
+             do not reach it, and each call binds [x] in a copy of that
+             copy: a closure evaluated once may be called from several
+             domains at once (a fold algebra the pool's partitions share). *)
           Dyn
             (fun fr ->
-              let own = Array.copy fr in
+              let captured = Array.copy fr in
               Sfun
                 (fun v ->
+                  let own = Array.copy captured in
                   own.(k) <- v;
                   fb own))
     end
-  | App (Lam (x, b), a) ->
-      (* A literal lambda applied on the spot: evaluating the lambda cannot
-         fail, so the interpreter's order is the argument, then the body
-         with [x] bound — here in [x]'s slot, with no closure built. *)
-      let ga = vstage (comp sc a) in
-      let k, sc_b = bind sc x in
-      let gb = vstage (comp sc_b b) in
-      Dynv
-        (fun fr ->
-          fr.(k) <- ga fr;
-          gb fr)
-  | App (f, a) ->
-      (* Never folded: folding applications of self-applying closures could
-         diverge at compile time; the interpreter only pays when it runs.
-         The result is forced ([apply1]), so the node is value-typed. *)
-      let gf = stage (comp sc f) in
-      let ga = vstage (comp sc a) in
-      Dynv
-        (fun fr ->
-          let fv = gf fr in
-          let av = ga fr in
-          apply1 fv av)
+  | App (Lam (x, b), a) -> inline sc ~names:sc.names x b a
+  | App ((Var y as f), a) -> begin
+      match lookup sc.names y with
+      | Some (Clam { param; body; names; _ }) -> inline sc ~names param body a
+      | _ -> comp_app sc f a
+    end
+  | App (f, a) -> comp_app sc f a
   | Tuple es ->
       comp_nary sc es (fun vs -> Value.tuple vs) ~residual:(fun gs ->
           let n = Array.length gs in
@@ -539,6 +521,10 @@ and comp_node sc (e : Expr.expr) : code =
             let gt = stage ct and ge = stage ce in
             Dyn (fun fr -> if Value.to_bool (gc fr) then gt fr else ge fr)
     end
+  | Let (f, (Lam (param, body) as lam), b) ->
+      (* Evaluating a lambda cannot fail, so the binding costs nothing at
+         runtime: each use stages [lam] where it occurs. *)
+      comp { sc with names = Clam { f; param; body; lam; names = sc.names } :: sc.names } b
   | Let (x, a, b) -> begin
       match comp sc a with
       | Static sv ->
@@ -561,8 +547,9 @@ and comp_node sc (e : Expr.expr) : code =
                 fr.(k) <- ga fr;
                 gb fr)
       | Dyn ga ->
-          (* [a] may evaluate to a function or a stateful bag, which no
-             slot holds: a value takes the slot, anything else is bound by
+          (* [a] may evaluate to a function (not a literal lambda: an
+             [If] choosing one, say) or a stateful bag, which no slot
+             holds: a value takes the slot, anything else is bound by
              staging [b] again ([restage]). *)
           let k, sc_b = bind sc x in
           let gb = stage (comp sc_b b) in
@@ -760,8 +747,10 @@ and comp_node sc (e : Expr.expr) : code =
    with the binding as a compile-time value, as a static [Let]'s body is,
    and run on a new frame holding the binders in scope, so its writes
    (cells included) stay off the caller's frame. The new staging hoists
-   only into its own comprehensions. The registry programs never take
-   this path; it keeps the general case correct, not fast. *)
+   only into its own comprehensions. [b] is staged again on every
+   evaluation, so this path is slow (about 140 words per row for [let f =
+   if c then (y => ..) else (y => ..) in f(1) + f(2)]); no registry
+   program takes it. *)
 and restage sc x sv b fr =
   let st = new_state () in
   st.depth <- sc.depth;
@@ -769,6 +758,32 @@ and restage sc x sv b fr =
   let own = Array.make (frame_size st) Value.Unit in
   Array.blit fr 0 own 0 sc.depth;
   g own
+
+(* A lambda applied on the spot, [App (Lam (x, b), a)] with [b] resolving
+   its free variables in [names]. Evaluating the lambda cannot fail, so the
+   interpreter's order is the argument, then the body with [x] bound —
+   here in [x]'s slot, with no closure built. [x] takes the next slot at
+   the application, above everything live there. *)
+and inline sc ~names x b a =
+  let ga = vstage (comp sc a) in
+  let k, sc_b = bind { sc with names } x in
+  let gb = vstage (comp sc_b b) in
+  Dynv
+    (fun fr ->
+      fr.(k) <- ga fr;
+      gb fr)
+
+(* Never folded: folding applications of self-applying closures could
+   diverge at compile time; the interpreter only pays when it runs. The
+   result is forced ([apply1]), so the node is value-typed. *)
+and comp_app sc f a =
+  let gf = stage (comp sc f) in
+  let ga = vstage (comp sc a) in
+  Dynv
+    (fun fr ->
+      let fv = gf fr in
+      let av = ga fr in
+      apply1 fv av)
 
 (* A comprehension's qualifiers: the first generator's source is evaluated
    once per entry, so it is staged outside the comprehension's region
@@ -878,7 +893,7 @@ let fn ctx base ~param body =
   if is_static c then fun _ -> g no_frame
   else
     let n = frame_size st in
-    fun v -> g (new_frame n v)
+    fun v -> g (Array.make n v)
 
 (* A two-argument entry: the first argument in slot 0, the second in
    slot [kb]. *)
@@ -888,7 +903,7 @@ let entry2 st kb c =
   else
     let n = frame_size st in
     fun a b ->
-      let fr = new_frame n a in
+      let fr = Array.make n a in
       fr.(kb) <- b;
       g fr
 

@@ -16,7 +16,13 @@
     takes one slot counted from the end. Each call of a returned closure
     allocates one frame; binding a value is a store, not an allocation.
     Frames are never allocated at staging time, so one staged closure may
-    run on several domains at once.
+    run on several domains at once. A lambda applied on the spot, or bound
+    by a [let] and applied, is staged in place with its argument in a
+    slot; any other use of a lambda builds a closure that copies the frame
+    when it is built and again on each call, so a closure too may run on
+    several domains at once. A [let] bound to any other function or to a
+    stateful bag stages its body again on each evaluation (slow, and
+    unused by the registry programs).
 
     {b Hoisting.} In a comprehension, the maximal non-atomic subterms of
     the head, the guards and every generator source but the first that

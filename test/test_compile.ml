@@ -162,6 +162,33 @@ let test_domain_invariance () =
   in
   check_domain_invariance prog (rows_tables (List.init 24 (fun i -> row i (i mod 4))))
 
+(* A fold algebra that is not a literal lambda is evaluated once per
+   operator, and the one closure it yields runs in every partition, on
+   several domains at once: in a [Fold]'s partials and an [AggBy]'s
+   map-side combine. Here [single] is chosen by an [If] on a driver value
+   and [union] sits under a [let] the normaliser keeps (its binder is used
+   twice). A closure whose calls shared one frame would mix rows from
+   different domains. *)
+let test_shared_algebra_domains () =
+  let rows = List.init 3000 (fun i -> row i (i mod 7)) in
+  let single =
+    S.if_ (S.var "flag")
+      (S.lam "x" (fun x -> S.(tup [ (field x "a" * int_ 3) + field x "b"; field x "a" - field x "b" ])))
+      (S.lam "x" (fun x -> S.(tup [ field x "b"; field x "a" ])))
+  in
+  let union =
+    S.let_ "w"
+      S.(var "scale" * int_ 2)
+      (fun w -> S.lam2 "p" "q" (fun p q -> S.(tup [ proj p 0 + (proj q 0 * w); proj p 1 + (proj q 1 * w) ])))
+  in
+  let fns = { Expr.f_empty = S.(tup [ int_ 0; int_ 0 ]); f_single = single; f_union = union; f_tag = Expr.Tag_generic } in
+  let driver =
+    [ S.s_let "flag" S.(count (read "rows") > int_ 0); S.s_let "scale" S.(count (read "rows") / int_ 1000) ]
+  in
+  check_domain_invariance (S.program ~ret:(Expr.Fold (fns, S.read "rows")) driver) (rows_tables rows);
+  let key = S.lam "x" (fun x -> S.field x "b") in
+  check_domain_invariance (S.program ~ret:(Expr.AggBy (key, fns, S.read "rows")) driver) (rows_tables rows)
+
 (* ---------------------------------------------------------------- *)
 (* Targeted coverage                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -591,6 +618,47 @@ let test_closure_captures_generator () =
   check_parity ~tables:(rows_tables rows) "same closure through a map"
     (S.map (S.lam "x" (fun _ -> body)) (S.read "rows"))
 
+(* A [let]-bound lambda used more than once, which the normaliser keeps:
+   applications stage its body in place, so its free variables must still
+   mean what they meant where it was bound (a generator [n] shadows the
+   [n] it reads), an application that reads only outer names is hoisted
+   out of a loop, one that reads a generator through the lambda is not,
+   and a use as a whole value still builds a closure. A lambda chosen at
+   runtime is bound by re-staging the [let]'s body. *)
+let test_let_bound_lambda () =
+  let rows = [ row 3 1; row 4 2; row 0 0 ] in
+  let x = S.var "x" in
+  let f = S.var "f" in
+  let one_to e = S.range (S.int_ 1) e in
+  check_udf_parity "applications see the binding scope" ~param:"x"
+    (S.let_ "n" S.(field x "a" + int_ 1) (fun n ->
+         S.let_ "f" (S.lam "y" (fun y -> S.(y * int_ 10 + n))) (fun f ->
+             S.tup
+               [ S.app f (S.field x "b");
+                 comp S.(app f n + app f (int_ 1)) [ qgen "n" (one_to (S.int_ 3)) ];
+                 S.sum (S.map f (one_to S.(field x "b" + int_ 1))) ])))
+    rows;
+  check_udf_parity "a lambda over a generator, applied in an inner loop" ~param:"x"
+    (comp
+       (S.let_ "f" (S.lam "y" (fun y -> S.(y + var "m" + field x "a"))) (fun f ->
+            S.tup [ comp S.(app f (int_ 1) + var "k") [ qgen "k" (one_to (S.int_ 2)) ]; S.app f (S.int_ 2) ]))
+       [ qgen "m" (one_to S.(field x "b" + int_ 1)) ])
+    rows;
+  check_udf_parity "an invariant application raises only where the interpreter does" ~param:"x"
+    (S.let_ "f" (S.lam "y" (fun y -> S.(y / field x "a"))) (fun _ ->
+         S.tup
+           [ comp S.(app f (int_ 7) + var "k") [ qgen "k" (one_to (S.field x "b")) ];
+             S.app f (S.field x "b") ]))
+    rows;
+  (* a function-valued [let] that is not a literal lambda *)
+  check_udf_parity "a lambda chosen by an If" ~param:"x"
+    (comp
+       (S.let_ "f"
+          (S.if_ S.(var "m" > int_ 1) (S.lam "y" (fun y -> S.(y + var "m"))) (S.lam "y" (fun y -> S.(y / field x "a"))))
+          (fun f -> S.(app f (int_ 1) + sum (comp (app f (var "k")) [ qgen "k" (one_to (int_ 2)) ]))))
+       [ qgen "m" (one_to S.(field x "b" + int_ 1)) ])
+    rows
+
 (* PageRank's message shape: the invariant divides by the degree, and the
    second vertex has no neighbors' weight to divide by. The first call
    must succeed, the second raise the interpreter's error, the third
@@ -643,6 +711,15 @@ let comp_udf_gen =
               ( 1,
                 map3
                   (fun y body src -> S.sum (S.map (Expr.Lam (y, body)) (S.range (S.int_ 0) (small src))))
+                  binder sub sub );
+              ( 1,
+                map3
+                  (fun y body rest ->
+                    let f = S.var "f" in
+                    Expr.Let
+                      ( "f",
+                        Expr.Lam (y, body),
+                        S.(app f rest + app f (small rest) + sum (map f (range (int_ 0) (small rest)))) ))
                   binder sub sub ) ])
   in
   map3
@@ -789,6 +866,7 @@ let suite =
       [ qcheck_value_parity;
         qcheck_engine_parity;
         Alcotest.test_case "1/2/4-domain invariance" `Quick test_domain_invariance;
+        Alcotest.test_case "shared algebra across domains" `Quick test_shared_algebra_domains;
         Alcotest.test_case "driver closure" `Quick test_engine_driver_closure;
         Alcotest.test_case "broadcast bag" `Quick test_engine_broadcast_bag;
         Alcotest.test_case "aggBy algebra" `Quick test_engine_group_agg;
@@ -806,6 +884,7 @@ let suite =
         Alcotest.test_case "invariant shadowed" `Quick test_invariant_shadowed;
         Alcotest.test_case "nested invariant" `Quick test_invariant_nested;
         Alcotest.test_case "closure captures generator" `Quick test_closure_captures_generator;
+        Alcotest.test_case "let-bound lambda" `Quick test_let_bound_lambda;
         Alcotest.test_case "invariant raises on second call" `Quick
           test_invariant_raises_second_call;
         qcheck_comp_udfs;
