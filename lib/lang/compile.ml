@@ -884,7 +884,10 @@ and comp_fold sc (fns : Expr.fold_fns) =
    frame per call, of the staging's final slot count, filled with the
    first argument, whose slot is 0 (every other slot is written before it
    is read, and each comprehension resets its cells on entry). A static
-   body needs no frame. *)
+   body needs no frame. The common frames — one slot for a unary body,
+   two for a binary one — are array literals, allocated inline:
+   [Array.make] is a call into the C runtime, which made a one-slot
+   filter about 7 ns (30%) slower per row in a microbenchmark. *)
 let fn ctx base ~param body =
   let st = new_state () in
   let _, sc = bind (top ctx base st) param in
@@ -892,8 +895,9 @@ let fn ctx base ~param body =
   let g = vstage c in
   if is_static c then fun _ -> g no_frame
   else
-    let n = frame_size st in
-    fun v -> g (Array.make n v)
+    match frame_size st with
+    | 1 -> fun v -> g [| v |]
+    | n -> fun v -> g (Array.make n v)
 
 (* A two-argument entry: the first argument in slot 0, the second in
    slot [kb]. *)
@@ -901,11 +905,13 @@ let entry2 st kb c =
   let g = vstage c in
   if is_static c then fun _ _ -> g no_frame
   else
-    let n = frame_size st in
-    fun a b ->
-      let fr = Array.make n a in
-      fr.(kb) <- b;
-      g fr
+    match frame_size st with
+    | 2 when kb = 1 -> fun a b -> g [| a; b |]
+    | n ->
+        fun a b ->
+          let fr = Array.make n a in
+          fr.(kb) <- b;
+          g fr
 
 let fn2 ctx base ~param1 ~param2 body =
   (* [param2] is the inner binder, so it shadows [param1] when the names
