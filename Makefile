@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden serve-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
 
 all: build
 
@@ -42,6 +42,14 @@ cost-golden:
 # profile it uses, regenerated the same way as the explain goldens.
 alloc-golden:
 	dune exec test/test_main.exe -- test alloc_golden
+
+# Golden-file checks pinning the serve scheduler's decisions: the replay
+# fingerprint, every journal record and every retained snapshot payload
+# of six fixed runs (policy off, deadline + ladder, queue bound, breaker
+# cycle, drain, snapshot recovery after a crash); part of the default
+# `dune runtest`, regenerated the same way as the explain goldens.
+serve-golden:
+	dune exec test/test_main.exe -- test serve_golden
 
 # Tracer well-formedness and cost-model-invariance properties (also part of
 # the default `dune runtest`).
