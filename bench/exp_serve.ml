@@ -17,10 +17,8 @@
      with a non-trivial hit count (the acceptance bar pinned in
      BENCH_serve.json).
 
-   Sim latencies come from the deterministic service clock (compile
-   charge + cost-model seconds); the real-concurrency run at the end
-   reports sustained host qps and is excluded from acceptance (wall
-   clock is machine noise). *)
+   Latencies come from the deterministic service clock (compile charge +
+   cost-model seconds). *)
 
 module Value = Emma_value.Value
 module Json = Emma_util.Json
@@ -152,17 +150,6 @@ let run () =
         Printf.sprintf "%.1f s" off_mk;
         Printf.sprintf "%.2f" (qps off_mk);
         "-" ] ];
-  (* real concurrency: sustained host throughput, reported not gated *)
-  let config = Config.with_plan_cache (Some 64) Config.default in
-  let session = Session.create ~config (rt ()) in
-  let real =
-    Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
-    Serve.run_concurrent session tenants wl events
-  in
-  let real_qps = float n_events /. real.Serve.sv_wall_s in
-  Printf.printf
-    "real mode: %d queries over %d lanes in %.3f s wall — %.1f qps sustained\n"
-    n_events real.Serve.sv_lanes real.Serve.sv_wall_s real_qps;
   let passed = on_mean < off_mean && on_p50 < off_p50 && hits > 0 in
   Printf.printf "acceptance: cache-on %s cache-off (mean %.3f vs %.3f, p50 %.3f \
                  vs %.3f, %d hits) — %s\n"
@@ -195,10 +182,6 @@ let run () =
             ("plan_cache_misses", Json.Int misses);
             ("plan_cache_evictions", Json.Int evictions) ];
         side "cache_off" (off_mean, off_p50, off_p99, off_mk) [];
-        ( "real",
-          Json.Obj
-            [ ("wall_s", Json.Float real.Serve.sv_wall_s);
-              ("qps", Json.Float real_qps) ] );
         ("replay_fingerprint_stable", Json.Bool replay_stable);
         ("results_identical", Json.Bool true);
         ("target_met", Json.Bool passed) ]

@@ -219,7 +219,7 @@ let max_queue_term =
   let doc =
     "Bound each tenant's queue at $(docv) queries; arrivals past the bound \
      shed either themselves or the oldest queued query, picked \
-     seed-deterministically so sim-mode replays stay bit-identical."
+     seed-deterministically so serve replays stay bit-identical."
   in
   Arg.(value & opt (some int) None & info [ "max-queue" ] ~docv:"N" ~doc)
 
@@ -234,10 +234,9 @@ let breaker_term =
 
 let drain_after_term =
   let doc =
-    "Graceful drain: stop admitting queries after $(docv) seconds (simulated \
-     in sim mode, wall clock in real mode), shed later arrivals, and finish \
-     or cancel in-flight work; the final report still accounts for every \
-     submission."
+    "Graceful drain: stop admitting queries after $(docv) simulated seconds \
+     and shed later arrivals; queries admitted before the cutoff still run, \
+     and the final report accounts for every submission."
   in
   Arg.(value & opt (some float) None & info [ "drain-after" ] ~docv:"S" ~doc)
 
@@ -469,7 +468,7 @@ let parse_tenants s =
                "--tenants: %S is invalid: expected `name' or `name:weight'" spec)
 
 let serve_cmd =
-  let run tenants_s queries_s n_events seed rate alpha arrivals_file mode engine
+  let run tenants_s queries_s n_events seed rate alpha arrivals_file engine
       scale dop domains plan_cache udf_mode chunk chaos_seed chaos_rates
       checkpoint_every mem_per_slot spill max_inflight timeout deadline
       max_queue breaker drain_after counters_json wal recover wal_sync
@@ -510,10 +509,6 @@ let serve_cmd =
         ?max_queue ?breaker ?drain_after ?wal ?wal_sync ?snapshot_every ()
       |> config_or_exit
     in
-    if config.Emma.Config.wal_dir <> None && mode = `Real then
-      usage_fail
-        "--wal/--recover requires --mode sim: the journal records the \
-         deterministic simulation, which real mode cannot replay";
     let wal_crash =
       match wal_crash with
       | None -> None
@@ -566,62 +561,27 @@ let serve_cmd =
         ~finally:(fun () -> Emma.Session.close session)
         (fun () ->
           try
-            match mode with
-            | `Sim -> (
-                match config.Emma.Config.wal_dir with
-                | None -> Serve.run_sim session tenants workload events
-                | Some dir ->
-                    let journal =
-                      Emma_util.Wal.create ~sync:config.Emma.Config.wal_sync
-                        ~dir ()
-                    in
-                    Option.iter (Emma_util.Wal.set_crash journal) wal_crash;
-                    let durability =
-                      {
-                        Serve.du_wal = journal;
-                        du_snapshot_every = config.Emma.Config.snapshot_every;
-                      }
-                    in
-                    Fun.protect
-                      ~finally:(fun () -> Emma_util.Wal.close journal)
-                      (fun () ->
-                        if recovering then
-                          Serve.recover_sim ~durability session tenants
-                            workload events
-                        else
-                          Serve.run_sim ~durability session tenants workload
-                            events))
-            | `Real ->
-                (* real mode: --drain-after is wall clock — a timer domain
-                   pulls the plug, shedding un-admitted queries and
-                   cancelling in-flight ones at their next safepoint. The
-                   timer polls a stop flag so a run that finishes early
-                   never waits out the full drain interval. *)
-                let dctl = Serve.drain_controller () in
-                let stop = Atomic.make false in
-                let timer =
-                  Option.map
-                    (fun s ->
-                      Domain.spawn (fun () ->
-                          let rec wait remaining =
-                            if (not (Atomic.get stop)) && remaining > 0.0
-                            then begin
-                              let step = Float.min 0.05 remaining in
-                              Unix.sleepf step;
-                              wait (remaining -. step)
-                            end
-                          in
-                          wait s;
-                          if not (Atomic.get stop) then Serve.drain dctl))
-                    config.Emma.Config.drain_after_s
+            match config.Emma.Config.wal_dir with
+            | None -> Serve.run_sim session tenants workload events
+            | Some dir ->
+                let journal =
+                  Emma_util.Wal.create ~sync:config.Emma.Config.wal_sync ~dir ()
+                in
+                Option.iter (Emma_util.Wal.set_crash journal) wal_crash;
+                let durability =
+                  {
+                    Serve.du_wal = journal;
+                    du_snapshot_every = config.Emma.Config.snapshot_every;
+                  }
                 in
                 Fun.protect
-                  ~finally:(fun () ->
-                    Atomic.set stop true;
-                    Option.iter Domain.join timer)
+                  ~finally:(fun () -> Emma_util.Wal.close journal)
                   (fun () ->
-                    Serve.run_concurrent ~drain:dctl session tenants workload
-                      events)
+                    if recovering then
+                      Serve.recover_sim ~durability session tenants workload
+                        events
+                    else
+                      Serve.run_sim ~durability session tenants workload events)
           with
           | Invalid_argument m -> usage_fail "%s" m
           | Serve.Recovery_error m -> usage_fail "%s" m
@@ -633,10 +593,8 @@ let serve_cmd =
     | None -> ());
     let lat = Serve.latencies counters in
     let n = List.length counters.Serve.sv_results in
-    Printf.printf "served %d queries over %d tenants (%s mode, %d lanes)\n" n
-      (List.length tenants)
-      (match mode with `Sim -> "sim" | `Real -> "real")
-      counters.Serve.sv_lanes;
+    Printf.printf "served %d queries over %d tenants (sim mode, %d lanes)\n" n
+      (List.length tenants) counters.Serve.sv_lanes;
     (match counters.Serve.sv_cache with
     | Some s ->
         Printf.printf "plan cache: %d hits, %d misses, %d evictions (%d live)\n"
@@ -646,14 +604,9 @@ let serve_cmd =
     Printf.printf "latency p50 %.6f s, p99 %.6f s, makespan %.6f s\n"
       (Serve.percentile lat 0.50) (Serve.percentile lat 0.99)
       counters.Serve.sv_makespan_s;
-    (if counters.Serve.sv_makespan_s > 0.0 then
-       Printf.printf "sustained %.2f queries/s (%s)\n"
-         (float_of_int n
-         /.
-         match mode with
-         | `Sim -> counters.Serve.sv_makespan_s
-         | `Real -> counters.Serve.sv_wall_s)
-         (match mode with `Sim -> "simulated" | `Real -> "wall clock"));
+    if counters.Serve.sv_makespan_s > 0.0 then
+      Printf.printf "sustained %.2f queries/s (simulated)\n"
+        (float_of_int n /. counters.Serve.sv_makespan_s);
     List.iter
       (fun tc ->
         Printf.printf
@@ -706,9 +659,8 @@ let serve_cmd =
          "Serve a multi-tenant arrival trace of built-in programs on one \
           shared session: fair-share (deficit round-robin) admission across \
           tenants, per-tenant memory budgets, and a plan cache keyed on the \
-          normalized plan + schema. $(b,--mode sim) replays deterministically \
-          on the simulated clock; $(b,--mode real) runs one domain per tenant \
-          lane over the shared work-stealing pool.")
+          normalized plan + schema, replayed deterministically on the \
+          simulated clock.")
     Term.(
       const run
       $ Arg.(
@@ -741,14 +693,6 @@ let serve_cmd =
               ~doc:
                 "Replay a scripted arrival trace (`<at_s> <tenant> <query>' \
                  per line) instead of generating one.")
-      $ Arg.(
-          value
-          & opt (enum [ ("sim", `Sim); ("real", `Real) ]) `Sim
-          & info [ "mode" ] ~docv:"sim|real"
-              ~doc:
-                "$(b,sim): deterministic discrete-event replay (bit-identical \
-                 counters); $(b,real): one domain per tenant lane, wall-clock \
-                 throughput.")
       $ engine_term $ scale_term $ dop_term $ domains_term
       $ Arg.(
           value & opt string "64"
@@ -769,7 +713,7 @@ let serve_cmd =
           & info [ "wal" ] ~docv:"DIR"
               ~doc:
                 "Journal every scheduling decision to a durable write-ahead \
-                 log in $(docv) (sim mode only). A killed run restarts with \
+                 log in $(docv). A killed run restarts with \
                  $(b,--recover) $(docv).")
       $ Arg.(
           value & opt (some string) None

@@ -11,9 +11,7 @@
      standalone [Emma.run_on_exn] of the same program;
    - every outcome carries per-query metrics with the cache counters
      stamped in ([plan_cache_hits + plan_cache_misses >= 1] on a cached
-     session);
-   - the real-concurrency mode (one domain per tenant over the shared
-     pool) finishes every query with the same values.
+     session).
 
    Any violation exits non-zero and fails the alias. *)
 
@@ -60,12 +58,6 @@ let value_of (r : Serve.query_result) =
   | Emma.Timed_out _ -> fail "sub %d (%s) timed out" r.Serve.qr_sub r.Serve.qr_query
   | Emma.Cancelled _ -> fail "sub %d (%s) cancelled" r.Serve.qr_sub r.Serve.qr_query
 
-let run_concurrent () =
-  let config = Emma.Config.with_plan_cache (Some 8) Emma.Config.default in
-  let session = Emma.Session.create ~config rt in
-  Fun.protect ~finally:(fun () -> Emma.Session.close session) @@ fun () ->
-  Serve.run_concurrent session tenants workload events
-
 let () =
   let on = run_sim (Some 8) in
   let on2 = run_sim (Some 8) in
@@ -106,14 +98,7 @@ let () =
       if sm.Metrics.sim_time_s <> standalone.Emma.metrics.Metrics.sim_time_s then
         fail "%s: served sim_time_s differs from standalone run_on" name)
     query_names;
-  (* real concurrency: everything finishes with the same values *)
-  let real = run_concurrent () in
-  List.iter2
-    (fun a b ->
-      if not (Value.equal (value_of a) (value_of b)) then
-        fail "sub %d: concurrent value differs from sim replay" a.Serve.qr_sub)
-    on.Serve.sv_results real.Serve.sv_results;
   Printf.printf
     "serve-smoke ok: %d queries, %d lanes, %d hits/%d misses, fingerprint stable, \
-     values identical across sim/off/concurrent/standalone\n"
+     values identical across sim/off/standalone\n"
     (List.length on.Serve.sv_results) on.Serve.sv_lanes hits misses

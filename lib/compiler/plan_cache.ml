@@ -4,9 +4,9 @@
    confirms on the full key text, store evicts strictly-least-recently
    used entries. A monotone tick orders uses, so eviction is a pure
    function of the operation sequence — no clocks, no hashing order —
-   which is what makes serve's sim-mode counters replayable. All
-   operations take the internal mutex: real concurrent mode probes from
-   multiple tenant domains. *)
+   which is what makes serve's counters replayable. All operations take
+   the internal mutex: pool domains may submit to one session, and so
+   probe it, at once. *)
 
 type entry = {
   e_key : Pipeline.cache_key;

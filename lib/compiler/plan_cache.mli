@@ -9,9 +9,9 @@
 
     Eviction is strict LRU ordered by a monotone use tick — a pure
     function of the probe/store sequence, independent of wall clock,
-    domain count and hash order — so serve's sim-mode cache counters
-    replay bit-identically. All operations are mutex-guarded for the real
-    concurrent mode. *)
+    domain count and hash order — so serve's cache counters replay
+    bit-identically. All operations are mutex-guarded, because pool
+    domains may submit to one session at once. *)
 
 type t
 

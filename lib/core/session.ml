@@ -75,7 +75,7 @@ type t = {
       (* serializes submissions' compile step: the compiler's fresh-name
          counter is a process global and the plan cache must observe a
          deterministic probe/store order; execution itself still runs
-         concurrently in real serve mode *)
+         concurrently when several domains submit at once *)
   read_memo : Engine.read_memo;
       (* every run's partitioned input tables: a table submitted again
          (the same row list) is partitioned and sized once per session *)

@@ -56,7 +56,7 @@ type chaos = {
    unchanged — the rows compared physically, so a table replaced under the
    same name, or a degraded run at half the dop, builds a fresh entry,
    which then replaces the old one. Entries are published with their stats
-   forced, since concurrent serve lanes share them across domains. *)
+   forced, since pool domains share them. *)
 type read_entry = {
   r_rows : Value.t list;
   r_nparts : int;

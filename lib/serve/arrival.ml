@@ -1,5 +1,5 @@
-(* Arrival traces: the scripted input of serve's deterministic sim mode
-   and the replayable workload of its real concurrent mode. A trace is an
+(* Arrival traces: the scripted input of serve's deterministic
+   simulation. A trace is an
    ordered list of (arrival time, tenant, query name); the position in
    the list is the submission id, the deterministic tie-break everywhere
    downstream. *)

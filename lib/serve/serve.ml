@@ -1,31 +1,26 @@
-(* The multi-tenant service layer over Emma.Session.
+(* The multi-tenant service layer over Emma.Session: a deterministic
+   discrete-event simulation of fair-share serving. Queries are
+   dispatched over [lanes] simulated service lanes (the max_inflight
+   admission gate) by deficit round-robin over per-tenant queues; service
+   time is the session's deterministic compile charge plus the engine's
+   simulated cost. Every quantity that feeds a scheduling decision is
+   simulated, so counters and the fingerprint replay bit-identically
+   across runs and across domain counts.
 
-   Two modes mirror the chaos layer's design:
-
-   - [run_sim]: a deterministic discrete-event simulation. Queries are
-     dispatched over [lanes] simulated service lanes (the max_inflight
-     admission gate) by deficit round-robin over per-tenant queues;
-     service time is the session's deterministic compile charge plus the
-     engine's simulated cost. Every quantity that feeds a scheduling
-     decision is simulated, so counters and the fingerprint replay
-     bit-identically across runs and across domain counts.
-
-   - [run_concurrent]: real concurrency — one host domain per tenant
-     lane replaying that tenant's share of the trace over the shared
-     work-stealing pool, gated by a counting semaphore when max_inflight
-     is set. Wall-clock results; per-query values still match sim mode
-     because the engine itself is deterministic. *)
+   The decisions themselves live in [Sched], which never runs, journals
+   or traces anything. This file is the one driver over it: it journals
+   each decision, runs each dispatch through an executor — [submit] when
+   serving, [replay] (the journaled outcome, else a re-submission) when
+   recovering — and prints and parses the scheduler state as snapshots. *)
 
 module Session = Emma.Session
 module Config = Emma.Config
 module Metrics = Emma.Metrics
 module Plan_cache = Emma.Plan_cache
 module Cluster = Emma.Cluster
-module Cancel = Emma.Cancel
 module Expr = Emma.Expr
 module Value = Emma.Value
 module Json = Emma.Json
-module Prng = Emma_util.Prng
 module Wal = Emma_util.Wal
 module Trace = Emma_util.Trace
 
@@ -50,14 +45,14 @@ type query_result = {
   qr_degrade : int;  (* degradation-ladder level the query ran at (0-3) *)
 }
 
-(* Why a query was shed instead of run. Shedding is always counted and
-   reported per submission — no query ever disappears silently. *)
-type shed_reason =
-  | Shed_deadline  (* queue wait alone already exceeded the deadline *)
-  | Shed_queue_full  (* per-tenant queue at max_queue; seeded victim pick *)
-  | Shed_breaker  (* tenant circuit open: fast-fail without dispatch *)
-  | Shed_drain  (* arrived after the drain point: admissions stopped *)
-  | Shed_degraded  (* ladder level 3: would compile cold, cache-only mode *)
+(* Shedding is always counted and reported per submission — no query
+   ever disappears silently. *)
+type shed_reason = Sched.shed_reason =
+  | Shed_deadline
+  | Shed_queue_full
+  | Shed_breaker
+  | Shed_drain
+  | Shed_degraded
 
 type shed_record = {
   sh_sub : int;
@@ -96,23 +91,16 @@ type counters = {
   sv_wall_s : float;  (* host seconds; excluded from the fingerprint *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Overload-control policy                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* All policy decisions are coordinator-side pure functions of the trace,
-   the seed and the simulated clock — never of wall time, domain count or
-   queue-arrival races — so a sim run's fingerprint replays
-   bit-identically at any domain count. *)
-type policy = {
-  pl_seed : int;  (* seeds the queue-full victim picks *)
-  pl_deadline_s : float option;  (* per-query latency budget (arrival → finish) *)
-  pl_max_queue : int option;  (* per-tenant queue bound *)
+(* All policy decisions are pure functions of the trace, the seed and the
+   simulated clock — never of wall time, domain count or queue-arrival
+   races. *)
+type policy = Sched.policy = {
+  pl_seed : int;
+  pl_deadline_s : float option;
+  pl_max_queue : int option;
   pl_breaker : Config.breaker_spec option;
-  pl_drain_after_s : float option;  (* stop admissions past this clock *)
+  pl_drain_after_s : float option;
   pl_degrade_depth : int option;
-      (* ladder step size D in total queued queries: level = depth / D,
-         capped at 3. None = ladder off. *)
 }
 
 let no_policy =
@@ -143,16 +131,6 @@ let policy_of_config ?(seed = 0) ~lanes cfg =
       | None -> None);
   }
 
-(* Per-tenant circuit breaker: Closed counts consecutive bad outcomes
-   (Failed / Timed_out / Cancelled); at the threshold the circuit opens
-   until a cool-down instant on the simulated clock; the first dispatch
-   past it half-opens the circuit and probes with that single query. *)
-type breaker_state = Br_closed of int | Br_open of float | Br_half_open
-
-(* ------------------------------------------------------------------ *)
-(* Shared plumbing                                                      *)
-(* ------------------------------------------------------------------ *)
-
 let validate tenants workload events =
   if tenants = [] then invalid_arg "Serve: at least one tenant is required";
   let seen = Hashtbl.create 8 in
@@ -173,80 +151,6 @@ let validate tenants workload events =
           (Printf.sprintf "Serve: event %d names unknown query %S" i
              e.Arrival.query))
     events
-
-(* Per-tenant engine config: the session config with the tenant's own
-   memory budget (when set). The pool field is ignored by Session.run —
-   the session pool always executes. *)
-let tenant_config session tn =
-  match tn.tn_mem_budget with
-  | None -> None
-  | Some b -> Some (Config.with_mem_budget (Some b) (Session.config session))
-
-let lanes_of session tenants =
-  match (Session.config session).Config.max_inflight with
-  | Some k -> k
-  | None -> List.length tenants
-
-(* [max_queue] is the per-tenant deepest backlog, measured by both modes
-   (sim: scheduler queues; concurrent: admission-gate waiters) — never a
-   placeholder. [breaker_opens] maps tenant name -> opens. *)
-let assemble ?(cache_base = (0, 0, 0)) ~lanes ~wall_s ~max_queue ~breaker_opens
-    ~(breaker_totals : int * int * int) session tenants results sheds =
-  let by_tenant name = List.filter (fun r -> r.qr_tenant = name) results in
-  let count p = List.length (List.filter p results) in
-  let sv_tenants =
-    List.map
-      (fun tn ->
-        let rs = by_tenant tn.tn_name in
-        {
-          tc_name = tn.tn_name;
-          tc_weight = tn.tn_weight;
-          tc_admissions = List.length rs;
-          tc_max_queue = max_queue tn.tn_name;
-          tc_shed =
-            List.length
-              (List.filter (fun s -> s.sh_tenant = tn.tn_name) sheds);
-          tc_breaker_opens = breaker_opens tn.tn_name;
-          tc_queue_wait_s =
-            List.fold_left (fun a r -> a +. (r.qr_start_s -. r.qr_arrival_s)) 0.0 rs;
-          tc_service_s = List.fold_left (fun a r -> a +. r.qr_service_s) 0.0 rs;
-        })
-      tenants
-  in
-  let opens, half_opens, closes = breaker_totals in
-  {
-    sv_results = results;
-    sv_shed = sheds;
-    sv_tenants;
-    sv_cache =
-      (let bh, bm, be = cache_base in
-       match Session.plan_cache_stats session with
-       | Some s ->
-           Some
-             {
-               s with
-               Plan_cache.hits = s.Plan_cache.hits + bh;
-               misses = s.Plan_cache.misses + bm;
-               evictions = s.Plan_cache.evictions + be;
-             }
-       | None -> None);
-    sv_failed =
-      count (fun r ->
-          match r.qr_outcome with Session.Failed _ -> true | _ -> false);
-    sv_timed_out =
-      count (fun r ->
-          match r.qr_outcome with Session.Timed_out _ -> true | _ -> false);
-    sv_cancelled =
-      count (fun r ->
-          match r.qr_outcome with Session.Cancelled _ -> true | _ -> false);
-    sv_degraded = count (fun r -> r.qr_degrade > 0);
-    sv_breaker_opens = opens;
-    sv_breaker_half_opens = half_opens;
-    sv_breaker_closes = closes;
-    sv_lanes = lanes;
-    sv_makespan_s = List.fold_left (fun a r -> max a r.qr_finish_s) 0.0 results;
-    sv_wall_s = wall_s;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Durability: journal records, snapshots and recovery                  *)
@@ -342,9 +246,9 @@ let encode_arrival sub (ev : Arrival.event) =
   Printf.sprintf "arrival sub=%d at=%s tenant=%s query=%s" sub
     (fhex ev.Arrival.at_s) ev.Arrival.tenant ev.Arrival.query
 
-let encode_shed s =
-  Printf.sprintf "shed sub=%d at=%s reason=%s" s.sh_sub (fhex s.sh_at_s)
-    (shed_reason_to_string s.sh_reason)
+let encode_shed (s : Sched.shed) =
+  Printf.sprintf "shed sub=%d at=%s reason=%s" s.Sched.sd_sub (fhex s.Sched.sd_at_s)
+    (shed_reason_to_string s.Sched.sd_reason)
 
 let encode_dispatch sub ~start ~level =
   Printf.sprintf "dispatch sub=%d start=%s level=%d" sub (fhex start) level
@@ -366,57 +270,54 @@ let encode_outcome ~evictions (r : query_result) =
     r.qr_degrade evictions (fhex r.qr_service_s) (fhex r.qr_start_s)
     (fhex r.qr_finish_s) (fhex at) reason
 
-(* A journaled outcome, as replay sees it. *)
-type jout = {
-  jo_sub : int;
-  jo_status : string;
-  jo_cache : string;
-  jo_degrade : int;
-  jo_evictions : int;
-  jo_service : float;
-  jo_start : float;
-  jo_finish : float;
-  jo_at : float;
-  jo_reason : string;
-}
+let check_sub what (evs : Arrival.event array) sub =
+  if sub < 0 || sub >= Array.length evs then
+    raise (Recovery_error (Printf.sprintf "journal: %s %d out of range" what sub))
 
-let decode_outcome payload =
-  let fs = fields_of payload in
-  {
-    jo_sub = int_field "sub" fs;
-    jo_status = field "status" fs;
-    jo_cache = field "cache" fs;
-    jo_degrade = int_field "degrade" fs;
-    jo_evictions = int_field "evictions" fs;
-    jo_service = fval (field "service" fs);
-    jo_start = fval (field "start" fs);
-    jo_finish = fval (field "finish" fs);
-    jo_at = fval (field "at" fs);
-    jo_reason = reason_field payload;
-  }
-
-(* Status-faithful placeholder for an outcome rebuilt from the journal:
-   the constructor, times and cache classification are exact (they feed
-   the fingerprint); the value/ctx and engine metrics of the original run
-   are not re-materialised — [recovery_replayed] marks the outcome so
+(* An outcome record rebuilt as the query's result and the evictions its
+   compile caused. The outcome is a status-faithful placeholder: the
+   constructor, times and cache classification are exact (they feed the
+   fingerprint); the value/ctx and engine metrics of the original run are
+   not re-materialised — [recovery_replayed] marks the outcome so
    consumers can tell. The query is NOT re-executed: that is the
    exactly-once half of recovery. *)
-let replayed_outcome jo =
+let decode_outcome evs payload =
+  let fs = fields_of payload in
+  let sub = int_field "sub" fs in
+  check_sub "sub" evs sub;
+  let ev = evs.(sub) in
+  let cache = cache_of_string (field "cache" fs) in
+  let evictions = int_field "evictions" fs in
+  let at_s = fval (field "at" fs) and reason = reason_field payload in
   let m = Metrics.create () in
   m.Metrics.recovery_replayed <- 1;
-  (match jo.jo_cache with
-  | "hit" -> m.Metrics.plan_cache_hits <- 1
-  | "miss" -> m.Metrics.plan_cache_misses <- 1
-  | _ -> ());
-  m.Metrics.plan_cache_evictions <- jo.jo_evictions;
-  match jo.jo_status with
-  | "finished" ->
-      Session.Finished { Session.value = Value.Unit; metrics = m; ctx = Session.make_ctx [] }
-  | "failed" -> Session.Failed { reason = jo.jo_reason; metrics = m }
-  | "timed_out" -> Session.Timed_out { at_s = jo.jo_at; metrics = m }
-  | "cancelled" ->
-      Session.Cancelled { at_s = jo.jo_at; reason = jo.jo_reason; metrics = m }
-  | s -> raise (Recovery_error (Printf.sprintf "journal: unknown outcome status %S" s))
+  (match cache with
+  | Session.Hit -> m.Metrics.plan_cache_hits <- 1
+  | Session.Miss -> m.Metrics.plan_cache_misses <- 1
+  | Session.Uncached -> ());
+  m.Metrics.plan_cache_evictions <- evictions;
+  let outcome =
+    match field "status" fs with
+    | "finished" ->
+        Session.Finished { Session.value = Value.Unit; metrics = m; ctx = Session.make_ctx [] }
+    | "failed" -> Session.Failed { reason; metrics = m }
+    | "timed_out" -> Session.Timed_out { at_s; metrics = m }
+    | "cancelled" -> Session.Cancelled { at_s; reason; metrics = m }
+    | s -> raise (Recovery_error (Printf.sprintf "journal: unknown outcome status %S" s))
+  in
+  ( {
+      qr_sub = sub;
+      qr_tenant = ev.Arrival.tenant;
+      qr_query = ev.Arrival.query;
+      qr_arrival_s = ev.Arrival.at_s;
+      qr_start_s = fval (field "start" fs);
+      qr_finish_s = fval (field "finish" fs);
+      qr_service_s = fval (field "service" fs);
+      qr_cache = cache;
+      qr_outcome = outcome;
+      qr_degrade = int_field "degrade" fs;
+    },
+    evictions )
 
 (* Journal cursor: the re-simulation regenerates the record stream from
    the top; records before [j_first] were compacted away (nothing to
@@ -455,25 +356,40 @@ let jwrite j payload =
 let j_live j = j.j_idx > j.j_first + Array.length j.j_existing
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic sim mode                                               *)
+(* The driver                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sim ?(quantum_s = 1.0) ?policy ?durability ~recovering session tenants
-    workload events =
+(* One serve run: the fixed inputs, the journal cursor and what recovery
+   counts. Scheduler state lives in a [Sched.state] whose results are
+   the query result and the plan-cache evictions its compile caused. *)
+type ctx = {
+  session : Session.t;
+  pol : policy;
+  evs : Arrival.event array;
+  tarr : tenant array;
+  workload : workload;
+  journal : jctx option;
+  mutable cache_base : int * int * int;
+      (* counted cache stats recovered from the journal or a snapshot;
+         reported totals = this base + the live session's own counts *)
+  mutable replayed : int;
+  mutable resubmitted : int;
+}
+
+type state = (query_result * int) Sched.state
+
+let program ctx sub = List.assoc ctx.evs.(sub).Arrival.query ctx.workload
+
+let setup ?(quantum_s = 1.0) ?policy ?durability session tenants workload events =
   validate tenants workload events;
-  if not (quantum_s > 0.0) then
-    invalid_arg "Serve.run_sim: quantum must be > 0";
-  let wall0 = Unix.gettimeofday () in
+  if not (quantum_s > 0.0) then invalid_arg "Serve.run_sim: quantum must be > 0";
   let evs = Array.of_list events in
-  let n = Array.length evs in
-  let nt = List.length tenants in
   let tarr = Array.of_list tenants in
-  let tindex =
-    let tbl = Hashtbl.create nt in
-    Array.iteri (fun i t -> Hashtbl.replace tbl t.tn_name i) tarr;
-    fun name -> Hashtbl.find tbl name
+  let lanes =
+    match (Session.config session).Config.max_inflight with
+    | Some k -> max 1 k
+    | None -> max 1 (Array.length tarr)
   in
-  let lanes = max 1 (lanes_of session tenants) in
   let pol =
     match policy with
     | Some p -> p
@@ -482,792 +398,412 @@ let sim ?(quantum_s = 1.0) ?policy ?durability ~recovering session tenants
   (match pol.pl_max_queue with
   | Some k when k < 1 -> invalid_arg "Serve: max_queue must be >= 1"
   | _ -> ());
-  (* submission order sorted by arrival time, sub id breaking ties *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun i j -> compare evs.(i).Arrival.at_s evs.(j).Arrival.at_s)
-    order;
-  let lane_free = Array.make lanes 0.0 in
-  let queues = Array.init nt (fun _ -> Queue.create ()) in
-  let deficit = Array.make nt 0.0 in
-  let max_queue = Array.make nt 0 in
-  let breaker = Array.make nt (Br_closed 0) in
-  let breaker_opens = Array.make nt 0 in
-  let br_half_opens = ref 0 in
-  let br_closes = ref 0 in
-  let results = Array.make n None in
-  let sheds = ref [] in
-  let next = ref 0 in
-  let accounted = ref 0 in
-  let rr = ref 0 in
-  (* --- durability state ------------------------------------------- *)
-  let jctx =
-    match durability with
-    | None -> None
-    | Some { du_wal; du_snapshot_every } ->
-        Some
-          {
-            j_wal = du_wal;
-            j_existing = Wal.records du_wal;
-            j_first = Wal.first_seq du_wal;
-            j_idx = 0;
-            j_snap_every = du_snapshot_every;
-            j_outcomes = 0;
-          }
+  let tindex = Hashtbl.create (Array.length tarr) in
+  Array.iteri (fun i t -> Hashtbl.replace tindex t.tn_name i) tarr;
+  let journal =
+    Option.map
+      (fun { du_wal; du_snapshot_every } ->
+        {
+          j_wal = du_wal;
+          j_existing = Wal.records du_wal;
+          j_first = Wal.first_seq du_wal;
+          j_idx = 0;
+          j_snap_every = du_snapshot_every;
+          j_outcomes = 0;
+        })
+      durability
   in
-  (* Outcomes already in the journal, by submission id: replay uses them
-     instead of re-executing (exactly-once). A journaled dispatch with no
-     outcome — the query in flight at the crash — is absent here, so the
-     re-simulation re-submits it idempotently at its original point. *)
-  let memo = Hashtbl.create 64 in
-  (match jctx with
-  | Some j when recovering ->
-      Array.iter
-        (fun payload ->
-          if String.starts_with ~prefix:"outcome " payload then
-            let jo = decode_outcome payload in
-            Hashtbl.replace memo jo.jo_sub jo)
-        j.j_existing
-  | _ -> ());
-  (* Counted cache stats recovered from the journal/snapshot; reported
-     totals = this base + the live session's own counts. *)
-  let cache_base = ref (0, 0, 0) in
-  let add_base (h, mi, e) =
-    let bh, bm, be = !cache_base in
-    cache_base := (bh + h, bm + mi, be + e)
+  let st : state =
+    Sched.create ~quantum_s
+      ~weights:(Array.map (fun t -> t.tn_weight) tarr)
+      ~lanes
+      ~arrivals:(Array.map (fun e -> e.Arrival.at_s) evs)
+      ~tenant_of:(Array.map (fun e -> Hashtbl.find tindex e.Arrival.tenant) evs)
   in
-  let evict_of = Array.make (max 1 n) 0 in
-  let replayed = ref 0 in
-  let resubmitted = ref 0 in
-  let snapshot_used = ref None in
-  let tracer =
-    match (Session.config session).Config.trace with
-    | Some tr -> tr
-    | None -> Trace.global ()
+  ( { session; pol; evs; tarr; workload; journal; cache_base = (0, 0, 0);
+      replayed = 0; resubmitted = 0 },
+    st )
+
+(* Live execution. The tenant's memory budget overrides the session's;
+   the deadline is end-to-end (arrival -> finish), so the engine gets
+   what the queue wait left over. Ladder level 1 halves the execution
+   slice (dop), level 2 also turns speculative straggler copies off. *)
+let submit ctx (r : Sched.run) =
+  let ev = ctx.evs.(r.Sched.sub) in
+  let prog, tables = program ctx r.Sched.sub in
+  let base = Session.config ctx.session in
+  let base =
+    match ctx.tarr.(r.Sched.tenant).tn_mem_budget with
+    | Some b -> Config.with_mem_budget (Some b) base
+    | None -> base
   in
-  let shed ~at_s ~reason sub =
-    let ev = evs.(sub) in
-    let rec_ =
-      {
-        sh_sub = sub;
-        sh_tenant = ev.Arrival.tenant;
-        sh_query = ev.Arrival.query;
-        sh_arrival_s = ev.Arrival.at_s;
-        sh_at_s = at_s;
-        sh_reason = reason;
-      }
-    in
-    sheds := rec_ :: !sheds;
-    (match jctx with Some j -> jwrite j (encode_shed rec_) | None -> ());
-    incr accounted
+  let config =
+    match ctx.pol.pl_deadline_s with
+    | Some d -> Config.with_deadline_s (Some (d -. (r.Sched.start -. ev.Arrival.at_s))) base
+    | None -> base
   in
-  (* Admission: drain cutoff and the bounded queue apply at arrival time.
-     A full queue picks its victim — the arriving query or the oldest
-     queued one — by a seeded hash of the arriving sub id, so the choice
-     is a pure function of (seed, trace), never of scheduling order. *)
-  let enqueue_until t =
-    while !next < n && evs.(order.(!next)).Arrival.at_s <= t do
-      let sub = order.(!next) in
-      let at_s = evs.(sub).Arrival.at_s in
-      let ti = tindex evs.(sub).Arrival.tenant in
-      incr next;
-      let drained =
-        match pol.pl_drain_after_s with
-        | Some d when at_s > d ->
-            shed ~at_s ~reason:Shed_drain sub;
-            true
-        | _ -> false
+  let cluster =
+    if r.Sched.level < 1 then None
+    else
+      let c = (Session.runtime ctx.session).Session.cluster in
+      let c =
+        if c.Cluster.slots_per_node > 1 then
+          { c with Cluster.slots_per_node = max 1 (c.Cluster.slots_per_node / 2) }
+        else { c with Cluster.nodes = max 1 (c.Cluster.nodes / 2) }
       in
-      if not drained then begin
-        (match pol.pl_max_queue with
-        | Some k when Queue.length queues.(ti) >= k ->
-            if Prng.hash_int ~seed:pol.pl_seed [ sub ] 2 = 0 then
-              (* drop the arriving query *)
-              shed ~at_s ~reason:Shed_queue_full sub
-            else begin
-              (* drop the oldest queued one to admit the fresh arrival *)
-              shed ~at_s ~reason:Shed_queue_full (Queue.pop queues.(ti));
-              Queue.add sub queues.(ti)
-            end
-        | _ -> Queue.add sub queues.(ti));
-        max_queue.(ti) <- max max_queue.(ti) (Queue.length queues.(ti))
-      end
-    done
+      if r.Sched.level < 2 then Some c
+      else
+        Some
+          { c with Cluster.recovery = { c.Cluster.recovery with Cluster.speculate = false } }
   in
-  let queues_empty () = Array.for_all Queue.is_empty queues in
-  let total_depth () =
-    Array.fold_left (fun a q -> a + Queue.length q) 0 queues
+  let outcome, info = Session.submit ~config ?cluster ctx.session prog ~tables in
+  let m = Session.metrics_of_outcome outcome in
+  ( outcome,
+    info.Session.si_compile_s +. m.Metrics.sim_time_s,
+    info.Session.si_cache,
+    info.Session.si_evictions )
+
+(* Recovery execution. A query whose outcome is journaled is not run
+   again (exactly-once): the plan cache is warmed exactly as the original
+   probe/store did (stats-neutral; the counted stats ride [cache_base])
+   and the result is rebuilt from the journal. A journaled dispatch with
+   no outcome — the query in flight at the crash — is re-submitted under
+   its original sub id. *)
+let replay memo ctx (r : Sched.run) =
+  match Hashtbl.find_opt memo r.Sched.sub with
+  | None ->
+      (match ctx.journal with
+      | Some j when not (j_live j) -> ctx.resubmitted <- ctx.resubmitted + 1
+      | _ -> ());
+      submit ctx r
+  | Some (qr, evictions) ->
+      ctx.replayed <- ctx.replayed + 1;
+      if qr.qr_cache <> Session.Uncached then begin
+        let prog, tables = program ctx r.Sched.sub in
+        Session.prime ctx.session prog ~tables
+      end;
+      let bh, bm, be = ctx.cache_base in
+      ctx.cache_base <-
+        ( (bh + if qr.qr_cache = Session.Hit then 1 else 0),
+          (bm + if qr.qr_cache = Session.Miss then 1 else 0),
+          be + evictions );
+      (qr.qr_outcome, qr.qr_service_s, qr.qr_cache, evictions)
+
+(* --- snapshots: the scheduler state, printed and parsed ------------- *)
+
+(* Full scheduler state at a record boundary: restoring it and then
+   replaying only the journal suffix reproduces the exact state a
+   full-journal replay would reach — snapshots are purely a recovery-
+   time optimisation, never a semantic input. Cache contents are
+   persisted as LRU-ordered query names; re-priming them rebuilds both
+   the population and the recency order. *)
+let snapshot_payload ctx (st : state) j =
+  let b = Buffer.create 1024 in
+  let live =
+    match Session.plan_cache_stats ctx.session with
+    | Some s -> s
+    | None -> { Plan_cache.hits = 0; misses = 0; evictions = 0; entries = 0 }
   in
-  (* Degradation ladder: one level per [pl_degrade_depth] queries of total
-     backlog, capped at 3. Level 1 halves the execution slice (dop),
-     level 2 also disables speculative copies, level 3 additionally
-     admits only plan-cache hits (cold compiles are shed). *)
-  let degrade_level () =
-    match pol.pl_degrade_depth with
-    | None -> 0
-    | Some d -> min 3 (total_depth () / max 1 d)
+  let bh, bm, be = ctx.cache_base in
+  Buffer.add_string b
+    (Printf.sprintf
+       "snapshot v=1 covers=%d next=%d accounted=%d rr=%d half_opens=%d \
+        closes=%d outcomes=%d hits=%d misses=%d evictions=%d\n"
+       j.j_idx st.Sched.next st.Sched.accounted st.Sched.rr st.Sched.half_opens
+       st.Sched.closes j.j_outcomes (bh + live.Plan_cache.hits)
+       (bm + live.Plan_cache.misses)
+       (be + live.Plan_cache.evictions));
+  let line tag show a =
+    Buffer.add_string b tag;
+    Array.iter (fun v -> Buffer.add_string b (" " ^ show v)) a;
+    Buffer.add_char b '\n'
   in
-  let halve_cluster (c : Cluster.t) =
-    if c.Cluster.slots_per_node > 1 then
-      { c with Cluster.slots_per_node = max 1 (c.Cluster.slots_per_node / 2) }
-    else { c with Cluster.nodes = max 1 (c.Cluster.nodes / 2) }
+  line "lanes" fhex st.Sched.lane_free;
+  line "deficit" fhex st.Sched.deficit;
+  line "maxq" string_of_int st.Sched.max_queue;
+  line "bropens" string_of_int st.Sched.breaker_opens;
+  Array.iteri
+    (fun ti q -> line (Printf.sprintf "queue %d" ti) string_of_int (Array.of_seq (Queue.to_seq q)))
+    st.Sched.queues;
+  Array.iteri
+    (fun ti br ->
+      Buffer.add_string b
+        (match br with
+        | Sched.Br_closed k -> Printf.sprintf "breaker %d closed %d\n" ti k
+        | Sched.Br_open until -> Printf.sprintf "breaker %d open %s\n" ti (fhex until)
+        | Sched.Br_half_open -> Printf.sprintf "breaker %d half\n" ti))
+    st.Sched.breakers;
+  let key2name =
+    List.map (fun (name, (prog, tables)) -> (Session.plan_key prog ~tables, name)) ctx.workload
   in
-  (* Deficit round-robin, post-paid: visit tenants in a fixed rotation;
-     an empty queue forfeits its deficit, a backlogged tenant earns
-     quantum x weight per visit and runs once its balance is positive
-     (the actual simulated service cost is debited after the run). Every
-     backlogged tenant's balance grows every full rotation, so no tenant
-     starves; the rotation order and the sub-id queue order make the
-     pick a pure function of the trace. *)
-  let drr_pick () =
-    let rec go () =
-      let i = !rr in
-      rr := (!rr + 1) mod nt;
-      if Queue.is_empty queues.(i) then begin
-        deficit.(i) <- 0.0;
-        go ()
-      end
-      else begin
-        deficit.(i) <-
-          deficit.(i) +. (quantum_s *. float_of_int tarr.(i).tn_weight);
-        if deficit.(i) > 0.0 then i else go ()
-      end
-    in
-    go ()
+  line "lru"
+    (fun key ->
+      match List.assoc_opt key key2name with
+      | Some name -> name
+      | None -> raise (Recovery_error "snapshot: cached plan not in the workload"))
+    (Array.of_list (Session.plan_cache_keys ctx.session));
+  Array.iter
+    (Option.iter (fun (r, evictions) ->
+         Buffer.add_string b ("result " ^ encode_outcome ~evictions r ^ "\n")))
+    st.Sched.results;
+  List.iter
+    (fun s -> Buffer.add_string b ("shedrec " ^ encode_shed s ^ "\n"))
+    (List.rev st.Sched.sheds);
+  Buffer.contents b
+
+let shed_of_payload ctx payload =
+  let fs = fields_of payload in
+  let sub = int_field "sub" fs in
+  check_sub "shed sub" ctx.evs sub;
+  { Sched.sd_sub = sub;
+    sd_at_s = fval (field "at" fs);
+    sd_reason = shed_reason_of_string (field "reason" fs) }
+
+let restore_line ctx (st : state) line =
+  let iv s =
+    match int_of_string_opt s with
+    | Some i -> i
+    | None -> raise (Recovery_error (Printf.sprintf "snapshot: bad integer %S" s))
   in
-  let record_breaker_outcome ti ~finish outcome =
-    let bad =
-      match outcome with
-      | Session.Finished _ -> false
-      | Session.Failed _ | Session.Timed_out _ | Session.Cancelled _ -> true
-    in
-    match pol.pl_breaker with
-    | None -> ()
-    | Some { Config.br_threshold; br_cooldown_s } -> (
-        match breaker.(ti) with
-        | Br_closed k ->
-            if bad then
-              if k + 1 >= br_threshold then begin
-                breaker.(ti) <- Br_open (finish +. br_cooldown_s);
-                breaker_opens.(ti) <- breaker_opens.(ti) + 1
-              end
-              else breaker.(ti) <- Br_closed (k + 1)
-            else if k > 0 then breaker.(ti) <- Br_closed 0
-        | Br_half_open ->
-            if bad then begin
-              breaker.(ti) <- Br_open (finish +. br_cooldown_s);
-              breaker_opens.(ti) <- breaker_opens.(ti) + 1
-            end
-            else begin
-              breaker.(ti) <- Br_closed 0;
-              incr br_closes
-            end
-        | Br_open _ ->
-            (* unreachable: open circuits never dispatch *)
-            ())
+  let fill dst conv vs what =
+    let a = Array.of_list (List.map conv vs) in
+    if Array.length a <> Array.length dst then
+      raise
+        (Recovery_error
+           (Printf.sprintf
+              "snapshot: %s count mismatch — was the journal written with a \
+               different configuration?"
+              what));
+    Array.blit a 0 dst 0 (Array.length dst)
   in
-  (* --- snapshots ---------------------------------------------------- *)
-  let result_of_jout jo =
-    if jo.jo_sub < 0 || jo.jo_sub >= n then
-      raise (Recovery_error (Printf.sprintf "journal: sub %d out of range" jo.jo_sub));
-    let ev = evs.(jo.jo_sub) in
-    evict_of.(jo.jo_sub) <- jo.jo_evictions;
+  let tenant_index ti =
+    let ti = iv ti in
+    if ti < 0 || ti >= Array.length ctx.tarr then
+      raise (Recovery_error "snapshot: tenant index out of range");
+    ti
+  in
+  let tail k = String.sub line k (String.length line - k) in
+  match String.split_on_char ' ' line with
+  | [ "" ] -> ()
+  | "lanes" :: vs -> fill st.Sched.lane_free fval vs "lane"
+  | "deficit" :: vs -> fill st.Sched.deficit fval vs "tenant"
+  | "maxq" :: vs -> fill st.Sched.max_queue iv vs "tenant"
+  | "bropens" :: vs -> fill st.Sched.breaker_opens iv vs "tenant"
+  | "queue" :: ti :: subs ->
+      let q = st.Sched.queues.(tenant_index ti) in
+      Queue.clear q;
+      List.iter (fun s -> Queue.add (iv s) q) subs
+  | "breaker" :: ti :: br ->
+      st.Sched.breakers.(tenant_index ti) <-
+        (match br with
+        | [ "closed"; k ] -> Sched.Br_closed (iv k)
+        | [ "open"; u ] -> Sched.Br_open (fval u)
+        | [ "half" ] -> Sched.Br_half_open
+        | _ -> raise (Recovery_error "snapshot: bad breaker state"))
+  | "lru" :: names ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt name ctx.workload with
+          | Some (prog, tables) -> Session.prime ctx.session prog ~tables
+          | None -> raise (Recovery_error (Printf.sprintf "snapshot: unknown query %S" name)))
+        names
+  | "result" :: _ ->
+      let ((qr, _) as r) = decode_outcome ctx.evs (tail 7) in
+      ctx.replayed <- ctx.replayed + 1;
+      st.Sched.results.(qr.qr_sub) <- Some r
+  | "shedrec" :: _ -> st.Sched.sheds <- shed_of_payload ctx (tail 8) :: st.Sched.sheds
+  | _ -> raise (Recovery_error (Printf.sprintf "snapshot: bad line %S" line))
+
+let restore_snapshot ctx (st : state) j covers payload =
+  match String.split_on_char '\n' payload with
+  | [] -> raise (Recovery_error "snapshot: empty")
+  | header :: rest ->
+      let fs = fields_of header in
+      if field "v" fs <> "1" then raise (Recovery_error "snapshot: unknown version");
+      if int_field "covers" fs <> covers then raise (Recovery_error "snapshot: covers mismatch");
+      st.Sched.next <- int_field "next" fs;
+      st.Sched.accounted <- int_field "accounted" fs;
+      st.Sched.rr <- int_field "rr" fs;
+      st.Sched.half_opens <- int_field "half_opens" fs;
+      st.Sched.closes <- int_field "closes" fs;
+      j.j_outcomes <- int_field "outcomes" fs;
+      ctx.cache_base <- (int_field "hits" fs, int_field "misses" fs, int_field "evictions" fs);
+      List.iter (restore_line ctx st) rest;
+      j.j_idx <- covers
+
+(* --- the loop ------------------------------------------------------- *)
+
+(* One dispatch: journal it, execute it, settle it, journal its outcome
+   (and a snapshot when one is due), and charge the journal's appends,
+   bytes and fsyncs to the query's metrics. *)
+let run_one ctx (st : state) ~exec (r : Sched.run) =
+  let ws0 = Option.map (fun j -> Wal.stats j.j_wal) ctx.journal in
+  Option.iter
+    (fun j -> jwrite j (encode_dispatch r.Sched.sub ~start:r.Sched.start ~level:r.Sched.level))
+    ctx.journal;
+  let outcome, service, cache, evictions = exec ctx r in
+  let ev = ctx.evs.(r.Sched.sub) in
+  let qr =
     {
-      qr_sub = jo.jo_sub;
+      qr_sub = r.Sched.sub;
       qr_tenant = ev.Arrival.tenant;
       qr_query = ev.Arrival.query;
       qr_arrival_s = ev.Arrival.at_s;
-      qr_start_s = jo.jo_start;
-      qr_finish_s = jo.jo_finish;
-      qr_service_s = jo.jo_service;
-      qr_cache = cache_of_string jo.jo_cache;
-      qr_outcome = replayed_outcome jo;
-      qr_degrade = jo.jo_degrade;
+      qr_start_s = r.Sched.start;
+      qr_finish_s = r.Sched.start +. service;
+      qr_service_s = service;
+      qr_cache = cache;
+      qr_outcome = outcome;
+      qr_degrade = r.Sched.level;
     }
   in
-  let shed_of_payload payload =
-    let fs = fields_of payload in
-    let sub = int_field "sub" fs in
-    if sub < 0 || sub >= n then
-      raise (Recovery_error (Printf.sprintf "journal: shed sub %d out of range" sub));
-    let ev = evs.(sub) in
-    {
-      sh_sub = sub;
-      sh_tenant = ev.Arrival.tenant;
-      sh_query = ev.Arrival.query;
-      sh_arrival_s = ev.Arrival.at_s;
-      sh_at_s = fval (field "at" fs);
-      sh_reason = shed_reason_of_string (field "reason" fs);
-    }
-  in
-  (* Full scheduler state at a record boundary: restoring it and then
-     replaying only the journal suffix reproduces the exact state a
-     full-journal replay would reach — snapshots are purely a recovery-
-     time optimisation, never a semantic input. Cache contents are
-     persisted as LRU-ordered query names; re-priming them rebuilds both
-     the population and the recency order. *)
-  let snapshot_payload j covers =
-    let b = Buffer.create 1024 in
-    let live =
-      match Session.plan_cache_stats session with
-      | Some s -> s
-      | None -> { Plan_cache.hits = 0; misses = 0; evictions = 0; entries = 0 }
-    in
-    let bh, bm, be = !cache_base in
-    Buffer.add_string b
-      (Printf.sprintf
-         "snapshot v=1 covers=%d next=%d accounted=%d rr=%d half_opens=%d \
-          closes=%d outcomes=%d hits=%d misses=%d evictions=%d\n"
-         covers !next !accounted !rr !br_half_opens !br_closes j.j_outcomes
-         (bh + live.Plan_cache.hits)
-         (bm + live.Plan_cache.misses)
-         (be + live.Plan_cache.evictions));
-    let fline tag a =
-      Buffer.add_string b
-        (tag ^ String.concat "" (List.map (fun v -> " " ^ fhex v) (Array.to_list a)) ^ "\n")
-    in
-    let iline tag a =
-      Buffer.add_string b
-        (tag
-        ^ String.concat "" (List.map (fun v -> " " ^ string_of_int v) (Array.to_list a))
-        ^ "\n")
-    in
-    fline "lanes" lane_free;
-    fline "deficit" deficit;
-    iline "maxq" max_queue;
-    iline "bropens" breaker_opens;
-    Array.iteri
-      (fun ti q ->
-        Buffer.add_string b (Printf.sprintf "queue %d" ti);
-        Queue.iter (fun sub -> Buffer.add_string b (Printf.sprintf " %d" sub)) q;
-        Buffer.add_char b '\n')
-      queues;
-    Array.iteri
-      (fun ti st ->
-        Buffer.add_string b
-          (match st with
-          | Br_closed k -> Printf.sprintf "breaker %d closed %d\n" ti k
-          | Br_open until -> Printf.sprintf "breaker %d open %s\n" ti (fhex until)
-          | Br_half_open -> Printf.sprintf "breaker %d half\n" ti))
-      breaker;
-    let key2name =
-      List.map
-        (fun (name, (prog, tables)) -> (Session.plan_key prog ~tables, name))
-        workload
-    in
-    Buffer.add_string b "lru";
-    List.iter
-      (fun key ->
-        match List.assoc_opt key key2name with
-        | Some name -> Buffer.add_string b (" " ^ name)
-        | None ->
-            raise (Recovery_error "snapshot: cached plan not in the workload"))
-      (Session.plan_cache_keys session);
-    Buffer.add_char b '\n';
-    Array.iter
-      (function
-        | Some r ->
-            Buffer.add_string b
-              ("result " ^ encode_outcome ~evictions:evict_of.(r.qr_sub) r ^ "\n")
-        | None -> ())
-      results;
-    List.iter
-      (fun s -> Buffer.add_string b ("shedrec " ^ encode_shed s ^ "\n"))
-      (List.rev !sheds);
-    Buffer.contents b
-  in
-  let restore_snapshot j covers payload =
-    let header, rest =
-      match String.split_on_char '\n' payload with
-      | h :: r -> (h, r)
-      | [] -> raise (Recovery_error "snapshot: empty")
-    in
-    let fs = fields_of header in
-    if field "v" fs <> "1" then raise (Recovery_error "snapshot: unknown version");
-    if int_field "covers" fs <> covers then
-      raise (Recovery_error "snapshot: covers mismatch");
-    next := int_field "next" fs;
-    accounted := int_field "accounted" fs;
-    rr := int_field "rr" fs;
-    br_half_opens := int_field "half_opens" fs;
-    br_closes := int_field "closes" fs;
-    j.j_outcomes <- int_field "outcomes" fs;
-    cache_base := (int_field "hits" fs, int_field "misses" fs, int_field "evictions" fs);
-    let iv s =
-      match int_of_string_opt s with
-      | Some i -> i
-      | None -> raise (Recovery_error (Printf.sprintf "snapshot: bad integer %S" s))
-    in
-    let fill_floats dst vs what =
-      let a = Array.of_list (List.map fval vs) in
-      if Array.length a <> Array.length dst then
-        raise
-          (Recovery_error
-             (Printf.sprintf
-                "snapshot: %s count mismatch — was the journal written with a \
-                 different configuration?"
-                what));
-      Array.blit a 0 dst 0 (Array.length dst)
-    in
-    let fill_ints dst vs what =
-      let a = Array.of_list (List.map iv vs) in
-      if Array.length a <> Array.length dst then
-        raise (Recovery_error (Printf.sprintf "snapshot: %s count mismatch" what));
-      Array.blit a 0 dst 0 (Array.length dst)
-    in
-    List.iter
-      (fun line ->
-        if line <> "" then
-          match String.split_on_char ' ' line with
-          | "lanes" :: vs -> fill_floats lane_free vs "lane"
-          | "deficit" :: vs -> fill_floats deficit vs "tenant"
-          | "maxq" :: vs -> fill_ints max_queue vs "tenant"
-          | "bropens" :: vs -> fill_ints breaker_opens vs "tenant"
-          | "queue" :: ti :: subs ->
-              let ti = iv ti in
-              if ti < 0 || ti >= nt then
-                raise (Recovery_error "snapshot: tenant index out of range");
-              Queue.clear queues.(ti);
-              List.iter (fun s -> Queue.add (iv s) queues.(ti)) subs
-          | "breaker" :: ti :: st ->
-              let ti = iv ti in
-              if ti < 0 || ti >= nt then
-                raise (Recovery_error "snapshot: tenant index out of range");
-              breaker.(ti) <-
-                (match st with
-                | [ "closed"; k ] -> Br_closed (iv k)
-                | [ "open"; u ] -> Br_open (fval u)
-                | [ "half" ] -> Br_half_open
-                | _ -> raise (Recovery_error "snapshot: bad breaker state"))
-          | "lru" :: names ->
-              List.iter
-                (fun name ->
-                  match List.assoc_opt name workload with
-                  | Some (prog, tables) -> Session.prime session prog ~tables
-                  | None ->
-                      raise
-                        (Recovery_error
-                           (Printf.sprintf "snapshot: unknown query %S" name)))
-                names
-          | "result" :: _ ->
-              let jo =
-                decode_outcome (String.sub line 7 (String.length line - 7))
-              in
-              incr replayed;
-              results.(jo.jo_sub) <- Some (result_of_jout jo)
-          | "shedrec" :: _ ->
-              sheds :=
-                shed_of_payload (String.sub line 8 (String.length line - 8))
-                :: !sheds
-          | _ -> raise (Recovery_error (Printf.sprintf "snapshot: bad line %S" line)))
-      rest;
-    j.j_idx <- covers
-  in
-  (* --- recovery bootstrap ------------------------------------------ *)
-  (match jctx with
-  | Some j when recovering -> (
-      match Wal.load_snapshot j.j_wal with
-      | Some (covers, payload) ->
-          restore_snapshot j covers payload;
-          snapshot_used := Some covers
-      | None -> ())
-  | _ -> ());
-  (* Regenerate (and verify, or append) the preamble unless a snapshot
-     skipped the cursor past it. Snapshots are only ever written after
-     outcome records, which follow the full preamble, so the cursor is
-     either 0 or past the preamble entirely. *)
-  (match jctx with
+  let bad = match outcome with Session.Finished _ -> false | _ -> true in
+  Sched.settle ctx.pol st r ~service ~bad (qr, evictions);
+  match (ctx.journal, ws0) with
+  | Some j, Some s0 ->
+      jwrite j (encode_outcome ~evictions qr);
+      j.j_outcomes <- j.j_outcomes + 1;
+      (match j.j_snap_every with
+      | Some k when j.j_outcomes mod k = 0 && j_live j ->
+          Wal.write_snapshot j.j_wal ~covers:j.j_idx (snapshot_payload ctx st j)
+      | _ -> ());
+      let m = Session.metrics_of_outcome outcome in
+      let s1 = Wal.stats j.j_wal in
+      m.Metrics.wal_appends <- m.Metrics.wal_appends + s1.Wal.wa_appends - s0.Wal.wa_appends;
+      m.Metrics.wal_bytes <-
+        m.Metrics.wal_bytes +. float_of_int (s1.Wal.wa_bytes - s0.Wal.wa_bytes);
+      m.Metrics.wal_fsyncs <- m.Metrics.wal_fsyncs + s1.Wal.wa_fsyncs - s0.Wal.wa_fsyncs
+  | _ -> ()
+
+(* Regenerate (verify, or append) the preamble unless a snapshot moved
+   the cursor past it — snapshots follow outcome records, which follow
+   the full preamble — then journal and carry out every decision. *)
+let drive ctx (st : state) ~exec =
+  (match ctx.journal with
   | Some j when j.j_idx = 0 ->
       jwrite j
-        (encode_meta ~n ~lanes ~seed:pol.pl_seed ~quantum_s tenants workload);
-      Array.iteri (fun sub ev -> jwrite j (encode_arrival sub ev)) evs
+        (encode_meta ~n:(Array.length ctx.evs) ~lanes:(Array.length st.Sched.lane_free)
+           ~seed:ctx.pol.pl_seed ~quantum_s:st.Sched.quantum_s (Array.to_list ctx.tarr)
+           ctx.workload);
+      Array.iteri (fun sub ev -> jwrite j (encode_arrival sub ev)) ctx.evs
   | _ -> ());
-  (match jctx with
-  | Some j when recovering && Trace.enabled tracer ->
-      Trace.instant tracer ~cat:"recovery"
-        ~args:
-          [
-            ("journal_records", Trace.A_int (Array.length j.j_existing));
-            ("first_seq", Trace.A_int j.j_first);
-            ( "snapshot",
-              match !snapshot_used with
-              | Some c -> Trace.A_int c
-              | None -> Trace.A_str "none" );
-          ]
-        "recovery_start"
-  | _ -> ());
-  while !accounted < n do
-    (* earliest-free lane; lowest index breaks ties *)
-    let lane = ref 0 in
-    Array.iteri (fun i t -> if t < lane_free.(!lane) then lane := i) lane_free;
-    let now = lane_free.(!lane) in
-    enqueue_until now;
-    if queues_empty () then begin
-      (* idle: advance this lane to the next arrival. When the tail of
-         the trace was just shed at enqueue time there is no next
-         arrival — the loop condition has the final word. *)
-      if !next < n then
-        let t_next = evs.(order.(!next)).Arrival.at_s in
-        lane_free.(!lane) <- max now t_next
-    end
-    else begin
-      let ti = drr_pick () in
-      (* circuit state at dispatch time: open fast-fails the queue head
-         without occupying a lane; past the cool-down the first pick
-         half-opens and probes with that single query *)
-      let circuit_open =
-        match breaker.(ti) with
-        | Br_open until when now < until -> true
-        | Br_open _ ->
-            breaker.(ti) <- Br_half_open;
-            incr br_half_opens;
-            false
-        | _ -> false
-      in
-      if circuit_open then
-        shed ~at_s:now ~reason:Shed_breaker (Queue.pop queues.(ti))
-      else begin
-        let sub = Queue.pop queues.(ti) in
-        let ev = evs.(sub) in
-        let wait = now -. ev.Arrival.at_s in
-        let dead_on_dispatch =
-          match pol.pl_deadline_s with Some d -> wait >= d | None -> false
-        in
-        if dead_on_dispatch then
-          (* queue wait alone consumed the budget: shed instead of
-             burning a lane on a query that can only miss. Sheds never
-             ran, so they are not breaker outcomes. *)
-          shed ~at_s:now ~reason:Shed_deadline sub
-        else begin
-          let level = degrade_level () in
-          let prog, tables = List.assoc ev.Arrival.query workload in
-          if level >= 3 && not (Session.would_hit session prog ~tables) then
-            (* ladder level 3: plan-cache-only fast path — queries that
-               would compile cold are shed to keep the hit path alive *)
-            shed ~at_s:now ~reason:Shed_degraded sub
-          else begin
-            let ws0 =
-              match jctx with Some j -> Some (Wal.stats j.j_wal) | None -> None
-            in
-            let dispatch_live =
-              match jctx with
-              | Some j ->
-                  let live = j_live j || j.j_idx = j.j_first + Array.length j.j_existing in
-                  jwrite j (encode_dispatch sub ~start:now ~level);
-                  live
-              | None -> true
-            in
-            let memo_jo = if recovering then Hashtbl.find_opt memo sub else None in
-            let outcome, service, cache_status, evictions =
-              match memo_jo with
-              | Some jo ->
-                  (* exactly-once: the journal already holds this query's
-                     outcome — warm the plan cache exactly as the original
-                     probe/store did (stats-neutral; the counted stats ride
-                     [cache_base]) and rebuild the result without
-                     re-executing *)
-                  incr replayed;
-                  (match jo.jo_cache with
-                  | "hit" | "miss" -> Session.prime session prog ~tables
-                  | _ -> ());
-                  add_base
-                    ( (if jo.jo_cache = "hit" then 1 else 0),
-                      (if jo.jo_cache = "miss" then 1 else 0),
-                      jo.jo_evictions );
-                  ( replayed_outcome jo,
-                    jo.jo_service,
-                    cache_of_string jo.jo_cache,
-                    jo.jo_evictions )
-              | None ->
-                  (* live execution — either a normal run, or the query
-                     that was admitted but unfinished at the crash, now
-                     re-submitted idempotently under its original sub id *)
-                  if recovering && not dispatch_live then incr resubmitted;
-                  let config =
-                    let base =
-                      match tenant_config session tarr.(ti) with
-                      | Some c -> c
-                      | None -> Session.config session
-                    in
-                    (* remaining per-query budget: the deadline is
-                       end-to-end (arrival -> finish), so the engine gets
-                       what the queue wait left over *)
-                    let base =
-                      match pol.pl_deadline_s with
-                      | Some d -> Config.with_deadline_s (Some (d -. wait)) base
-                      | None -> base
-                    in
-                    Some base
-                  in
-                  (* level 1 halves the execution slice; level 2
-                     additionally turns speculative straggler copies off *)
-                  let cluster =
-                    if level < 1 then None
-                    else
-                      let c =
-                        halve_cluster (Session.runtime session).Session.cluster
-                      in
-                      Some
-                        (if level < 2 then c
-                         else
-                           {
-                             c with
-                             Cluster.recovery =
-                               {
-                                 c.Cluster.recovery with
-                                 Cluster.speculate = false;
-                               };
-                           })
-                  in
-                  let outcome, info =
-                    Session.submit ?config ?cluster session prog ~tables
-                  in
-                  let m = Session.metrics_of_outcome outcome in
-                  let service = info.Session.si_compile_s +. m.Metrics.sim_time_s in
-                  (outcome, service, info.Session.si_cache, info.Session.si_evictions)
-            in
-            deficit.(ti) <- deficit.(ti) -. service;
-            let start = now in
-            let finish = start +. service in
-            lane_free.(!lane) <- finish;
-            record_breaker_outcome ti ~finish outcome;
-            evict_of.(sub) <- evictions;
-            let r =
-              {
-                qr_sub = sub;
-                qr_tenant = ev.Arrival.tenant;
-                qr_query = ev.Arrival.query;
-                qr_arrival_s = ev.Arrival.at_s;
-                qr_start_s = start;
-                qr_finish_s = finish;
-                qr_service_s = service;
-                qr_cache = cache_status;
-                qr_outcome = outcome;
-                qr_degrade = level;
-              }
-            in
-            results.(sub) <- Some r;
-            incr accounted;
-            (match jctx with
-            | Some j ->
-                jwrite j (encode_outcome ~evictions r);
-                j.j_outcomes <- j.j_outcomes + 1;
-                (match j.j_snap_every with
-                | Some k when j.j_outcomes mod k = 0 && j_live j ->
-                    Wal.write_snapshot j.j_wal ~covers:j.j_idx
-                      (snapshot_payload j j.j_idx)
-                | _ -> ());
-                let m = Session.metrics_of_outcome outcome in
-                (match ws0 with
-                | Some s0 ->
-                    let s1 = Wal.stats j.j_wal in
-                    m.Metrics.wal_appends <-
-                      m.Metrics.wal_appends + s1.Wal.wa_appends - s0.Wal.wa_appends;
-                    m.Metrics.wal_bytes <-
-                      m.Metrics.wal_bytes
-                      +. float_of_int (s1.Wal.wa_bytes - s0.Wal.wa_bytes);
-                    m.Metrics.wal_fsyncs <-
-                      m.Metrics.wal_fsyncs + s1.Wal.wa_fsyncs - s0.Wal.wa_fsyncs
-                | None -> ())
-            | None -> ())
-          end
-        end
-      end
-    end
-  done;
-  let results =
-    Array.to_list results |> List.filter_map Fun.id
+  let would_hit sub =
+    let prog, tables = program ctx sub in
+    Session.would_hit ctx.session prog ~tables
   in
-  let sheds = List.sort (fun a b -> compare a.sh_sub b.sh_sub) !sheds in
-  (match jctx with
-  | Some j when recovering ->
-      Wal.sync j.j_wal;
-      if Trace.enabled tracer then
-        Trace.instant tracer ~cat:"recovery"
-          ~args:
-            [
-              ("replayed", Trace.A_int !replayed);
-              ("resubmitted", Trace.A_int !resubmitted);
-              ("journal_next", Trace.A_int j.j_idx);
-            ]
-          "recovery_done"
-  | Some j -> Wal.sync j.j_wal
-  | None -> ());
-  assemble ~cache_base:!cache_base ~lanes
-    ~wall_s:(Unix.gettimeofday () -. wall0)
-    ~max_queue:(fun name -> max_queue.(tindex name))
-    ~breaker_opens:(fun name -> breaker_opens.(tindex name))
-    ~breaker_totals:
-      (Array.fold_left ( + ) 0 breaker_opens, !br_half_opens, !br_closes)
-    session tenants results sheds
+  while not (Sched.finished st) do
+    match Sched.decide ~would_hit ctx.pol st with
+    | Sched.Idle -> ()
+    | Sched.Shed s -> Option.iter (fun j -> jwrite j (encode_shed s)) ctx.journal
+    | Sched.Run r -> run_one ctx st ~exec r
+  done;
+  Option.iter (fun j -> Wal.sync j.j_wal) ctx.journal
+
+let counters ctx (st : state) ~wall_s =
+  let results = List.filter_map (Option.map fst) (Array.to_list st.Sched.results) in
+  let sheds =
+    List.sort (fun a b -> compare a.Sched.sd_sub b.Sched.sd_sub) st.Sched.sheds
+    |> List.map (fun (s : Sched.shed) ->
+           let ev = ctx.evs.(s.Sched.sd_sub) in
+           {
+             sh_sub = s.Sched.sd_sub;
+             sh_tenant = ev.Arrival.tenant;
+             sh_query = ev.Arrival.query;
+             sh_arrival_s = ev.Arrival.at_s;
+             sh_at_s = s.Sched.sd_at_s;
+             sh_reason = s.Sched.sd_reason;
+           })
+  in
+  let count p = List.length (List.filter p results) in
+  let sv_tenants =
+    Array.to_list
+      (Array.mapi
+         (fun ti tn ->
+           let rs = List.filter (fun r -> r.qr_tenant = tn.tn_name) results in
+           {
+             tc_name = tn.tn_name;
+             tc_weight = tn.tn_weight;
+             tc_admissions = List.length rs;
+             tc_max_queue = st.Sched.max_queue.(ti);
+             tc_shed = List.length (List.filter (fun s -> s.sh_tenant = tn.tn_name) sheds);
+             tc_breaker_opens = st.Sched.breaker_opens.(ti);
+             tc_queue_wait_s =
+               List.fold_left (fun a r -> a +. (r.qr_start_s -. r.qr_arrival_s)) 0.0 rs;
+             tc_service_s = List.fold_left (fun a r -> a +. r.qr_service_s) 0.0 rs;
+           })
+         ctx.tarr)
+  in
+  let bh, bm, be = ctx.cache_base in
+  {
+    sv_results = results;
+    sv_shed = sheds;
+    sv_tenants;
+    sv_cache =
+      Option.map
+        (fun s ->
+          {
+            s with
+            Plan_cache.hits = s.Plan_cache.hits + bh;
+            misses = s.Plan_cache.misses + bm;
+            evictions = s.Plan_cache.evictions + be;
+          })
+        (Session.plan_cache_stats ctx.session);
+    sv_failed = count (fun r -> match r.qr_outcome with Session.Failed _ -> true | _ -> false);
+    sv_timed_out =
+      count (fun r -> match r.qr_outcome with Session.Timed_out _ -> true | _ -> false);
+    sv_cancelled =
+      count (fun r -> match r.qr_outcome with Session.Cancelled _ -> true | _ -> false);
+    sv_degraded = count (fun r -> r.qr_degrade > 0);
+    sv_breaker_opens = Array.fold_left ( + ) 0 st.Sched.breaker_opens;
+    sv_breaker_half_opens = st.Sched.half_opens;
+    sv_breaker_closes = st.Sched.closes;
+    sv_lanes = Array.length st.Sched.lane_free;
+    sv_makespan_s = List.fold_left (fun a r -> max a r.qr_finish_s) 0.0 results;
+    sv_wall_s = wall_s;
+  }
 
 let run_sim ?quantum_s ?policy ?durability session tenants workload events =
-  sim ?quantum_s ?policy ?durability ~recovering:false session tenants workload
-    events
-
-let recover_sim ?quantum_s ?policy ~durability session tenants workload events =
-  sim ?quantum_s ?policy ~durability ~recovering:true session tenants workload
-    events
-
-(* ------------------------------------------------------------------ *)
-(* Real concurrent mode                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Counting semaphore: the max_inflight admission gate of the real mode. *)
-type sem = { s_lock : Mutex.t; s_cond : Condition.t; mutable s_avail : int }
-
-let sem_create n = { s_lock = Mutex.create (); s_cond = Condition.create (); s_avail = n }
-
-let sem_acquire s =
-  Mutex.lock s.s_lock;
-  while s.s_avail <= 0 do
-    Condition.wait s.s_cond s.s_lock
-  done;
-  s.s_avail <- s.s_avail - 1;
-  Mutex.unlock s.s_lock
-
-let sem_release s =
-  Mutex.lock s.s_lock;
-  s.s_avail <- s.s_avail + 1;
-  Condition.signal s.s_cond;
-  Mutex.unlock s.s_lock
-
-(* Graceful drain: a controller shared between the serving domains and
-   whoever pulls the plug. [drain] stops admissions (lanes shed their
-   remaining trace as [Shed_drain]) and requests the shared cancel token,
-   so in-flight queries stop at their next engine safepoint with a
-   classified [Cancelled] outcome instead of being abandoned. *)
-type drain_ctl = { dr_flag : bool Atomic.t; dr_cancel : Cancel.t }
-
-let drain_controller () =
-  { dr_flag = Atomic.make false; dr_cancel = Cancel.create () }
-
-let drain d =
-  Atomic.set d.dr_flag true;
-  Cancel.request ~reason:"drain" d.dr_cancel
-
-let draining d = Atomic.get d.dr_flag
-
-let run_concurrent ?drain:dctl session tenants workload events =
-  validate tenants workload events;
-  let lanes = max 1 (lanes_of session tenants) in
-  let cfg = Session.config session in
-  let sem =
-    match cfg.Config.max_inflight with
-    | Some k -> Some (sem_create k)
-    | None -> None
-  in
-  let cancel = Option.map (fun d -> d.dr_cancel) dctl in
-  let numbered = List.mapi (fun i e -> (i, e)) events in
-  let tnames = List.map (fun t -> t.tn_name) tenants in
-  (* Real (measured) per-tenant backlog: lane threads blocked on the
-     admission gate, sampled under one lock — never a placeholder. With
-     the one-domain-per-tenant replayer each tenant contributes at most
-     one waiter, so this bounds at 1 per tenant and 0 when the gate is
-     uncontended; it is the concurrent analogue of the sim scheduler's
-     queue depth. *)
-  let wait_lock = Mutex.create () in
-  let waiting = Hashtbl.create 8 in
-  let max_waiting = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      Hashtbl.replace waiting n 0;
-      Hashtbl.replace max_waiting n 0)
-    tnames;
-  let note_wait name delta =
-    Mutex.lock wait_lock;
-    let c = Hashtbl.find waiting name + delta in
-    Hashtbl.replace waiting name c;
-    if c > Hashtbl.find max_waiting name then Hashtbl.replace max_waiting name c;
-    Mutex.unlock wait_lock
-  in
   let wall0 = Unix.gettimeofday () in
-  (* one domain per tenant lane, replaying that tenant's submissions in
-     trace order as fast as admission allows (closed loop — arrival
-     times order the lane but are not waited out, so the measured
-     throughput is the sustained maximum, not the offered rate) *)
-  let run_lane tn =
-    let mine =
-      List.filter (fun (_, e) -> e.Arrival.tenant = tn.tn_name) numbered
-    in
-    let config = tenant_config session tn in
-    List.map
-      (fun (sub, (ev : Arrival.event)) ->
-        let now () = Unix.gettimeofday () -. wall0 in
-        let mk_shed reason at_s =
-          Either.Right
-            {
-              sh_sub = sub;
-              sh_tenant = ev.Arrival.tenant;
-              sh_query = ev.Arrival.query;
-              sh_arrival_s = at_s;
-              sh_at_s = at_s;
-              sh_reason = reason;
-            }
-        in
-        if (match dctl with Some d -> draining d | None -> false) then
-          (* admissions stopped: the rest of this lane's trace is shed,
-             counted, and reported — never silently dropped *)
-          mk_shed Shed_drain (now ())
-        else begin
-          (* closed loop: "arrival" is when this lane starts waiting for
-             admission, so latency = admission wait + service, never the
-             scripted sim time (which is on a different clock) *)
-          let arrival = now () in
-          note_wait tn.tn_name 1;
-          (match sem with Some s -> sem_acquire s | None -> ());
-          note_wait tn.tn_name (-1);
-          let start = now () in
-          let wait = start -. arrival in
-          let dead =
-            match cfg.Config.deadline_s with
-            | Some d -> wait >= d
-            | None -> false
-          in
-          if dead then begin
-            (match sem with Some s -> sem_release s | None -> ());
-            mk_shed Shed_deadline start
-          end
-          else begin
-            let prog, tables = List.assoc ev.Arrival.query workload in
-            let outcome, info =
-              Fun.protect
-                ~finally:(fun () ->
-                  match sem with Some s -> sem_release s | None -> ())
-                (fun () ->
-                  Session.submit ?config ?cancel session prog ~tables)
-            in
-            let finish = now () in
-            Either.Left
-              {
-                qr_sub = sub;
-                qr_tenant = ev.Arrival.tenant;
-                qr_query = ev.Arrival.query;
-                qr_arrival_s = arrival;
-                qr_start_s = start;
-                qr_finish_s = finish;
-                qr_service_s = finish -. start;
-                qr_cache = info.Session.si_cache;
-                qr_outcome = outcome;
-                qr_degrade = 0;
-              }
-          end
-        end)
-      mine
+  let ctx, st = setup ?quantum_s ?policy ?durability session tenants workload events in
+  drive ctx st ~exec:submit;
+  counters ctx st ~wall_s:(Unix.gettimeofday () -. wall0)
+
+(* Crash recovery is the same driver over a restored state: the latest
+   usable snapshot (else t = 0), with every journaled outcome as a memo
+   that [replay] answers from. *)
+let recover_sim ?quantum_s ?policy ~durability session tenants workload events =
+  let wall0 = Unix.gettimeofday () in
+  let ctx, st = setup ?quantum_s ?policy ~durability session tenants workload events in
+  let j = Option.get ctx.journal in
+  let memo = Hashtbl.create 64 in
+  Array.iter
+    (fun payload ->
+      if String.starts_with ~prefix:"outcome " payload then
+        let ((qr, _) as r) = decode_outcome ctx.evs payload in
+        Hashtbl.replace memo qr.qr_sub r)
+    j.j_existing;
+  let snapshot = Wal.load_snapshot j.j_wal in
+  Option.iter (fun (covers, payload) -> restore_snapshot ctx st j covers payload) snapshot;
+  let tracer =
+    match (Session.config session).Config.trace with Some tr -> tr | None -> Trace.global ()
   in
-  let domains =
-    List.map (fun tn -> Domain.spawn (fun () -> run_lane tn)) tenants
+  let instant name args =
+    if Trace.enabled tracer then Trace.instant tracer ~cat:"recovery" ~args name
   in
-  let results, sheds =
-    List.concat_map Domain.join domains |> List.partition_map Fun.id
-  in
-  let results = List.sort (fun a b -> compare a.qr_sub b.qr_sub) results in
-  let sheds = List.sort (fun a b -> compare a.sh_sub b.sh_sub) sheds in
-  assemble ~lanes
-    ~wall_s:(Unix.gettimeofday () -. wall0)
-    ~max_queue:(fun name -> Hashtbl.find max_waiting name)
-    ~breaker_opens:(fun _ -> 0)
-    ~breaker_totals:(0, 0, 0) session tenants results sheds
+  instant "recovery_start"
+    [
+      ("journal_records", Trace.A_int (Array.length j.j_existing));
+      ("first_seq", Trace.A_int j.j_first);
+      ("snapshot", match snapshot with Some (c, _) -> Trace.A_int c | None -> Trace.A_str "none");
+    ];
+  drive ctx st ~exec:(replay memo);
+  instant "recovery_done"
+    [
+      ("replayed", Trace.A_int ctx.replayed);
+      ("resubmitted", Trace.A_int ctx.resubmitted);
+      ("journal_next", Trace.A_int j.j_idx);
+    ];
+  counters ctx st ~wall_s:(Unix.gettimeofday () -. wall0)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                            *)

@@ -6,37 +6,30 @@
     over [max_inflight] service lanes on one shared session (shared
     work-stealing pool, shared plan cache, per-tenant memory budgets).
 
-    Two modes mirror the chaos layer's design:
+    Serving is a deterministic discrete-event simulation: service time is
+    the session's deterministic compile charge plus the engine's
+    simulated cost, so every counter — queue depths, cache hits/misses,
+    per-tenant admissions, the full {!fingerprint} — is bit-identical
+    across replays and across domain counts, and each query's value and
+    engine metrics match a standalone [run_on]. The decisions are taken
+    by {!Sched}; this module is the one driver over it, for live serving
+    ({!run_sim}) and for journal replay ({!recover_sim}) alike.
 
-    - {!run_sim} is a deterministic discrete-event simulation: service
-      time is the session's deterministic compile charge plus the
-      engine's simulated cost, so every counter — queue depths, cache
-      hits/misses, per-tenant admissions, the full {!fingerprint} — is
-      bit-identical across replays and across domain counts, and each
-      query's value and engine metrics match a standalone [run_on].
-    - {!run_concurrent} is real concurrency: one host domain per tenant
-      lane replays that tenant's share of the trace over the shared pool
-      as fast as admission allows (closed loop), measuring sustained
-      wall-clock throughput.
-
-    {b Overload control.} Both modes run under a {!policy}: per-query
+    {b Overload control.} Every run is under a {!policy}: per-query
     deadlines (queue-expired queries are shed before dispatch; admitted
     ones carry the remaining budget into the engine, which raises a
     classified [Cancelled] outcome past it), bounded per-tenant queues
     with a seeded-deterministic victim pick, per-tenant circuit breakers
     (open after K consecutive bad outcomes, half-open probe after a
     cool-down), a degradation ladder (halve dop → disable speculation →
-    plan-cache-only) stepped by total backlog, and graceful drain. Every
-    decision in sim mode is a pure function of (seed, trace, simulated
-    clock) taken on the coordinator, so shed/breaker behaviour replays
-    bit-identically at any domain count. Shed queries are always counted
-    and reported per submission — nothing is silently dropped. In
-    concurrent mode the queue bound, breaker and ladder do not apply
-    (they would race on wall time); deadlines and {!drain} do. *)
+    plan-cache-only) stepped by total backlog, and a drain cutoff on the
+    simulated clock. Every decision is a pure function of (seed, trace,
+    simulated clock), so shed/breaker behaviour replays bit-identically
+    at any domain count. Shed queries are always counted and reported
+    per submission — nothing is silently dropped. *)
 
 module Session = Emma.Session
 module Config = Emma.Config
-module Cancel = Emma.Cancel
 module Plan_cache = Emma.Plan_cache
 module Wal = Emma_util.Wal
 
@@ -59,9 +52,9 @@ type query_result = {
   qr_tenant : string;
   qr_query : string;
   qr_arrival_s : float;
-  qr_start_s : float;  (** dispatch time (sim clock / wall offset) *)
+  qr_start_s : float;  (** dispatch time on the simulated clock *)
   qr_finish_s : float;
-  qr_service_s : float;  (** compile charge + simulated cost (sim mode) *)
+  qr_service_s : float;  (** compile charge + simulated cost *)
   qr_cache : Session.cache_status;
   qr_outcome : Session.outcome;
       (** full outcome — value and per-query metrics, present on failure
@@ -71,17 +64,15 @@ type query_result = {
           halved dop, 2 = + no speculation, 3 = plan-cache-only *)
 }
 
-(** Why a query was shed instead of run. Every shed is counted and
-    carries its submission identity — no query is ever silently lost. *)
-type shed_reason =
-  | Shed_deadline  (** queue wait alone already exceeded the deadline *)
+(** Why a query was shed instead of run (see {!Sched.shed_reason}). Every
+    shed is counted and carries its submission identity — no query is
+    ever silently lost. *)
+type shed_reason = Sched.shed_reason =
+  | Shed_deadline
   | Shed_queue_full
-      (** per-tenant queue at [max_queue]; the victim (arriving vs oldest
-          queued) is a seeded-deterministic pick *)
-  | Shed_breaker  (** tenant circuit open: fast-fail without dispatch *)
-  | Shed_drain  (** arrived after the drain point: admissions stopped *)
+  | Shed_breaker
+  | Shed_drain
   | Shed_degraded
-      (** ladder level 3 (plan-cache-only): the query would compile cold *)
 
 type shed_record = {
   sh_sub : int;
@@ -97,10 +88,7 @@ type tenant_counters = {
   tc_weight : int;
   tc_admissions : int;  (** queries dispatched for this tenant *)
   tc_max_queue : int;
-      (** deepest backlog observed — sim mode: the scheduler queue;
-          concurrent mode: lane threads blocked on the admission gate
-          (measured under a lock, at most 1 with the one-lane-per-tenant
-          replayer). Never a placeholder in either mode. *)
+      (** deepest scheduler-queue backlog observed *)
   tc_shed : int;
   tc_breaker_opens : int;  (** times this tenant's circuit opened *)
   tc_queue_wait_s : float;  (** total dispatch − arrival *)
@@ -124,23 +112,18 @@ type counters = {
   sv_wall_s : float;  (** host seconds; excluded from {!fingerprint} *)
 }
 
-(** Overload-control policy. All decisions taken under it in sim mode are
-    coordinator-side pure functions of (seed, trace, simulated clock) —
-    never of wall time, domain count or queue races — which is what keeps
-    sim fingerprints bit-identical across 1/2/4/8 domains and replays. *)
-type policy = {
-  pl_seed : int;  (** seeds the queue-full victim picks *)
+(** Overload-control policy (fields documented at {!Sched.policy}). All
+    decisions taken under it are pure functions of (seed, trace,
+    simulated clock) — never of wall time, domain count or queue races —
+    which is what keeps fingerprints bit-identical across 1/2/4/8
+    domains and replays. *)
+type policy = Sched.policy = {
+  pl_seed : int;
   pl_deadline_s : float option;
-      (** end-to-end per-query budget (arrival → finish): queue-expired
-          queries are shed, admitted ones hand the remaining budget to
-          the engine as [Config.deadline_s] *)
-  pl_max_queue : int option;  (** per-tenant queue bound (>= 1) *)
+  pl_max_queue : int option;
   pl_breaker : Config.breaker_spec option;
   pl_drain_after_s : float option;
-      (** stop admitting arrivals past this simulated clock *)
   pl_degrade_depth : int option;
-      (** ladder step size in total queued queries: level = depth / step,
-          capped at 3; [None] = ladder off *)
 }
 
 val no_policy : policy
@@ -148,7 +131,7 @@ val no_policy : policy
     serve. *)
 
 val policy_of_config : ?seed:int -> lanes:int -> Config.t -> policy
-(** The default policy of both run modes: [deadline_s], [max_queue],
+(** The default policy of a run: [deadline_s], [max_queue],
     [breaker] and [drain_after_s] map across from the session config; the
     degradation ladder auto-engages when deadlines are set (step =
     2 × lanes of backlog per level) and stays off otherwise. *)
@@ -216,40 +199,8 @@ val recover_sim :
     {!fingerprint} is bit-identical to an uninterrupted run
     (property-tested across every crash point). *)
 
-type drain_ctl
-(** Graceful-drain controller for {!run_concurrent}: create one before
-    starting, share it with the code that decides to stop. *)
-
-val drain_controller : unit -> drain_ctl
-
-val drain : drain_ctl -> unit
-(** Stops admissions (lanes shed their remaining trace as [Shed_drain])
-    and requests the shared {!Cancel} token, so in-flight queries stop at
-    their next engine safepoint with a classified [Cancelled] outcome
-    instead of being abandoned. Idempotent. *)
-
-val draining : drain_ctl -> bool
-
-val run_concurrent :
-  ?drain:drain_ctl ->
-  Session.t ->
-  tenant list ->
-  workload ->
-  Arrival.event list ->
-  counters
-(** One domain per tenant lane over the shared session; [max_inflight]
-    enforced by a counting semaphore. Counters use host wall clock;
-    [qr_arrival_s] is re-anchored to the instant the lane started waiting
-    for admission (the scripted times are on the simulated clock), so
-    latency = admission wait + service. Values and engine metrics per
-    query remain deterministic. The session config's [deadline_s] sheds
-    queries whose admission wait already exceeded the budget and bounds
-    each admitted query's engine time; [drain] stops admissions and
-    cancels in-flight work. Queue bound, breaker and ladder are sim-mode
-    only. *)
-
 val fingerprint : counters -> string
-(** The replay identity of a sim run: every scheduling/queue/cache/shed/
+(** The replay identity of a run: every scheduling/queue/cache/shed/
     breaker quantity in pinned formatting, host wall time excluded —
     bit-identical across replays and across 1/2/4/8 domains
     (property-tested). *)

@@ -263,8 +263,7 @@ let test_bad_wal_flags_exit_2 () =
       ("--wal-crash without --wal", [ "--wal-crash"; "3" ]);
       ("garbage --wal-crash", [ "--wal"; dir; "--wal-crash"; "x" ]);
       ("--wal plus --recover", [ "--wal"; dir; "--recover"; dir ]);
-      ("empty --wal path", [ "--wal"; "" ]);
-      ("--wal in real mode", [ "--wal"; dir; "--mode"; "real" ]) ]
+      ("empty --wal path", [ "--wal"; "" ]) ]
 
 let test_wal_roundtrip_exits_0 () =
   with_temp_dir @@ fun dir ->

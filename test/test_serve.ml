@@ -428,21 +428,6 @@ let test_policy_fingerprint_across_domains () =
         Alcotest.failf "policy fingerprint moved at %d domains" domains)
     [ 1; 2; 4; 8 ]
 
-let test_concurrent_drain_sheds_all () =
-  (* a pre-fired drain controller stops every admission: the whole trace
-     is shed as Shed_drain, counted, never silently dropped *)
-  let dctl = Serve.drain_controller () in
-  Serve.drain dctl;
-  Serve.drain dctl (* idempotent *);
-  Alcotest.(check bool) "draining" true (Serve.draining dctl);
-  let c =
-    with_session ~config:one_lane rt @@ fun s ->
-    Serve.run_concurrent ~drain:dctl s tenants workload small_trace
-  in
-  Alcotest.(check int) "nothing admitted" 0 (List.length c.Serve.sv_results);
-  Alcotest.(check int) "everything shed" (List.length small_trace)
-    (count_shed Serve.Shed_drain c)
-
 let test_unknown_names_rejected () =
   let bad_tenant = [ { Arrival.at_s = 0.0; tenant = "ghost"; query = "sum" } ] in
   let bad_query = [ { Arrival.at_s = 0.0; tenant = "acme"; query = "nope" } ] in
@@ -523,8 +508,6 @@ let suite =
           test_drain_cutoff_sim;
         Alcotest.test_case "full policy fingerprint stable across domains" `Quick
           test_policy_fingerprint_across_domains;
-        Alcotest.test_case "concurrent drain sheds the whole trace" `Quick
-          test_concurrent_drain_sheds_all;
         Alcotest.test_case "unknown tenant/query rejected" `Quick
           test_unknown_names_rejected;
         Alcotest.test_case "arrival trace round-trips" `Quick test_arrival_roundtrip;

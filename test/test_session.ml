@@ -483,21 +483,19 @@ let test_memo_half_dop () =
       check_same_run (name ^ ", full dop again") full (submit_case ~cluster s c))
     cases
 
-(* Per-query values and cost fields in submission order: the part of a
-   serve run that is deterministic in real-concurrency mode too. *)
-let result_fingerprint (c : Serve.counters) =
-  List.map
-    (fun (r : Serve.query_result) ->
-      let m = Emma.metrics_of_outcome r.Serve.qr_outcome in
-      let value =
-        match r.Serve.qr_outcome with
-        | Emma.Finished { value; _ } -> Value.to_display value
-        | _ -> "not finished"
-      in
-      Printf.sprintf "sub=%d query=%s value=%s sim=%h shuffle=%h broadcast=%h dfs=%h stages=%d"
-        r.Serve.qr_sub r.Serve.qr_query value m.Metrics.sim_time_s m.Metrics.shuffle_bytes
-        m.Metrics.broadcast_bytes m.Metrics.dfs_read_bytes m.Metrics.stages)
-    (List.sort (fun a b -> compare a.Serve.qr_sub b.Serve.qr_sub) c.Serve.sv_results)
+(* Per-query values and cost fields in submission order. *)
+let result_fingerprint results =
+  List.sort (fun (a, _, _) (b, _, _) -> compare a b) results
+  |> List.map (fun (sub, query, outcome) ->
+         let m = Emma.metrics_of_outcome outcome in
+         let value =
+           match outcome with
+           | Emma.Finished { value; _ } -> Value.to_display value
+           | _ -> "not finished"
+         in
+         Printf.sprintf "sub=%d query=%s value=%s sim=%h shuffle=%h broadcast=%h dfs=%h stages=%d"
+           sub query value m.Metrics.sim_time_s m.Metrics.shuffle_bytes
+           m.Metrics.broadcast_bytes m.Metrics.dfs_read_bytes m.Metrics.stages)
   |> String.concat "\n"
 
 let test_memo_concurrent_lanes () =
@@ -512,11 +510,16 @@ let test_memo_concurrent_lanes () =
   let names = [ "a"; "b"; "c"; "d" ] in
   let tenants = List.map (fun n -> Serve.tenant n) names in
   let events =
-    Arrival.generate ~seed:9 ~rate:4.0 ~alpha:1.1 ~tenants:names
-      ~queries:(List.map fst workload) ~n:24
+    List.mapi (fun sub e -> (sub, e))
+      (Arrival.generate ~seed:9 ~rate:4.0 ~alpha:1.1 ~tenants:names
+         ~queries:(List.map fst workload) ~n:24)
   in
   let reference =
-    with_session rt (fun s -> result_fingerprint (Serve.run_sim s tenants workload events))
+    with_session rt (fun s ->
+        (Serve.run_sim s tenants workload (List.map snd events)).Serve.sv_results
+        |> List.map (fun (r : Serve.query_result) ->
+               (r.Serve.qr_sub, r.Serve.qr_query, r.Serve.qr_outcome))
+        |> result_fingerprint)
   in
   List.iter
     (fun domains ->
@@ -525,10 +528,23 @@ let test_memo_concurrent_lanes () =
       let config = Config.with_pool (Some pool) Config.default in
       let got =
         with_session ~config rt (fun s ->
-            result_fingerprint (Serve.run_concurrent s tenants workload events))
+            (* one host domain per tenant lane, each submitting its
+               tenant's share of the trace in order *)
+            List.map
+              (fun name ->
+                Domain.spawn (fun () ->
+                    List.filter_map
+                      (fun (sub, (e : Arrival.event)) ->
+                        if e.Arrival.tenant <> name then None
+                        else
+                          let prog, tables = List.assoc e.Arrival.query workload in
+                          Some (sub, e.Arrival.query, fst (Session.submit s prog ~tables)))
+                      events))
+              names
+            |> List.concat_map Domain.join |> result_fingerprint)
       in
       if got <> reference then
-        Alcotest.failf "run_concurrent at %d domains moved the fingerprint" domains)
+        Alcotest.failf "concurrent lanes at %d domains moved the fingerprint" domains)
     [ 2; 4; 8 ]
 
 let suite =
