@@ -20,20 +20,19 @@ let rec occurrences x e =
   | Let (y, a, b) ->
       occurrences x a + if String.equal x y then 0 else occurrences x b
   | Comp { head; quals; alg } ->
+      (* the fold algebra is evaluated outside the comprehension's scope *)
       let rec go = function
-        | [] ->
-            occurrences x head
-            +
-            (match alg with
-            | Alg_bag -> 0
-            | Alg_fold fns ->
-                occurrences x fns.f_empty + occurrences x fns.f_single
-                + occurrences x fns.f_union)
+        | [] -> occurrences x head
         | QGen (y, src) :: rest ->
             occurrences x src + if String.equal y x then 0 else go rest
         | QGuard p :: rest -> occurrences x p + go rest
       in
       go quals
+      +
+      (match alg with
+      | Alg_bag -> 0
+      | Alg_fold fns ->
+          occurrences x fns.f_empty + occurrences x fns.f_single + occurrences x fns.f_union)
   | Fold (fns, xs) ->
       occurrences x fns.f_empty + occurrences x fns.f_single + occurrences x fns.f_union
       + occurrences x xs

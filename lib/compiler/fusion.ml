@@ -25,11 +25,15 @@ let canon c =
 let candidate_equal a b = canon a = canon b
 
 (* Does [e] match a fold comprehension over [g].values whose only
-   dependence on the outer comprehension scope is [g] itself? *)
+   dependence on the outer comprehension scope is [g] itself? Its union
+   must beta-reduce to a literal two-parameter lambda: the fused union
+   applies it one argument at a time, which evaluation cannot do to any
+   other function-valued expression (a [let] or an [if] of lambdas). *)
 let match_candidate g outer_bound e =
   match e with
   | Comp { head; quals = QGen (y, Field (Var g', "values")) :: rest; alg = Alg_fold fns }
-    when String.equal g g' ->
+    when String.equal g g'
+         && (match beta_reduce fns.f_union with Lam (_, Lam _) -> true | _ -> false) ->
       let guards =
         List.filter_map (function QGuard p -> Some p | QGen _ -> None) rest
       in

@@ -182,21 +182,17 @@ let rec free_vars e =
   | Let (x, a, b) -> Strset.union (free_vars a) (Strset.remove x (free_vars b))
   | Comp { head; quals; alg } ->
       (* Generators bind left to right: a generator's source sees earlier
-         bindings removed only for names it does not rebind. *)
+         bindings removed only for names it does not rebind. The fold
+         algebra is evaluated outside the comprehension, so no generator
+         binds its variables. *)
       let rec go bound = function
-        | [] ->
-            let head_fv = Strset.diff (free_vars head) bound in
-            let alg_fv =
-              match alg with
-              | Alg_bag -> Strset.empty
-              | Alg_fold fns -> Strset.diff (fv_fold_fns free_vars fns) bound
-            in
-            Strset.union head_fv alg_fv
+        | [] -> Strset.diff (free_vars head) bound
         | QGen (x, src) :: rest ->
             Strset.union (Strset.diff (free_vars src) bound) (go (Strset.add x bound) rest)
         | QGuard p :: rest -> Strset.union (Strset.diff (free_vars p) bound) (go bound rest)
       in
-      go Strset.empty quals
+      let alg_fv = match alg with Alg_bag -> Strset.empty | Alg_fold fns -> fv_fold_fns free_vars fns in
+      Strset.union (go Strset.empty quals) alg_fv
   | _ ->
       let acc = ref Strset.empty in
       ignore
@@ -255,45 +251,33 @@ and subst_comp x replacement { head; quals; alg } =
   let fv_repl = free_vars replacement in
   (* Walk qualifiers left to right, stopping the substitution when [x] gets
      rebound, and renaming generators that would capture the replacement. *)
-  let rec go quals =
+  let rec go quals head =
     match quals with
-    | [] ->
-        let head' = subst x replacement head in
-        let alg' =
-          match alg with
-          | Alg_bag -> Alg_bag
-          | Alg_fold fns -> Alg_fold (map_fold_fns (subst x replacement) fns)
-        in
-        ([], head', alg')
+    | [] -> ([], subst x replacement head)
     | QGuard p :: rest ->
-        let rest', head', alg' = go rest in
-        (QGuard (subst x replacement p) :: rest', head', alg')
+        let rest', head' = go rest head in
+        (QGuard (subst x replacement p) :: rest', head')
     | QGen (y, src) :: rest ->
         let src' = subst x replacement src in
-        if String.equal y x then (QGen (y, src') :: rest, head, alg)
+        if String.equal y x then (QGen (y, src') :: rest, head)
         else if Strset.mem y fv_repl then begin
           let y' = fresh y in
           let rename e = subst y (Var y') e in
-          let rest_renamed = List.map (map_qual rename) rest in
-          let head_renamed = rename head in
-          let alg_renamed =
-            match alg with
-            | Alg_bag -> Alg_bag
-            | Alg_fold fns -> Alg_fold (map_fold_fns rename fns)
-          in
-          let rest', head', alg' =
-            go_with rest_renamed head_renamed alg_renamed
-          in
-          (QGen (y', src') :: rest', head', alg')
+          let rest', head' = go (List.map (map_qual rename) rest) (rename head) in
+          (QGen (y', src') :: rest', head')
         end
         else
-          let rest', head', alg' = go rest in
-          (QGen (y, src') :: rest', head', alg')
-  and go_with quals head alg =
-    match subst_comp x replacement { head; quals; alg } with
-    | { head = h; quals = q; alg = a } -> (q, h, a)
+          let rest', head' = go rest head in
+          (QGen (y, src') :: rest', head')
   in
-  let quals', head', alg' = go quals in
+  let quals', head' = go quals head in
+  (* The fold algebra is evaluated outside the comprehension: no
+     generator shadows [x] or captures the replacement there. *)
+  let alg' =
+    match alg with
+    | Alg_bag -> Alg_bag
+    | Alg_fold fns -> Alg_fold (map_fold_fns (subst x replacement) fns)
+  in
   { head = head'; quals = quals'; alg = alg' }
 
 let rename_avoiding avoid quals tail_expr =

@@ -110,6 +110,45 @@ let test_dedup () =
   let _ = Fusion.expr ~stats (Normalize.normalize dedup_query) in
   Alcotest.(check int) "identical folds share a slot" 1 stats.Fusion.fused_folds
 
+(* A fold whose union is let-bound — a [let] choosing between two
+   lambdas, not a literal curried lambda: the fused union would apply it
+   one argument at a time, which evaluation cannot do, so the fold must
+   stay unfused, and the engine must agree with native evaluation in
+   both UDF modes. *)
+let let_union_query =
+  S.(
+    for_
+      [ gen "g" (group_by (lam "x" (fun x -> field x "b")) (read "rows")) ]
+      ~yield:
+        (tup
+           [ field (var "g") "key";
+             fold ~empty:(int_ 0)
+               ~single:(lam "x" (fun x -> field x "a"))
+               ~union:
+                 (let_ "w" (var "one" * int_ 1) (fun w ->
+                      if_ (w > int_ 0)
+                        (lam2 "p" "q" (fun p q -> p + (q * w)))
+                        (lam2 "p" "q" (fun p q -> p + q))))
+               (field (var "g") "values") ]))
+
+let test_let_union_not_fused () =
+  let rows = List.init 40 (fun i -> Helpers.row i (i mod 3)) in
+  let tables = [ ("rows", rows) ] in
+  let prog =
+    S.program ~ret:let_union_query
+      [ S.s_let "one" S.(count (read "rows") / count (read "rows")) ]
+  in
+  let native = Helpers.run_program ~tables prog in
+  List.iter
+    (fun mode ->
+      let config = Emma_engine.Config.(default |> with_udf_mode mode) in
+      let r = Emma.run_on_exn ~config (Emma.spark ()) (Emma.parallelize prog) ~tables in
+      check_value "engine = native" native r.Emma.value)
+    [ Emma_engine.Exec.Interp; Emma_engine.Exec.Compiled ];
+  let stats = Fusion.fresh_stats () in
+  let _ = Fusion.expr ~stats (Normalize.normalize let_union_query) in
+  Alcotest.(check int) "let-bound union not fused" 0 stats.Fusion.fused_folds
+
 let prop_fusion_preserves_semantics =
   Helpers.qcheck_case "fusion preserves semantics on random groupings" ~count:100
     Helpers.rows_gen
@@ -130,4 +169,5 @@ let suite =
         Alcotest.test_case "escaping values not fused" `Quick test_escaping_values_not_fused;
         Alcotest.test_case "mixed use not fused" `Quick test_mixed_not_fused;
         Alcotest.test_case "duplicate folds dedup" `Quick test_dedup;
+        Alcotest.test_case "let-bound union stays unfused" `Quick test_let_union_not_fused;
         prop_fusion_preserves_semantics ] ) ]

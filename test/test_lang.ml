@@ -97,6 +97,44 @@ let test_subst_capture () =
   | Expr.Lam (x', Expr.Var "x") when x' <> "x" -> ()
   | e -> Alcotest.failf "capture! got %s" (Emma_lang.Pretty.expr_to_string e)
 
+(* [[ y | y <- {1, 2} ]]^fold(0, z => z + y, +) — the algebra's [y] is
+   the one outside the comprehension, not the generator. *)
+let fold_over_gen_y =
+  Expr.Comp
+    { head = S.var "y";
+      quals = [ Expr.QGen ("y", S.(bag_of [ int_ 1; int_ 2 ])) ];
+      alg =
+        Expr.Alg_fold
+          { f_empty = S.int_ 0;
+            f_single = S.(lam "z" (fun z -> z + var "y"));
+            f_union = S.(lam2 "p" "q" (fun p q -> p + q));
+            f_tag = Expr.Tag_generic } }
+
+let test_free_vars_fold_algebra () =
+  Alcotest.(check (list string)) "the algebra's y is free" [ "y" ]
+    (Emma_util.Strset.elements (Expr.free_vars fold_over_gen_y));
+  Alcotest.(check int) "and occurs" 1 (Emma_comp.Normalize.occurrences "y" fold_over_gen_y)
+
+let test_subst_fold_algebra () =
+  (* under λy, x := the fold must rename the binder: y = 100 outside
+     gives singles 101 and 102; capture would give 2 and 3 *)
+  let f = Expr.subst "x" fold_over_gen_y (Expr.Lam ("y", S.var "x")) in
+  check_value "no capture by the lambda" (iv 203)
+    (eval_expr S.(let_ "y" (int_ 100) (fun _ -> app f (int_ 1))));
+  (* a generator rebinding x does not shadow the algebra's x *)
+  let rebinds =
+    Expr.Comp
+      { head = S.var "x";
+        quals = [ Expr.QGen ("x", S.(bag_of [ int_ 1; int_ 2 ])) ];
+        alg =
+          Expr.Alg_fold
+            { f_empty = S.int_ 0;
+              f_single = S.(lam "z" (fun z -> z + var "x"));
+              f_union = S.(lam2 "p" "q" (fun p q -> p + q));
+              f_tag = Expr.Tag_generic } }
+  in
+  check_value "algebra substituted" (iv 17) (eval_expr (Expr.subst "x" (S.int_ 7) rebinds))
+
 let test_beta_reduce () =
   let e = Expr.App (Expr.Lam ("x", S.(var "x" + var "x")), S.int_ 5) in
   check_value "beta_reduce preserves semantics" (eval_expr e) (eval_expr (Expr.beta_reduce e));
@@ -183,6 +221,8 @@ let suite =
         Alcotest.test_case "for_ desugaring" `Quick test_for_desugaring;
         Alcotest.test_case "comprehension eval" `Quick test_comp_eval;
         Alcotest.test_case "capture-avoiding subst" `Quick test_subst_capture;
+        Alcotest.test_case "free_vars of a fold algebra" `Quick test_free_vars_fold_algebra;
+        Alcotest.test_case "subst into a fold algebra" `Quick test_subst_fold_algebra;
         Alcotest.test_case "beta_reduce" `Quick test_beta_reduce;
         Alcotest.test_case "driver while-loop" `Quick test_program_driver;
         Alcotest.test_case "driver tables" `Quick test_program_tables;
