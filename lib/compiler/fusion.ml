@@ -24,16 +24,22 @@ let canon c =
 
 let candidate_equal a b = canon a = canon b
 
-(* Does [e] match a fold comprehension over [g].values whose only
-   dependence on the outer comprehension scope is [g] itself? Its union
-   must beta-reduce to a literal two-parameter lambda: the fused union
-   applies it one argument at a time, which evaluation cannot do to any
-   other function-valued expression (a [let] or an [if] of lambdas). *)
+(* Does a fold's union beta-reduce to a literal two-parameter lambda?
+   The fused union applies it one argument at a time, which evaluation
+   cannot do to any other function-valued expression (a [let] or an [if]
+   of lambdas). *)
+let curried_union fns =
+  match fns.f_union with
+  | Lam (_, Lam _) -> true
+  | u -> ( match beta_reduce u with Lam (_, Lam _) -> true | _ -> false)
+
+(* Does [e] match a fold comprehension over [g].values, with a curried
+   union, whose only dependence on the outer comprehension scope is [g]
+   itself? *)
 let match_candidate g outer_bound e =
   match e with
   | Comp { head; quals = QGen (y, Field (Var g', "values")) :: rest; alg = Alg_fold fns }
-    when String.equal g g'
-         && (match beta_reduce fns.f_union with Lam (_, Lam _) -> true | _ -> false) ->
+    when String.equal g g' && curried_union fns ->
       let guards =
         List.filter_map (function QGuard p -> Some p | QGen _ -> None) rest
       in

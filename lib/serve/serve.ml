@@ -476,7 +476,8 @@ let replay memo ctx (r : Sched.run) =
       | Some j when not (j_live j) -> ctx.resubmitted <- ctx.resubmitted + 1
       | _ -> ());
       submit ctx r
-  | Some (qr, evictions) ->
+  | Some payload ->
+      let qr, evictions = decode_outcome ctx.evs payload in
       ctx.replayed <- ctx.replayed + 1;
       if qr.qr_cache <> Session.Uncached then begin
         let prog, tables = program ctx r.Sched.sub in
@@ -769,8 +770,8 @@ let run_sim ?quantum_s ?policy ?durability session tenants workload events =
   counters ctx st ~wall_s:(Unix.gettimeofday () -. wall0)
 
 (* Crash recovery is the same driver over a restored state: the latest
-   usable snapshot (else t = 0), with every journaled outcome as a memo
-   that [replay] answers from. *)
+   usable snapshot (else t = 0), with every journaled outcome record, by
+   sub id, as a memo that [replay] decodes and answers from. *)
 let recover_sim ?quantum_s ?policy ~durability session tenants workload events =
   let wall0 = Unix.gettimeofday () in
   let ctx, st = setup ?quantum_s ?policy ~durability session tenants workload events in
@@ -779,8 +780,7 @@ let recover_sim ?quantum_s ?policy ~durability session tenants workload events =
   Array.iter
     (fun payload ->
       if String.starts_with ~prefix:"outcome " payload then
-        let ((qr, _) as r) = decode_outcome ctx.evs payload in
-        Hashtbl.replace memo qr.qr_sub r)
+        Hashtbl.replace memo (int_field "sub" (fields_of payload)) payload)
     j.j_existing;
   let snapshot = Wal.load_snapshot j.j_wal in
   Option.iter (fun (covers, payload) -> restore_snapshot ctx st j covers payload) snapshot;
