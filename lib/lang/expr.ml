@@ -191,7 +191,9 @@ let rec free_vars e =
             Strset.union (Strset.diff (free_vars src) bound) (go (Strset.add x bound) rest)
         | QGuard p :: rest -> Strset.union (Strset.diff (free_vars p) bound) (go bound rest)
       in
-      let alg_fv = match alg with Alg_bag -> Strset.empty | Alg_fold fns -> fv_fold_fns free_vars fns in
+      let alg_fv =
+        match alg with Alg_bag -> Strset.empty | Alg_fold fns -> fv_fold_fns free_vars fns
+      in
       Strset.union (go Strset.empty quals) alg_fv
   | _ ->
       let acc = ref Strset.empty in

@@ -192,7 +192,8 @@ let settle_breaker pol st ti ~finish ~bad =
         st.breaker_opens.(ti) <- st.breaker_opens.(ti) + 1
       in
       match st.breakers.(ti) with
-      | Br_closed k when bad -> if k + 1 >= br_threshold then trip () else st.breakers.(ti) <- Br_closed (k + 1)
+      | Br_closed k when bad ->
+          if k + 1 >= br_threshold then trip () else st.breakers.(ti) <- Br_closed (k + 1)
       | Br_closed k -> if k > 0 then st.breakers.(ti) <- Br_closed 0
       | Br_half_open when bad -> trip ()
       | Br_half_open ->

@@ -65,7 +65,8 @@ let case_gen =
       bad;
       hit;
       pol =
-        { Sched.pl_seed; pl_deadline_s; pl_max_queue; pl_breaker; pl_drain_after_s; pl_degrade_depth };
+        { Sched.pl_seed; pl_deadline_s; pl_max_queue; pl_breaker; pl_drain_after_s;
+          pl_degrade_depth };
     }
 
 let print_case c =
@@ -109,13 +110,15 @@ let run_core c =
         log := E_shed (s.Sched.sd_sub, s.Sched.sd_at_s, s.Sched.sd_reason) :: !log
     | Sched.Run r ->
         (match st.Sched.breakers.(r.Sched.tenant) with
-        | Sched.Br_open _ -> QCheck2.Test.fail_reportf "sub %d dispatched on an open breaker" r.Sched.sub
+        | Sched.Br_open _ ->
+            QCheck2.Test.fail_reportf "sub %d dispatched on an open breaker" r.Sched.sub
         | _ -> ());
         if r.Sched.level < 0 || r.Sched.level > 3 then
           QCheck2.Test.fail_reportf "ladder level %d" r.Sched.level;
         ends.(r.Sched.sub) <- ends.(r.Sched.sub) + 1;
-        log := E_run (r.Sched.sub, r.Sched.tenant, r.Sched.lane, r.Sched.start, r.Sched.level) :: !log;
-        Sched.settle c.pol st r ~service:c.service.(r.Sched.sub) ~bad:c.bad.(r.Sched.sub) r.Sched.sub
+        let { Sched.sub; tenant; lane; start; level } = r in
+        log := E_run (sub, tenant, lane, start, level) :: !log;
+        Sched.settle c.pol st r ~service:c.service.(sub) ~bad:c.bad.(sub) sub
   done;
   Array.iteri
     (fun sub k -> if k <> 1 then QCheck2.Test.fail_reportf "sub %d ended %d times" sub k)
@@ -204,9 +207,9 @@ let reference c =
                 | Some d -> now -. c.arrivals.(sub) >= d
                 | None -> false
               in
-              if dead then shed ~queues ~deficit ~rr ~breakers ~totals ~at:now sub Sched.Shed_deadline
-              else if level >= 3 && not c.hit.(sub) then
-                shed ~queues ~deficit ~rr ~breakers ~totals ~at:now sub Sched.Shed_degraded
+              let shed = shed ~queues ~deficit ~rr ~breakers ~totals ~at:now sub in
+              if dead then shed Sched.Shed_deadline
+              else if level >= 3 && not c.hit.(sub) then shed Sched.Shed_degraded
               else
                 let service = c.service.(sub) in
                 let finish = now +. service in
@@ -235,11 +238,9 @@ let reference c =
     ~breakers:(List.init nt (fun _ -> Closed 0))
     ~rr:0 ~done_:0 ~totals:(0, 0, 0) []
 
-let reason_name r = Emma_serve.Serve.shed_reason_to_string r
-
 let entry_to_string = function
   | E_idle -> "idle"
-  | E_shed (sub, at, r) -> Printf.sprintf "shed %d at %h %s" sub at (reason_name r)
+  | E_shed (sub, at, r) -> Printf.sprintf "shed %d at %h %s" sub at (Emma_serve.Serve.shed_reason_to_string r)
   | E_run (sub, ti, lane, start, level) ->
       Printf.sprintf "run %d tenant %d lane %d at %h level %d" sub ti lane start level
 

@@ -54,33 +54,6 @@ let at t tenant query = { Arrival.at_s = t; tenant; query }
 let one_lane =
   Config.default |> Config.with_max_inflight (Some 1) |> Config.with_plan_cache (Some 8)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "emma-test-serve-golden-%d-%d" (Unix.getpid ()) !counter)
-    in
-    rm_rf d;
-    d
-
-let with_dir f =
-  let d = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
-
-let journal_records dir =
-  let w = Wal.create ~dir () in
-  Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.records w)
-
 (* Snapshot files in covers order, framed payloads decoded (the 8-byte
    length+CRC header stripped). *)
 let snapshots dir =
@@ -112,9 +85,9 @@ let run ?policy ?snapshot_every ~recover ~config ~tenants ~workload dir events =
   else Serve.run_sim ?policy ~durability s tenants workload events
 
 let journaled ?policy ?(config = one_lane) ?(tenants = tenants) ?(workload = workload) events =
-  with_dir @@ fun dir ->
+  Test_wal.with_dir @@ fun dir ->
   let c = run ?policy ~recover:false ~config ~tenants ~workload dir events in
-  render ~fingerprint:(Serve.fingerprint c) ~records:(journal_records dir) ~snaps:[]
+  render ~fingerprint:(Serve.fingerprint c) ~records:(Test_wal.read_records dir) ~snaps:[]
 
 let case_off () =
   journaled ~policy:Serve.no_policy ~config:(Config.with_plan_cache (Some 4) Config.default)
@@ -166,15 +139,15 @@ let case_snapshot_recover () =
   let go ~recover dir =
     run ~snapshot_every:2 ~recover ~config ~tenants ~workload dir events
   in
-  with_dir @@ fun ref_dir ->
+  Test_wal.with_dir @@ fun ref_dir ->
   let reference = go ~recover:false ref_dir in
-  let records = journal_records ref_dir in
+  let records = Test_wal.read_records ref_dir in
   let ref_snaps = snapshots ref_dir in
   (* crash two records past the older retained snapshot, so recovery
      restores it (the newer one covers more than the crashed journal
      holds and is skipped) and replays the rest *)
   let k = 2 + Scanf.sscanf (fst (List.hd ref_snaps)) "snap-%d.snap" Fun.id in
-  with_dir @@ fun dir ->
+  Test_wal.with_dir @@ fun dir ->
   Sys.mkdir dir 0o755;
   (let w = Wal.create ~dir () in
    Array.iteri (fun i r -> if i < k then ignore (Wal.append w r)) records;
@@ -182,12 +155,13 @@ let case_snapshot_recover () =
   List.iter
     (fun (f, _) ->
       let src = In_channel.with_open_bin (Filename.concat ref_dir f) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> Out_channel.output_string oc src))
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          Out_channel.output_string oc src))
     ref_snaps;
   let recovered = go ~recover:true dir in
   Alcotest.(check string) "recovered fingerprint" (Serve.fingerprint reference)
     (Serve.fingerprint recovered);
-  Alcotest.(check bool) "recovered journal converges" true (journal_records dir = records);
+  Alcotest.(check bool) "recovered journal converges" true (Test_wal.read_records dir = records);
   render ~fingerprint:(Serve.fingerprint reference) ~records ~snaps:ref_snaps
   ^ Printf.sprintf "== crash at record %d; recovered\n" k
   ^ render ~fingerprint:(Serve.fingerprint recovered) ~records:[||] ~snaps:(snapshots dir)
