@@ -3,9 +3,11 @@
     journal or tracer in reach. {!Serve} drives it for live serving and
     for journal replay alike; tests drive it with a fake executor.
 
-    Every decision is a pure function of the policy, the trace and the
-    service times fed back through {!settle}, which is what makes serve
-    replay bit-identically at any domain count. *)
+    Every decision is a pure function of the policy, the trace, and what
+    the executor feeds back: service times and outcome classes through
+    {!settle}, plan-cache verdicts through [would_hit]. With a
+    deterministic executor, serve replays bit-identically at any domain
+    count. *)
 
 type shed_reason =
   | Shed_deadline  (** queue wait alone already exceeded the deadline *)
