@@ -72,8 +72,8 @@ udf-smoke:
 	dune build @udf-smoke --force
 
 # Short scheduling stress of the work-stealing pool at 8 oversubscribed
-# domains: nested trees, tiny-batch churn, exception storm, legacy-pool
-# differential.
+# domains: nested trees, tiny-batch churn, exception storm, differential
+# against a sequential map.
 pool-smoke:
 	dune build @pool-smoke --force
 

@@ -16,17 +16,17 @@
    (tune with --skew ALPHA, the Zipf exponent, and --chunk auto-or-N):
    - a Zipf-keyed groupBy pipeline whose shuffle produces partitions as
      skewed as the key distribution, run at every domain count;
-   - a pool-level microbench of the same Zipf-skewed batch on the legacy
-     single-queue pool (one task per partition) vs the work-stealing pool
-     with chunked tasks, pinned in BENCH_steal.json: the stealing pool's
-     8-domain speedup must not fall below the legacy pool's. *)
+   - a pool-level microbench of the same Zipf-skewed batch on the
+     work-stealing pool, once at one task per partition (the head
+     partition pins a domain) and once with chunked tasks, pinned in
+     BENCH_steal.json: the chunked 8-domain speedup must not fall below
+     the unchunked one. *)
 
 module Value = Emma_value.Value
 module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Pool = Emma_util.Pool
-module Pool_legacy = Emma_util.Pool_legacy
 module Prng = Emma_util.Prng
 module Json = Emma_util.Json
 module S = Emma_lang.Surface
@@ -85,14 +85,6 @@ let program =
 
 (* one physical node with many slots: partitions, no simulated network *)
 let cluster = { (Cluster.laptop ()) with Cluster.nodes = 1; slots_per_node = 32 }
-
-let cost_fields (m : Metrics.t) =
-  ( m.Metrics.sim_time_s,
-    m.Metrics.shuffle_bytes,
-    m.Metrics.broadcast_bytes,
-    m.Metrics.stages,
-    m.Metrics.jobs,
-    m.Metrics.udf_invocations )
 
 (* ------------------------------------------------------------------ *)
 (* Zipf skew                                                            *)
@@ -156,7 +148,7 @@ let zipf_sizes ~alpha ~total ~parts =
   sizes
 
 (* Deterministic per-row busy work; xor-combined checksums are layout
-   independent, so both pools and every chunking must agree. *)
+   independent, so every pool size and chunking must agree. *)
 let spin_row r =
   let x = ref (r + 1) in
   for _ = 1 to 60 do
@@ -176,8 +168,8 @@ let steal_parts = 32
 let steal_rows = 60_000
 let steal_grain = 512  (* rows per chunk task on the stealing pool *)
 
-(* (offset, rows) task arrays: one per partition for the legacy pool's
-   granularity, one per <= grain-row chunk for the stealing pool's. *)
+(* (offset, rows) task arrays: one per partition, and one per <= grain-row
+   chunk. *)
 let steal_tasks ~alpha =
   let sizes = zipf_sizes ~alpha ~total:steal_rows ~parts:steal_parts in
   let off = ref 0 in
@@ -218,23 +210,18 @@ let xor_all = Array.fold_left ( lxor ) 0
 
 let bench_steal ~alpha =
   let whole, chunked = steal_tasks ~alpha in
-  let legacy_wall d =
-    let p = Pool_legacy.create ~domains:d in
-    Fun.protect ~finally:(fun () -> Pool_legacy.shutdown p) @@ fun () ->
-    time_best (fun () -> xor_all (Pool_legacy.parmap p run_rows whole))
-  in
-  let ws_wall d =
+  let wall tasks d =
     let p = Pool.create ~domains:d () in
     Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-    time_best (fun () -> xor_all (Pool.parmap p run_rows chunked))
+    time_best (fun () -> xor_all (Pool.parmap p run_rows tasks))
   in
-  let lg1, lw1 = legacy_wall 1 in
-  let lg8, lw8 = legacy_wall 8 in
-  let ws1, ww1 = ws_wall 1 in
-  let ws8, ww8 = ws_wall 8 in
-  if not (lg1 = lg8 && lg8 = ws1 && ws1 = ws8) then
-    failwith "steal bench: checksum differs across pools/chunkings";
-  (lw1, lw8, ww1, ww8)
+  let uc1, uw1 = wall whole 1 in
+  let uc8, uw8 = wall whole 8 in
+  let ws1, ww1 = wall chunked 1 in
+  let ws8, ww8 = wall chunked 8 in
+  if not (uc1 = uc8 && uc8 = ws1 && ws1 = ws8) then
+    failwith "steal bench: checksum differs across pool sizes/chunkings";
+  (uw1, uw8, ww1, ww8)
 
 (* ------------------------------------------------------------------ *)
 
@@ -279,7 +266,7 @@ let run () =
     (fun (d, v, m) ->
       if not (Value.equal v1 v) then
         failwith (Printf.sprintf "scaleup: result differs at %d domains" d);
-      if cost_fields m1 <> cost_fields m then
+      if Metrics.cost m1 <> Metrics.cost m then
         failwith (Printf.sprintf "scaleup: cost metrics differ at %d domains" d))
     results;
   let base_wall =
@@ -323,7 +310,7 @@ let run () =
     (fun (d, v, m) ->
       if not (Value.equal sv1 v) then
         failwith (Printf.sprintf "skew: result differs at %d domains" d);
-      if cost_fields sm1 <> cost_fields m then
+      if Metrics.cost sm1 <> Metrics.cost m then
         failwith (Printf.sprintf "skew: cost metrics differ at %d domains" d))
     skew_results;
   (* ... and across chunk policies at the top domain count *)
@@ -333,7 +320,7 @@ let run () =
      (fun chunk ->
        let v, m = run_at ~chunk ~pool ~tables:skew_tables skew_algo in
        if not (Value.equal sv1 v) then failwith "skew: result differs across --chunk";
-       if cost_fields sm1 <> cost_fields m then
+       if Metrics.cost sm1 <> Metrics.cost m then
          failwith "skew: cost metrics differ across --chunk")
      [ Engine.Chunk_fixed 1; Engine.Chunk_fixed 64; Engine.Chunk_auto ]);
   let skew_base =
@@ -354,34 +341,34 @@ let run () =
            string_of_int m.Metrics.par_steal_misses ])
        skew_results);
 
-  (* -------- pool-level legacy-vs-stealing pin -------- *)
+  (* -------- pool-level unchunked-vs-chunked pin -------- *)
   Exp_common.section
     (Printf.sprintf
-       "E9c: work stealing vs the legacy pool (Zipf alpha = %.2f, %d rows, %d \
-        partitions, %d-row chunks)"
+       "E9c: chunked vs one task per partition on the stealing pool (Zipf \
+        alpha = %.2f, %d rows, %d partitions, %d-row chunks)"
        alpha steal_rows steal_parts steal_grain);
-  let lw1, lw8, ww1, ww8 = bench_steal ~alpha in
-  let legacy_speedup = lw1 /. lw8 in
+  let uw1, uw8, ww1, ww8 = bench_steal ~alpha in
+  let unchunked_speedup = uw1 /. uw8 in
   let ws_speedup = ww1 /. ww8 in
   Emma_util.Tbl.print ~title:"skewed batch, 1 -> 8 domains (best of 3)"
-    ~header:[ "pool"; "wall 1d"; "wall 8d"; "speedup" ]
-    [ [ "legacy (1 task/partition)";
-        Printf.sprintf "%.3f s" lw1;
-        Printf.sprintf "%.3f s" lw8;
-        Printf.sprintf "%.2fx" legacy_speedup ];
-      [ "stealing (chunked)";
+    ~header:[ "tasks"; "wall 1d"; "wall 8d"; "speedup" ]
+    [ [ "1 per partition";
+        Printf.sprintf "%.3f s" uw1;
+        Printf.sprintf "%.3f s" uw8;
+        Printf.sprintf "%.2fx" unchunked_speedup ];
+      [ "chunked";
         Printf.sprintf "%.3f s" ww1;
         Printf.sprintf "%.3f s" ww8;
         Printf.sprintf "%.2fx" ws_speedup ] ];
-  (* Pin: the stealing pool's skewed speedup must be at least the legacy
-     pool's. The slack absorbs timer noise on hosts where both are flat
-     (e.g. a single-core container, where every speedup is ~1.0x). *)
+  (* Pin: the chunked skewed speedup must be at least the unchunked one.
+     The slack absorbs timer noise on hosts where both are flat (e.g. a
+     single-core host, where every speedup is ~1.0x). *)
   let slack = 0.85 in
-  let passed = ws_speedup >= legacy_speedup *. slack in
-  Printf.printf "acceptance: stealing %.2fx %s legacy %.2fx (x %.2f slack) — %s\n"
+  let passed = ws_speedup >= unchunked_speedup *. slack in
+  Printf.printf "acceptance: chunked %.2fx %s unchunked %.2fx (x %.2f slack) — %s\n"
     ws_speedup
     (if passed then ">=" else "<")
-    legacy_speedup slack
+    unchunked_speedup slack
     (if passed then "ok" else "FAIL");
   let sm8 =
     match List.rev skew_results with (_, _, m) :: _ -> m | [] -> sm1
@@ -389,17 +376,17 @@ let run () =
   let json =
     Json.Obj
       [ ("experiment", Json.Str "steal");
-        ("bench", Json.Str "E9c Zipf-skewed batch, legacy vs work-stealing pool");
+        ("bench", Json.Str "E9c Zipf-skewed batch, unchunked vs chunked work-stealing pool");
         ("zipf_alpha", Json.Float alpha);
         ("rows", Json.Int steal_rows);
         ("partitions", Json.Int steal_parts);
         ("chunk_rows", Json.Int steal_grain);
         ("domains", Json.Int 8);
-        ("legacy_wall_1d_s", Json.Float lw1);
-        ("legacy_wall_8d_s", Json.Float lw8);
+        ("unchunked_wall_1d_s", Json.Float uw1);
+        ("unchunked_wall_8d_s", Json.Float uw8);
         ("ws_wall_1d_s", Json.Float ww1);
         ("ws_wall_8d_s", Json.Float ww8);
-        ("legacy_speedup", Json.Float legacy_speedup);
+        ("unchunked_speedup", Json.Float unchunked_speedup);
         ("ws_speedup", Json.Float ws_speedup);
         ("slack", Json.Float slack);
         ("target_met", Json.Bool passed);
@@ -414,4 +401,4 @@ let run () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "measurement written to %s\n" path;
-  if not passed then failwith "steal bench: stealing pool lost to the legacy pool"
+  if not passed then failwith "steal bench: chunked tasks lost to one task per partition"

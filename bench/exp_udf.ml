@@ -93,14 +93,6 @@ let program =
 (* one physical node, many slots: partitioned work, no simulated network *)
 let cluster = { (Cluster.laptop ()) with Cluster.nodes = 1; slots_per_node = 16 }
 
-let cost_fields (m : Metrics.t) =
-  ( m.Metrics.sim_time_s,
-    m.Metrics.shuffle_bytes,
-    m.Metrics.broadcast_bytes,
-    m.Metrics.stages,
-    m.Metrics.jobs,
-    m.Metrics.udf_invocations )
-
 let run_mode ~pool ~udf_mode algo tables =
   let rt = Emma.{ cluster; profile = Cluster.spark_like; timeout_s = None } in
   let config = Emma.Config.(default |> with_udf_mode udf_mode |> with_pool (Some pool)) in
@@ -169,13 +161,13 @@ let run () =
               (mode_name udf_mode) domains m.Metrics.udf_invocations
               m.Metrics.jobs m.Metrics.stages m.Metrics.wall_time_s;
           match !reference with
-          | None -> reference := Some (v, cost_fields m)
+          | None -> reference := Some (v, Metrics.cost m)
           | Some (v0, c0) ->
               if not (Value.equal v0 v) then
                 failwith
                   (Printf.sprintf "udf: result differs (%s, %d domains)"
                      (mode_name udf_mode) domains);
-              if c0 <> cost_fields m then
+              if c0 <> Metrics.cost m then
                 failwith
                   (Printf.sprintf "udf: cost metrics differ (%s, %d domains)"
                      (mode_name udf_mode) domains))

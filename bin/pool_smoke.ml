@@ -2,13 +2,12 @@
    8 (oversubscribed) domains. Exercises the three properties the tier-1
    adversarial suite checks at length — nested-parmap deadlock freedom,
    deterministic lowest-index exception choice, and wakeup correctness
-   over many tiny batches — plus a differential pass against the retained
-   legacy single-queue pool. Any mismatch, unexpected exception, or hang
+   over many tiny batches — plus a differential pass against a sequential
+   left-to-right map. Any mismatch, unexpected exception, or hang
    (the alias runs under dune's timeout-free build, so a deadlock shows up
    as a wedged CI step) exits non-zero and fails `make pool-smoke`. *)
 
 module Pool = Emma_util.Pool
-module Pool_legacy = Emma_util.Pool_legacy
 
 exception Boom of int
 
@@ -39,11 +38,7 @@ let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 
 let () =
   let p = Pool.create ~domains:8 () in
-  let legacy = Pool_legacy.create ~domains:8 in
-  Fun.protect ~finally:(fun () ->
-      Pool.shutdown p;
-      Pool_legacy.shutdown legacy)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
   (* 1. nested parmap trees must terminate with the exact leaf count *)
   check "nested trees (depth 4, width 3)" (tree_sum p 4 3 = pow 3 4);
   check "nested trees (depth 2, width 8)" (tree_sum p 2 8 = pow 8 2);
@@ -75,7 +70,8 @@ let () =
   done;
   check "exception storm: lowest index, pool reusable" !storm_ok;
 
-  (* 4. differential vs the legacy single-queue pool *)
+  (* 4. differential vs a sequential map: results, or the lowest failing
+     index *)
   let diff_ok = ref true in
   for round = 1 to 20 do
     let n = 1 + (round * 7 mod 40) in
@@ -84,9 +80,9 @@ let () =
       | rs -> `Ok (Array.to_list rs)
       | exception Boom i -> `Boom i
     in
-    if run (Pool_legacy.parmap legacy) <> run (Pool.parmap p) then diff_ok := false
+    if run Array.map <> run (Pool.parmap p) then diff_ok := false
   done;
-  check "work-stealing ≡ legacy pool" !diff_ok;
+  check "work-stealing ≡ sequential map" !diff_ok;
 
   let s = Pool.stats p in
   Printf.printf "stats: %d tasks run, %d steals, %d steal misses\n" s.Pool.tasks_run

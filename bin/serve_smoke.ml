@@ -8,7 +8,8 @@
      (deterministic fair-share scheduling, queues, cache counters);
    - the plan cache hits on repeat submissions and never changes a
      result: every query's value matches the cache-off replay and a
-     standalone [Emma.run_on_exn] of the same program;
+     standalone [Emma.run_on_exn] of the same program, whose cost
+     metrics ([Metrics.cost]) it matches too;
    - every outcome carries per-query metrics with the cache counters
      stamped in ([plan_cache_hits + plan_cache_misses >= 1] on a cached
      session).
@@ -95,8 +96,8 @@ let () =
       if not (Value.equal standalone.Emma.value (value_of served)) then
         fail "%s: served value differs from standalone run_on" name;
       let sm = Emma.metrics_of_outcome served.Serve.qr_outcome in
-      if sm.Metrics.sim_time_s <> standalone.Emma.metrics.Metrics.sim_time_s then
-        fail "%s: served sim_time_s differs from standalone run_on" name)
+      if Metrics.cost sm <> Metrics.cost standalone.Emma.metrics then
+        fail "%s: served cost metrics differ from standalone run_on" name)
     query_names;
   Printf.printf
     "serve-smoke ok: %d queries, %d lanes, %d hits/%d misses, fingerprint stable, \

@@ -4,9 +4,9 @@
    interpreter (`--udf-mode interp`, the differential oracle) and once
    with the staged compiler (`--udf-mode compiled`, the default) — and
    asserts the compilation contract: bit-identical results and
-   bit-identical cost-model metrics (simulated time, shuffle/broadcast
-   bytes, stages, jobs, UDF invocations). Only wall clock may differ.
-   Any violation exits non-zero and fails the alias. *)
+   bit-identical cost-model metrics ([Metrics.cost]), plus equal pool
+   barrier and task counts; wall clock and the chunk and steal counters
+   may differ. Any violation exits non-zero and fails the alias. *)
 
 module Value = Emma.Value
 module Metrics = Emma.Metrics
@@ -14,23 +14,9 @@ module Engine = Emma.Engine
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("udf-smoke: " ^ m); exit 1) fmt
 
-(* the cost-model metrics a UDF-mode switch could plausibly disturb;
-   wall clock deliberately excluded *)
-let cost_sig (m : Metrics.t) =
-  ( ( m.Metrics.sim_time_s,
-      m.Metrics.shuffle_bytes,
-      m.Metrics.broadcast_bytes,
-      m.Metrics.dfs_read_bytes,
-      m.Metrics.dfs_write_bytes,
-      m.Metrics.collect_bytes,
-      m.Metrics.parallelize_bytes,
-      m.Metrics.spilled_bytes ),
-    ( m.Metrics.stages,
-      m.Metrics.jobs,
-      m.Metrics.par_stages,
-      m.Metrics.par_tasks,
-      m.Metrics.udf_invocations,
-      m.Metrics.cache_hits ) )
+(* the cost view, plus the host's barrier and task counts: both modes run
+   on the same pool, so these must agree as well *)
+let cost_sig (m : Metrics.t) = (Metrics.cost m, m.Metrics.par_stages, m.Metrics.par_tasks)
 
 let check (e : Registry.entry) =
   let name = e.Registry.name in

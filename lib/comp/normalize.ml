@@ -87,15 +87,6 @@ let avoid_set head quals alg =
   in
   Strset.union (free_vars head) (Strset.union quals_fv alg_fv)
 
-let subst_alg x repl = function
-  | Alg_bag -> Alg_bag
-  | Alg_fold fns ->
-      Alg_fold
-        { fns with
-          f_empty = subst x repl fns.f_empty;
-          f_single = subst x repl fns.f_single;
-          f_union = subst x repl fns.f_union }
-
 let subst_quals x repl quals =
   (* Substitution in a qualifier suffix: stop when x gets rebound. *)
   let rec go = function
@@ -126,8 +117,9 @@ let unnest_generator head quals alg =
       let qs_renamed, t_renamed = rename_avoiding avoid qs' t' in
       let head' = subst x t_renamed head in
       let after' = subst_quals x t_renamed after in
-      let alg' = subst_alg x t_renamed alg in
-      Some { head = head'; quals = before @ qs_renamed @ after'; alg = alg' }
+      (* [alg] runs outside the comprehension: its [x], if any, is not
+         the generator's *)
+      Some { head = head'; quals = before @ qs_renamed @ after'; alg }
 
 (* Canonical exists guard: head is the applied predicate, single is the
    identity. Combinator translation pattern-matches on this shape. *)

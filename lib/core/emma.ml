@@ -14,7 +14,6 @@ module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Faults = Emma_engine.Faults
 module Config = Emma_engine.Config
-module Cancel = Emma_engine.Cancel
 module Pool = Emma_util.Pool
 module Trace = Emma_util.Trace
 module Json = Emma_util.Json

@@ -40,7 +40,6 @@ module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Faults = Emma_engine.Faults
 module Config = Emma_engine.Config
-module Cancel = Emma_engine.Cancel
 module Pool = Emma_util.Pool
 module Trace = Emma_util.Trace
 module Json = Emma_util.Json
@@ -80,9 +79,9 @@ type outcome = Session.outcome =
   | Failed of { reason : string; metrics : Metrics.t }
   | Timed_out of { at_s : float; metrics : Metrics.t }
   | Cancelled of { at_s : float; reason : string; metrics : Metrics.t }
-      (** cooperative cancellation (a {!Cancel} token or the per-query
-          [Config.deadline_s] budget); carries the simulated clock at the
-          terminal safepoint and the reason *)
+      (** cooperative cancellation (the per-query [Config.deadline_s]
+          budget ran out); carries the simulated clock at the terminal
+          safepoint and the reason *)
 
 val metrics_of_outcome : outcome -> Metrics.t
 (** Every outcome arm — including [Failed], [Timed_out] and [Cancelled] —

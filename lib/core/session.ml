@@ -15,7 +15,6 @@ module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Config = Emma_engine.Config
-module Cancel = Emma_engine.Cancel
 module Pool = Emma_util.Pool
 module Trace = Emma_util.Trace
 
@@ -161,7 +160,7 @@ let terminal_instant tracer outcome =
       "query_terminal"
   end
 
-let run ?config ?cancel ?cluster t algo ~tables =
+let run ?config ?cluster t algo ~tables =
   (* a per-run config override with no timeout of its own still inherits
      the session's resolved timeout *)
   let cfg =
@@ -176,7 +175,7 @@ let run ?config ?cancel ?cluster t algo ~tables =
   let cluster = Option.value cluster ~default:t.rt.cluster in
   let ctx = make_ctx tables in
   let engine =
-    Engine.create ?cancel ~config:cfg ~read_memo:t.read_memo ~cluster ~profile:t.rt.profile ctx
+    Engine.create ~config:cfg ~read_memo:t.read_memo ~cluster ~profile:t.rt.profile ctx
   in
   let outcome =
     match Engine.run engine algo.compiled with
@@ -287,7 +286,7 @@ let prime ?(opts = Pipeline.default_opts) t source ~tables =
             let compiled, report = Pipeline.compile ~opts source in
             Plan_cache.prime pc key (compiled, report))
 
-let submit ?(opts = Pipeline.default_opts) ?config ?cancel ?cluster t source
+let submit ?(opts = Pipeline.default_opts) ?config ?cluster t source
     ~tables =
   let cfg = match config with Some c -> c | None -> t.config in
   let tracer = tracer_of cfg in
@@ -323,7 +322,7 @@ let submit ?(opts = Pipeline.default_opts) ?config ?cancel ?cluster t source
      Trace.instant tracer ~cat:"session"
        ~args:[ ("schema", Trace.A_str schema) ]
        name);
-  let outcome = run ?config ?cancel ?cluster t algo ~tables in
+  let outcome = run ?config ?cluster t algo ~tables in
   let m = metrics_of_outcome outcome in
   (match status with
   | Hit -> m.Metrics.plan_cache_hits <- m.Metrics.plan_cache_hits + 1

@@ -22,7 +22,6 @@ module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
 module Engine = Emma_engine.Exec
 module Config = Emma_engine.Config
-module Cancel = Emma_engine.Cancel
 module Pool = Emma_util.Pool
 module Trace = Emma_util.Trace
 
@@ -62,9 +61,9 @@ type outcome =
   | Failed of { reason : string; metrics : Metrics.t }
   | Timed_out of { at_s : float; metrics : Metrics.t }
   | Cancelled of { at_s : float; reason : string; metrics : Metrics.t }
-      (** cooperative cancellation: a {!Cancel} token was requested or the
-          per-query [Config.deadline_s] budget ran out; carries the
-          simulated clock at the terminal safepoint and the reason *)
+      (** cooperative cancellation: the per-query [Config.deadline_s]
+          budget ran out; carries the simulated clock at the terminal
+          safepoint and the reason *)
 
 val metrics_of_outcome : outcome -> Metrics.t
 (** Every outcome arm — including [Failed], [Timed_out] and [Cancelled] —
@@ -116,7 +115,6 @@ val plan_cache_stats : t -> Plan_cache.stats option
 
 val run :
   ?config:Config.t ->
-  ?cancel:Cancel.t ->
   ?cluster:Cluster.t ->
   t ->
   algorithm ->
@@ -127,9 +125,8 @@ val run :
     (its [pool] field is ignored — the session pool always executes);
     serve uses this for per-tenant memory budgets. A per-run [config]
     without a timeout of its own still inherits the session's resolved
-    timeout. [cancel] threads a cooperative cancellation token into the
-    engine; [config.deadline_s] sets the per-query budget — either ends
-    the run in a classified [Cancelled] outcome. [cluster] narrows the
+    timeout. [config.deadline_s] sets the per-query budget: running past
+    it ends the run in a classified [Cancelled] outcome. [cluster] narrows the
     execution slice for this run only (the serve degradation ladder
     halves dop with it).
 
@@ -156,7 +153,6 @@ type submit_info = {
 val submit :
   ?opts:Pipeline.opts ->
   ?config:Config.t ->
-  ?cancel:Cancel.t ->
   ?cluster:Cluster.t ->
   t ->
   Expr.program ->

@@ -86,9 +86,6 @@ type t = {
       (* per-query latency budget on the same simulated clock: exceeding
          it raises [Engine_cancelled] (a service decision) rather than
          [Engine_timeout] (an operator limit) *)
-  cancel : Cancel.t option;
-      (* cooperative cancellation token, polled at the cost-charging
-         safepoints and at every partition-dispatch barrier *)
   mutable job_depth : int;
       (* > 0 while a dataflow is executing: nested lineage recomputations
          belong to the enclosing job and are not separate submissions *)
@@ -158,7 +155,7 @@ and env = (string * dval) list
 
 type out = Obag of Pdata.t | Oscalar of Value.t | Ostateful of state_handle
 
-let create ?cancel ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~profile
+let create ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~profile
     eval_ctx =
   let pool =
     match config.Config.pool with Some p -> p | None -> Pool.default ()
@@ -177,7 +174,6 @@ let create ?cancel ?(config = Config.default) ?(read_memo = read_memo ()) ~clust
     steal_seen = Pool.stats pool;
     timeout_s = config.Config.timeout_s;
     deadline_s = config.Config.deadline_s;
-    cancel;
     job_depth = 0;
     iteration_rerun = false;
     udf_mode = config.Config.udf_mode;
@@ -210,27 +206,21 @@ let metrics t = t.metrics
 
 (* Cooperative-interrupt safepoint. Checked after every cost charge and
    before every partition-dispatch barrier — the same choke points the
-   timeout uses, so cancellation and deadlines also land mid-recovery and
-   mid-admission-wait. Precedence when several limits trip on the same
-   charge: timeout (the operator limit) over deadline over an external
-   cancel request. *)
+   timeout uses, so deadlines also land mid-recovery and
+   mid-admission-wait. When both limits trip on the same charge the
+   timeout (the operator limit) wins over the deadline. *)
 let check_interrupts t =
   (match t.timeout_s with
   | Some limit when t.metrics.Metrics.sim_time_s > limit ->
       raise (Engine_timeout t.metrics.Metrics.sim_time_s)
   | _ -> ());
-  (match t.deadline_s with
+  match t.deadline_s with
   | Some d when t.metrics.Metrics.sim_time_s > d ->
       t.metrics.Metrics.cancellations <- t.metrics.Metrics.cancellations + 1;
       raise
         (Engine_cancelled
            ( t.metrics.Metrics.sim_time_s,
              Printf.sprintf "deadline of %g s exceeded" d ))
-  | _ -> ());
-  match t.cancel with
-  | Some c when Cancel.is_requested c ->
-      t.metrics.Metrics.cancellations <- t.metrics.Metrics.cancellations + 1;
-      raise (Engine_cancelled (t.metrics.Metrics.sim_time_s, Cancel.reason c))
   | _ -> ()
 
 let charge t secs =

@@ -36,15 +36,14 @@ exception Engine_timeout of float
     carries the clock value. *)
 
 exception Engine_cancelled of float * string
-(** Cooperative cancellation: raised at the next safepoint after a
-    {!Cancel} token is requested or the query's [deadline_s] budget is
-    exhausted; carries the simulated clock and the cancellation reason.
-    Safepoints are every cost charge and every partition-dispatch
-    barrier — the same choke points [timeout_s] uses — so cancellation
-    also lands mid-recovery and mid-admission-wait. When several limits
-    trip on the same charge, [Engine_timeout] wins (the operator limit),
-    then the deadline, then an external cancel request. The run's
-    metrics record the event in [cancellations]. *)
+(** Cooperative cancellation: raised at the next safepoint after the
+    query's [deadline_s] budget is exhausted; carries the simulated clock
+    and the cancellation reason. Safepoints are every cost charge and
+    every partition-dispatch barrier — the same choke points [timeout_s]
+    uses — so cancellation also lands mid-recovery and
+    mid-admission-wait. When both limits trip on the same charge,
+    [Engine_timeout] wins (the operator limit). The run's metrics record
+    the event in [cancellations]. *)
 
 type t
 (** An engine instance: cluster + profile + metrics + table storage. *)
@@ -84,7 +83,6 @@ type udf_mode = Config.udf_mode =
 type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
 
 val create :
-  ?cancel:Cancel.t ->
   ?config:Config.t ->
   ?read_memo:read_memo ->
   cluster:Cluster.t ->
@@ -107,12 +105,11 @@ val create :
     [snapshot_every]. Raises [Invalid_argument] on [config.mem_budget]
     [<= 0], [config.max_inflight < 1] or [config.checkpoint_every < 1].
 
-    [cancel] is a cooperative {!Cancel} token: requesting it makes the
-    run raise {!Engine_cancelled} at the next safepoint (every cost
-    charge, every partition-dispatch barrier). [config.deadline_s] is
-    checked at the same safepoints and raises the same exception once the
-    run's own simulated time exceeds the budget; [config.timeout_s]
-    raises {!Engine_timeout} once the simulated clock exceeds it.
+    [config.deadline_s] is checked at every safepoint (every cost
+    charge, every partition-dispatch barrier) and raises
+    {!Engine_cancelled} once the run's own simulated time exceeds the
+    budget; [config.timeout_s] raises {!Engine_timeout} once the
+    simulated clock exceeds it.
 
     [config.udf_mode] (default [Compiled]) selects how worker-side UDF
     bodies execute. Both modes share the same cost charging and UDF

@@ -69,8 +69,8 @@ val rates_of_string : string -> (rates, string) result
     1 in execution order, identically at any domain count). *)
 type event =
   | Cache_loss of int
-      (** the cached result serving the k-th cache hit is lost (the legacy
-          [?cache_loss_at] channel) *)
+      (** the cached result serving the k-th cache hit is lost and is
+          rebuilt through lineage *)
   | Task_fail of { barrier : int; part : int; attempts : int }
       (** the task for [part] fails [attempts] times in barrier [barrier];
           scripted counts are NOT capped, so [attempts >=]
@@ -108,11 +108,6 @@ val seeded : ?rates:rates -> int -> t
 
 val scripted : event list -> t
 (** Fires exactly the listed events and nothing else. *)
-
-val of_cache_loss_at : int list -> t
-(** Convenience: [of_cache_loss_at [2; 4]] loses the cached copy at cache
-    hits 2 and 4. Equivalent to
-    [scripted (List.map (fun k -> Cache_loss k) …)]. *)
 
 val add_events : t -> event list -> t
 (** Extends a plan with scripted events. *)

@@ -99,6 +99,24 @@ let create () =
     recovery_replayed = 0;
   }
 
+let cost m =
+  {
+    m with
+    wall_time_s = 0.0;
+    par_stages = 0;
+    par_tasks = 0;
+    par_chunks = 0;
+    par_steals = 0;
+    par_steal_misses = 0;
+    plan_cache_hits = 0;
+    plan_cache_misses = 0;
+    plan_cache_evictions = 0;
+    wal_appends = 0;
+    wal_bytes = 0.0;
+    wal_fsyncs = 0;
+    recovery_replayed = 0;
+  }
+
 let add_time m s = m.sim_time_s <- m.sim_time_s +. s
 
 let human_bytes b =

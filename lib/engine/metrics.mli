@@ -18,10 +18,7 @@ type t = {
   mutable cache_hits : int;
   mutable cache_losses : int;  (** injected failures recovered via lineage *)
   mutable udf_invocations : int;  (** physical count, not scaled *)
-  mutable wall_time_s : float;
-      (** real elapsed time of the run on the host — the only field that is
-          allowed to vary with the domain count (all cost-model fields above
-          are bit-identical whether partitions run on 1 domain or many) *)
+  mutable wall_time_s : float;  (** real elapsed time of the run on the host *)
   mutable par_stages : int;  (** operator barriers executed on the domain pool *)
   mutable par_tasks : int;  (** partition tasks dispatched through the pool *)
   mutable par_chunks : int;
@@ -82,8 +79,8 @@ type t = {
           store *)
   mutable cancellations : int;
       (** cooperative cancellations observed by this run: 1 when the run
-          ended in a classified [Cancelled] outcome (deadline exceeded or
-          an explicit {!Cancel} request), 0 otherwise *)
+          ended in a classified [Cancelled] outcome (its [deadline_s]
+          budget was exceeded), 0 otherwise *)
   mutable wal_appends : int;
       (** journal records appended on behalf of this submission (its
           dispatch and outcome records) when serve runs with [--wal] *)
@@ -98,6 +95,24 @@ type t = {
 }
 
 val create : unit -> t
+
+val cost : t -> t
+(** The invariance contract: a copy of the record with every field the
+    cost model does not produce zeroed. Two runs of the same program and
+    inputs have equal [cost] views whatever the domain count, chunk
+    policy, UDF mode, tracing, plan cache or pool, so tests compare
+    [cost a = cost b]. Two groups are zeroed:
+    - host-measured: [wall_time_s] and [par_stages], [par_tasks],
+      [par_chunks], [par_steals], [par_steal_misses], which describe how
+      the host ran the partitions;
+    - session/serve attribution: [plan_cache_hits], [plan_cache_misses],
+      [plan_cache_evictions], [wal_appends], [wal_bytes], [wal_fsyncs] and
+      [recovery_replayed], stamped on a run's record by [Session.submit]
+      and serve after the engine has finished.
+
+    Every other field, including any field added later and not put in a
+    group here, is a cost field and is kept. *)
+
 val add_time : t -> float -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -1,6 +1,5 @@
 (* A fixed pool of worker Domains scheduled by per-domain deques with work
-   stealing (replacing the original single-mutex work queue, kept in
-   [Pool_legacy] as the differential oracle).
+   stealing.
 
    Each participating domain owns one deque, accessed Chase-Lev style: the
    owner pushes and pops at the bottom (LIFO, cache-warm), thieves take
@@ -9,7 +8,7 @@
    is shared by every external submitter thread, which a fence-only
    Chase-Lev owner end would not tolerate, and a per-deque lock is touched
    only by its owner plus the occasional thief, so the global contention
-   wall of the legacy pool is gone either way.
+   wall of a single shared queue is gone either way.
 
    A [parmap] batch is scattered round-robin across every deque, the
    submitter's own deque first, so the common case is a local (lock-local)
@@ -35,8 +34,8 @@
    deepest-nested batch contains no [parmap] calls, and a nested submitter
    is itself a claim-sweeping participant for its own batch.
 
-   Exception propagation is deterministic and identical to the legacy pool:
-   all tasks of a batch run to completion and the exception of the LOWEST
+   Exception propagation is deterministic: all tasks of a batch run to
+   completion and the exception of the LOWEST
    task index is re-raised in the caller — the same exception a sequential
    left-to-right execution would surface — leaving the pool reusable. *)
 

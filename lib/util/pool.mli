@@ -6,9 +6,9 @@
     steals from a seeded-deterministic victim order only when its own deque
     is empty. {!parmap} batches are scattered round-robin across all
     deques, so the common case is an uncontended local pop; stealing kicks
-    in exactly when work is imbalanced. The original single-queue
-    implementation is retained as {!Pool_legacy}, the differential oracle
-    for the scheduling-adversarial test suite.
+    in exactly when work is imbalanced. The scheduling-adversarial test
+    suite checks it against a sequential [Array.map]: same results, and
+    the same exception (that of the lowest failing index).
 
     [create ~domains:n] gives n-way parallelism {e including the caller}:
     n-1 worker Domains are spawned, and the domain calling {!parmap}

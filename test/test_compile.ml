@@ -56,27 +56,10 @@ let check_parity ?tables ?env msg e =
 (* Engine-level differential: both modes, full cost signature         *)
 (* ---------------------------------------------------------------- *)
 
-(* every cost-model field (wall_time_s / par_* describe the host run) *)
-let cost_sig (m : Metrics.t) =
-  ( ( m.Metrics.sim_time_s,
-      m.Metrics.shuffle_bytes,
-      m.Metrics.broadcast_bytes,
-      m.Metrics.dfs_read_bytes,
-      m.Metrics.dfs_write_bytes,
-      m.Metrics.collect_bytes,
-      m.Metrics.parallelize_bytes ),
-    ( m.Metrics.spilled_bytes,
-      m.Metrics.jobs,
-      m.Metrics.stages,
-      m.Metrics.recomputes,
-      m.Metrics.cache_hits,
-      m.Metrics.cache_losses,
-      m.Metrics.udf_invocations ) )
-
 let run_mode ?pool mode prog tables =
   let config = Config.(default |> with_pool pool |> with_udf_mode mode) in
   let r = Emma.run_on_exn ~config (Emma.spark ()) (Emma.parallelize prog) ~tables in
-  (r.Emma.value, cost_sig r.Emma.metrics)
+  (r.Emma.value, Metrics.cost r.Emma.metrics)
 
 let check_engine_parity ?pool msg prog tables =
   let vi, mi = run_mode ?pool Engine.Interp prog tables in

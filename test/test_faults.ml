@@ -1,10 +1,10 @@
 (* The chaos subsystem's contract: for ANY fault plan — seeded, scripted,
-   or the legacy cache_loss_at schedule — results are bit-identical to the
+   or a scripted list of cache losses — results are bit-identical to the
    fault-free run, at any domain count. Injected failures may only cost
    simulated time and move the clearly-scoped recovery counters.
 
    Covered here:
-   - the legacy cache-loss channel (losing cached results mid-run);
+   - the cache-loss channel (losing cached results mid-run);
    - scripted plans: task retries, job failure at the attempt bound,
      blacklisting, shuffle-fetch retries, stragglers ± speculation,
      executor loss with lineage recomputation;
@@ -69,47 +69,33 @@ let run_engine ?(faults = Faults.none) ?checkpoint_every ?timeout_s ?cluster ?po
   (v, Engine.metrics eng)
 
 let run_with ?(cache_loss_at = []) prog tables =
-  run_engine ~faults:(Faults.of_cache_loss_at cache_loss_at) prog tables
+  let faults = Faults.scripted (List.map (fun k -> Faults.Cache_loss k) cache_loss_at) in
+  run_engine ~faults prog tables
 
 let tables = [ ("t", List.init 20 (fun i -> Helpers.row i (i mod 3))) ]
 
-(* every cost-model field (wall_time_s / par_* describe the host run) *)
-let cost_sig (m : Metrics.t) =
-  ( ( m.Metrics.sim_time_s,
-      m.Metrics.shuffle_bytes,
-      m.Metrics.broadcast_bytes,
-      m.Metrics.dfs_read_bytes,
-      m.Metrics.dfs_write_bytes,
-      m.Metrics.collect_bytes,
-      m.Metrics.parallelize_bytes ),
-    ( m.Metrics.spilled_bytes,
-      m.Metrics.jobs,
-      m.Metrics.stages,
-      m.Metrics.recomputes,
-      m.Metrics.cache_hits,
-      m.Metrics.cache_losses,
-      m.Metrics.udf_invocations ) )
-
-let recovery_sig (m : Metrics.t) =
-  ( ( m.Metrics.retries,
-      m.Metrics.fetch_failures,
-      m.Metrics.executor_losses,
-      m.Metrics.blacklisted_nodes,
-      m.Metrics.recomputed_partitions ),
-    ( m.Metrics.speculative_launches,
-      m.Metrics.speculative_wins,
-      m.Metrics.checkpoints,
-      m.Metrics.checkpoint_bytes,
-      m.Metrics.loop_restores ) )
-
-let zero_recovery = ((0, 0, 0, 0, 0), (0, 0, 0, 0.0, 0))
+(* no recovery counter moved: the cost view equals itself with them zeroed *)
+let recovery_idle (m : Metrics.t) =
+  let c = Metrics.cost m in
+  c
+  = { c with
+      Metrics.retries = 0;
+      fetch_failures = 0;
+      executor_losses = 0;
+      blacklisted_nodes = 0;
+      recomputed_partitions = 0;
+      speculative_launches = 0;
+      speculative_wins = 0;
+      checkpoints = 0;
+      checkpoint_bytes = 0.0;
+      loop_restores = 0 }
 
 let with_pool domains f =
   let pool = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 (* ---------------------------------------------------------------- *)
-(* Legacy cache-loss channel (the deprecated ?cache_loss_at API)      *)
+(* Cache-loss channel: scripted lists of lost cache accesses         *)
 (* ---------------------------------------------------------------- *)
 
 let test_result_unchanged () =
@@ -140,17 +126,6 @@ let test_every_hit_lost () =
   check_value "correct under total cache loss" clean faulty;
   Alcotest.(check int) "no surviving hits" 0 m.Emma.Metrics.cache_hits
 
-let test_legacy_wrapper_is_a_plan () =
-  (* Faults.of_cache_loss_at is a thin wrapper over scripted Cache_loss
-     events: the wrapper and the hand-written plan behave identically *)
-  let explicit = Faults.scripted [ Faults.Cache_loss 2; Faults.Cache_loss 4 ] in
-  let v_plan, m_plan = run_engine ~faults:explicit (loop_prog 5) tables in
-  let v_wrap, m_wrap = run_with ~cache_loss_at:[ 2; 4 ] (loop_prog 5) tables in
-  check_value "same result" v_wrap v_plan;
-  Alcotest.(check bool) "same cost metrics" true (cost_sig m_wrap = cost_sig m_plan);
-  Alcotest.(check bool) "same recovery metrics" true
-    (recovery_sig m_wrap = recovery_sig m_plan)
-
 let prop_faults_never_change_results =
   Helpers.qcheck_case "random fault schedules never change results" ~count:40
     QCheck2.Gen.(pair Helpers.rows_gen (list_size (int_bound 6) (int_range 1 10)))
@@ -168,15 +143,14 @@ let prop_faults_never_change_results =
 let test_empty_plans_inert () =
   let clean, m_clean = run_engine (loop_prog 5) tables in
   Alcotest.(check bool) "clean run touches no recovery counter" true
-    (recovery_sig m_clean = zero_recovery);
+    (recovery_idle m_clean);
   List.iter
     (fun (name, faults) ->
       let v, m = run_engine ~faults (loop_prog 5) tables in
       check_value (name ^ ": same result") clean v;
-      Alcotest.(check bool) (name ^ ": same cost metrics") true
-        (cost_sig m_clean = cost_sig m);
-      Alcotest.(check bool) (name ^ ": no recovery activity") true
-        (recovery_sig m = zero_recovery))
+      Alcotest.(check bool) (name ^ ": same cost metrics, no recovery activity")
+        true
+        (Metrics.cost m_clean = Metrics.cost m))
     [ ("none", Faults.none);
       ("zero rates", Faults.seeded ~rates:Faults.zero_rates 123);
       ("empty script", Faults.scripted []) ]
@@ -294,8 +268,7 @@ let prop_seeded_differential =
       && List.for_all
            (fun (v, m) ->
              Value.equal v1 v
-             && cost_sig m1 = cost_sig m
-             && recovery_sig m1 = recovery_sig m)
+             && Metrics.cost m1 = Metrics.cost m)
            runs)
 
 let test_seeded_metrics_deterministic () =
@@ -303,7 +276,7 @@ let test_seeded_metrics_deterministic () =
      byte-identical cost AND recovery metrics, equal to the sequential run *)
   let faults = Faults.seeded 42 in
   let render (v, m) =
-    (Format.asprintf "%a" Value.pp v, cost_sig m, recovery_sig m)
+    (Format.asprintf "%a" Value.pp v, Metrics.cost m)
   in
   let reference =
     with_pool 1 (fun pool -> render (run_engine ~faults ~pool (loop_prog 4) tables))
@@ -322,7 +295,7 @@ let test_seeded_plan_actually_injects () =
   let clean, m_clean = run_engine (loop_prog 4) tables in
   let v, m = run_engine ~faults (loop_prog 4) tables in
   check_value "seeded chaos never changes the result" clean v;
-  Alcotest.(check bool) "some faults injected" true (recovery_sig m <> zero_recovery);
+  Alcotest.(check bool) "some faults injected" true (not (recovery_idle m));
   Alcotest.(check bool) "chaos costs simulated time" true
     (m.Emma.Metrics.sim_time_s > m_clean.Emma.Metrics.sim_time_s)
 
@@ -417,7 +390,7 @@ let test_unread_corruption_is_harmless () =
   in
   check_value "same result" clean v;
   Alcotest.(check int) "nothing detected" 0 m.Emma.Metrics.checkpoint_corruptions;
-  Alcotest.(check bool) "cost metrics identical" true (cost_sig m = cost_sig m_clean)
+  Alcotest.(check bool) "cost metrics identical" true (Metrics.cost m = Metrics.cost m_clean)
 
 let test_kmeans_checkpoint_resume () =
   let cfg = W.Points_gen.default ~n_points:200 ~k:3 in
@@ -466,10 +439,8 @@ let check_mode_parity_under name ?checkpoint_every ~faults prog tables =
     run_engine ~faults ?checkpoint_every ~udf_mode:Engine.Compiled prog tables
   in
   check_value (name ^ ": same value") vi vc;
-  Alcotest.(check bool) (name ^ ": cost metrics bit-identical") true
-    (cost_sig mi = cost_sig mc);
-  Alcotest.(check bool) (name ^ ": recovery metrics bit-identical") true
-    (recovery_sig mi = recovery_sig mc)
+  Alcotest.(check bool) (name ^ ": cost and recovery metrics bit-identical") true
+    (Metrics.cost mi = Metrics.cost mc)
 
 let test_compiled_udfs_under_seeded_chaos () =
   List.iter
@@ -550,8 +521,6 @@ let suite =
         Alcotest.test_case "recovery costs time" `Quick test_recovery_costs_time;
         Alcotest.test_case "recovered copy reused" `Quick test_recovered_copy_is_reused;
         Alcotest.test_case "total cache loss" `Quick test_every_hit_lost;
-        Alcotest.test_case "cache_loss_at = scripted plan" `Quick
-          test_legacy_wrapper_is_a_plan;
         prop_faults_never_change_results;
         Alcotest.test_case "empty plans are inert" `Quick test_empty_plans_inert ] );
     ( "fault_injection_scripted",

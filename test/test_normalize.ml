@@ -116,6 +116,36 @@ let test_inline_lets () =
   | Expr.Let _ -> ()
   | _ -> Alcotest.fail "multi-use let should not be inlined"
 
+(* Unnesting a generator must leave the outer fold algebra alone: it runs
+   outside the comprehension, so its [x] is the lambda's, not the
+   generator's.
+   x => [[ x | x <- [[ y + 1 | y <- {1, 2} ]] ]]^fold(0, z => z + x, +)
+   applied to 100 is (2 + 100) + (3 + 100). *)
+let test_unnest_keeps_outer_algebra () =
+  let inner =
+    Expr.Comp
+      { head = S.(var "y" + int_ 1);
+        quals = [ Expr.QGen ("y", S.bag_of [ S.int_ 1; S.int_ 2 ]) ];
+        alg = Expr.Alg_bag }
+  in
+  let fold =
+    Expr.Comp
+      { head = Expr.Var "x";
+        quals = [ Expr.QGen ("x", inner) ];
+        alg =
+          Expr.Alg_fold
+            { f_empty = S.int_ 0;
+              f_single = S.lam "z" (fun z -> S.(z + var "x"));
+              f_union = S.lam2 "a" "b" S.( + );
+              f_tag = Expr.Tag_generic } }
+  in
+  let e = S.app (Expr.Lam ("x", fold)) (S.int_ 100) in
+  let normalized = Normalize.normalize e in
+  check_value "native" (Value.Int 205) (eval_expr e);
+  check_value "normalized" (Value.Int 205) (eval_expr normalized);
+  check_value "normalized and compiled" (Value.Int 205)
+    (Emma_lang.Compile.value (ctx_with []) Emma_lang.Eval.empty_env normalized)
+
 (* --- semantic preservation (the big property) -------------------------- *)
 
 let tables_of rows = [ ("rows", rows) ]
@@ -188,6 +218,8 @@ let suite =
         Alcotest.test_case "exists canonicalization" `Quick test_exists_canonicalized;
         Alcotest.test_case "guard splitting" `Quick test_guard_splitting;
         Alcotest.test_case "let inlining" `Quick test_inline_lets;
+        Alcotest.test_case "unnesting keeps the outer fold algebra" `Quick
+          test_unnest_keeps_outer_algebra;
         prop_normalize_preserves_semantics;
         prop_inline_preserves_semantics;
         prop_normal_form_is_comprehended;

@@ -26,24 +26,6 @@ module W = Emma_workloads
 module Pr = Emma_programs
 open Helpers
 
-(* every cost-model field; deliberately NOT wall_time_s / par_stages /
-   par_tasks, which describe the host execution rather than the model *)
-let cost_sig (m : Metrics.t) =
-  ( ( m.Metrics.sim_time_s,
-      m.Metrics.shuffle_bytes,
-      m.Metrics.broadcast_bytes,
-      m.Metrics.dfs_read_bytes,
-      m.Metrics.dfs_write_bytes,
-      m.Metrics.collect_bytes,
-      m.Metrics.parallelize_bytes ),
-    ( m.Metrics.spilled_bytes,
-      m.Metrics.jobs,
-      m.Metrics.stages,
-      m.Metrics.recomputes,
-      m.Metrics.cache_hits,
-      m.Metrics.cache_losses,
-      m.Metrics.udf_invocations ) )
-
 let laptop_rt () =
   Emma.
     { cluster = Cluster.laptop (); profile = Cluster.spark_like; timeout_s = None }
@@ -79,7 +61,7 @@ let prop_differential =
       let v1, m1 = List.hd runs in
       Value.equal native v1
       && List.for_all
-           (fun (v, m) -> Value.equal v1 v && cost_sig m1 = cost_sig m)
+           (fun (v, m) -> Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
            runs)
 
 (* deterministic corpus exercising the shuffle/join/group/stateful paths
@@ -137,7 +119,7 @@ let test_corpus_domain_invariance () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: cost metrics at %d domains" name d)
             true
-            (cost_sig m1 = cost_sig m);
+            (Metrics.cost m1 = Metrics.cost m);
           Alcotest.(check int)
             (Printf.sprintf "%s: udf count at %d domains" name d)
             m1.Metrics.udf_invocations m.Metrics.udf_invocations)
@@ -255,7 +237,7 @@ let test_skew_differential () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s: cost metrics at %d domains, %s" name d cname)
                 true
-                (cost_sig m1 = cost_sig m))
+                (Metrics.cost m1 = Metrics.cost m))
             chunk_specs)
         domains_under_test)
     [ ("zipf groupBy", skew_group_prog); ("zipf join", skew_join_prog) ]
@@ -273,7 +255,7 @@ let test_corpus_chunk_invariance () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: cost metrics under %s" name cname)
             true
-            (cost_sig m1 = cost_sig m))
+            (Metrics.cost m1 = Metrics.cost m))
         chunk_specs)
     corpus_progs
 
@@ -285,10 +267,10 @@ let prop_random_chunk_sizes =
       let tables = [ ("rows", rows) ] in
       let v1, m1 = run_at ~chunk:(Engine.Chunk_fixed 1) ~domains:1 prog tables in
       let v, m = run_at ~chunk:(Engine.Chunk_fixed k) ~domains:4 prog tables in
-      Value.equal v1 v && cost_sig m1 = cost_sig m)
+      Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
 
 (* the new scheduling counters are part of the report surface: rendered
-   rows and JSON both carry them, and they never appear in cost_sig *)
+   rows and JSON both carry them, and Metrics.cost zeroes them *)
 let test_steal_counters_reported () =
   let _, m =
     run_at ~chunk:Engine.Chunk_auto ~domains:4 skew_group_prog
@@ -319,14 +301,14 @@ let prop_skew_alpha =
       List.for_all
         (fun (d, chunk) ->
           let v, m = run_at ~chunk ~domains:d skew_group_prog tables in
-          Value.equal v1 v && cost_sig m1 = cost_sig m)
+          Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
         [ (2, Engine.Chunk_fixed 3); (8, Engine.Chunk_auto); (8, Engine.Chunk_fixed 64) ])
 
 (* ---------------------------------------------------------------- *)
 (* TPC-H determinism: 20 repeated parallel runs, byte-identical        *)
 (* ---------------------------------------------------------------- *)
 
-let render v m = (Format.asprintf "%a" Value.pp v, cost_sig m)
+let render v m = (Format.asprintf "%a" Value.pp v, Metrics.cost m)
 
 let determinism_check ?(domains = 4) ?(faults = Faults.none) name prog tables =
   let config pool = Config.(default |> with_faults faults |> with_pool (Some pool)) in
@@ -403,7 +385,8 @@ let loop_prog iters =
 let fault_tables = [ ("t", List.init 20 (fun i -> Helpers.row i (i mod 3))) ]
 
 let run_faulty ?chunk ~domains ~cache_loss_at =
-  run_at ?chunk ~faults:(Faults.of_cache_loss_at cache_loss_at) ~domains
+  let faults = Faults.scripted (List.map (fun k -> Faults.Cache_loss k) cache_loss_at) in
+  run_at ?chunk ~faults ~domains
 
 let test_faults_domain_independent () =
   List.iter
@@ -422,7 +405,7 @@ let test_faults_domain_independent () =
           Alcotest.(check bool)
             (Printf.sprintf "all cost metrics at %d domains" d)
             true
-            (cost_sig m1 = cost_sig m))
+            (Metrics.cost m1 = Metrics.cost m))
         [ 2; 4 ])
     [ []; [ 1 ]; [ 2; 4 ]; List.init 50 (fun i -> i + 1) ]
 
@@ -444,7 +427,7 @@ let test_faults_chunk_independent () =
       Alcotest.(check bool)
         (Printf.sprintf "cost metrics under %s" cname)
         true
-        (cost_sig m1 = cost_sig m))
+        (Metrics.cost m1 = Metrics.cost m))
     [ ("chunk=1", Engine.Chunk_fixed 1);
       ("chunk=auto", Engine.Chunk_auto);
       ("chunk=64", Engine.Chunk_fixed 64) ]
@@ -456,7 +439,7 @@ let prop_faults_parallel =
       let tables = [ ("t", rows) ] in
       let v1, m1 = run_faulty ~domains:1 ~cache_loss_at:losses (loop_prog 3) tables in
       let v4, m4 = run_faulty ~domains:4 ~cache_loss_at:losses (loop_prog 3) tables in
-      Value.equal v1 v4 && cost_sig m1 = cost_sig m4)
+      Value.equal v1 v4 && Metrics.cost m1 = Metrics.cost m4)
 
 (* ---------------------------------------------------------------- *)
 (* Split PRNG streams drawn on worker domains                          *)

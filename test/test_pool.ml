@@ -5,10 +5,9 @@
    a scheduling-adversarial layer for the work-stealing deques: random
    nested-parmap trees with random durations at 1/2/4/8 domains, random
    failure sets, a stolen-chunk exception case, a 1000-tiny-batch stress,
-   and differential runs against the retained legacy single-queue pool. *)
+   and differential runs against a sequential left-to-right map. *)
 
 module Pool = Emma_util.Pool
-module Pool_legacy = Emma_util.Pool_legacy
 
 let with_pool domains f =
   let p = Pool.create ~domains () in
@@ -146,17 +145,6 @@ let pool_at =
         at_exit (fun () -> Pool.shutdown p);
         p
 
-let legacy_at =
-  let tbl = Hashtbl.create 4 in
-  fun d ->
-    match Hashtbl.find_opt tbl d with
-    | Some p -> p
-    | None ->
-        let p = Pool_legacy.create ~domains:d in
-        Hashtbl.add tbl d p;
-        at_exit (fun () -> Pool_legacy.shutdown p);
-        p
-
 let adversarial_domains = [ 1; 2; 4; 8 ]
 
 (* Busy work whose duration the generators randomize: long enough that a
@@ -241,10 +229,11 @@ let test_random_failures_lowest_index =
           && Pool.parmap p succ (ints 16) = Array.map succ (ints 16))
         adversarial_domains)
 
-(* Differential against the legacy single-queue pool, kept as oracle: same
+(* Differential against a sequential [Array.map], which runs left to right
+   and so raises at the lowest failing index, the pool's contract: same
    batch, same outcome — results or exception choice. *)
-let test_differential_vs_legacy =
-  Helpers.qcheck_case "work-stealing pool ≡ legacy pool" ~count:60 failure_gen
+let test_differential_vs_sequential =
+  Helpers.qcheck_case "work-stealing pool ≡ left-to-right map" ~count:60 failure_gen
     (fun (n, fails) ->
       let fails = List.filter (fun (i, _) -> i < n) fails in
       let f i =
@@ -258,12 +247,12 @@ let test_differential_vs_legacy =
         | rs -> `Ok (Array.to_list rs)
         | exception Boom i -> `Boom i
       in
-      run (Pool_legacy.parmap (legacy_at 4)) = run (Pool.parmap (pool_at 4)))
+      run Array.map = run (Pool.parmap (pool_at 4)))
 
 (* Same property at 8 oversubscribed domains, where preemption makes the
    steal schedule maximally chaotic. *)
-let test_differential_vs_legacy_8 =
-  Helpers.qcheck_case "work-stealing pool ≡ legacy pool (8 domains)" ~count:40
+let test_differential_vs_sequential_8 =
+  Helpers.qcheck_case "work-stealing pool ≡ left-to-right map (8 domains)" ~count:40
     failure_gen (fun (n, fails) ->
       let fails = List.filter (fun (i, _) -> i < n) fails in
       let f i =
@@ -277,7 +266,7 @@ let test_differential_vs_legacy_8 =
         | rs -> `Ok (Array.to_list rs)
         | exception Boom i -> `Boom i
       in
-      run (Pool_legacy.parmap (legacy_at 8)) = run (Pool.parmap (pool_at 8)))
+      run Array.map = run (Pool.parmap (pool_at 8)))
 
 (* Random durations must never leak into result ORDER: parmap returns by
    task index, not completion order, whatever got stolen. *)
@@ -457,8 +446,8 @@ let suite =
     ( "pool adversarial",
       [ test_random_trees_deterministic;
         test_random_failures_lowest_index;
-        test_differential_vs_legacy;
-        test_differential_vs_legacy_8;
+        test_differential_vs_sequential;
+        test_differential_vs_sequential_8;
         test_random_durations_preserve_order;
         test_seed_invisible;
         Alcotest.test_case "exception in stolen chunk" `Quick

@@ -50,14 +50,6 @@ let finished_exn = function
 (* qcheck differential: hit == cold, bit-identical, at 1/2/4/8 domains *)
 (* ---------------------------------------------------------------- *)
 
-let cost_fields (m : Metrics.t) =
-  ( m.Metrics.sim_time_s,
-    m.Metrics.shuffle_bytes,
-    m.Metrics.broadcast_bytes,
-    m.Metrics.stages,
-    m.Metrics.jobs,
-    m.Metrics.udf_invocations )
-
 let prop_cached_equals_cold (e, data) =
   let prog = S.program ~ret:e [] in
   let tables = [ ("rows", data) ] in
@@ -80,15 +72,15 @@ let prop_cached_equals_cold (e, data) =
       let r_cold = finished_exn o_cold and r_hit = finished_exn o_hit in
       if not (Value.equal r_cold.Emma.value r_hit.Emma.value) then
         QCheck2.Test.fail_report "cached value differs from cold compile";
-      if cost_fields r_cold.Emma.metrics <> cost_fields r_hit.Emma.metrics then
+      if Metrics.cost r_cold.Emma.metrics <> Metrics.cost r_hit.Emma.metrics then
         QCheck2.Test.fail_report "cached cost metrics differ from cold compile";
       (* and both match the reference from the first domain count *)
       match !reference with
-      | None -> reference := Some (r_cold.Emma.value, cost_fields r_cold.Emma.metrics)
+      | None -> reference := Some (r_cold.Emma.value, Metrics.cost r_cold.Emma.metrics)
       | Some (v0, c0) ->
           if not (Value.equal v0 r_cold.Emma.value) then
             QCheck2.Test.fail_reportf "value moved at %d domains" domains;
-          if c0 <> cost_fields r_cold.Emma.metrics then
+          if c0 <> Metrics.cost r_cold.Emma.metrics then
             QCheck2.Test.fail_reportf "cost metrics moved at %d domains" domains)
     [ 1; 2; 4; 8 ];
   true

@@ -118,24 +118,9 @@ let with_pool domains f =
   let pool = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-(* everything except wall_time_s, which measures the host *)
-let metrics_sig (m : Metrics.t) =
-  ( ( m.Metrics.sim_time_s,
-      m.Metrics.shuffle_bytes,
-      m.Metrics.broadcast_bytes,
-      m.Metrics.dfs_read_bytes,
-      m.Metrics.dfs_write_bytes,
-      m.Metrics.collect_bytes,
-      m.Metrics.parallelize_bytes,
-      m.Metrics.spilled_bytes ),
-    ( m.Metrics.jobs,
-      m.Metrics.stages,
-      m.Metrics.recomputes,
-      m.Metrics.cache_hits,
-      m.Metrics.cache_losses,
-      m.Metrics.udf_invocations,
-      m.Metrics.par_stages,
-      m.Metrics.par_tasks ) )
+(* the cost view, plus the barrier and task counts: tracing on and off
+   run at the same domain count, so these must agree as well *)
+let metrics_sig (m : Metrics.t) = (Metrics.cost m, m.Metrics.par_stages, m.Metrics.par_tasks)
 
 let run_at ~domains ~trace prog tables =
   with_pool domains (fun pool ->
