@@ -268,26 +268,35 @@ let timeout_or_exit = function
 
 (* --ops-trace: one line per operator stage span, barrier spans skipped,
    in start order. Stage spans nest on the coordinator domain, so a stack
-   pairs each end event (output size) with its begin event (clock). *)
+   pairs each end event (output size) with its begin event (clock). On a
+   one-domain pool the spans carry [minor_words] (the operator and its
+   inputs); the line shows the operator's own words, its span's minus
+   those of the stage spans nested directly in it. *)
 let print_ops_trace tracer =
   let module T = Emma_util.Trace in
+  let minor_words args =
+    match List.assoc_opt "minor_words" args with Some (T.A_float w) -> w | _ -> 0.0
+  in
   let rows = ref [] and open_spans = ref [] in
   List.iter
     (fun (ev : T.event) ->
       if ev.T.ev_cat = "stage" && ev.T.ev_name <> "barrier" then
         match (ev.T.ev_ph, !open_spans) with
         | T.B, _ ->
-            let row = (ev, ref []) in
+            let row = (ev, ref [], ref 0.0) in
             rows := row :: !rows;
             open_spans := row :: !open_spans
-        | T.E, (_, out) :: rest ->
+        | T.E, (_, out, _) :: rest ->
             out := ev.T.ev_args;
+            (match rest with
+            | (_, _, inputs) :: _ -> inputs := !inputs +. minor_words ev.T.ev_args
+            | [] -> ());
             open_spans := rest
         | _ -> ())
     (T.events tracer);
   print_endline "\ntrace (stage spans in start order: clock, operator, output):";
   List.iter
-    (fun ((b : T.event), out) ->
+    (fun ((b : T.event), out, inputs) ->
       let arg k = List.assoc_opt k !out in
       let output =
         match (arg "out_records", arg "out_bytes", arg "out") with
@@ -296,10 +305,15 @@ let print_ops_trace tracer =
         | _, _, Some (T.A_str kind) -> kind
         | _ -> "-"
       in
+      let own =
+        match arg "minor_words" with
+        | Some (T.A_float w) -> Printf.sprintf "  %12.0f words" (w -. !inputs)
+        | _ -> ""
+      in
       let clock =
         match List.assoc_opt "sim_s" b.T.ev_args with Some (T.A_float s) -> s | _ -> Float.nan
       in
-      Printf.printf "  %8.1fs  %-10s %s\n" clock b.T.ev_name output)
+      Printf.printf "  %8.1fs  %-10s %s%s\n" clock b.T.ev_name output own)
     (List.rev !rows)
 
 let run_cmd =

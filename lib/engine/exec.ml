@@ -1153,14 +1153,24 @@ and exec_to_bag t env p =
 and exec_plan t env (p : Plan.t) : out =
   if not (Trace.enabled t.tracer) then exec_plan_inner t env p
   else
+    (* [minor_words]: the words the stage and its inputs allocated. Only
+       on a one-domain pool, where every partition task runs on this
+       domain: [Gc.minor_words] counts the calling domain alone. *)
+    let minor0 = if Pool.size t.pool <= 1 then Some (Gc.minor_words ()) else None in
     Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
       ~args:[ ("sim_s", Trace.A_float t.metrics.Metrics.sim_time_s) ]
-      ~end_args:(function
-        | Obag pd ->
-            [ ("out_records", Trace.A_float (Pdata.logical_records pd));
-              ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
-        | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
-        | Ostateful _ -> [ ("out", Trace.A_str "stateful") ])
+      ~end_args:(fun o ->
+        let out =
+          match o with
+          | Obag pd ->
+              [ ("out_records", Trace.A_float (Pdata.logical_records pd));
+                ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
+          | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
+          | Ostateful _ -> [ ("out", Trace.A_str "stateful") ]
+        in
+        match minor0 with
+        | Some w0 -> out @ [ ("minor_words", Trace.A_float (Gc.minor_words () -. w0)) ]
+        | None -> out)
       (fun () -> exec_plan_inner t env p)
 
 and exec_plan_inner t env (p : Plan.t) : out =

@@ -173,7 +173,9 @@ val create :
     i.e. disabled unless the CLI/bench installed one). When enabled the
     engine emits job spans around each submitted dataflow, stage spans
     per executed operator (tagged operator kind, the simulated clock at
-    operator start as [sim_s], and output size), partition task spans on
+    operator start as [sim_s], and output size; on a one-domain pool also
+    [minor_words], the host words the operator and its inputs
+    allocated), partition task spans on
     the worker domains (tagged partition index and domain id), and
     byte-motion counters. Tracing is pure observation: it is never
     consulted by cost charging, so every cost-model metric is

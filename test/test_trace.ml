@@ -193,6 +193,50 @@ let test_span_categories () =
             (List.mem c cats))
         [ "compile"; "job"; "stage"; "task" ])
 
+(* Stage spans carry the host-only [minor_words] end argument on a
+   one-domain pool and leave it out on more domains, where
+   [Gc.minor_words] would miss the workers' allocation; the cost view is
+   the same traced and untraced. *)
+let test_stage_minor_words () =
+  let prog =
+    S.program
+      ~ret:
+        S.(
+          for_
+            [ gen "g" (group_by (lam "x" (fun x -> field x "b")) (read "rows")) ]
+            ~yield:(sum (map (lam "x" (fun x -> field x "a")) (field (var "g") "values"))))
+      []
+  in
+  let tables = [ ("rows", List.init 40 (fun i -> Helpers.row i (i mod 3))) ] in
+  let stage_ends tr =
+    List.filter
+      (fun e -> e.Trace.ev_cat = "stage" && e.Trace.ev_name <> "barrier" && e.Trace.ev_ph = Trace.E)
+      (Trace.events tr)
+  in
+  let minor_words e =
+    match List.assoc_opt "minor_words" e.Trace.ev_args with Some (Trace.A_float w) -> Some w | _ -> None
+  in
+  List.iter
+    (fun domains ->
+      let tr = Trace.create () in
+      let traced = run_at ~domains ~trace:tr prog tables in
+      Alcotest.(check bool)
+        (Printf.sprintf "cost view traced = untraced at %d domains" domains)
+        true
+        (traced = run_at ~domains ~trace:Trace.disabled prog tables);
+      let ends = stage_ends tr in
+      Alcotest.(check bool) "some stage spans" true (ends <> []);
+      List.iter
+        (fun e ->
+          match (domains, minor_words e) with
+          | 1, Some w ->
+              Alcotest.(check bool) (Printf.sprintf "%s: %.0f words > 0" e.Trace.ev_name w) true (w > 0.0)
+          | 1, None -> Alcotest.failf "%s: no minor_words at 1 domain" e.Trace.ev_name
+          | _, Some _ -> Alcotest.failf "%s: minor_words at %d domains" e.Trace.ev_name domains
+          | _, None -> ())
+        ends)
+    [ 1; 2 ]
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "span nesting and event order" `Quick test_span_nesting;
@@ -203,5 +247,6 @@ let suite =
           test_chrome_json_valid;
         Alcotest.test_case "text tree renders spans" `Quick test_text_tree;
         Alcotest.test_case "compile+run span categories" `Quick test_span_categories;
+        Alcotest.test_case "stage minor_words at 1 domain only" `Quick test_stage_minor_words;
         prop_trace_invariant;
         prop_span_trees_well_formed ] ) ]
