@@ -146,7 +146,7 @@ and handle = {
 and state_handle = {
   s_key : Plan.udf;
   s_keyfn : Value.t -> Value.t;
-  s_parts : (Value.t, Value.t ref) Hashtbl.t array;
+  s_parts : Value.t Keyed.t array;
   s_rmult : float;
   s_bmult : float;
 }
@@ -901,6 +901,24 @@ let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
 (* Plan execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Keyed tables that joins only probe. Their fold order is never seen;
+   [size] is the parent's choice all the same (1024 when broadcast, the
+   partition's length when repartitioned): a broadcast side of a few
+   dozen rows would otherwise move its buckets from the major heap to
+   the minor one. *)
+let singleton v = [ v ]
+let cons l v = v :: l
+
+let join_index ~size keyfn rows =
+  let index = Keyed.create size in
+  List.iter (fun v -> Keyed.upsert index (keyfn v) v ~init:singleton ~merge:cons) rows;
+  index
+
+let key_set ~size keyfn rows =
+  let keys = Keyed.create size in
+  List.iter (fun v -> Keyed.replace keys (keyfn v) ()) rows;
+  keys
+
 (* Operator-kind names for stage spans; matches the vocabulary that
    [Plan] pretty-printing already uses. *)
 let plan_op_name : Plan.t -> string = function
@@ -1346,17 +1364,12 @@ and exec_plan_inner t env (p : Plan.t) : out =
       let pd = shuffle_by t key keyfn pd in
       (* per-slot state table of the stateful bag *)
       reserve_memory t ~op:"statefulCreate" ~needs:(part_needs pd);
+      let duplicate _ _ = raise (Engine_failure "stateful bag: duplicate key") in
       let parts =
         par_run t (Pdata.nparts pd) (fun i ->
             let part = pd.Pdata.parts.(i) in
-            let h = Hashtbl.create (List.length part) in
-            List.iter
-              (fun v ->
-                let k = keyfn v in
-                if Hashtbl.mem h k then
-                  raise (Engine_failure "stateful bag: duplicate key")
-                else Hashtbl.add h k (ref v))
-              part;
+            let h = Keyed.create (List.length part) in
+            List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:Fun.id ~merge:duplicate) part;
             h)
       in
       Ostateful
@@ -1369,11 +1382,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
       match lookup_env env x with
       | Dstateful sh ->
           charge_stage t;
-          let parts =
-            Array.map
-              (fun h -> Hashtbl.fold (fun _ r acc -> !r :: acc) h [])
-              sh.s_parts
-          in
+          let parts = Array.map (fun h -> Keyed.fold (fun _ v acc -> v :: acc) h []) sh.s_parts in
           Obag (Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult parts)
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" x))
     end
@@ -1382,20 +1391,10 @@ and exec_plan_inner t env (p : Plan.t) : out =
       | Dstateful sh ->
           charge_stage t;
           let f = udf_fn t env udf in
+          let f v = Value.to_option (f v) in
           (* each task mutates only its own partition's state cells *)
           let delta_parts =
-            par_run t (Array.length sh.s_parts) (fun i ->
-                let h = sh.s_parts.(i) in
-                let delta = ref [] in
-                Hashtbl.iter
-                  (fun _ r ->
-                    match Value.to_option (f !r) with
-                    | Some v' ->
-                        r := v';
-                        delta := v' :: !delta
-                    | None -> ())
-                  h;
-                !delta)
+            par_run t (Array.length sh.s_parts) (fun i -> Keyed.update_all f sh.s_parts.(i))
           in
           let pd = Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult delta_parts in
           charge_local_cpu t pd;
@@ -1413,25 +1412,23 @@ and exec_plan_inner t env (p : Plan.t) : out =
           let msgs = shuffle_by t sh.s_key mkeyfn msgs in
           charge_local_cpu t msgs;
           let f = udf2_fn t env udf in
+          let f s m = Value.to_option (f s m) in
+          (* [changed] holds each updated key's latest value; a partition
+             without messages builds none *)
           let delta_parts =
             par_run t (Array.length sh.s_parts) (fun i ->
-                let h = sh.s_parts.(i) in
-                let changed = Hashtbl.create 16 in
-                let mpart = if i < Pdata.nparts msgs then msgs.Pdata.parts.(i) else [] in
-                List.iter
-                  (fun m ->
-                    let k = mkeyfn m in
-                    match Hashtbl.find_opt h k with
-                    | None -> ()
-                    | Some r -> begin
-                        match Value.to_option (f !r m) with
-                        | Some v' ->
-                            r := v';
-                            Hashtbl.replace changed k r
-                        | None -> ()
-                      end)
-                  mpart;
-                Hashtbl.fold (fun _ r acc -> !r :: acc) changed [])
+                match if i < Pdata.nparts msgs then msgs.Pdata.parts.(i) else [] with
+                | [] -> []
+                | mpart ->
+                    let h = sh.s_parts.(i) and changed = Keyed.create 16 in
+                    List.iter
+                      (fun m ->
+                        let k = mkeyfn m in
+                        match Keyed.update h k m f with
+                        | Some v' -> Keyed.replace changed k v'
+                        | None -> ())
+                      mpart;
+                    Keyed.fold (fun _ v acc -> v :: acc) changed [])
           in
           Obag (Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult delta_parts)
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" state))
@@ -1462,16 +1459,10 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
   let pd = shuffle_by t key keyfn pd in
   (* group within each partition *)
   let groups_of part =
-    let h : (Value.t, Value.t list ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun v ->
-        let k = keyfn v in
-        match Hashtbl.find_opt h k with
-        | Some l -> l := v :: !l
-        | None -> Hashtbl.add h k (ref [ v ]))
-      part;
-    Hashtbl.fold
-      (fun k l acc -> Value.record [ ("key", k); ("values", Value.bag (List.rev !l)) ] :: acc)
+    let h = Keyed.create 64 in
+    List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:singleton ~merge:cons) part;
+    Keyed.fold
+      (fun k l acc -> Value.Record [| ("key", k); ("values", Value.Bag (List.rev l)) |] :: acc)
       h []
   in
   let parts = par_run t (Pdata.nparts pd) (fun i -> groups_of pd.Pdata.parts.(i)) in
@@ -1505,19 +1496,12 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
   Obag out
 
 and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : out =
-  (* map-side combine: one (key, acc) pair per distinct key per partition.
-     [find_opt]'s [Some] per row measured cheaper than [find] under an
-     exception handler per row. *)
+  (* map-side combine: one (key, acc) pair per distinct key per partition *)
+  let first v = step empty v in
   let combine part =
-    let h : (Value.t, Value.t ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun v ->
-        let k = keyfn v in
-        match Hashtbl.find_opt h k with
-        | Some acc -> acc := step !acc v
-        | None -> Hashtbl.add h k (ref (step empty v)))
-      part;
-    Hashtbl.fold (fun k acc l -> Value.tuple [ k; !acc ] :: l) h []
+    let h = Keyed.create 64 in
+    List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:first ~merge:step) part;
+    Keyed.fold (fun k acc l -> Value.Tuple [| k; acc |] :: l) h []
   in
   let combined =
     Pdata.make ~rmult:1.0 ~bmult:1.0
@@ -1540,15 +1524,11 @@ and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : o
   in
   (* reduce side: merge partials per key *)
   let reduce part =
-    let h : (Value.t, Value.t ref) Hashtbl.t = Hashtbl.create 64 in
+    let h = Keyed.create 64 in
     List.iter
-      (fun pair ->
-        let k = Value.proj pair 0 and a = Value.proj pair 1 in
-        match Hashtbl.find_opt h k with
-        | Some acc -> acc := union !acc a
-        | None -> Hashtbl.add h k (ref a))
+      (fun pair -> Keyed.upsert h (Value.proj pair 0) (Value.proj pair 1) ~init:Fun.id ~merge:union)
       part;
-    Hashtbl.fold (fun k acc l -> Value.record [ ("key", k); ("agg", !acc) ] :: l) h []
+    Keyed.fold (fun k acc l -> Value.Record [| ("key", k); ("agg", acc) |] :: l) h []
   in
   let out =
     Pdata.make ~part_key:(group_key_udf ()) ~rmult:1.0 ~bmult:1.0
@@ -1594,13 +1574,12 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
       (* broadcast the right side as a key set; left stays in place *)
       charge_broadcast t (Pdata.logical_bytes rpd);
       reserve_memory t ~op:"semijoin" ~needs:[| Pdata.logical_bytes rpd |];
-      let keyset = Hashtbl.create 1024 in
-      List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) (Pdata.to_list rpd);
+      let keyset = key_set ~size:1024 rfn (Pdata.to_list rpd) in
       charge_local_cpu t lpd;
       (* probe in parallel: the broadcast key set is read-only *)
       Obag
         (par_map_parts_preserving_chunked t
-           (List.filter (fun v -> Hashtbl.mem keyset (lfn v)))
+           (List.filter (fun v -> Keyed.mem keyset (lfn v)))
            lpd)
     end
     else begin
@@ -1612,24 +1591,14 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
       (* the broadcast build side's hash index lives on every slot; it
          must fit one slot's budget *)
       reserve_memory t ~op:"join" ~needs:[| Pdata.logical_bytes small |];
-      let index : (Value.t, Value.t list ref) Hashtbl.t = Hashtbl.create 1024 in
-      List.iter
-        (fun v ->
-          let k = small_fn v in
-          match Hashtbl.find_opt index k with
-          | Some l -> l := v :: !l
-          | None -> Hashtbl.add index k (ref [ v ]))
-        (Pdata.to_list small);
+      let index = join_index ~size:1024 small_fn (Pdata.to_list small) in
       charge_local_cpu t big;
       let out_rmult = Float.max lpd.Pdata.rmult rpd.Pdata.rmult in
       let out_bmult = Float.max lpd.Pdata.bmult rpd.Pdata.bmult in
       let join_one v =
-        match Hashtbl.find_opt index (big_fn v) with
-        | None -> []
-        | Some l ->
-            List.map
-              (fun w -> if small_left then Value.tuple [ w; v ] else Value.tuple [ v; w ])
-              !l
+        match Keyed.find_or index (big_fn v) [] with
+        | [] -> []
+        | ws -> List.map (fun w -> if small_left then Value.Tuple [| w; v |] else Value.Tuple [| v; w |]) ws
       in
       Obag (Pdata.with_mult ~rmult:out_rmult ~bmult:out_bmult
               (par_map_parts_chunked t (List.concat_map join_one) big))
@@ -1648,24 +1617,14 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     let parts =
       par_run t (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
-          let index : (Value.t, Value.t list ref) Hashtbl.t =
-            Hashtbl.create (List.length rpart)
-          in
-          List.iter
-            (fun v ->
-              let k = rfn v in
-              match Hashtbl.find_opt index k with
-              | Some acc -> acc := v :: !acc
-              | None -> Hashtbl.add index k (ref [ v ]))
-            rpart;
-          if semi then
-            List.filter (fun v -> Hashtbl.mem index (lfn v)) l.Pdata.parts.(i)
+          let index = join_index ~size:(List.length rpart) rfn rpart in
+          if semi then List.filter (fun v -> Keyed.mem index (lfn v)) l.Pdata.parts.(i)
           else
             List.concat_map
               (fun v ->
-                match Hashtbl.find_opt index (lfn v) with
-                | None -> []
-                | Some ws -> List.map (fun w -> Value.tuple [ v; w ]) !ws)
+                match Keyed.find_or index (lfn v) [] with
+                | [] -> []
+                | ws -> List.map (fun w -> Value.Tuple [| v; w |]) ws)
               l.Pdata.parts.(i))
     in
     let part_key = if semi then Some lkey else None in
@@ -1697,12 +1656,11 @@ and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
   if broadcastable then begin
     charge_broadcast t rbytes;
     reserve_memory t ~op:"antijoin" ~needs:[| rbytes |];
-    let keyset = Hashtbl.create 1024 in
-    List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) (Pdata.to_list rpd);
+    let keyset = key_set ~size:1024 rfn (Pdata.to_list rpd) in
     charge_local_cpu t lpd;
     Obag
       (par_map_parts_preserving_chunked t
-         (List.filter (fun v -> not (Hashtbl.mem keyset (lfn v))))
+         (List.filter (fun v -> not (Keyed.mem keyset (lfn v))))
          lpd)
   end
   else begin
@@ -1714,9 +1672,8 @@ and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     let parts =
       par_run t (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
-          let keyset = Hashtbl.create (List.length rpart) in
-          List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) rpart;
-          List.filter (fun v -> not (Hashtbl.mem keyset (lfn v))) l.Pdata.parts.(i))
+          let keyset = key_set ~size:(List.length rpart) rfn rpart in
+          List.filter (fun v -> not (Keyed.mem keyset (lfn v))) l.Pdata.parts.(i))
     in
     Obag (Pdata.make ~part_key:lkey ~rmult:lpd.Pdata.rmult ~bmult:lpd.Pdata.bmult parts)
   end
@@ -1867,9 +1824,9 @@ let rec assigned_vars acc stmts =
 
 (* Deep copy of a driver value, detached from every mutable cell the live
    value can reach: handles get fresh memo fields, stateful bags fresh
-   hash tables with fresh refs. Applied both when a checkpoint is taken
-   and when it is restored, so one checkpoint survives any number of
-   restores. *)
+   tables ([Keyed.copy], which keeps each table's fold order). Applied
+   both when a checkpoint is taken and when it is restored, so one
+   checkpoint survives any number of restores. *)
 let copy_dval = function
   | Dscalar rv -> Dscalar rv
   (* the copy is a fresh record, and it does NOT inherit the registry id:
@@ -1878,15 +1835,7 @@ let copy_dval = function
      never, evicted never) rather than a stale alias *)
   | Dbag h -> Dbag { h with h_memid = None }
   | Dstateful sh ->
-      Dstateful
-        { sh with
-          s_parts =
-            Array.map
-              (fun tbl ->
-                let c = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-                Hashtbl.iter (fun k r -> Hashtbl.add c k (ref !r)) tbl;
-                c)
-              sh.s_parts }
+      Dstateful { sh with s_parts = Array.map Keyed.copy sh.s_parts }
 
 (* Logical size of a driver value, for checkpoint accounting. Unforced
    bags checkpoint their lineage (a plan), which is free. *)
@@ -1903,7 +1852,7 @@ let dval_bytes = function
       sh.s_bmult
       *. Array.fold_left
            (fun acc tbl ->
-             Hashtbl.fold (fun _ r acc -> acc +. float_of_int (Value.byte_size !r)) tbl acc)
+             Keyed.fold (fun _ v acc -> acc +. float_of_int (Value.byte_size v)) tbl acc)
            0.0 sh.s_parts
 
 (* Deterministic textual fingerprint of checkpointed loop state — the
@@ -1934,9 +1883,7 @@ let fingerprint_state (st : (string * dval) list) : Bytes.t =
           add_sorted
             (Array.to_list sh.s_parts
             |> List.concat_map (fun tbl ->
-                   Hashtbl.fold
-                     (fun k r acc -> (render k ^ "=" ^ render !r) :: acc)
-                     tbl [])));
+                   Keyed.fold (fun k v acc -> (render k ^ "=" ^ render v) :: acc) tbl [])));
       Buffer.add_char buf ';')
     st;
   Buffer.to_bytes buf

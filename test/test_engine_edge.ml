@@ -235,6 +235,101 @@ let test_execution_trace () =
     (List.map (float_arg "out_records")
        (List.filter (fun e -> e.T.ev_name <> "fold") (stages T.E)))
 
+(* Allocation guards for the keyed operators, read from the stage spans'
+   host-only [minor_words] on a one-domain pool over the paper cluster's
+   320 partitions. An operator's own words are its span's minus those of
+   the stage spans nested directly in it (its inputs); they include the
+   tracer's own per-task spans. The second of two runs is measured, after
+   the first has filled every lazily built structure. *)
+let own_words ~op prog tables =
+  let module T = Emma.Trace in
+  let pool = Emma_util.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Emma_util.Pool.shutdown pool)
+    (fun () ->
+      let rt = Emma.spark ~cluster:(Emma_engine.Cluster.paper_cluster ()) () in
+      let algo = Emma.parallelize prog in
+      let run trace =
+        let config = Emma.Config.(default |> with_pool (Some pool) |> with_trace (Some trace)) in
+        ignore (Emma.run_on_exn ~config rt algo ~tables)
+      in
+      run (T.create ());
+      let tracer = T.create () in
+      run tracer;
+      let words e =
+        match List.assoc_opt "minor_words" e.T.ev_args with
+        | Some (T.A_float w) -> w
+        | _ -> Alcotest.failf "%s: stage span without minor_words" e.T.ev_name
+      in
+      (* a stack of (name, words of the inputs ended so far) *)
+      let own = ref [] and stack = ref [] in
+      List.iter
+        (fun e ->
+          if e.T.ev_cat = "stage" && e.T.ev_name <> "barrier" then
+            match (e.T.ev_ph, !stack) with
+            | T.B, _ -> stack := (e.T.ev_name, ref 0.0) :: !stack
+            | T.E, (name, inputs) :: rest ->
+                let w = words e in
+                if name = op then own := (w -. !inputs) :: !own;
+                (match rest with (_, up) :: _ -> up := !up +. w | [] -> ());
+                stack := rest
+            | _ -> ())
+        (T.events tracer);
+      match !own with
+      | [] -> Alcotest.failf "no %s stage" op
+      | ws -> List.fold_left ( +. ) 0.0 ws)
+
+(* A fused aggBy of 300 rows over 3 keys: the combine side builds a table
+   in each of the ~300 partitions that hold a row, the reduce side only in
+   the 3 that receive a key; 77.9k words in all. Building a 64-bucket
+   table (70 words) in every partition on both sides, with a [ref] and a
+   [Some] per hit, took 108.1k. *)
+let test_agg_by_allocation () =
+  let prog =
+    S.program
+      ~ret:
+        S.(
+          for_
+            [ gen "g" (group_by (lam "x" (fun x -> field x "b")) (read "t")) ]
+            ~yield:
+              (tup
+                 [ field (var "g") "key";
+                   sum (map (lam "x" (fun x -> field x "a")) (field (var "g") "values")) ]))
+      []
+  in
+  let w = own_words ~op:"aggBy" prog [ ("t", List.init 300 (fun i -> Helpers.row i (i mod 3))) ] in
+  Printf.printf "aggBy over 320 partitions, 300 rows, 3 keys: %.0f words\n" w;
+  Alcotest.(check bool) (Printf.sprintf "aggBy allocates %.0f <= 85000 words" w) true (w <= 85000.0)
+
+(* Point updates whose messages are all filtered away: every one of the
+   320 message partitions is empty, so no partition builds a changed-key
+   table. What is left (36.7k words) is the routing of an empty bag, the
+   barrier and its task spans. A 16-bucket changed set per partition and
+   the closure probing it took 47.6k. *)
+let test_empty_changed_sets () =
+  let prog =
+    S.program
+      ~ret:S.(count (var "delta"))
+      [ S.s_let "st" (S.stateful ~key:(S.lam "x" (fun x -> S.field x "a")) (S.read "t"));
+        S.s_let "delta"
+          (S.update_msgs (S.var "st")
+             ~msg_key:(S.lam "m" (fun m -> S.proj m 0))
+             ~messages:
+               S.(
+                 for_
+                   [ gen "c" (state_bag (var "st")); when_ (field (var "c") "b" < int_ 0) ]
+                   ~yield:(tup [ field (var "c") "a"; field (var "c") "b" ]))
+             (S.lam2 "s" "m" (fun s _ -> S.some_ s))) ]
+  in
+  let w =
+    own_words ~op:"statefulUpdateMsgs" prog
+      [ ("t", List.init 300 (fun i -> Helpers.row i (i mod 3))) ]
+  in
+  Printf.printf "statefulUpdateMsgs over 320 empty message partitions: %.0f words\n" w;
+  Alcotest.(check bool)
+    (Printf.sprintf "statefulUpdateMsgs allocates %.0f <= 40000 words" w)
+    true (w <= 40000.0)
+
 let suite =
   [ ( "engine_edge",
       [ Alcotest.test_case "empty table folds" `Quick test_empty_table;
@@ -249,5 +344,8 @@ let suite =
         Alcotest.test_case "write overwrites" `Quick test_write_overwrites;
         Alcotest.test_case "pagerank epsilon variant" `Quick test_pagerank_epsilon_variant;
         Alcotest.test_case "execution trace" `Quick test_execution_trace;
-        Alcotest.test_case "stateful read snapshot" `Quick test_stateful_read_snapshot ] )
+        Alcotest.test_case "stateful read snapshot" `Quick test_stateful_read_snapshot;
+        Alcotest.test_case "aggBy allocation over 320 partitions" `Quick test_agg_by_allocation;
+        Alcotest.test_case "no changed set on empty message partitions" `Quick
+          test_empty_changed_sets ] )
   ]
