@@ -10,7 +10,7 @@ type 'a bucket =
 
 type 'a t = {
   mutable size : int;
-  mutable buckets : 'a bucket array;  (* [||] until the first add *)
+  mutable buckets : 'a bucket array;  (* [||] until the first insertion *)
   initial : int;
 }
 
@@ -18,7 +18,6 @@ let rec power_2_above x n =
   if x >= n then x else if x * 2 > Sys.max_array_length then x else power_2_above (x * 2) n
 
 let create n = { size = 0; buckets = [||]; initial = power_2_above 16 n }
-let length t = t.size
 
 (* [compare a b = 0], with the two commonest key shapes decided without
    the polymorphic compare: a different constructor never compares
@@ -66,8 +65,6 @@ let insert t h key data =
   b.(i) <- Cons { key; data; next = b.(i) };
   t.size <- t.size + 1;
   if t.size > Array.length b lsl 1 then resize t
-
-let add t key data = insert t (Hashtbl.hash key) key data
 
 let replace t key data =
   let h = Hashtbl.hash key in

@@ -13,10 +13,11 @@
     order is part of the engine's results.
 
     {b Allocation.} An empty table is a three-field record: the bucket
-    array is made on the first {!add}, so a partition that receives no
-    rows costs no buckets. Each binding is one mutable cell, so
-    {!upsert} and {!update} change a bound value in place (no [ref], no
-    [Some]) and hash the key once for the lookup and the insertion.
+    array is made on the first insertion, so a partition that receives no
+    rows costs no buckets. A key is bound at most once, in one mutable
+    cell, so {!upsert} and {!update} change a bound value in place (no
+    [ref], no [Some]) and hash the key once for the lookup and the
+    insertion.
 
     Adding to a table while folding or iterating over it is unspecified. *)
 
@@ -26,14 +27,9 @@ val create : int -> 'a t
 (** [create n]: an empty table that will start with [max 16 n] buckets
     (rounded up to a power of two), as [Hashtbl.create n] does. *)
 
-val length : 'a t -> int
-
-val add : 'a t -> Emma_value.Value.t -> 'a -> unit
-(** [Hashtbl.add]: a new binding in front of any earlier one. *)
-
 val replace : 'a t -> Emma_value.Value.t -> 'a -> unit
-(** [Hashtbl.replace]: overwrite the key and value of the first binding
-    of an equal key in place, or add one. *)
+(** [Hashtbl.replace]: overwrite the key and value of the binding of an
+    equal key in place, or add one. *)
 
 val mem : 'a t -> Emma_value.Value.t -> bool
 
