@@ -901,11 +901,11 @@ let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
 (* Plan execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed tables that joins only probe. Their fold order is never seen;
-   [size] is the parent's choice all the same (1024 when broadcast, the
-   partition's length when repartitioned): a broadcast side of a few
-   dozen rows would otherwise move its buckets from the major heap to
-   the minor one. *)
+(* Keyed tables that joins only probe, so their fold order is never seen.
+   A broadcast side still gets 1024 buckets whatever its length: sized to
+   a few dozen rows, its bucket array would move from the major heap
+   (where an array over 256 words is allocated directly) to the minor
+   one. *)
 let singleton v = [ v ]
 let cons l v = v :: l
 
@@ -1598,7 +1598,10 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
       let join_one v =
         match Keyed.find_or index (big_fn v) [] with
         | [] -> []
-        | ws -> List.map (fun w -> if small_left then Value.Tuple [| w; v |] else Value.Tuple [| v; w |]) ws
+        | ws ->
+            List.map
+              (fun w -> if small_left then Value.Tuple [| w; v |] else Value.Tuple [| v; w |])
+              ws
       in
       Obag (Pdata.with_mult ~rmult:out_rmult ~bmult:out_bmult
               (par_map_parts_chunked t (List.concat_map join_one) big))

@@ -214,7 +214,9 @@ let test_stage_minor_words () =
       (Trace.events tr)
   in
   let minor_words e =
-    match List.assoc_opt "minor_words" e.Trace.ev_args with Some (Trace.A_float w) -> Some w | _ -> None
+    match List.assoc_opt "minor_words" e.Trace.ev_args with
+    | Some (Trace.A_float w) -> Some w
+    | _ -> None
   in
   List.iter
     (fun domains ->
@@ -230,7 +232,9 @@ let test_stage_minor_words () =
         (fun e ->
           match (domains, minor_words e) with
           | 1, Some w ->
-              Alcotest.(check bool) (Printf.sprintf "%s: %.0f words > 0" e.Trace.ev_name w) true (w > 0.0)
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %.0f words > 0" e.Trace.ev_name w)
+                true (w > 0.0)
           | 1, None -> Alcotest.failf "%s: no minor_words at 1 domain" e.Trace.ev_name
           | _, Some _ -> Alcotest.failf "%s: minor_words at %d domains" e.Trace.ev_name domains
           | _, None -> ())
