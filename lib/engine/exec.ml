@@ -116,6 +116,10 @@ type t = {
          counters). Never consulted by cost charging: with the tracer on or
          off, results and every cost-model field are bit-identical — only
          observability output differs (property-tested in test_trace.ml) *)
+  mutable trace_words : int;
+      (* on a one-domain pool, the minor words the tracer's task and stage
+         spans have allocated so far, which stage spans leave out of
+         their [minor_words] *)
 }
 
 type dval =
@@ -196,7 +200,8 @@ let create ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~prof
     cache_hit_counter = 0;
     read_memo;
     tracer =
-      (match config.Config.trace with Some tr -> tr | None -> Trace.global ()) }
+      (match config.Config.trace with Some tr -> tr | None -> Trace.global ());
+    trace_words = 0 }
 
 let metrics t = t.metrics
 
@@ -685,6 +690,35 @@ let account_steals t =
         ~args:[ ("steals", Trace.A_int steals); ("misses", Trace.A_int misses) ]
   end
 
+(* Host words on a one-domain pool: a traced span's body runs as
+   [measured inner f x], which leaves in [inner] the words [f x]
+   allocated; [add_trace_words t w0 inner] then adds to [t.trace_words]
+   the rest of what was allocated since [w0], the span's own. Counts are
+   ints so that holding one across a call allocates nothing. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let measured inner f x () =
+  let w1 = minor_words () in
+  let r = f x in
+  inner := minor_words () - w1;
+  r
+
+let add_trace_words t w0 inner = t.trace_words <- t.trace_words + (minor_words () - w0 - inner)
+
+(* Partition-task spans run on the emitting worker domain: the span's tid
+   IS the domain id, and the args repeat it next to the partition index.
+   The wrapper only observes — never counts or charges. *)
+let task_span t i f x =
+  let w0 = minor_words () in
+  let inner = ref 0 in
+  let r =
+    Trace.span t.tracer ~cat:"task" "task"
+      ~args:[ ("partition", Trace.A_int i); ("domain", Trace.A_int (Domain.self () :> int)) ]
+      (measured inner f x)
+  in
+  if Pool.size t.pool <= 1 then add_trace_words t w0 !inner;
+  r
+
 (* Run [f 0 .. f (n-1)] — one task per partition — on the domain pool with
    a barrier. Cost charging stays on the coordinator: tasks must not touch
    the metrics or the simulated clock, which is exactly why [sim_time_s]
@@ -696,19 +730,7 @@ let par_run t n (f : int -> 'a) : 'a array =
      size, or fault plans would stop being domain-count invariant. *)
   check_interrupts t;
   inject_barrier_faults t n;
-  (* Partition-task spans run on the emitting worker domain: the span's
-     tid IS the domain id, and the args repeat it next to the partition
-     index. The wrapper only observes — never counts or charges. *)
-  let f =
-    if not (Trace.enabled t.tracer) then f
-    else
-      fun i ->
-        Trace.span t.tracer ~cat:"task" "task"
-          ~args:
-            [ ("partition", Trace.A_int i);
-              ("domain", Trace.A_int (Domain.self () :> int)) ]
-          (fun () -> f i)
-  in
+  let f = if not (Trace.enabled t.tracer) then f else fun i -> task_span t i f i in
   if n <= 1 || Pool.size t.pool <= 1 then Pool.parmap t.pool f (Array.init n Fun.id)
   else begin
     t.metrics.Metrics.par_stages <- t.metrics.Metrics.par_stages + 1;
@@ -845,13 +867,7 @@ let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
   let parts = pd.Pdata.parts in
   let f_traced =
     if not (Trace.enabled t.tracer) then fun (_, rows) -> f rows
-    else
-      fun (p, rows) ->
-        Trace.span t.tracer ~cat:"task" "task"
-          ~args:
-            [ ("partition", Trace.A_int p);
-              ("domain", Trace.A_int (Domain.self () :> int)) ]
-          (fun () -> f rows)
+    else fun (p, rows) -> task_span t p f rows
   in
   if nparts <= 1 && Pdata.records pd <= 1 || Pool.size t.pool <= 1 then
     Pool.parmap t.pool (fun i -> f_traced (i, parts.(i))) (Array.init nparts Fun.id)
@@ -1170,26 +1186,34 @@ and exec_to_bag t env p =
 
 and exec_plan t env (p : Plan.t) : out =
   if not (Trace.enabled t.tracer) then exec_plan_inner t env p
-  else
-    (* [minor_words]: the words the stage and its inputs allocated. Only
-       on a one-domain pool, where every partition task runs on this
-       domain: [Gc.minor_words] counts the calling domain alone. *)
-    let minor0 = if Pool.size t.pool <= 1 then Some (Gc.minor_words ()) else None in
-    Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
-      ~args:[ ("sim_s", Trace.A_float t.metrics.Metrics.sim_time_s) ]
-      ~end_args:(fun o ->
-        let out =
-          match o with
-          | Obag pd ->
-              [ ("out_records", Trace.A_float (Pdata.logical_records pd));
-                ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
-          | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
-          | Ostateful _ -> [ ("out", Trace.A_str "stateful") ]
-        in
-        match minor0 with
-        | Some w0 -> out @ [ ("minor_words", Trace.A_float (Gc.minor_words () -. w0)) ]
-        | None -> out)
-      (fun () -> exec_plan_inner t env p)
+  else begin
+    (* [minor_words]: the words the stage and its inputs allocated, less
+       the tracer's own. Only on a one-domain pool, where every partition
+       task runs on this domain: [Gc.minor_words] counts the calling
+       domain alone. *)
+    let one_domain = Pool.size t.pool <= 1 in
+    let w0 = minor_words () and traced0 = t.trace_words and inner = ref 0 in
+    let o =
+      Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
+        ~args:[ ("sim_s", Trace.A_float t.metrics.Metrics.sim_time_s) ]
+        ~end_args:(fun o ->
+          let out =
+            match o with
+            | Obag pd ->
+                [ ("out_records", Trace.A_float (Pdata.logical_records pd));
+                  ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
+            | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
+            | Ostateful _ -> [ ("out", Trace.A_str "stateful") ]
+          in
+          if one_domain then
+            let own = !inner - (t.trace_words - traced0) in
+            out @ [ ("minor_words", Trace.A_float (float_of_int own)) ]
+          else out)
+        (measured inner (exec_plan_inner t env) p)
+    in
+    if one_domain then add_trace_words t w0 !inner;
+    o
+  end
 
 and exec_plan_inner t env (p : Plan.t) : out =
   match p with

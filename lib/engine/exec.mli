@@ -175,7 +175,7 @@ val create :
     per executed operator (tagged operator kind, the simulated clock at
     operator start as [sim_s], and output size; on a one-domain pool also
     [minor_words], the host words the operator and its inputs
-    allocated), partition task spans on
+    allocated, not counting the tracer's own), partition task spans on
     the worker domains (tagged partition index and domain id), and
     byte-motion counters. Tracing is pure observation: it is never
     consulted by cost charging, so every cost-model metric is
