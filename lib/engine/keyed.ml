@@ -33,10 +33,13 @@ let rec find_in key = function
   | Empty -> Empty
   | Cons c as cell -> if equal key c.key then cell else find_in key c.next
 
-let find_cell t key =
+(* the binding of [key], whose hash is [h], or [Empty] *)
+let find_hashed t h key =
   let b = t.buckets in
   let n = Array.length b in
-  if n = 0 then Empty else find_in key b.(Hashtbl.hash key land (n - 1))
+  if n = 0 then Empty else find_in key b.(h land (n - 1))
+
+let find_cell t key = find_hashed t (Hashtbl.hash key) key
 
 (* Doubling, as Stdlib's in-place resize: old buckets in index order, each
    chain front to back, appended at the tail of its new bucket. *)
@@ -68,9 +71,7 @@ let insert t h key data =
 
 let replace t key data =
   let h = Hashtbl.hash key in
-  let b = t.buckets in
-  let n = Array.length b in
-  match if n = 0 then Empty else find_in key b.(h land (n - 1)) with
+  match find_hashed t h key with
   | Cons c ->
       c.key <- key;
       c.data <- data
@@ -81,9 +82,7 @@ let find_or t key default = match find_cell t key with Cons c -> c.data | Empty 
 
 let upsert t key x ~init ~merge =
   let h = Hashtbl.hash key in
-  let b = t.buckets in
-  let n = Array.length b in
-  match if n = 0 then Empty else find_in key b.(h land (n - 1)) with
+  match find_hashed t h key with
   | Cons c -> c.data <- merge c.data x
   | Empty -> insert t h key (init x)
 
