@@ -176,12 +176,13 @@ let max_inflight_term =
 let chunk_term =
   let doc =
     "Adaptive-chunking policy for partition tasks on the domain pool: \
-     $(b,auto) (the default) sizes chunks from the cost model's per-row \
-     estimate with a granularity floor; an integer $(docv) pins that many \
-     physical rows per chunk. Chunking lets the work-stealing pool steal a \
-     skewed partition's tail mid-partition; results and every cost-model \
-     metric are identical for any policy — only wall-clock time and the \
-     par_* counters move."
+     $(b,auto) (the default) runs a stage too small to repay waking the \
+     pool inline and sizes the tasks of the rest from the cost model's \
+     per-row estimate with a granularity floor; an integer $(docv) pins \
+     that many physical rows per task and always uses the pool. Chunking \
+     lets the work-stealing pool steal a skewed partition's tail \
+     mid-partition; results and every cost-model metric are identical for \
+     any policy — only wall-clock time and the par_* counters move."
   in
   Arg.(value & opt string "auto" & info [ "chunk" ] ~docv:"auto|N" ~doc)
 

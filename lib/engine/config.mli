@@ -16,9 +16,11 @@ type udf_mode =
           host closure (the default) *)
 
 (** Chunk-size policy for the adaptive-chunking barriers: [Chunk_auto]
-    sizes chunks from the cost model's per-row estimate with a
-    granularity floor; [Chunk_fixed k] pins k physical rows per chunk
-    (the CLI's [--chunk N]). *)
+    runs a stage whose cost-model work is below [Exec.inline_work_s]
+    inline on the calling domain and otherwise sizes tasks from the cost
+    model's per-row estimate with a granularity floor; [Chunk_fixed k]
+    pins k physical rows per task (the CLI's [--chunk N]) and always
+    dispatches on a multi-domain pool, however small the stage. *)
 type chunk_spec = Chunk_auto | Chunk_fixed of int
 
 (** Per-tenant circuit-breaker policy for [emma serve]: after

@@ -460,9 +460,88 @@ let charge_parallelize t bytes =
    partition it. *)
 let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
 
+(* ------------------------------------------------------------------ *)
+(* Host granularity                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every barrier decides from its stage's input whether the pool is worth
+   waking. A barrier's work is the cost model's per-row estimate (per-record
+   CPU plus bytes through the UDF throughput) times its physical rows, in
+   simulated seconds: exactly what [charge_local_cpu] prices for the whole
+   stage. Under [Chunk_auto], a stage below [inline_work_s] runs inline on
+   the calling domain, as on a one-domain pool: the sleeping workers are not
+   woken and no task is scattered. A stage above it is packed into about
+   [chunk_oversub] tasks per domain, each covering a contiguous range of
+   partitions (or, for [par_chunked], of rows). [Chunk_fixed] always
+   dispatches, so the chunk-size tests keep exercising packing and
+   stealing.
+
+   Packing keeps the contract: the logical partition count still keys the
+   chaos draws, a task runs its partitions (or rows) in ascending order and
+   stops at its first exception, tasks are ordered as the partitions they
+   cover, so the lowest failing task raises the first failing partition's
+   exception, and outputs are reassembled in partition order. Nothing here
+   reads the tracer, so par_stages and par_tasks are the same traced or
+   not. *)
+
+(* With more chunks than domains, late-arriving steals keep everyone busy
+   until the tail; 4x oversubscription is plenty before per-task overhead
+   shows. *)
+let chunk_oversub = 4
+
+(* Granularity floor: a chunk must carry at least this fraction of one
+   simulated task launch ([sched_linear_s]) in per-row work. The full
+   launch cost models a distributed scheduler (milliseconds); chunks are
+   dispatched on the host pool where a deque push is microseconds, so a
+   small fraction of it is the right floor — big enough that trivial rows
+   get coarse chunks, small enough that a skewed partition still splits. *)
+let chunk_floor_frac = 0.01
+
+(* Inline threshold, in simulated seconds of stage work: the measured
+   1-vs-2-domain crossover on a 2-core host (E9d in EXPERIMENTS.md). From
+   about 0.0008-0.0016 s of work up, a stage on two domains finishes
+   sooner than on one without spending more CPU; below it, waking the
+   worker costs more than it saves. A host property, not a workload
+   one. *)
+let inline_work_s = 0.002
+
+let stage_work (c : Cluster.t) (pd : Pdata.t) =
+  (Pdata.logical_records pd *. c.Cluster.per_record_cpu)
+  +. (Pdata.logical_bytes pd /. c.Cluster.cpu_bw)
+
+(* Whether a barrier carrying [work] goes to the pool. Callers test
+   [Pool.size t.pool > 1] first, so that a one-domain run never computes
+   the estimate (or forces a collection's stats for it). *)
+let dispatches t work =
+  match t.chunk with Chunk_fixed _ -> true | Chunk_auto -> work >= inline_work_s
+
+let pooled t pd = Pool.size t.pool > 1 && dispatches t (stage_work t.cluster pd)
+
+let pooled2 t a b =
+  Pool.size t.pool > 1 && dispatches t (stage_work t.cluster a +. stage_work t.cluster b)
+
+let barrier_tasks t = Pool.size t.pool * chunk_oversub
+
+(* [pooled] for a driver row list about to be partitioned at [scale]:
+   before its stats pass, only the estimate's record term is known. *)
+let rows_pooled t ~scale vs =
+  Pool.size t.pool > 1
+  && dispatches t (float_of_int (List.length vs) *. scale *. t.cluster.Cluster.per_record_cpu)
+
+(* The same for a whole-state update of a stateful bag. *)
+let state_pooled t sh =
+  Pool.size t.pool > 1
+  &&
+  let entries = Array.fold_left (fun n h -> n + Keyed.length h) 0 sh.s_parts in
+  dispatches t (float_of_int entries *. sh.s_rmult *. t.cluster.Cluster.per_record_cpu)
+
 (* DRV → DFL: partition a driver-local bag and charge its bytes. *)
 let parallelize t vs =
-  let pd = Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs in
+  let pd =
+    if rows_pooled t ~scale:1.0 vs then
+      Pdata.of_list ~pool:t.pool ~tasks:(barrier_tasks t) ~nparts:(dop t) vs
+    else Pdata.of_list ~nparts:(dop t) vs
+  in
   charge_parallelize t (Pdata.bytes pd);
   Obag pd
 
@@ -486,7 +565,12 @@ let read_pdata t name rows =
   | Some pd -> pd
   | None ->
       let nparts = dop t and scale = Cluster.table_scale t.cluster name in
-      let pd = Pdata.of_list ~pool:t.pool ~rmult:scale ~bmult:scale ~nparts rows in
+      let pd =
+        if rows_pooled t ~scale rows then
+          Pdata.of_list ~pool:t.pool ~tasks:(barrier_tasks t) ~rmult:scale ~bmult:scale ~nparts
+            rows
+        else Pdata.of_list ~rmult:scale ~bmult:scale ~nparts rows
+      in
       Pdata.force_stats pd;
       let m = t.read_memo in
       Mutex.protect m.r_lock (fun () ->
@@ -719,191 +803,177 @@ let task_span t i f x =
   if Pool.size t.pool <= 1 then add_trace_words t w0 !inner;
   r
 
-(* Run [f 0 .. f (n-1)] — one task per partition — on the domain pool with
-   a barrier. Cost charging stays on the coordinator: tasks must not touch
-   the metrics or the simulated clock, which is exactly why [sim_time_s]
-   and every other cost field are bit-identical whatever the domain count.
+(* Run [task 0 .. task (ntasks-1)] on the pool with a barrier. Each task
+   counts its UDF invocations into its own domain-local cell, merged here
+   on the coordinator. *)
+let dispatch t ntasks (task : int -> 'a) : 'a array =
+  t.metrics.Metrics.par_stages <- t.metrics.Metrics.par_stages + 1;
+  t.metrics.Metrics.par_tasks <- t.metrics.Metrics.par_tasks + ntasks;
+  let tallied j =
+    let saved = Domain.DLS.get tally_key in
+    let c = ref 0 in
+    Domain.DLS.set tally_key (Some c);
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set tally_key saved)
+      (fun () ->
+        let r = task j in
+        (r, !c))
+  in
+  let run_barrier () = Pool.parinit t.pool ntasks tallied in
+  let rs =
+    if Trace.enabled t.tracer then
+      Trace.span t.tracer ~cat:"stage" "barrier"
+        ~args:[ ("tasks", Trace.A_int ntasks) ]
+        run_barrier
+    else run_barrier ()
+  in
+  account_steals t;
+  Array.map
+    (fun (r, c) ->
+      add_udf_count t c;
+      r)
+    rs
+
+(* Run [f 0 .. f (n-1)], one call per partition, inline or packed on the
+   pool as [pooled] decided ([pooled] is [false] on a one-domain pool).
+   Cost charging stays on the coordinator: tasks must not touch the
+   metrics or the simulated clock, which is exactly why [sim_time_s] and
+   every other cost field are bit-identical whatever the domain count.
    Exceptions surface deterministically (lowest partition index first). *)
-let par_run t n (f : int -> 'a) : 'a array =
-  (* Chaos first, before the single-domain shortcut below: injected
-     barrier faults must be drawn for every barrier whatever the pool
-     size, or fault plans would stop being domain-count invariant. *)
+let par_run t ~pooled n (f : int -> 'a) : 'a array =
+  (* Chaos first, before the inline shortcut below: injected barrier
+     faults must be drawn for every barrier whatever the pool size, or
+     fault plans would stop being domain-count invariant. *)
   check_interrupts t;
   inject_barrier_faults t n;
   let f = if not (Trace.enabled t.tracer) then f else fun i -> task_span t i f i in
-  if n <= 1 || Pool.size t.pool <= 1 then Pool.parmap t.pool f (Array.init n Fun.id)
+  if n <= 1 || not pooled then Array.init n f
   else begin
-    t.metrics.Metrics.par_stages <- t.metrics.Metrics.par_stages + 1;
-    t.metrics.Metrics.par_tasks <- t.metrics.Metrics.par_tasks + n;
-    let task i =
-      let saved = Domain.DLS.get tally_key in
-      let c = ref 0 in
-      Domain.DLS.set tally_key (Some c);
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set tally_key saved)
-        (fun () ->
-          let r = f i in
-          (r, !c))
+    let ntasks = min n (barrier_tasks t) in
+    let ranges =
+      dispatch t ntasks (fun j ->
+          let lo = j * n / ntasks in
+          Array.init (((j + 1) * n / ntasks) - lo) (fun i -> f (lo + i)))
     in
-    let run_barrier () = Pool.parmap t.pool task (Array.init n Fun.id) in
-    let rs =
-      if Trace.enabled t.tracer then
-        Trace.span t.tracer ~cat:"stage" "barrier"
-          ~args:[ ("tasks", Trace.A_int n) ]
-          run_barrier
-      else run_barrier ()
-    in
-    account_steals t;
-    Array.map
-      (fun (r, c) ->
-        add_udf_count t c;
-        r)
-      rs
+    Array.concat (Array.to_list ranges)
   end
 
 (* Narrow (partition-local) transform on the pool, mirroring
    [Pdata.map_parts_preserving] — for partition-local work that is NOT a
-   list homomorphism (e.g. within-partition dedup) and must stay one task
-   per partition. *)
+   list homomorphism (e.g. within-partition dedup) and must stay whole
+   partitions. *)
 let par_map_parts_preserving t f (pd : Pdata.t) : Pdata.t =
   Pdata.make ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
-    (par_run t (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)))
+    (par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive chunking                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The work-stealing pool balances load at task granularity, so a skewed
-   partition dispatched as ONE task still pins one domain for its whole
+   partition dispatched inside ONE task still pins one domain for its whole
    duration. For operators that are order-preserving list homomorphisms
    (f (a @ b) = f a @ f b: map, flatMap, filter, cross/broadcast-join
-   probes, shuffle routing) the barrier below splits each partition into
-   chunks of [chunk_rows] physical rows and reassembles the chunk outputs
-   in order — bit-identical results for every chunk size, but a straggler
-   partition's tail can now be stolen mid-partition. Non-homomorphic
-   per-partition work (fold accumulators, groupBy/aggBy hash tables,
-   sort-based distinct/minus, repartition-join builds) stays one task per
-   partition: splitting a float fold, for instance, would reassociate
-   additions and break the bit-identical invariant across chunk sizes. *)
+   probes, shuffle routing) the barrier below cuts the rows of all
+   partitions, in order, into tasks of [chunk_rows] physical rows and
+   reassembles the pieces' outputs in order — bit-identical results for
+   every chunk size, but a straggler partition's tail can now be stolen
+   mid-partition, and runs of small partitions share one task.
+   Non-homomorphic per-partition work (fold accumulators, groupBy/aggBy
+   hash tables, sort-based distinct/minus, repartition-join builds) keeps
+   whole partitions ([par_run]): splitting a float fold, for instance,
+   would reassociate additions and break the bit-identical invariant
+   across chunk sizes. *)
 
-(* With more chunks than domains, late-arriving steals keep everyone busy
-   until the tail; 4x oversubscription is plenty before per-task overhead
-   shows. *)
-let chunk_oversub = 4
-
-(* Granularity floor: a chunk must carry at least this fraction of one
-   simulated task launch ([sched_linear_s]) in per-row work. The full
-   launch cost models a distributed scheduler (milliseconds); chunks are
-   dispatched on the host pool where a deque push is microseconds, so a
-   small fraction of it is the right floor — big enough that trivial rows
-   get coarse chunks, small enough that a skewed partition still splits. *)
-let chunk_floor_frac = 0.01
-
-(* Physical rows per chunk for a barrier over [pd]. [Chunk_auto] aims for
-   [chunk_oversub] chunks per domain, floored at [chunk_floor_frac] of a
-   task's scheduling cost worth of simulated work per chunk — the
-   cost-model estimate (per-record CPU + bytes through the UDF throughput)
-   prices a row, and rows cheaper to process get coarser chunks. *)
+(* Physical rows per task for a barrier over [pd]. [Chunk_auto] aims for
+   [chunk_oversub] tasks per domain, floored at [chunk_floor_frac] of a
+   task's scheduling cost worth of simulated work per task — the
+   cost-model estimate prices a row, and rows cheaper to process get
+   coarser tasks. *)
 let chunk_rows t (pd : Pdata.t) =
   match t.chunk with
   | Chunk_fixed k -> max 1 k
   | Chunk_auto ->
       let rows = Pdata.records pd in
-      if rows = 0 then max_int
-      else begin
-        let per_row_s =
-          ((Pdata.logical_records pd *. t.cluster.Cluster.per_record_cpu)
-          +. (Pdata.logical_bytes pd /. t.cluster.Cluster.cpu_bw))
-          /. float_of_int rows
-        in
-        let floor_rows =
-          if per_row_s <= 0.0 then rows
-          else
-            int_of_float
-              (Float.min (float_of_int rows)
-                 (ceil (t.profile.Cluster.sched_linear_s *. chunk_floor_frac /. per_row_s)))
-        in
-        let target =
-          (rows + (Pool.size t.pool * chunk_oversub) - 1)
-          / (Pool.size t.pool * chunk_oversub)
-        in
-        max 1 (max floor_rows target)
-      end
-
-(* Split every partition into <= k-row chunks, keeping element order;
-   returns (partition index, rows) tasks in partition-major order, so the
-   lowest failing task is the first failing chunk of sequential order and
-   exception choice stays deterministic. Empty partitions still get one
-   task, matching the unchunked barrier's task layout. *)
-let split_chunks k (parts : Value.t list array) =
-  let tasks = ref [] in
-  Array.iteri
-    (fun p rows ->
-      let rec go rows =
-        let rec take n xs acc =
-          match xs with
-          | x :: rest when n > 0 -> take (n - 1) rest (x :: acc)
-          | _ -> (List.rev acc, xs)
-        in
-        let chunk, rest = take k rows [] in
-        tasks := (p, chunk) :: !tasks;
-        if rest <> [] then go rest
+      let per_row_s = stage_work t.cluster pd /. float_of_int rows in
+      let floor_rows =
+        if per_row_s <= 0.0 then rows
+        else
+          int_of_float
+            (Float.min (float_of_int rows)
+               (ceil (t.profile.Cluster.sched_linear_s *. chunk_floor_frac /. per_row_s)))
       in
-      go rows)
-    parts;
-  Array.of_list (List.rev !tasks)
+      max 1 (max floor_rows ((rows + barrier_tasks t - 1) / barrier_tasks t))
+
+(* The length of [l], counting no further than [k + 1]. *)
+let rec length_upto k n l =
+  match l with [] -> n | _ :: rest -> if n > k then n else length_upto k (n + 1) rest
+
+let[@tail_mod_cons] rec take k l =
+  match l with x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
 
 (* Chunked barrier for order-preserving list homomorphisms: [f] runs over
-   every chunk on the pool and the per-partition outputs are the in-order
-   concatenations of their chunks' outputs. Shares all of [par_run]'s
+   every piece and the per-partition outputs are the in-order
+   concatenations of their pieces' outputs. Task [j] covers rows
+   [j*k, (j+1)*k) of the partitions' rows laid end to end; it starts at
+   partition [start_p.(j)], at the list tail [start_l.(j)], so a piece that
+   runs to the end of its partition is that tail itself and only a piece
+   cut short by its task's end is copied. Shares all of [par_run]'s
    bookkeeping discipline: chaos draws and fault charges are keyed on the
-   LOGICAL partition count (never the chunk count, which varies with the
-   chunk policy), UDF counts tally through the domain-local cell, and
-   cost charging stays on the coordinator. *)
+   LOGICAL partition count (never the task count, which varies with the
+   chunk policy), UDF counts tally through the domain-local cell, and cost
+   charging stays on the coordinator. *)
 let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
   let nparts = Pdata.nparts pd in
   check_interrupts t;
   inject_barrier_faults t nparts;
   let parts = pd.Pdata.parts in
   let f_traced =
-    if not (Trace.enabled t.tracer) then fun (_, rows) -> f rows
-    else fun (p, rows) -> task_span t p f rows
+    if not (Trace.enabled t.tracer) then fun _ rows -> f rows
+    else fun p rows -> task_span t p f rows
   in
-  if nparts <= 1 && Pdata.records pd <= 1 || Pool.size t.pool <= 1 then
-    Pool.parmap t.pool (fun i -> f_traced (i, parts.(i))) (Array.init nparts Fun.id)
+  let rows = if pooled t pd then Pdata.records pd else 0 in
+  let k = if rows <= 1 then 1 else chunk_rows t pd in
+  let ntasks = if rows = 0 then 0 else 1 + ((rows - 1) / k) in
+  if ntasks <= 1 then Array.init nparts (fun p -> f_traced p parts.(p))
   else begin
-    let tasks = split_chunks (chunk_rows t pd) parts in
-    let n = Array.length tasks in
-    t.metrics.Metrics.par_stages <- t.metrics.Metrics.par_stages + 1;
-    t.metrics.Metrics.par_tasks <- t.metrics.Metrics.par_tasks + n;
-    t.metrics.Metrics.par_chunks <- t.metrics.Metrics.par_chunks + (n - nparts);
-    let task tk =
-      let saved = Domain.DLS.get tally_key in
-      let c = ref 0 in
-      Domain.DLS.set tally_key (Some c);
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set tally_key saved)
-        (fun () ->
-          let r = f_traced tk in
-          (r, !c))
+    let start_p = Array.make ntasks 0 and start_l = Array.make ntasks [] in
+    let rec walk p g l =
+      match l with
+      | [] -> g
+      | _ :: rest ->
+          if g mod k = 0 then begin
+            start_p.(g / k) <- p;
+            start_l.(g / k) <- l;
+            if l != parts.(p) then
+              t.metrics.Metrics.par_chunks <- t.metrics.Metrics.par_chunks + 1
+          end;
+          walk p (g + 1) rest
     in
-    let run_barrier () = Pool.parmap t.pool task tasks in
-    let rs =
-      if Trace.enabled t.tracer then
-        Trace.span t.tracer ~cat:"stage" "barrier"
-          ~args:[ ("tasks", Trace.A_int n) ]
-          run_barrier
-      else run_barrier ()
+    let g = ref 0 in
+    Array.iteri (fun p l -> g := walk p !g l) parts;
+    (* a task's (partition, output) pieces, last piece first; [left > 0]
+       rows remain, so the partitions do not run out *)
+    let task j =
+      let rec go p l left acc =
+        match l with
+        | [] -> go (p + 1) parts.(p + 1) left acc
+        | _ ->
+            let c = length_upto left 0 l in
+            if c < left then go (p + 1) parts.(p + 1) (left - c) ((p, f_traced p l) :: acc)
+            else if c = left then (p, f_traced p l) :: acc
+            else (p, f_traced p (take left l)) :: acc
+      in
+      go start_p.(j) start_l.(j) (min k (rows - (j * k))) []
     in
-    account_steals t;
-    let chunks_of = Array.make nparts [] in
-    for j = n - 1 downto 0 do
-      let p, _ = tasks.(j) in
-      let r, c = rs.(j) in
-      add_udf_count t c;
-      chunks_of.(p) <- r :: chunks_of.(p)
+    let pieces = dispatch t ntasks task in
+    let out = Array.make nparts [] in
+    for j = ntasks - 1 downto 0 do
+      List.iter
+        (fun (p, r) -> out.(p) <- (match out.(p) with [] -> r | later -> r @ later))
+        pieces.(j)
     done;
-    Array.map List.concat chunks_of
+    out
   end
 
 let par_map_parts_chunked t f (pd : Pdata.t) : Pdata.t =
@@ -1318,7 +1388,8 @@ and exec_plan_inner t env (p : Plan.t) : out =
       (* partial fold per partition (the parallel leaves), then combine the
          partials at the driver — the data-parallel fold of §2.2.2 *)
       let partials =
-        par_run t (Pdata.nparts pd) (fun i -> List.fold_left step empty pd.Pdata.parts.(i))
+        par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i ->
+            List.fold_left step empty pd.Pdata.parts.(i))
       in
       let sizes = Array.map (fun v -> float_of_int (Value.byte_size v)) partials in
       (* each slot holds its partition's accumulator while folding *)
@@ -1347,7 +1418,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
                (if i < Array.length a then a.(i) else 0.0)
                +. (if i < Array.length b then b.(i) else 0.0)));
       let parts =
-        par_run t (Pdata.nparts apd) (fun i ->
+        par_run t ~pooled:(pooled2 t apd bpd) (Pdata.nparts apd) (fun i ->
             let da = Emma_databag.Databag.of_list apd.Pdata.parts.(i) in
             let db = Emma_databag.Databag.of_list bpd.Pdata.parts.(i) in
             Emma_databag.Databag.to_list
@@ -1390,7 +1461,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
       reserve_memory t ~op:"statefulCreate" ~needs:(part_needs pd);
       let duplicate _ _ = raise (Engine_failure "stateful bag: duplicate key") in
       let parts =
-        par_run t (Pdata.nparts pd) (fun i ->
+        par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i ->
             let part = pd.Pdata.parts.(i) in
             let h = Keyed.create (List.length part) in
             List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:Fun.id ~merge:duplicate) part;
@@ -1418,7 +1489,8 @@ and exec_plan_inner t env (p : Plan.t) : out =
           let f v = Value.to_option (f v) in
           (* each task mutates only its own partition's state cells *)
           let delta_parts =
-            par_run t (Array.length sh.s_parts) (fun i -> Keyed.update_all f sh.s_parts.(i))
+            par_run t ~pooled:(state_pooled t sh) (Array.length sh.s_parts) (fun i ->
+                Keyed.update_all f sh.s_parts.(i))
           in
           let pd = Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult delta_parts in
           charge_local_cpu t pd;
@@ -1440,7 +1512,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
           (* [changed] holds each updated key's latest value; a partition
              without messages builds none *)
           let delta_parts =
-            par_run t (Array.length sh.s_parts) (fun i ->
+            par_run t ~pooled:(pooled t msgs) (Array.length sh.s_parts) (fun i ->
                 match if i < Pdata.nparts msgs then msgs.Pdata.parts.(i) else [] with
                 | [] -> []
                 | mpart ->
@@ -1480,6 +1552,8 @@ and shuffle_by t key keyfn (pd : Pdata.t) : Pdata.t =
   end
 
 and exec_group_by t key keyfn (pd : Pdata.t) : out =
+  (* the shuffle keeps every row, so its input prices the grouping *)
+  let grouping_pooled = pooled t pd in
   let pd = shuffle_by t key keyfn pd in
   (* group within each partition *)
   let groups_of part =
@@ -1489,7 +1563,9 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
       (fun k l acc -> Value.Record [| ("key", k); ("values", Value.Bag (List.rev l)) |] :: acc)
       h []
   in
-  let parts = par_run t (Pdata.nparts pd) (fun i -> groups_of pd.Pdata.parts.(i)) in
+  let parts =
+    par_run t ~pooled:grouping_pooled (Pdata.nparts pd) (fun i -> groups_of pd.Pdata.parts.(i))
+  in
   let overhead = t.cluster.Cluster.group_overhead in
   let out_rmult = 1.0 and out_bmult = pd.Pdata.bmult *. overhead in
   (* memory check: the largest materialized group must fit in one slot *)
@@ -1529,7 +1605,7 @@ and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : o
   in
   let combined =
     Pdata.make ~rmult:1.0 ~bmult:1.0
-      (par_run t (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i)))
+      (par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i)))
   in
   (* the map-side combine hash table: one (key, acc) pair per distinct
      key per partition *)
@@ -1556,7 +1632,8 @@ and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : o
   in
   let out =
     Pdata.make ~part_key:(group_key_udf ()) ~rmult:1.0 ~bmult:1.0
-      (par_run t (Pdata.nparts shuffled) (fun i -> reduce shuffled.Pdata.parts.(i)))
+      (par_run t ~pooled:(pooled t combined) (Pdata.nparts shuffled) (fun i ->
+           reduce shuffled.Pdata.parts.(i)))
   in
   (* the reduce-side merge hash table *)
   reserve_memory t ~op:"aggBy" ~needs:(part_needs out);
@@ -1640,9 +1717,9 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     reserve_memory t ~op:"join" ~needs:(part_needs r);
     charge_local_cpu t l;
     charge_local_cpu t r;
-    (* partition-local build + probe, one task per partition *)
+    (* partition-local build + probe, whole partitions per task *)
     let parts =
-      par_run t (Pdata.nparts l) (fun i ->
+      par_run t ~pooled:(pooled2 t l r) (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
           let index = join_index ~size:(List.length rpart) rfn rpart in
           if semi then List.filter (fun v -> Keyed.mem index (lfn v)) l.Pdata.parts.(i)
@@ -1697,7 +1774,7 @@ and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     charge_local_cpu t l;
     charge_local_cpu t r;
     let parts =
-      par_run t (Pdata.nparts l) (fun i ->
+      par_run t ~pooled:(pooled2 t l r) (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
           let keyset = key_set ~size:(List.length rpart) rfn rpart in
           List.filter (fun v -> not (Keyed.mem keyset (lfn v))) l.Pdata.parts.(i))

@@ -67,20 +67,38 @@ type udf_mode = Config.udf_mode =
 
 (** Chunk-size policy for the adaptive-chunking barriers. Operators that
     are order-preserving list homomorphisms (map, flatMap, filter, cross
-    and broadcast-join probes, shuffle routing) split each partition into
-    chunks of this many physical rows before dispatching to the
-    work-stealing pool, so a skewed partition's tail can be stolen
-    mid-partition; outputs are reassembled in order, keeping results and
-    every cost-model metric bit-identical across policies. [Chunk_auto]
-    (the default) sizes chunks from the cost model's per-row estimate with
-    a granularity floor (each chunk carries at least a small fraction of
-    one task-scheduling cost in per-row work, so cheap rows get coarse
-    chunks);
-    [Chunk_fixed k] pins k rows per chunk (the CLI's [--chunk N]).
+    and broadcast-join probes, shuffle routing) cut the rows of their
+    partitions, in order, into tasks of this many physical rows before
+    dispatching to the work-stealing pool, so a skewed partition's tail
+    can be stolen mid-partition and runs of small partitions share a
+    task; outputs are reassembled in order, keeping results and every
+    cost-model metric bit-identical across policies. [Chunk_auto] (the
+    default) first decides whether the stage is worth the pool at all
+    (see {!inline_work_s}), then sizes tasks from the cost model's
+    per-row estimate with a granularity floor (each task carries at least
+    a small fraction of one task-scheduling cost in per-row work, so
+    cheap rows get coarse tasks); [Chunk_fixed k] pins k rows per task
+    (the CLI's [--chunk N]) and always dispatches on a multi-domain pool.
     Non-homomorphic per-partition work (fold accumulators, groupBy/aggBy
     tables, sort-based distinct/minus, repartition-join builds) is never
-    chunked — splitting a float fold would reassociate additions. *)
+    cut inside a partition — splitting a float fold would reassociate
+    additions — but is packed into tasks of contiguous partitions. *)
 type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
+
+val inline_work_s : float
+(** Host granularity: under [Chunk_auto], a barrier whose stage work —
+    the cost model's per-row estimate times the physical rows, in
+    simulated seconds — is below this runs inline on the calling domain,
+    exactly as on a one-domain pool; at or above it the barrier is
+    dispatched as at most [chunk_oversub × domains] tasks. *)
+
+val chunk_oversub : int
+(** Tasks per domain of a dispatched barrier. *)
+
+val stage_work : Cluster.t -> Pdata.t -> float
+(** The work a barrier over this input carries: the cost model's per-row
+    estimate (per-record CPU plus bytes through the UDF throughput) times
+    the physical rows, in simulated seconds. *)
 
 val create :
   ?config:Config.t ->

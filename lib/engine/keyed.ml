@@ -18,6 +18,7 @@ let rec power_2_above x n =
   if x >= n then x else if x * 2 > Sys.max_array_length then x else power_2_above (x * 2) n
 
 let create n = { size = 0; buckets = [||]; initial = power_2_above 16 n }
+let length t = t.size
 
 (* [compare a b = 0], with the two commonest key shapes decided without
    the polymorphic compare: a different constructor never compares

@@ -27,6 +27,9 @@ val create : int -> 'a t
 (** [create n]: an empty table that will start with [max 16 n] buckets
     (rounded up to a power of two), as [Hashtbl.create n] does. *)
 
+val length : 'a t -> int
+(** The number of bindings. *)
+
 val replace : 'a t -> Emma_value.Value.t -> 'a -> unit
 (** [Hashtbl.replace]: overwrite the key and value of the binding of an
     equal key in place, or add one. *)

@@ -19,11 +19,14 @@ type t = {
   mutable cache_losses : int;  (** injected failures recovered via lineage *)
   mutable udf_invocations : int;  (** physical count, not scaled *)
   mutable wall_time_s : float;  (** real elapsed time of the run on the host *)
-  mutable par_stages : int;  (** operator barriers executed on the domain pool *)
-  mutable par_tasks : int;  (** partition tasks dispatched through the pool *)
+  mutable par_stages : int;
+      (** operator barriers dispatched on the domain pool (a barrier run
+          inline on the calling domain is not counted) *)
+  mutable par_tasks : int;  (** packed tasks dispatched through the pool *)
   mutable par_chunks : int;
-      (** extra chunk tasks produced by adaptive chunking, beyond one task
-          per partition; varies with the chunk policy and domain count *)
+      (** task boundaries that fall inside a partition under adaptive
+          chunking (each adds one piece to that partition); varies with
+          the chunk policy and domain count *)
   mutable par_steals : int;
       (** pool tasks claimed from another domain's deque during this
           engine's barriers; scheduling-dependent, like [wall_time_s] *)

@@ -39,12 +39,12 @@ let make ?part_key ~rmult ~bmult parts =
 
 let nparts t = Array.length t.parts
 
-let of_list ?pool ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
+let of_list ?pool ?(tasks = 1) ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
   let n = max 1 nparts in
   match pool with
   | Some p when Pool.size p > 1 && n > 1 && vs <> [] ->
-      (* same round-robin layout as the sequential path, but each partition
-         extracts its residue class by index stride on the pool *)
+      (* same round-robin layout as the sequential path, but each task
+         extracts a contiguous range of residue classes by index stride *)
       let arr = Array.of_list vs in
       let len = Array.length arr in
       let slice r =
@@ -52,7 +52,13 @@ let of_list ?pool ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
         let rec go i acc = if i < r then acc else go (i - n) (arr.(i) :: acc) in
         if last < 0 then [] else go last []
       in
-      make ~rmult ~bmult (Pool.parmap p slice (Array.init n Fun.id))
+      let ntasks = min n (max 1 tasks) in
+      let ranges =
+        Pool.parinit p ntasks (fun j ->
+            let lo = j * n / ntasks in
+            Array.init (((j + 1) * n / ntasks) - lo) (fun i -> slice (lo + i)))
+      in
+      make ~rmult ~bmult (Array.concat (Array.to_list ranges))
   | _ ->
       let parts = Array.make n [] in
       List.iteri (fun i v -> parts.(i mod n) <- v :: parts.(i mod n)) vs;

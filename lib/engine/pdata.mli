@@ -64,10 +64,18 @@ val make : ?part_key:Plan.udf -> rmult:float -> bmult:float -> Value.t list arra
 val nparts : t -> int
 
 val of_list :
-  ?pool:Emma_util.Pool.t -> ?rmult:float -> ?bmult:float -> nparts:int -> Value.t list -> t
+  ?pool:Emma_util.Pool.t ->
+  ?tasks:int ->
+  ?rmult:float ->
+  ?bmult:float ->
+  nparts:int ->
+  Value.t list ->
+  t
 (** Round-robin partitioning (no key property); multipliers default to 1.
     With [pool], the per-partition slices are materialized in parallel on
-    the domain pool — the layout is identical to the sequential path. *)
+    the domain pool, [tasks] (default 1) tasks each slicing a contiguous
+    range of partitions — the layout is identical to the sequential
+    path. *)
 
 val with_mult : rmult:float -> bmult:float -> t -> t
 (** Replaces the multipliers; keeps the stats. *)

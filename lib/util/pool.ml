@@ -10,7 +10,7 @@
    only by its owner plus the occasional thief, so the global contention
    wall of a single shared queue is gone either way.
 
-   A [parmap] batch is scattered round-robin across every deque, the
+   A [parinit] batch is scattered round-robin across every deque, the
    submitter's own deque first, so the common case is a local (lock-local)
    pop and stealing happens only when a domain's own deque runs dry —
    exactly when partitions are skewed. Victim order is a seeded
@@ -22,16 +22,16 @@
 
    A pool of [domains = n] means "n-way parallelism including the caller":
    [create ~domains:n] spawns n-1 worker Domains on slots 1..n-1, and the
-   domain that calls [parmap] participates from its own slot (slot 0 if it
+   domain that calls [parinit] participates from its own slot (slot 0 if it
    is not a pool worker). Caller participation is what keeps nested
-   [parmap] calls deadlock-free: every task of a batch is queued before the
+   [parinit] calls deadlock-free: every task of a batch is queued before the
    submitter starts draining, tasks only ever leave a deque by being
    claimed, and the submitter's claim sweep (own pop, then steal from every
    victim) reaches any queued task in the pool — so when the sweep comes up
    empty, every remaining task of its batch is in flight on some domain and
    the submitter may sleep until the last finisher signals the batch
    condition. In-flight tasks complete by induction on nesting depth: a
-   deepest-nested batch contains no [parmap] calls, and a nested submitter
+   deepest-nested batch contains no [parinit] calls, and a nested submitter
    is itself a claim-sweeping participant for its own batch.
 
    Exception propagation is deterministic: all tasks of a batch run to
@@ -236,27 +236,16 @@ let shutdown t =
   Mutex.unlock t.m;
   List.iter Domain.join ws
 
-let run_seq f xs =
-  (* explicit ascending order, so a failing input raises the same
-     (lowest-index) exception the parallel path propagates *)
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let r = Array.make n (f xs.(0)) in
-    for i = 1 to n - 1 do
-      r.(i) <- f xs.(i)
-    done;
-    r
-  end
-
-let parmap t f xs =
-  let n = Array.length xs in
-  if n <= 1 || t.domains <= 1 || t.workers = [] then run_seq f xs
+let parinit t n f =
+  (* [Array.init] applies [f] in ascending order, so a failing index
+     raises the same (lowest-index) exception the parallel path
+     propagates *)
+  if n <= 1 || t.domains <= 1 || t.workers = [] then Array.init n f
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
     let run i =
-      match f xs.(i) with
+      match f i with
       | r -> results.(i) <- Some r
       | exception e -> errors.(i) <- Some e
     in
@@ -299,9 +288,11 @@ let parmap t f xs =
     drain ();
     Array.iter (function Some e -> raise e | None -> ()) errors;
     Array.map
-      (function Some r -> r | None -> invalid_arg "Pool.parmap: missing result")
+      (function Some r -> r | None -> invalid_arg "Pool.parinit: missing result")
       results
   end
+
+let parmap t f xs = parinit t (Array.length xs) (fun i -> f xs.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Global default pool                                                  *)

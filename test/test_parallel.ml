@@ -462,6 +462,97 @@ let test_split_streams_parallel_deterministic () =
   let a = Prng.split_n (Prng.create 5) 8 and b = Prng.split_n (Prng.create 5) 8 in
   Alcotest.(check bool) "split_n reproducible" true (draw_all a = draw_all b)
 
+(* ---------------------------------------------------------------- *)
+(* Host granularity: inline small stages, pack the rest                *)
+(* ---------------------------------------------------------------- *)
+
+(* 320 logical partitions, as in `emma serve`, so packing is visible *)
+let paper_rt () =
+  Emma.
+    { cluster = Cluster.paper_cluster (); profile = Cluster.spark_like; timeout_s = None }
+
+let run_outcome ?(chunk = Engine.Chunk_auto) ~domains prog tables =
+  with_pool domains (fun pool ->
+      let config = Config.(default |> with_chunk chunk |> with_pool (Some pool)) in
+      Emma.run_on ~config (paper_rt ()) (Emma.parallelize prog) ~tables)
+
+let finished = function
+  | Emma.Finished r -> (r.Emma.value, r.Emma.metrics)
+  | _ -> Alcotest.fail "run did not finish"
+
+(* Under [Chunk_auto] a stage below [Exec.inline_work_s] never reaches the
+   pool, and a larger one becomes at most [chunk_oversub] tasks per
+   domain; either way values and every cost field equal a one-domain
+   run. *)
+let test_granularity () =
+  let check_sizes name rows ~expect_dispatch =
+    let tables = [ ("skewed", rows) ] in
+    let v1, m1 = finished (run_outcome ~domains:1 skew_group_prog tables) in
+    List.iter
+      (fun d ->
+        let v, m = finished (run_outcome ~domains:d skew_group_prog tables) in
+        let at = Printf.sprintf "%s at %d domains" name d in
+        check_value (at ^ ": value") v1 v;
+        Alcotest.(check bool) (at ^ ": cost metrics") true (Metrics.cost m1 = Metrics.cost m);
+        if expect_dispatch then begin
+          Alcotest.(check bool) (at ^ ": some barrier dispatched") true (m.Metrics.par_stages > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d tasks <= %d barriers x %d x %d" at m.Metrics.par_tasks
+               m.Metrics.par_stages Engine.chunk_oversub d)
+            true
+            (m.Metrics.par_tasks <= m.Metrics.par_stages * Engine.chunk_oversub * d)
+        end
+        else Alcotest.(check int) (at ^ ": no pool tasks") 0 m.Metrics.par_tasks)
+      [ 2; 4; 8 ]
+  in
+  check_sizes "tiny stage" (zipf_rows ~seed:5 ~alpha:1.2 ~keys:8 ~n:40) ~expect_dispatch:false;
+  check_sizes "large stage" (zipf_rows ~seed:5 ~alpha:1.2 ~keys:8 ~n:8000) ~expect_dispatch:true
+
+(* A UDF that fails on two rows, in partitions 5 and 200 of 320 (rows are
+   dealt round-robin): every domain count and chunk policy must report
+   partition 5's failure, the first in sequential order, whether the
+   failing rows land in different tasks or (at 3000 rows per task, for
+   the map) in one. Both a chunked barrier (the bag-valued map) and a
+   whole-partition one (the fold) are covered. *)
+let test_exception_order_packed () =
+  let udf =
+    S.(
+      lam "x" (fun x ->
+          if_ (field x "a" < int_ 100) (field x "a" / field x "d") (field x "a" mod field x "d")))
+  in
+  let rows bad =
+    List.init 4000 (fun i ->
+        Value.record
+          [ ("a", Value.Int i); ("d", Value.Int (if List.mem i bad then 0 else 1 + (i mod 3))) ])
+  in
+  let progs =
+    [ ("map", S.program ~ret:S.(map udf (read "rows")) []);
+      ("fold", S.program ~ret:S.(sum (map udf (read "rows"))) []) ]
+  in
+  let reason ?chunk ~domains prog bad =
+    match run_outcome ?chunk ~domains prog [ ("rows", rows bad) ] with
+    | exception Value.Type_error reason -> reason
+    | Emma.Failed { reason; _ } -> reason
+    | _ -> Alcotest.fail "expected the run to fail"
+  in
+  List.iter
+    (fun (name, prog) ->
+      let first = reason ~domains:1 prog [ 5 ] and second = reason ~domains:1 prog [ 200 ] in
+      Alcotest.(check bool) (name ^ ": the two failures differ") true (first <> second);
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (cname, chunk) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %d domains, %s" name d cname)
+                first
+                (reason ~chunk ~domains:d prog [ 5; 200 ]))
+            [ ("chunk=auto", Engine.Chunk_auto);
+              ("chunk=1", Engine.Chunk_fixed 1);
+              ("chunk=3000", Engine.Chunk_fixed 3000) ])
+        domains_under_test)
+    progs
+
 let suite =
   [ ( "parallel_execution",
       [ prop_differential;
@@ -490,4 +581,8 @@ let suite =
           test_faults_chunk_independent;
         prop_faults_parallel;
         Alcotest.test_case "split PRNG streams on workers" `Quick
-          test_split_streams_parallel_deterministic ] ) ]
+          test_split_streams_parallel_deterministic;
+        Alcotest.test_case "granularity: tiny stages inline, large ones packed" `Quick
+          test_granularity;
+        Alcotest.test_case "packed barriers raise the lowest partition's exception" `Quick
+          test_exception_order_packed ] ) ]
