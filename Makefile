@@ -31,8 +31,10 @@ explain-golden:
 
 # Golden-file checks pinning the cost model's absolute output (sim time,
 # every byte channel, stages/jobs/recomputes) for every registry program
-# on both engine profiles; part of the default `dune runtest`, regenerated
-# the same way as the explain goldens.
+# on both engine profiles, and for each join kind (inner, semi, anti)
+# under Jit, forced broadcast, forced repartition and a co-partitioned
+# left input; part of the default `dune runtest`, regenerated the same way
+# as the explain goldens.
 cost-golden:
 	dune exec test/test_main.exe -- test cost_golden
 

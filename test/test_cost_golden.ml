@@ -63,6 +63,106 @@ let cost_test (e : Registry.entry) (profile_name, profile) () =
     (Printf.sprintf "cost_%s_%s.txt" e.Registry.name profile_name)
     (render e.Registry.name profile_name outcome)
 
+(* Join cases: each join kind under each strategy setting, plus, per kind,
+   a Jit case whose left input is already partitioned by the join key (a
+   groupBy output joined on its key). On the laptop cluster with these
+   table scales the probe side is above the broadcast threshold, so the
+   Jit estimate decides: every plain case broadcasts, while with the
+   co-partitioned left the inner join and the semi-join repartition (the
+   left side's shuffle is discounted) and the anti-join, whose estimate
+   charges both sides, still broadcasts. Each value is checked against
+   native evaluation too. *)
+module S = Emma_lang.Surface
+module Value = Emma_value.Value
+
+let join_tables () =
+  [ ("a", List.init 500 (fun i -> Value.record [ ("k", Value.Int (i mod 64)); ("v", Value.Int i) ]));
+    ("b", List.init 40 (fun i -> Value.record [ ("k", Value.Int (3 * i)); ("w", Value.Int i) ])) ]
+
+let join_query kind left x key =
+  let open S in
+  let matches = exists (lam "y" (fun y -> field y "k" = key)) (read "b") in
+  match kind with
+  | `Inner ->
+      for_
+        [ gen x left; gen "y" (read "b"); when_ (key = field (var "y") "k") ]
+        ~yield:(tup [ key; field (var "y") "w" ])
+  | `Semi -> for_ [ gen x left; when_ matches ] ~yield:key
+  | `Anti -> for_ [ gen x left; when_ (not_ matches) ] ~yield:key
+
+let join_program kind ~co_partitioned =
+  let query =
+    if co_partitioned then
+      join_query kind
+        S.(group_by (lam "r" (fun r -> field r "k")) (read "a"))
+        "g"
+        S.(field (var "g") "key")
+    else join_query kind (S.read "a") "x" S.(field (var "x") "k")
+  in
+  S.program ~ret:(S.var "r") [ S.s_let "r" query ]
+
+let join_cases =
+  let kinds = [ ("inner", `Inner); ("semi", `Semi); ("anti", `Anti) ] in
+  let strategies =
+    [ ("jit", Cluster.Jit);
+      ("broadcast", Cluster.Force_broadcast);
+      ("repartition", Cluster.Force_repartition) ]
+  in
+  List.concat_map
+    (fun (kname, kind) ->
+      List.map
+        (fun (sname, strategy) -> (Printf.sprintf "%s_%s" kname sname, kind, strategy, false))
+        strategies
+      @ [ (kname ^ "_copartitioned", kind, Cluster.Jit, true) ])
+    kinds
+
+let join_test (name, kind, join_strategy, co_partitioned) () =
+  let cluster =
+    { (Cluster.laptop ()) with table_scales = [ ("a", 1000.0); ("b", 1250.0) ]; join_strategy }
+  in
+  let algo = Emma.parallelize (join_program kind ~co_partitioned) in
+  let tables = join_tables () in
+  let outcome =
+    Emma.run_on { Emma.cluster; profile = Cluster.spark_like; timeout_s = None } algo ~tables
+  in
+  (match outcome with
+  | Emma.Finished { value; _ } ->
+      Helpers.check_value ("join " ^ name ^ " = native") (fst (Emma.run_native algo ~tables)) value
+  | _ -> Alcotest.failf "join %s did not finish" name);
+  Helpers.check_golden
+    ~what:(Printf.sprintf "cost of join %s" name)
+    (Printf.sprintf "cost_join_%s.txt" name)
+    (render ("join_" ^ name) "spark" outcome)
+
+(* The label each join kind and strategy reserves its state under, as the
+   fatal out-of-memory message names it (trace instants carry the same
+   label). *)
+let test_join_memory_labels () =
+  List.iter
+    (fun (kname, kind, strategy, label) ->
+      let cluster = { (Cluster.laptop ()) with join_strategy = strategy } in
+      let config = Emma.Config.(default |> with_mem_budget (Some 1.0)) in
+      let outcome =
+        Emma.run_on ~config
+          { Emma.cluster; profile = Cluster.spark_like; timeout_s = None }
+          (Emma.parallelize (join_program kind ~co_partitioned:false))
+          ~tables:(join_tables ())
+      in
+      let expected = Printf.sprintf "out of memory: %s state" label in
+      match outcome with
+      | Emma.Failed { reason; _ }
+        when String.length reason >= String.length expected
+             && String.sub reason 0 (String.length expected) = expected ->
+          ()
+      | Emma.Failed { reason; _ } -> Alcotest.failf "%s: unexpected failure %S" kname reason
+      | _ -> Alcotest.failf "%s: expected an out-of-memory failure" kname)
+    [ ("inner broadcast", `Inner, Cluster.Force_broadcast, "join");
+      ("inner repartition", `Inner, Cluster.Force_repartition, "join");
+      ("semi broadcast", `Semi, Cluster.Force_broadcast, "semijoin");
+      ("semi repartition", `Semi, Cluster.Force_repartition, "join");
+      ("anti broadcast", `Anti, Cluster.Force_broadcast, "antijoin");
+      ("anti repartition", `Anti, Cluster.Force_repartition, "antijoin") ]
+
 let suite =
   [ ( "cost_golden",
       List.concat_map
@@ -73,4 +173,9 @@ let suite =
                 (Printf.sprintf "%s %s" e.Registry.name pname)
                 `Quick (cost_test e p))
             profiles)
-        Registry.all ) ]
+        Registry.all
+      @ List.map
+          (fun ((name, _, _, _) as case) ->
+            Alcotest.test_case ("join " ^ name) `Quick (join_test case))
+          join_cases
+      @ [ Alcotest.test_case "join memory labels" `Quick test_join_memory_labels ] ) ]
