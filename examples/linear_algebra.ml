@@ -49,7 +49,7 @@ let () =
     (fun p ->
       P.fold_plan
         (fun () -> function
-          | P.Eq_join _ -> incr joins
+          | P.Join { kind = P.Inner; _ } -> incr joins
           | P.Agg_by _ -> incr aggs
           | P.Group_by _ -> incr groups
           | _ -> ())

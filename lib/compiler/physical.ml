@@ -95,7 +95,7 @@ let rec trace_to_scan plan =
   match plan with
   | P.Scan v -> Some v
   | P.Filter (_, p) | P.Cache p | P.Partition_by (_, p) -> trace_to_scan p
-  | P.Semi_join { left; _ } | P.Anti_join { left; _ } -> trace_to_scan left
+  | P.Join { kind = Semi | Anti; left; _ } -> trace_to_scan left
   | _ -> None
 
 let key_is_pure (k : P.udf) =
@@ -124,11 +124,7 @@ let collect_desires prog =
           P.fold_plan
             (fun () node ->
               match node with
-              | P.Eq_join { lkey; rkey; left; right } ->
-                  Option.iter (fun v -> note v lkey w) (trace_to_scan left);
-                  Option.iter (fun v -> note v rkey w) (trace_to_scan right)
-              | P.Semi_join { lkey; rkey; left; right } | P.Anti_join { lkey; rkey; left; right }
-                ->
+              | P.Join { lkey; rkey; left; right; _ } ->
                   Option.iter (fun v -> note v lkey w) (trace_to_scan left);
                   Option.iter (fun v -> note v rkey w) (trace_to_scan right)
               | P.Group_by (k, input) | P.Agg_by { key = k; input; _ } ->
@@ -233,9 +229,7 @@ let udf_compile_stats prog =
           | P.Map (u, _) | P.Flat_map (u, _) | P.Filter (u, _)
           | P.Group_by (u, _) | P.Partition_by (u, _) ->
               udf u
-          | P.Eq_join { lkey; rkey; _ }
-          | P.Semi_join { lkey; rkey; _ }
-          | P.Anti_join { lkey; rkey; _ } ->
+          | P.Join { lkey; rkey; _ } ->
               udf lkey;
               udf rkey
           | P.Agg_by { key; _ } ->

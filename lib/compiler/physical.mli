@@ -9,8 +9,8 @@
 
     {b Partition pulling}: for joins and group-based operators consumed
     inside loops, the desired hash partitioning is traced back through
-    element-preserving operators ([Filter], the left input of [Semi_join],
-    [Cache]) to the producing driver binding, and a [Partition_by] is
+    element-preserving operators ([Filter], the left input of a semi- or
+    anti-[Join], [Cache]) to the producing driver binding, and a [Partition_by] is
     enforced at the producer. Desired partitionings are weighted by loop
     depth, matching the paper's preference for consumers inside loops; with
     caching, the shuffle is then paid once instead of once per iteration.

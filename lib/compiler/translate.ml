@@ -220,30 +220,24 @@ and translate_comp ~unnest ~stats { head; quals; alg } =
                         | [] -> right
                         | gs -> P.Filter (udf y (conj gs), right)
                       in
+                      let joined =
+                        P.Join
+                          { kind = (if anti then P.Anti else P.Semi);
+                            lkey = udf x (tuple1 lkeys);
+                            rkey = udf y (tuple1 rkeys);
+                            left = pl;
+                            right }
+                      in
                       if anti then begin
                         (* ¬∃(y, A(x) ∧ eq ∧ B(y)) does not factor through
                            x-only conjuncts: bail out if any are present *)
                         if !x_only <> [] then None
                         else begin
                           stats.anti_joins <- stats.anti_joins + 1;
-                          let joined =
-                            P.Anti_join
-                              { lkey = udf x (tuple1 lkeys);
-                                rkey = udf y (tuple1 rkeys);
-                                left = pl;
-                                right }
-                          in
                           Some (TGen (x, joined) :: rest)
                         end
                       end
                       else begin
-                        let joined =
-                          P.Semi_join
-                            { lkey = udf x (tuple1 lkeys);
-                              rkey = udf y (tuple1 rkeys);
-                              left = pl;
-                              right }
-                        in
                         (* Residual x-only conjuncts stay as a filter above. *)
                         let with_x =
                           match List.filter (fun (x, _) -> String.equal x x0) !x_only with
@@ -365,8 +359,9 @@ and translate_comp ~unnest ~stats { head; quals; alg } =
             let lkeys = List.map fst all_eqs and rkeys = List.map snd all_eqs in
             let v = fresh "v" in
             let joined =
-              P.Eq_join
-                { lkey = udf x (tuple1 lkeys);
+              P.Join
+                { kind = P.Inner;
+                  lkey = udf x (tuple1 lkeys);
                   rkey = udf y (tuple1 rkeys);
                   left = plx;
                   right = ply }

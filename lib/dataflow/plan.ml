@@ -4,6 +4,8 @@ module Strset = Emma_util.Strset
 type udf = { param : string; body : Expr.expr; broadcast : string list }
 type udf2 = { param1 : string; param2 : string; body2 : Expr.expr; broadcast2 : string list }
 
+type join_kind = Inner | Semi | Anti
+
 type t =
   | Read of string
   | Scan of string
@@ -11,9 +13,7 @@ type t =
   | Map of udf * t
   | Flat_map of udf * t
   | Filter of udf * t
-  | Eq_join of { lkey : udf; rkey : udf; left : t; right : t }
-  | Semi_join of { lkey : udf; rkey : udf; left : t; right : t }
-  | Anti_join of { lkey : udf; rkey : udf; left : t; right : t }
+  | Join of { kind : join_kind; lkey : udf; rkey : udf; left : t; right : t }
   | Cross of t * t
   | Group_by of udf * t
   | Agg_by of { key : udf; fold : Expr.fold_fns; input : t }
@@ -34,8 +34,8 @@ let rec result_kind = function
   | Fold _ -> Rscalar
   | Stateful_create _ -> Rstateful
   | Cache p | Partition_by (_, p) -> result_kind p
-  | Read _ | Scan _ | Local _ | Map _ | Flat_map _ | Filter _ | Eq_join _ | Semi_join _
-  | Anti_join _ | Cross _ | Group_by _ | Agg_by _ | Union _ | Minus _ | Distinct _
+  | Read _ | Scan _ | Local _ | Map _ | Flat_map _ | Filter _ | Join _ | Cross _ | Group_by _
+  | Agg_by _ | Union _ | Minus _ | Distinct _
   | Stateful_read _ | Stateful_update _ | Stateful_update_msgs _ ->
       Rbag
 
@@ -45,8 +45,6 @@ let udf_of_expr e =
   | e ->
       let x = Expr.fresh "x" in
       { param = x; body = Expr.App (e, Expr.Var x); broadcast = [] }
-
-let udf_body_lam u = Expr.Lam (u.param, u.body)
 
 let udf2_of_expr e =
   match e with
@@ -67,8 +65,7 @@ let children = function
   | Agg_by { input; _ } -> [ input ]
   | Stateful_create { init; _ } -> [ init ]
   | Stateful_update_msgs { messages; _ } -> [ messages ]
-  | Eq_join { left; right; _ } | Semi_join { left; right; _ } | Anti_join { left; right; _ }
-  | Cross (left, right) | Union (left, right) | Minus (left, right) ->
+  | Join { left; right; _ } | Cross (left, right) | Union (left, right) | Minus (left, right) ->
       [ left; right ]
 
 let map_children f = function
@@ -85,11 +82,7 @@ let map_children f = function
   | Stateful_create { key; init } -> Stateful_create { key; init = f init }
   | Stateful_update_msgs { state; msg_key; messages; udf } ->
       Stateful_update_msgs { state; msg_key; messages = f messages; udf }
-  | Eq_join { lkey; rkey; left; right } -> Eq_join { lkey; rkey; left = f left; right = f right }
-  | Semi_join { lkey; rkey; left; right } ->
-      Semi_join { lkey; rkey; left = f left; right = f right }
-  | Anti_join { lkey; rkey; left; right } ->
-      Anti_join { lkey; rkey; left = f left; right = f right }
+  | Join j -> Join { j with left = f j.left; right = f j.right }
   | Cross (a, b) -> Cross (f a, f b)
   | Union (a, b) -> Union (f a, f b)
   | Minus (a, b) -> Minus (f a, f b)
@@ -116,10 +109,6 @@ let captured ~bound params body =
   let fv = List.fold_left (fun s p -> Strset.remove p s) fv params in
   Strset.elements (Strset.diff fv bound)
 
-let fold_fns_captured ~bound (fns : Expr.fold_fns) =
-  List.sort_uniq String.compare
-    (List.concat_map (captured ~bound []) [ fns.f_empty; fns.f_single; fns.f_union ])
-
 let annotate_udf ~bound u = { u with broadcast = captured ~bound [ u.param ] u.body }
 
 let annotate_udf2 ~bound u =
@@ -133,12 +122,7 @@ let rec annotate_broadcasts ~bound p =
   | Filter (u, q) -> Filter (annotate_udf ~bound u, q)
   | Group_by (u, q) -> Group_by (annotate_udf ~bound u, q)
   | Partition_by (u, q) -> Partition_by (annotate_udf ~bound u, q)
-  | Eq_join { lkey; rkey; left; right } ->
-      Eq_join { lkey = annotate_udf ~bound lkey; rkey = annotate_udf ~bound rkey; left; right }
-  | Semi_join { lkey; rkey; left; right } ->
-      Semi_join { lkey = annotate_udf ~bound lkey; rkey = annotate_udf ~bound rkey; left; right }
-  | Anti_join { lkey; rkey; left; right } ->
-      Anti_join { lkey = annotate_udf ~bound lkey; rkey = annotate_udf ~bound rkey; left; right }
+  | Join j -> Join { j with lkey = annotate_udf ~bound j.lkey; rkey = annotate_udf ~bound j.rkey }
   | Agg_by { key; fold; input } -> Agg_by { key = annotate_udf ~bound key; fold; input }
   | Stateful_create { key; init } -> Stateful_create { key = annotate_udf ~bound key; init }
   | Stateful_update { state; udf } -> Stateful_update { state; udf = annotate_udf ~bound udf }
@@ -158,8 +142,7 @@ let broadcast_vars p =
       | Map (u, _) | Flat_map (u, _) | Filter (u, _) | Group_by (u, _) | Partition_by (u, _)
       | Stateful_update { udf = u; _ } ->
           u.broadcast @ acc
-      | Eq_join { lkey; rkey; _ } | Semi_join { lkey; rkey; _ } | Anti_join { lkey; rkey; _ } ->
-          lkey.broadcast @ rkey.broadcast @ acc
+      | Join { lkey; rkey; _ } -> lkey.broadcast @ rkey.broadcast @ acc
       | Agg_by { key; _ } -> key.broadcast @ acc
       | Stateful_create { key; _ } -> key.broadcast @ acc
       | Stateful_update_msgs { msg_key; udf; _ } ->
@@ -170,6 +153,8 @@ let broadcast_vars p =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                              *)
 (* ------------------------------------------------------------------ *)
+
+let join_name = function Inner -> "join" | Semi -> "semijoin" | Anti -> "antijoin"
 
 let pp_udf ppf u =
   let pp_bc ppf = function
@@ -188,9 +173,8 @@ let rec pp ppf p =
     | Map (u, _) -> Fmt.str "map (%a)" pp_udf u
     | Flat_map (u, _) -> Fmt.str "flatMap (%a)" pp_udf u
     | Filter (u, _) -> Fmt.str "filter (%a)" pp_udf u
-    | Eq_join { lkey; rkey; _ } -> Fmt.str "join [%a = %a]" pp_udf lkey pp_udf rkey
-    | Semi_join { lkey; rkey; _ } -> Fmt.str "semijoin [%a = %a]" pp_udf lkey pp_udf rkey
-    | Anti_join { lkey; rkey; _ } -> Fmt.str "antijoin [%a = %a]" pp_udf lkey pp_udf rkey
+    | Join { kind; lkey; rkey; _ } ->
+        Fmt.str "%s [%a = %a]" (join_name kind) pp_udf lkey pp_udf rkey
     | Cross _ -> "cross"
     | Group_by (u, _) -> Fmt.str "groupBy (%a)" pp_udf u
     | Agg_by { key; _ } -> Fmt.str "aggBy (%a)" pp_udf key
@@ -229,9 +213,9 @@ let to_dot ?(name = "plan") p =
       | Map (u, _) -> (Printf.sprintf "map λ%s" u.param, "ellipse", "solid")
       | Flat_map (u, _) -> (Printf.sprintf "flatMap λ%s" u.param, "ellipse", "solid")
       | Filter (u, _) -> (Printf.sprintf "filter λ%s" u.param, "ellipse", "solid")
-      | Eq_join _ -> ("⋈ join", "box", "solid")
-      | Semi_join _ -> ("⋉ semijoin", "box", "solid")
-      | Anti_join _ -> ("▷ antijoin", "box", "solid")
+      | Join { kind; _ } ->
+          let symbol = match kind with Inner -> "⋈" | Semi -> "⋉" | Anti -> "▷" in
+          (symbol ^ " " ^ join_name kind, "box", "solid")
       | Cross _ -> ("× cross", "box", "solid")
       | Group_by _ -> ("groupBy", "box", "solid")
       | Agg_by _ -> ("aggBy", "box", "solid")

@@ -2,8 +2,8 @@
     (iii) of the pipeline (paper §4.3). Each constructor corresponds to a
     higher-order operator that every targeted runtime supports (Fig. 2/3);
     physical operators ([Cache], [Partition_by]) are inserted by the
-    physical-optimization passes, and [Semi_join] is the logical join the
-    exists-unnesting of §4.2.1 produces.
+    physical-optimization passes, and the semi- and anti-[Join]s are the
+    logical joins the exists-unnesting of §4.2.1 produces.
 
     A UDF is a reified lambda: the engine can inspect its body (e.g. to
     evaluate nested local bag expressions) and the compiler annotates it
@@ -22,6 +22,13 @@ type udf = {
 
 type udf2 = { param1 : string; param2 : string; body2 : Expr.expr; broadcast2 : string list }
 
+(** What a [Join] emits for a left element [l]: [Inner] one [Tuple [l; r]]
+    per right match [r]; [Semi] [l] itself if it has at least one right
+    match (the exists-unnesting of §4.2.1); [Anti] [l] itself if it has
+    none (the translation of a negated exists and, via ¬∃¬, of forall
+    guards). *)
+type join_kind = Inner | Semi | Anti
+
 type t =
   | Read of string  (** dataset from distributed storage *)
   | Scan of string  (** result of a driver binding (bag-valued) *)
@@ -30,13 +37,8 @@ type t =
   | Map of udf * t
   | Flat_map of udf * t
   | Filter of udf * t
-  | Eq_join of { lkey : udf; rkey : udf; left : t; right : t }
-      (** emits [Tuple [l; r]] pairs *)
-  | Semi_join of { lkey : udf; rkey : udf; left : t; right : t }
-      (** emits left elements having at least one right match *)
-  | Anti_join of { lkey : udf; rkey : udf; left : t; right : t }
-      (** emits left elements having no right match — the translation of a
-          negated exists (and, via ¬∃¬, of forall guards) *)
+  | Join of { kind : join_kind; lkey : udf; rkey : udf; left : t; right : t }
+      (** equi-join on [lkey l = rkey r] *)
   | Cross of t * t  (** emits [Tuple [l; r]] pairs *)
   | Group_by of udf * t  (** emits [{key; values}] records, values nested *)
   | Agg_by of { key : udf; fold : Expr.fold_fns; input : t }
@@ -60,20 +62,12 @@ val udf_of_expr : Expr.expr -> udf
 (** Builds a UDF from a lambda, eta-expanding other expressions. Broadcast
     annotations start empty. *)
 
-val udf_body_lam : udf -> Expr.expr
-(** The UDF as a [Lam], for evaluation. *)
-
 val udf2_of_expr : Expr.expr -> udf2
 (** Builds a binary UDF from a curried two-argument lambda. *)
 
 val udf_alpha_equal : udf -> udf -> bool
 (** Equality modulo the bound parameter name; used to compare partitioning
     keys. *)
-
-val fold_fns_captured : bound:Emma_util.Strset.t -> Expr.fold_fns -> string list
-(** Driver variables captured by a fold algebra's three functions — these
-    too must be shipped to workers (e.g. a fused fold referencing a driver
-    constant). *)
 
 val annotate_broadcasts : bound:Emma_util.Strset.t -> t -> t
 (** Computes, for every UDF in the plan, the driver variables its body
@@ -95,6 +89,11 @@ val broadcast_vars : t -> string list
     duplicates). *)
 
 val node_count : t -> int
+
+val join_name : join_kind -> string
+(** ["join"], ["semijoin"] or ["antijoin"]: the operator's name in plan
+    printouts and stage spans. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

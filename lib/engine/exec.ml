@@ -1005,6 +1005,10 @@ let key_set ~size keyfn rows =
   List.iter (fun v -> Keyed.replace keys (keyfn v) ()) rows;
   keys
 
+(* The rows whose key is in [keys] (a semi-join's probe, [keep = true])
+   or not in it (an anti-join's). *)
+let probe_keys ~keep keys keyfn = List.filter (fun v -> Keyed.mem keys (keyfn v) = keep)
+
 (* Operator-kind names for stage spans; matches the vocabulary that
    [Plan] pretty-printing already uses. *)
 let plan_op_name : Plan.t -> string = function
@@ -1014,9 +1018,7 @@ let plan_op_name : Plan.t -> string = function
   | Plan.Map _ -> "map"
   | Plan.Flat_map _ -> "flatMap"
   | Plan.Filter _ -> "filter"
-  | Plan.Eq_join _ -> "join"
-  | Plan.Semi_join _ -> "semijoin"
-  | Plan.Anti_join _ -> "antijoin"
+  | Plan.Join { kind; _ } -> Plan.join_name kind
   | Plan.Cross _ -> "cross"
   | Plan.Group_by _ -> "groupBy"
   | Plan.Agg_by _ -> "aggBy"
@@ -1329,18 +1331,10 @@ and exec_plan_inner t env (p : Plan.t) : out =
       let f, inner_records = udf_fn_ex t env u in
       udf_scan_cost t ~inner_records pd;
       Obag (par_map_parts_preserving_chunked t (List.filter (fun v -> Value.to_bool (f v))) pd)
-  | Plan.Eq_join { lkey; rkey; left; right } ->
+  | Plan.Join { kind; lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      exec_join t env ~semi:false ~lkey ~rkey lpd rpd
-  | Plan.Semi_join { lkey; rkey; left; right } ->
-      let lpd = exec_to_bag t env left in
-      let rpd = exec_to_bag t env right in
-      exec_join t env ~semi:true ~lkey ~rkey lpd rpd
-  | Plan.Anti_join { lkey; rkey; left; right } ->
-      let lpd = exec_to_bag t env left in
-      let rpd = exec_to_bag t env right in
-      exec_anti_join t env ~lkey ~rkey lpd rpd
+      exec_join t env ~kind ~lkey ~rkey lpd rpd
   | Plan.Cross (a, b) ->
       let apd = exec_to_bag t env a in
       let bpd = exec_to_bag t env b in
@@ -1642,8 +1636,13 @@ and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : o
 
 and group_key_udf () = Plan.udf_of_expr (Expr.Lam ("g", Expr.Field (Expr.Var "g", "key")))
 
-and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
-  ignore env;
+(* Every join kind takes one path. A semi- or anti-join's right side only
+   contributes its key set: broadcast, the left side is probed against
+   one key set in place; repartitioned, each slot builds its right
+   partition's key set. An inner join broadcasts the smaller side as a
+   hash index, or builds one per right partition. Semi and anti differ
+   only in the polarity of the probe. *)
+and exec_join t env ~kind ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
   charge_stage t;
   let lfn = udf_fn t env lkey and rfn = udf_fn t env rkey in
   let rbytes = Pdata.logical_bytes rpd in
@@ -1653,133 +1652,94 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
      broadcast; above it the estimated costs decide — the cost-based
      decision the paper's §4/§7 defers to runtime, where both input sizes
      are known. Repartitioning only pays for sides not already
-     co-partitioned on their join key. *)
-  let broadcast_cost bytes =
-    bytes *. t.profile.Cluster.broadcast_factor /. t.cluster.Cluster.net_bw *. 2.0
-  in
-  let repartition_cost =
-    let side pd key = if Pdata.co_partitioned pd key then 0.0 else Pdata.logical_bytes pd in
-    (side lpd lkey +. side rpd rkey)
-    /. (float_of_int t.cluster.Cluster.nodes *. t.cluster.Cluster.net_bw)
-  in
-  let small_bytes = if semi then rbytes else Float.min lbytes rbytes in
+     co-partitioned on their join key, except in the anti-join's
+     estimate, which charges both sides (its shuffles are still
+     skipped). *)
+  let discount = kind <> Plan.Anti in
+  let lside = if discount && Pdata.co_partitioned lpd lkey then 0.0 else lbytes in
+  let rside = if discount && Pdata.co_partitioned rpd rkey then 0.0 else rbytes in
+  let small_bytes = if kind = Plan.Inner then Float.min lbytes rbytes else rbytes in
   let broadcastable =
     match t.cluster.Cluster.join_strategy with
     | Cluster.Force_broadcast -> true
     | Cluster.Force_repartition -> false
     | Cluster.Jit ->
-        small_bytes <= threshold || broadcast_cost small_bytes < repartition_cost
+        small_bytes <= threshold
+        || small_bytes *. t.profile.Cluster.broadcast_factor /. t.cluster.Cluster.net_bw *. 2.0
+           < (lside +. rside) /. (float_of_int t.cluster.Cluster.nodes *. t.cluster.Cluster.net_bw)
   in
   if broadcastable then begin
-    if semi then begin
-      (* broadcast the right side as a key set; left stays in place *)
-      charge_broadcast t (Pdata.logical_bytes rpd);
-      reserve_memory t ~op:"semijoin" ~needs:[| Pdata.logical_bytes rpd |];
-      let keyset = key_set ~size:1024 rfn (Pdata.to_list rpd) in
-      charge_local_cpu t lpd;
-      (* probe in parallel: the broadcast key set is read-only *)
-      Obag
-        (par_map_parts_preserving_chunked t
-           (List.filter (fun v -> Keyed.mem keyset (lfn v)))
-           lpd)
-    end
-    else begin
-      (* broadcast the smaller side; build a hash map on it *)
-      let small, big, small_fn, big_fn, small_left =
-        if lbytes <= rbytes then (lpd, rpd, lfn, rfn, true) else (rpd, lpd, rfn, lfn, false)
-      in
-      charge_broadcast t (Pdata.logical_bytes small);
-      (* the broadcast build side's hash index lives on every slot; it
-         must fit one slot's budget *)
-      reserve_memory t ~op:"join" ~needs:[| Pdata.logical_bytes small |];
-      let index = join_index ~size:1024 small_fn (Pdata.to_list small) in
-      charge_local_cpu t big;
-      let out_rmult = Float.max lpd.Pdata.rmult rpd.Pdata.rmult in
-      let out_bmult = Float.max lpd.Pdata.bmult rpd.Pdata.bmult in
-      let join_one v =
-        match Keyed.find_or index (big_fn v) [] with
-        | [] -> []
-        | ws ->
-            List.map
-              (fun w -> if small_left then Value.Tuple [| w; v |] else Value.Tuple [| v; w |])
-              ws
-      in
-      Obag (Pdata.with_mult ~rmult:out_rmult ~bmult:out_bmult
-              (par_map_parts_chunked t (List.concat_map join_one) big))
-    end
+    match kind with
+    | Plan.Semi | Plan.Anti ->
+        (* broadcast the right side as a key set; left stays in place *)
+        charge_broadcast t rbytes;
+        reserve_memory t ~op:(Plan.join_name kind) ~needs:[| rbytes |];
+        let keys = key_set ~size:1024 rfn (Pdata.to_list rpd) in
+        charge_local_cpu t lpd;
+        (* probe in parallel: the broadcast key set is read-only *)
+        Obag
+          (par_map_parts_preserving_chunked t (probe_keys ~keep:(kind = Plan.Semi) keys lfn) lpd)
+    | Plan.Inner ->
+        (* broadcast the smaller side; build a hash map on it *)
+        let small, big, small_fn, big_fn, small_left =
+          if lbytes <= rbytes then (lpd, rpd, lfn, rfn, true) else (rpd, lpd, rfn, lfn, false)
+        in
+        charge_broadcast t (Pdata.logical_bytes small);
+        (* the broadcast build side's hash index lives on every slot; it
+           must fit one slot's budget *)
+        reserve_memory t ~op:"join" ~needs:[| Pdata.logical_bytes small |];
+        let index = join_index ~size:1024 small_fn (Pdata.to_list small) in
+        charge_local_cpu t big;
+        let out_rmult = Float.max lpd.Pdata.rmult rpd.Pdata.rmult in
+        let out_bmult = Float.max lpd.Pdata.bmult rpd.Pdata.bmult in
+        let join_one v =
+          match Keyed.find_or index (big_fn v) [] with
+          | [] -> []
+          | ws ->
+              List.map
+                (fun w -> if small_left then Value.Tuple [| w; v |] else Value.Tuple [| v; w |])
+                ws
+        in
+        Obag (Pdata.with_mult ~rmult:out_rmult ~bmult:out_bmult
+                (par_map_parts_chunked t (List.concat_map join_one) big))
   end
   else begin
     (* repartition join: shuffle both sides by their keys (skipping
        co-partitioned inputs) *)
     let l = shuffle_by t lkey lfn lpd in
     let r = shuffle_by t rkey rfn rpd in
-    (* grace-style build: each slot hashes its right partition *)
-    reserve_memory t ~op:"join" ~needs:(part_needs r);
+    (* grace-style build: each slot hashes its right partition; the
+       reservation is labelled "join" for the semi-join too *)
+    reserve_memory t ~op:(if kind = Plan.Anti then "antijoin" else "join") ~needs:(part_needs r);
     charge_local_cpu t l;
     charge_local_cpu t r;
     (* partition-local build + probe, whole partitions per task *)
     let parts =
       par_run t ~pooled:(pooled2 t l r) (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
-          let index = join_index ~size:(List.length rpart) rfn rpart in
-          if semi then List.filter (fun v -> Keyed.mem index (lfn v)) l.Pdata.parts.(i)
-          else
-            List.concat_map
-              (fun v ->
-                match Keyed.find_or index (lfn v) [] with
-                | [] -> []
-                | ws -> List.map (fun w -> Value.Tuple [| v; w |]) ws)
-              l.Pdata.parts.(i))
+          match kind with
+          | Plan.Semi | Plan.Anti ->
+              probe_keys ~keep:(kind = Plan.Semi)
+                (key_set ~size:(List.length rpart) rfn rpart)
+                lfn l.Pdata.parts.(i)
+          | Plan.Inner ->
+              let index = join_index ~size:(List.length rpart) rfn rpart in
+              List.concat_map
+                (fun v ->
+                  match Keyed.find_or index (lfn v) [] with
+                  | [] -> []
+                  | ws -> List.map (fun w -> Value.Tuple [| v; w |]) ws)
+                l.Pdata.parts.(i))
     in
-    let part_key = if semi then Some lkey else None in
-    let rmult, bmult =
-      if semi then (lpd.Pdata.rmult, lpd.Pdata.bmult)
-      else (Float.max lpd.Pdata.rmult rpd.Pdata.rmult, Float.max lpd.Pdata.bmult rpd.Pdata.bmult)
-    in
-    Obag (Pdata.make ?part_key ~rmult ~bmult parts)
-  end
-
-(* Anti-join: left elements with NO right match. The right side only
-   contributes its key set, so the cheap strategy is almost always to
-   broadcast the (pre-projected) keys; when the key set is too large it is
-   repartitioned like a regular join. *)
-and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
-  charge_stage t;
-  let lfn = udf_fn t env lkey and rfn = udf_fn t env rkey in
-  let rbytes = Pdata.logical_bytes rpd in
-  let broadcastable =
-    match t.cluster.Cluster.join_strategy with
-    | Cluster.Force_broadcast -> true
-    | Cluster.Force_repartition -> false
-    | Cluster.Jit ->
-        rbytes <= t.cluster.Cluster.broadcast_threshold
-        || rbytes *. t.profile.Cluster.broadcast_factor /. t.cluster.Cluster.net_bw *. 2.0
-           < (Pdata.logical_bytes lpd +. rbytes)
-             /. (float_of_int t.cluster.Cluster.nodes *. t.cluster.Cluster.net_bw)
-  in
-  if broadcastable then begin
-    charge_broadcast t rbytes;
-    reserve_memory t ~op:"antijoin" ~needs:[| rbytes |];
-    let keyset = key_set ~size:1024 rfn (Pdata.to_list rpd) in
-    charge_local_cpu t lpd;
-    Obag
-      (par_map_parts_preserving_chunked t
-         (List.filter (fun v -> not (Keyed.mem keyset (lfn v))))
-         lpd)
-  end
-  else begin
-    let l = shuffle_by t lkey lfn lpd in
-    let r = shuffle_by t rkey rfn rpd in
-    reserve_memory t ~op:"antijoin" ~needs:(part_needs r);
-    charge_local_cpu t l;
-    charge_local_cpu t r;
-    let parts =
-      par_run t ~pooled:(pooled2 t l r) (Pdata.nparts l) (fun i ->
-          let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
-          let keyset = key_set ~size:(List.length rpart) rfn rpart in
-          List.filter (fun v -> not (Keyed.mem keyset (lfn v))) l.Pdata.parts.(i))
-    in
-    Obag (Pdata.make ~part_key:lkey ~rmult:lpd.Pdata.rmult ~bmult:lpd.Pdata.bmult parts)
+    match kind with
+    | Plan.Semi | Plan.Anti ->
+        Obag (Pdata.make ~part_key:lkey ~rmult:lpd.Pdata.rmult ~bmult:lpd.Pdata.bmult parts)
+    | Plan.Inner ->
+        Obag
+          (Pdata.make
+             ~rmult:(Float.max lpd.Pdata.rmult rpd.Pdata.rmult)
+             ~bmult:(Float.max lpd.Pdata.bmult rpd.Pdata.bmult)
+             parts)
   end
 
 (* ------------------------------------------------------------------ *)

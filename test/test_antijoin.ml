@@ -1,5 +1,5 @@
 (* Anti-join extraction: negated exists (and forall via ¬∃¬) compile to
-   Anti_join combinators and preserve semantics under every execution
+   anti-join combinators and preserve semantics under every execution
    strategy. *)
 
 module Value = Emma_value.Value
@@ -30,13 +30,13 @@ let test_not_exists_becomes_anti_join () =
   let stats = Translate.fresh_stats () in
   let p = to_plan ~stats not_exists_query in
   Alcotest.(check bool) "anti_join present" true
-    (plan_has (function P.Anti_join _ -> true | _ -> false) p);
+    (plan_has (function P.Join { kind = P.Anti; _ } -> true | _ -> false) p);
   Alcotest.(check int) "counted" 1 stats.Translate.anti_joins;
   (* and with unnesting off it stays a broadcast filter *)
   let stats0 = Translate.fresh_stats () in
   let p0 = to_plan ~unnest:false ~stats:stats0 not_exists_query in
   Alcotest.(check bool) "no anti_join without unnesting" false
-    (plan_has (function P.Anti_join _ -> true | _ -> false) p0);
+    (plan_has (function P.Join { kind = P.Anti; _ } -> true | _ -> false) p0);
   Alcotest.(check int) "fallback counted" 1 stats0.Translate.broadcast_filters
 
 let forall_query =

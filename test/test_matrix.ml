@@ -85,7 +85,7 @@ let test_multiply_compiles_to_join_and_aggby () =
     !found
   in
   Alcotest.(check bool) "matmul uses an eq-join" true
-    (has (function P.Eq_join _ -> true | _ -> false));
+    (has (function P.Join { kind = P.Inner; _ } -> true | _ -> false));
   Alcotest.(check bool) "matmul's sum is fused into aggBy" true
     (has (function P.Agg_by _ -> true | _ -> false));
   Alcotest.(check bool) "no groupBy survives" false

@@ -60,8 +60,9 @@ let test_plan_pp_total () =
       P.Map (key_udf "f", P.Read "t");
       P.Flat_map (key_udf "f", P.Read "t");
       P.Filter (key_udf "f", P.Read "t");
-      P.Eq_join { lkey = key_udf "k"; rkey = key_udf "k"; left = P.Read "a"; right = P.Read "b" };
-      P.Semi_join { lkey = key_udf "k"; rkey = key_udf "k"; left = P.Read "a"; right = P.Read "b" };
+      P.Join { kind = P.Inner; lkey = key_udf "k"; rkey = key_udf "k"; left = P.Read "a"; right = P.Read "b" };
+      P.Join { kind = P.Semi; lkey = key_udf "k"; rkey = key_udf "k"; left = P.Read "a"; right = P.Read "b" };
+      P.Join { kind = P.Anti; lkey = key_udf "k"; rkey = key_udf "k"; left = P.Read "a"; right = P.Read "b" };
       P.Cross (P.Read "a", P.Read "b");
       P.Group_by (key_udf "k", P.Read "t");
       P.Agg_by { key = key_udf "k"; fold = fns; input = P.Read "t" };

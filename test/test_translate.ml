@@ -39,7 +39,7 @@ let test_eq_join () =
   in
   let p = to_plan e in
   Alcotest.(check bool) "has eq_join" true
-    (plan_has (function P.Eq_join _ -> true | _ -> false) p);
+    (plan_has (function P.Join { kind = P.Inner; _ } -> true | _ -> false) p);
   Alcotest.(check bool) "no cross" false (plan_has (function P.Cross _ -> true | _ -> false) p)
 
 let test_cross () =
@@ -62,13 +62,13 @@ let test_semi_join_from_exists () =
         ~yield:(var "e"))
   in
   (match to_plan e with
-  | P.Semi_join { left = P.Read "emails"; right = P.Read "blacklist"; _ } -> ()
+  | P.Join { kind = P.Semi; left = P.Read "emails"; right = P.Read "blacklist"; _ } -> ()
   | p -> Alcotest.failf "expected semi_join, got:@.%s" (P.to_string p));
   (* with unnesting disabled the exists stays a broadcast filter *)
   let stats = Translate.fresh_stats () in
   let p = Translate.to_plan ~unnest:false ~stats (Normalize.normalize e) in
   Alcotest.(check bool) "no semi_join without unnesting" false
-    (plan_has (function P.Semi_join _ -> true | _ -> false) p);
+    (plan_has (function P.Join { kind = P.Semi; _ } -> true | _ -> false) p);
   Alcotest.(check int) "counted as broadcast filter" 1 stats.Translate.broadcast_filters
 
 let test_semi_join_with_extra_conjuncts () =
@@ -91,7 +91,7 @@ let test_semi_join_with_extra_conjuncts () =
   let ok =
     plan_has
       (function
-        | P.Semi_join { right = P.Filter (_, P.Read "lineitem"); _ } -> true
+        | P.Join { kind = P.Semi; right = P.Filter (_, P.Read "lineitem"); _ } -> true
         | _ -> false)
       p
   in
