@@ -535,49 +535,6 @@ let state_pooled t sh =
   let entries = Array.fold_left (fun n h -> n + Keyed.length h) 0 sh.s_parts in
   dispatches t (float_of_int entries *. sh.s_rmult *. t.cluster.Cluster.per_record_cpu)
 
-(* DRV → DFL: partition a driver-local bag and charge its bytes. *)
-let parallelize t vs =
-  let pd =
-    if rows_pooled t ~scale:1.0 vs then
-      Pdata.of_list ~pool:t.pool ~tasks:(barrier_tasks t) ~nparts:(dop t) vs
-    else Pdata.of_list ~nparts:(dop t) vs
-  in
-  charge_parallelize t (Pdata.bytes pd);
-  Obag pd
-
-(* The read memo's partitioned form of table [name] at this run's dop and
-   scale, if its entry still matches [rows]. *)
-let memo_find t name rows =
-  let nparts = dop t and scale = Cluster.table_scale t.cluster name in
-  let m = t.read_memo in
-  Mutex.protect m.r_lock (fun () ->
-      match Hashtbl.find_opt m.r_entries name with
-      | Some e when e.r_rows == rows && e.r_nparts = nparts && Float.equal e.r_scale scale ->
-          Some e.r_pd
-      | _ -> None)
-
-(* The partitioned form of table [name], whose rows are [rows]: from the
-   read memo when its entry still matches, else built, sized and
-   published. Building happens outside the lock; two runs racing on the
-   same table build equal layouts and the last one is kept. *)
-let read_pdata t name rows =
-  match memo_find t name rows with
-  | Some pd -> pd
-  | None ->
-      let nparts = dop t and scale = Cluster.table_scale t.cluster name in
-      let pd =
-        if rows_pooled t ~scale rows then
-          Pdata.of_list ~pool:t.pool ~tasks:(barrier_tasks t) ~rmult:scale ~bmult:scale ~nparts
-            rows
-        else Pdata.of_list ~rmult:scale ~bmult:scale ~nparts rows
-      in
-      Pdata.force_stats pd;
-      let m = t.read_memo in
-      Mutex.protect m.r_lock (fun () ->
-          Hashtbl.replace m.r_entries name
-            { r_rows = rows; r_nparts = nparts; r_scale = scale; r_pd = pd });
-      pd
-
 let charge_spill t bytes =
   t.metrics.Metrics.spilled_bytes <- t.metrics.Metrics.spilled_bytes +. bytes;
   motion_counter t "spilled_bytes" t.metrics.Metrics.spilled_bytes;
@@ -834,6 +791,17 @@ let dispatch t ntasks (task : int -> 'a) : 'a array =
       r)
     rs
 
+(* [f 0 .. f (n-1)] on the pool, packed into at most [barrier_tasks] tasks
+   of contiguous ranges, each run in ascending order; results in order. *)
+let packed t n f =
+  let ntasks = min n (barrier_tasks t) in
+  let ranges =
+    dispatch t ntasks (fun j ->
+        let lo = j * n / ntasks in
+        Array.init (((j + 1) * n / ntasks) - lo) (fun i -> f (lo + i)))
+  in
+  Array.concat (Array.to_list ranges)
+
 (* Run [f 0 .. f (n-1)], one call per partition, inline or packed on the
    pool as [pooled] decided ([pooled] is [false] on a one-domain pool).
    Cost charging stays on the coordinator: tasks must not touch the
@@ -847,16 +815,52 @@ let par_run t ~pooled n (f : int -> 'a) : 'a array =
   check_interrupts t;
   inject_barrier_faults t n;
   let f = if not (Trace.enabled t.tracer) then f else fun i -> task_span t i f i in
-  if n <= 1 || not pooled then Array.init n f
-  else begin
-    let ntasks = min n (barrier_tasks t) in
-    let ranges =
-      dispatch t ntasks (fun j ->
-          let lo = j * n / ntasks in
-          Array.init (((j + 1) * n / ntasks) - lo) (fun i -> f (lo + i)))
-    in
-    Array.concat (Array.to_list ranges)
-  end
+  if n <= 1 || not pooled then Array.init n f else packed t n f
+
+(* Round-robin partitioning of driver rows at [scale] (a [Read] or a
+   driver bag). A large list is sliced on the pool, one residue class per
+   partition, through the same packed dispatch as [par_run], so it counts
+   as a barrier; the layout is [Pdata.of_list]'s either way. No chaos is
+   drawn here: fault plans key on operator barriers only. *)
+let partition_rows t ~scale vs =
+  let nparts = dop t in
+  if nparts > 1 && vs <> [] && rows_pooled t ~scale vs then
+    Pdata.make ~rmult:scale ~bmult:scale (packed t nparts (Pdata.round_robin ~nparts vs))
+  else Pdata.of_list ~rmult:scale ~bmult:scale ~nparts vs
+
+(* DRV → DFL: partition a driver-local bag and charge its bytes. *)
+let parallelize t vs =
+  let pd = partition_rows t ~scale:1.0 vs in
+  charge_parallelize t (Pdata.bytes pd);
+  Obag pd
+
+(* The read memo's partitioned form of table [name] at this run's dop and
+   scale, if its entry still matches [rows]. *)
+let memo_find t name rows =
+  let nparts = dop t and scale = Cluster.table_scale t.cluster name in
+  let m = t.read_memo in
+  Mutex.protect m.r_lock (fun () ->
+      match Hashtbl.find_opt m.r_entries name with
+      | Some e when e.r_rows == rows && e.r_nparts = nparts && Float.equal e.r_scale scale ->
+          Some e.r_pd
+      | _ -> None)
+
+(* The partitioned form of table [name], whose rows are [rows]: from the
+   read memo when its entry still matches, else built, sized and
+   published. Building happens outside the lock; two runs racing on the
+   same table build equal layouts and the last one is kept. *)
+let read_pdata t name rows =
+  match memo_find t name rows with
+  | Some pd -> pd
+  | None ->
+      let nparts = dop t and scale = Cluster.table_scale t.cluster name in
+      let pd = partition_rows t ~scale rows in
+      Pdata.force_stats pd;
+      let m = t.read_memo in
+      Mutex.protect m.r_lock (fun () ->
+          Hashtbl.replace m.r_entries name
+            { r_rows = rows; r_nparts = nparts; r_scale = scale; r_pd = pd });
+      pd
 
 (* Narrow (partition-local) transform on the pool, mirroring
    [Pdata.map_parts_preserving] — for partition-local work that is NOT a

@@ -1,6 +1,5 @@
 module Value = Emma_value.Value
 module Plan = Emma_dataflow.Plan
-module Pool = Emma_util.Pool
 
 type stats = {
   records : int;
@@ -39,30 +38,20 @@ let make ?part_key ~rmult ~bmult parts =
 
 let nparts t = Array.length t.parts
 
-let of_list ?pool ?(tasks = 1) ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
+let of_list ?(rmult = 1.0) ?(bmult = 1.0) ~nparts vs =
   let n = max 1 nparts in
-  match pool with
-  | Some p when Pool.size p > 1 && n > 1 && vs <> [] ->
-      (* same round-robin layout as the sequential path, but each task
-         extracts a contiguous range of residue classes by index stride *)
-      let arr = Array.of_list vs in
-      let len = Array.length arr in
-      let slice r =
-        let last = if len > r then r + ((len - 1 - r) / n * n) else -1 in
-        let rec go i acc = if i < r then acc else go (i - n) (arr.(i) :: acc) in
-        if last < 0 then [] else go last []
-      in
-      let ntasks = min n (max 1 tasks) in
-      let ranges =
-        Pool.parinit p ntasks (fun j ->
-            let lo = j * n / ntasks in
-            Array.init (((j + 1) * n / ntasks) - lo) (fun i -> slice (lo + i)))
-      in
-      make ~rmult ~bmult (Array.concat (Array.to_list ranges))
-  | _ ->
-      let parts = Array.make n [] in
-      List.iteri (fun i v -> parts.(i mod n) <- v :: parts.(i mod n)) vs;
-      make ~rmult ~bmult (Array.map List.rev parts)
+  let parts = Array.make n [] in
+  List.iteri (fun i v -> parts.(i mod n) <- v :: parts.(i mod n)) vs;
+  make ~rmult ~bmult (Array.map List.rev parts)
+
+(* Partition [r] of [of_list]'s layout, read by index stride from one
+   shared array. *)
+let round_robin ~nparts vs =
+  let arr = Array.of_list vs in
+  let len = Array.length arr in
+  fun r ->
+    let rec go i acc = if i < r then acc else go (i - nparts) (arr.(i) :: acc) in
+    if len > r then go (r + ((len - 1 - r) / nparts * nparts)) [] else []
 
 let with_mult ~rmult ~bmult t = { t with rmult; bmult }
 let stats t = Lazy.force t.stats

@@ -63,19 +63,14 @@ val make : ?part_key:Plan.udf -> rmult:float -> bmult:float -> Value.t list arra
 
 val nparts : t -> int
 
-val of_list :
-  ?pool:Emma_util.Pool.t ->
-  ?tasks:int ->
-  ?rmult:float ->
-  ?bmult:float ->
-  nparts:int ->
-  Value.t list ->
-  t
-(** Round-robin partitioning (no key property); multipliers default to 1.
-    With [pool], the per-partition slices are materialized in parallel on
-    the domain pool, [tasks] (default 1) tasks each slicing a contiguous
-    range of partitions — the layout is identical to the sequential
-    path. *)
+val of_list : ?rmult:float -> ?bmult:float -> nparts:int -> Value.t list -> t
+(** Round-robin partitioning (no key property); multipliers default to 1. *)
+
+val round_robin : nparts:int -> Value.t list -> int -> Value.t list
+(** [round_robin ~nparts vs] copies [vs] into an array once and returns
+    the function from a partition index [r] ([0 <= r < nparts]) to
+    partition [r] of [of_list ~nparts vs]. The function only reads the
+    array, so the partitions may be built on several domains at once. *)
 
 val with_mult : rmult:float -> bmult:float -> t -> t
 (** Replaces the multipliers; keeps the stats. *)

@@ -508,6 +508,22 @@ let test_granularity () =
   check_sizes "tiny stage" (zipf_rows ~seed:5 ~alpha:1.2 ~keys:8 ~n:40) ~expect_dispatch:false;
   check_sizes "large stage" (zipf_rows ~seed:5 ~alpha:1.2 ~keys:8 ~n:8000) ~expect_dispatch:true
 
+(* A [Read] large enough for the pool is partitioned through the same
+   packed barrier as the operators, so the par counters see it: on two
+   domains the bare read below is one barrier of at most
+   [chunk_oversub × 2] tasks, and nothing on one domain. *)
+let test_read_barrier_counted () =
+  let prog = S.program ~ret:(S.read "rows") [] in
+  let tables = [ ("rows", List.init 8000 (fun i -> Helpers.row i (i mod 7))) ] in
+  let v1, m1 = finished (run_outcome ~domains:1 prog tables) in
+  let v2, m2 = finished (run_outcome ~domains:2 prog tables) in
+  check_value "value" v1 v2;
+  Alcotest.(check bool) "cost metrics" true (Metrics.cost m1 = Metrics.cost m2);
+  Alcotest.(check int) "one domain: no barrier" 0 m1.Metrics.par_stages;
+  Alcotest.(check int) "two domains: the read is one barrier" 1 m2.Metrics.par_stages;
+  Alcotest.(check bool) "packed tasks" true
+    (m2.Metrics.par_tasks > 1 && m2.Metrics.par_tasks <= Engine.chunk_oversub * 2)
+
 (* A UDF that fails on two rows, in partitions 5 and 200 of 320 (rows are
    dealt round-robin): every domain count and chunk policy must report
    partition 5's failure, the first in sequential order, whether the
@@ -582,6 +598,8 @@ let suite =
         prop_faults_parallel;
         Alcotest.test_case "split PRNG streams on workers" `Quick
           test_split_streams_parallel_deterministic;
+        Alcotest.test_case "a large read counts as a packed barrier" `Quick
+          test_read_barrier_counted;
         Alcotest.test_case "granularity: tiny stages inline, large ones packed" `Quick
           test_granularity;
         Alcotest.test_case "packed barriers raise the lowest partition's exception" `Quick

@@ -200,6 +200,18 @@ let stats_match (pd : Pdata.t) =
   && same_float (Pdata.logical_bytes pd) (bytes *. pd.Pdata.bmult)
   && same_float (Pdata.logical_records pd) (float_of_int (walk_records pd) *. pd.Pdata.rmult)
 
+(* [of_list]'s layout with the partitions sliced on the domain pool, as
+   the engine builds a large [Read] or driver bag. *)
+let pooled_round_robin pool nparts vs =
+  Emma_util.Pool.parinit pool nparts (Pdata.round_robin ~nparts vs)
+
+let test_round_robin_layout =
+  Helpers.qcheck_case ~count:200 "round_robin slices on the pool = of_list layout"
+    QCheck2.Gen.(pair (int_range 1 9) (list_size (int_bound 40) (map Value.int small_int)))
+    (fun (n, vs) ->
+      let expected = (Pdata.of_list ~nparts:n vs).Pdata.parts in
+      pooled_round_robin (Emma_util.Pool.default ()) n vs = expected)
+
 (* Every way to build a collection, applied to two random inputs. *)
 let constructions (parts, parts') =
   let pool = Emma_util.Pool.default () in
@@ -217,7 +229,7 @@ let constructions (parts, parts') =
   in
   [ ("make", fresh ());
     ("of_list", Pdata.of_list ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
-    ("of_list pooled", Pdata.of_list ~pool ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
+    ("round_robin pooled", Pdata.make ~rmult:2.0 ~bmult:4.0 (pooled_round_robin pool n vs));
     ("repartition", Pdata.repartition ~nparts:3 ~key Fun.id (fresh ()));
     ("map_parts", Pdata.map_parts (List.filter (fun v -> Value.byte_size v > 8)) (fresh ()));
     ("map_parts_preserving", Pdata.map_parts_preserving List.rev (forced ()));
@@ -246,4 +258,5 @@ let suite =
         Alcotest.test_case "repartition" `Quick test_pdata_repartition;
         Alcotest.test_case "multiplier propagation" `Quick test_pdata_mult_propagation;
         Alcotest.test_case "key property" `Quick test_pdata_key_property;
+        test_round_robin_layout;
         test_stats_equal_walk ] ) ]
