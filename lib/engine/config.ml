@@ -73,10 +73,6 @@ let with_timeout_s timeout_s t = { t with timeout_s }
 let with_deadline_s deadline_s t = { t with deadline_s }
 let with_max_queue max_queue t = { t with max_queue }
 let with_breaker breaker t = { t with breaker }
-let with_drain_after_s drain_after_s t = { t with drain_after_s }
-let with_wal_dir wal_dir t = { t with wal_dir }
-let with_wal_sync wal_sync t = { t with wal_sync }
-let with_snapshot_every snapshot_every t = { t with snapshot_every }
 
 (* ------------------------------------------------------------------ *)
 (* CLI-facing parsers. The error strings double as the one-line exit-2  *)

@@ -114,10 +114,6 @@ val with_timeout_s : float option -> t -> t
 val with_deadline_s : float option -> t -> t
 val with_max_queue : int option -> t -> t
 val with_breaker : breaker_spec option -> t -> t
-val with_drain_after_s : float option -> t -> t
-val with_wal_dir : string option -> t -> t
-val with_wal_sync : Emma_util.Wal.sync_policy -> t -> t
-val with_snapshot_every : int option -> t -> t
 
 val parse_udf_mode : string -> (udf_mode, string) result
 (** ["interp"] / ["compiled"] (case-insensitive). *)

@@ -213,6 +213,3 @@ val run : t -> Cprog.t -> Value.t
 (** Executes a compiled driver program and returns its result value
     (distributed results are collected). Raises [Engine_failure] /
     [Engine_timeout]. *)
-
-val force_bag : t -> handle -> Value.t list
-(** Collects a distributed bag to the driver (charging the motion). *)

@@ -106,7 +106,6 @@ let is_none t =
 
 let seeded ?(rates = default_rates) seed = { seed; rates = normalize rates; script = [] }
 let scripted script = { none with script }
-let add_events t events = { t with script = events @ t.script }
 
 (* Injection-point tags keep the draw streams of different channels
    disjoint even when their sequence counters collide. *)

@@ -109,9 +109,6 @@ val seeded : ?rates:rates -> int -> t
 val scripted : event list -> t
 (** Fires exactly the listed events and nothing else. *)
 
-val add_events : t -> event list -> t
-(** Extends a plan with scripted events. *)
-
 (** {2 Decision queries} — consulted by {!Exec} on the coordinator.
     All are pure. *)
 

@@ -58,7 +58,6 @@ let create ?budget ?(spill = false) ?max_inflight ~slots_per_node ~dop () =
 let governed t = t.budget <> None
 let peak t = t.peak
 let budget t = match t.budget with Some b -> b | None -> infinity
-let spill_enabled t = t.spill
 
 (* Effective per-slot budget after [k] OOM kills: each retry halves the
    parallelism on the node, doubling the memory share of the surviving

@@ -61,7 +61,6 @@ val governed : t -> bool
 val budget : t -> float
 (** The per-slot budget, or [infinity] when unbounded. *)
 
-val spill_enabled : t -> bool
 val peak : t -> float
 (** Largest per-slot reservation seen so far (logical bytes). *)
 

@@ -29,16 +29,13 @@ let reverse edges =
 
 let undirect edges = S.distinct (S.union edges (reverse edges))
 
-let degrees_by key_field edges =
+let out_degrees edges =
   S.(
     for_
-      [ gen "g" (group_by (lam "e" (fun e -> field e key_field)) edges) ]
+      [ gen "g" (group_by (lam "e" (fun e -> field e "src")) edges) ]
       ~yield:
         (record
            [ ("id", field (var "g") "key"); ("degree", count (field (var "g") "values")) ]))
-
-let out_degrees edges = degrees_by "src" edges
-let in_degrees edges = degrees_by "dst" edges
 
 let vertices edges =
   S.(

@@ -28,8 +28,6 @@ val out_degrees : Expr.expr -> Expr.expr
 (** [{id; degree}] per source vertex (fused group-count). Vertices with no
     outgoing edges are absent. *)
 
-val in_degrees : Expr.expr -> Expr.expr
-
 val vertices : Expr.expr -> Expr.expr
 (** Distinct vertex ids occurring in any edge. *)
 

@@ -17,8 +17,6 @@ let read_table ctx name =
   | Some rows -> rows
   | None -> fail "read: unknown table %S" name
 
-let table_names ctx = Hashtbl.fold (fun k _ acc -> k :: acc) ctx.tables []
-
 type rvalue =
   | V of Value.t
   | Clo of closure

@@ -14,8 +14,6 @@ val register_table : ctx -> string -> Value.t list -> unit
 val read_table : ctx -> string -> Value.t list
 (** Raises [Eval_error] if the table was never registered or written. *)
 
-val table_names : ctx -> string list
-
 exception Eval_error of string
 
 type rvalue =

@@ -41,13 +41,6 @@ let arity = function
   | Vadd | Vsub | Vscale | Vdiv_scalar | Vdist | Vdot | Str_concat | Str_contains
   | Opt_get_or | Mk_blob -> 2
 
-let is_commutative = function
-  | Add | Mul | Min2 | Max2 | And | Or | Eq | Ne -> true
-  | Sub | Div | Mod | Neg | Lt | Le | Gt | Ge | Not | Abs | Sqrt | Floor | To_float
-  | To_int | Vadd | Vsub | Vscale | Vdiv_scalar | Vdist | Vdot | Vzeros | Str_concat
-  | Str_len | Str_contains | Is_some | Opt_get | Opt_get_or | Mk_some | Mk_none
-  | Hash_value | Mk_blob | Blob_bytes -> false
-
 let type_error fmt = Printf.ksprintf (fun s -> raise (Value.Type_error s)) fmt
 
 (* Numeric binary ops stay in Int when both operands are Int; otherwise they

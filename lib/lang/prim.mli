@@ -45,7 +45,3 @@ val apply2 : t -> Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t
     [Invalid_argument "prim ...: bad application"] if [p] is not of the
     corresponding arity. *)
 
-val is_commutative : t -> bool
-(** True for primitives known to be commutative ([Add], [Mul], [Min2],
-    [Max2], [And], [Or], [Eq], [Ne]); the fold-fusion well-definedness
-    linter uses this. *)
