@@ -10,10 +10,11 @@
     {b Partition pulling}: for joins and group-based operators consumed
     inside loops, the desired hash partitioning is traced back through
     element-preserving operators ([Filter], the left input of a semi- or
-    anti-[Join], [Cache]) to the producing driver binding, and a [Partition_by] is
-    enforced at the producer. Desired partitionings are weighted by loop
-    depth, matching the paper's preference for consumers inside loops; with
-    caching, the shuffle is then paid once instead of once per iteration.
+    anti-[Join], [Cache]) to the producing driver binding, and a
+    [Partition_by] is enforced at the producer. Desired partitionings are
+    weighted by loop depth, matching the paper's preference for consumers
+    inside loops; with caching, the shuffle is then paid once instead of
+    once per iteration.
 
     {b Broadcast annotation}: UDFs are annotated with the driver variables
     they capture; the engine ships those as broadcast variables. *)
