@@ -66,7 +66,7 @@ let cost_test (e : Registry.entry) (profile_name, profile) () =
 (* Join cases: each join kind under each strategy setting, plus, per kind,
    a Jit case whose left input is already partitioned by the join key (a
    groupBy output joined on its key). On the laptop cluster with these
-   table scales the probe side is above the broadcast threshold, so the
+   table scales both inputs are above the broadcast threshold, so the
    Jit estimate decides: every plain case broadcasts, while with the
    co-partitioned left the inner join and the semi-join repartition (the
    left side's shuffle is discounted) and the anti-join, whose estimate
