@@ -26,9 +26,14 @@ module W = Emma_workloads
 module Pr = Emma_programs
 open Helpers
 
-let laptop_rt () =
+(* Every barrier with rows dispatches on this cluster (see
+   [Helpers.dispatching_cluster]), so the multi-domain runs below really
+   run on the pool, however small their inputs. *)
+let dispatching_rt () =
   Emma.
-    { cluster = Cluster.laptop (); profile = Cluster.spark_like; timeout_s = None }
+    { cluster = Helpers.dispatching_cluster ();
+      profile = Cluster.spark_like;
+      timeout_s = None }
 
 let with_pool domains f =
   let pool = Pool.create ~domains () in
@@ -40,7 +45,7 @@ let run_at ?(chunk = Engine.Chunk_auto) ?(faults = Faults.none) ~domains prog ta
       let config =
         Config.(default |> with_chunk chunk |> with_faults faults |> with_pool (Some pool))
       in
-      let r = Emma.run_on_exn ~config (laptop_rt ()) algo ~tables in
+      let r = Emma.run_on_exn ~config (dispatching_rt ()) algo ~tables in
       (r.Emma.value, r.Emma.metrics))
 
 (* ---------------------------------------------------------------- *)
@@ -57,11 +62,15 @@ let prop_differential =
       let prog = S.program ~ret:e [] in
       let tables = [ ("rows", rows) ] in
       let native, _ = Emma.run_native (Emma.parallelize prog) ~tables in
-      let runs = List.map (fun d -> run_at ~domains:d prog tables) domains_under_test in
-      let v1, m1 = List.hd runs in
+      let runs = List.map (fun d -> (d, run_at ~domains:d prog tables)) domains_under_test in
+      let v1, m1 = List.assoc 1 runs in
       Value.equal native v1
       && List.for_all
-           (fun (v, m) -> Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
+           (fun (d, (v, m)) ->
+             Value.equal v1 v
+             && Metrics.cost m1 = Metrics.cost m
+             (* the multi-domain runs really went through the pool *)
+             && (d = 1 || rows = [] || m.Metrics.par_stages > 0))
            runs)
 
 (* deterministic corpus exercising the shuffle/join/group/stateful paths
@@ -316,7 +325,7 @@ let determinism_check ?(domains = 4) ?(faults = Faults.none) name prog tables =
     (fun (v, m) -> render v m)
       (with_pool 1 (fun pool ->
            let r =
-             Emma.run_on_exn ~config:(config pool) (laptop_rt ())
+             Emma.run_on_exn ~config:(config pool) (dispatching_rt ())
                (Emma.parallelize prog) ~tables
            in
            (r.Emma.value, r.Emma.metrics)))
@@ -324,7 +333,7 @@ let determinism_check ?(domains = 4) ?(faults = Faults.none) name prog tables =
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
       for i = 1 to 20 do
-        let r = Emma.run_on_exn ~config:(config pool) (laptop_rt ()) algo ~tables in
+        let r = Emma.run_on_exn ~config:(config pool) (dispatching_rt ()) algo ~tables in
         let got = render r.Emma.value r.Emma.metrics in
         if got <> reference then
           Alcotest.failf "%s: run %d under %d domains differs from sequential" name i
