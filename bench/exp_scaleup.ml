@@ -8,19 +8,20 @@
    - the input table, generated in parallel from split PRNG streams, is
      identical whatever the pool size;
    - every cost-model metric (sim_time_s, shuffle_bytes, stages, even
-     udf_invocations) is bit-identical across domain counts AND chunk
-     policies — parallelism changes only wall_time_s and the par_*
-     counters.
+     udf_invocations) is bit-identical across domain counts — parallelism
+     changes only wall_time_s and the par_* counters.
 
    Two skew sections give the work-stealing scheduler something to win
-   (tune with --skew ALPHA, the Zipf exponent, and --chunk auto-or-N):
+   (tune with --skew ALPHA, the Zipf exponent):
    - a Zipf-keyed groupBy pipeline whose shuffle produces partitions as
      skewed as the key distribution, run at every domain count;
    - a pool-level microbench of the same Zipf-skewed batch on the
      work-stealing pool, once at one task per partition (the head
-     partition pins a domain) and once with chunked tasks, pinned in
+     partition pins a domain) and once with row-chunked tasks, pinned in
      BENCH_steal.json: the chunked 8-domain speedup must not fall below
-     the unchunked one.
+     the unchunked one. It measures the pool alone; the engine runs one
+     task per whole partition, because on a 2-core host chunking showed
+     no gain here.
 
    A last section (E9d) measures the 1-vs-2-domain crossover behind the
    engine's inline threshold, [Exec.inline_work_s]. *)
@@ -40,9 +41,6 @@ let domain_counts = [ 1; 2; 4; 8 ]
 
 (* --skew: Zipf exponent of the skewed sections (higher = more skewed). *)
 let skew_exponent = ref 1.2
-
-(* --chunk: the engine chunk policy the wall-clock runs use. *)
-let chunk_spec = ref Engine.Chunk_auto
 
 (* Parallel workload generation: one split PRNG stream per chunk, chunks
    materialized on the pool. The output is a pure function of the seed —
@@ -122,8 +120,7 @@ let gen_skew_rows ~seed ~alpha =
 
 (* Zipf-keyed groupBy pipeline: the groupBy shuffle routes every row of a
    key to one partition, so downstream partitions are as skewed as the key
-   distribution; the flatMap + map chain over them is exactly the
-   homomorphic work adaptive chunking splits for the stealing pool. *)
+   distribution, and the flatMap + map chain runs over them. *)
 let skew_program =
   S.program
     ~ret:S.(sum (map (lam "x" (fun x -> field x "a")) (var "out")))
@@ -233,12 +230,12 @@ let bench_steal ~alpha =
 (* E9d: the stage size from which two domains beat one. Each shape — a
    fused fold, a map+filter, a groupBy and TPC-H Q1, over 320 partitions
    as in `emma serve` — runs at doubling input sizes on one domain and on
-   a two-domain pool made to dispatch every barrier ([Chunk_fixed] at the
-   rows per task [Chunk_auto] picks above the threshold, rows /
-   (chunk_oversub x 2)), reporting wall clock and process CPU. Each row
-   gives the work estimate of the shape's input stage — the cost model's
-   per-row estimate times its physical rows, the quantity the engine
-   compares with [Exec.inline_work_s]. *)
+   a two-domain pool made to dispatch every barrier (the paper cluster at
+   one simulated second per record, which puts every non-empty stage over
+   the threshold), reporting wall clock and process CPU. Each row gives
+   the work estimate of the shape's input stage on the paper cluster —
+   the cost model's per-row estimate times its physical rows, the
+   quantity the engine compares with [Exec.inline_work_s]. *)
 
 let granularity_sizes = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ]
 
@@ -311,27 +308,27 @@ let bench_granularity () =
     (fun (name, cluster, prog, tables_of) ->
       let algo = Emma.parallelize prog in
       let rt = Emma.{ cluster; profile = Cluster.spark_like; timeout_s = None } in
+      let dispatching_rt =
+        { rt with Emma.cluster = { cluster with Cluster.per_record_cpu = 1.0 } }
+      in
       let rows =
         List.map
           (fun n ->
             let tables = tables_of n in
-            let run pool chunk () =
-              let config = Emma.Config.(default |> with_pool (Some pool) |> with_chunk chunk) in
+            let run rt pool () =
+              let config = Emma.Config.(default |> with_pool (Some pool)) in
               match Emma.run_on ~config rt algo ~tables with
               | Emma.Finished r -> Metrics.cost r.Emma.metrics
               | _ -> failwith "granularity: run did not finish"
             in
-            let k = max 1 ((n + (Engine.chunk_oversub * 2) - 1) / (Engine.chunk_oversub * 2)) in
-            let dispatched pool () = ignore (run pool (Engine.Chunk_fixed k) ()) in
+            let dispatched pool () = ignore (run dispatching_rt pool ()) in
             let cost2 =
               let pool = Pool.create ~domains:2 () in
-              Fun.protect ~finally:(fun () -> Pool.shutdown pool) (run pool (Engine.Chunk_fixed k))
+              Fun.protect ~finally:(fun () -> Pool.shutdown pool) (run dispatching_rt pool)
             in
-            if run p1 Engine.Chunk_auto () <> cost2 then
+            if run dispatching_rt p1 () <> cost2 then
               failwith "granularity: cost metrics differ across pools";
-            let w1, c1, w2, c2 =
-              time_pair (fun () -> ignore (run p1 Engine.Chunk_auto ())) dispatched
-            in
+            let w1, c1, w2, c2 = time_pair (fun () -> ignore (run rt p1 ())) dispatched in
             let input = Emma_engine.Pdata.of_list ~nparts:1 (snd (List.hd tables)) in
             (n, Engine.stage_work cluster input, w1, c1, w2, c2))
           granularity_sizes
@@ -350,9 +347,9 @@ let run () =
     (Domain.recommended_domain_count ());
   let algo = Emma.parallelize program in
   let reference_rows = ref None in
-  let run_at ?(chunk = !chunk_spec) ~pool ~tables algo =
+  let run_at ~pool ~tables algo =
     let rt = Emma.{ cluster; profile = Cluster.spark_like; timeout_s = None } in
-    let config = Emma.Config.(default |> with_pool (Some pool) |> with_chunk chunk) in
+    let config = Emma.Config.(default |> with_pool (Some pool)) in
     let outcome = Emma.run_on ~config rt algo ~tables in
     Exp_common.note_outcome outcome;
     match outcome with
@@ -401,7 +398,7 @@ let run () =
   Emma_util.Tbl.print
     ~title:"wall-clock scale-up (cost model bit-identical at every row)"
     ~header:
-      [ "domains"; "wall clock"; "speedup"; "sim time"; "par tasks"; "chunks"; "steals" ]
+      [ "domains"; "wall clock"; "speedup"; "sim time"; "par tasks"; "steals" ]
     (List.map
        (fun (d, _, m) ->
          [ string_of_int d;
@@ -409,7 +406,6 @@ let run () =
            Printf.sprintf "%.2fx" (base_wall /. m.Metrics.wall_time_s);
            Printf.sprintf "%.1f s" m.Metrics.sim_time_s;
            string_of_int m.Metrics.par_tasks;
-           string_of_int m.Metrics.par_chunks;
            string_of_int m.Metrics.par_steals ])
        results);
   print_endline
@@ -439,35 +435,25 @@ let run () =
       if Metrics.cost sm1 <> Metrics.cost m then
         failwith (Printf.sprintf "skew: cost metrics differ at %d domains" d))
     skew_results;
-  (* ... and across chunk policies at the top domain count *)
-  (let pool = Pool.create ~domains:8 () in
-   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-   List.iter
-     (fun chunk ->
-       let v, m = run_at ~chunk ~pool ~tables:skew_tables skew_algo in
-       if not (Value.equal sv1 v) then failwith "skew: result differs across --chunk";
-       if Metrics.cost sm1 <> Metrics.cost m then
-         failwith "skew: cost metrics differ across --chunk")
-     [ Engine.Chunk_fixed 1; Engine.Chunk_fixed 64; Engine.Chunk_auto ]);
   let skew_base =
     match skew_results with (_, _, m) :: _ -> m.Metrics.wall_time_s | [] -> 1.0
   in
   Emma_util.Tbl.print
-    ~title:
-      "skewed scale-up (cost model bit-identical across domains AND chunk policies)"
-    ~header:[ "domains"; "wall clock"; "speedup"; "par tasks"; "chunks"; "steals"; "misses" ]
+    ~title:"skewed scale-up (cost model bit-identical at every row)"
+    ~header:[ "domains"; "wall clock"; "speedup"; "par tasks"; "steals"; "misses" ]
     (List.map
        (fun (d, _, m) ->
          [ string_of_int d;
            Printf.sprintf "%.3f s" m.Metrics.wall_time_s;
            Printf.sprintf "%.2fx" (skew_base /. m.Metrics.wall_time_s);
            string_of_int m.Metrics.par_tasks;
-           string_of_int m.Metrics.par_chunks;
            string_of_int m.Metrics.par_steals;
            string_of_int m.Metrics.par_steal_misses ])
        skew_results);
 
   (* -------- pool-level unchunked-vs-chunked pin -------- *)
+  (* The pool alone, no engine: on a 2-core host the two granularities
+     tie, which is why the engine keeps one task per whole partition. *)
   Exp_common.section
     (Printf.sprintf
        "E9c: chunked vs one task per partition on the stealing pool (Zipf \
@@ -526,7 +512,7 @@ let run () =
         ("zipf_alpha", Json.Float alpha);
         ("rows", Json.Int steal_rows);
         ("partitions", Json.Int steal_parts);
-        ("chunk_rows", Json.Int steal_grain);
+        ("grain_rows", Json.Int steal_grain);
         ("domains", Json.Int 8);
         ("unchunked_wall_1d_s", Json.Float uw1);
         ("unchunked_wall_8d_s", Json.Float uw8);
@@ -537,7 +523,6 @@ let run () =
         ("slack", Json.Float slack);
         ("target_met", Json.Bool passed);
         ("engine_skew_par_tasks", Json.Int sm8.Metrics.par_tasks);
-        ("engine_skew_par_chunks", Json.Int sm8.Metrics.par_chunks);
         ("engine_skew_par_steals", Json.Int sm8.Metrics.par_steals);
         ("cost_model_bit_identical", Json.Bool true) ]
   in

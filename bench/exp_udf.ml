@@ -25,7 +25,6 @@
 module Value = Emma_value.Value
 module Cluster = Emma_engine.Cluster
 module Metrics = Emma_engine.Metrics
-module Engine = Emma_engine.Exec
 module Pool = Emma_util.Pool
 module Prng = Emma_util.Prng
 module Json = Emma_util.Json
@@ -99,7 +98,7 @@ let run_mode ~pool ~udf_mode algo tables =
   let r = Emma.run_on_exn ~config rt algo ~tables in
   (r.Emma.value, r.Emma.metrics)
 
-let mode_name = function Engine.Interp -> "interp" | Engine.Compiled -> "compiled"
+let mode_name = function Emma.Config.Interp -> "interp" | Emma.Config.Compiled -> "compiled"
 
 let debug_raw rows =
   (* raw per-tuple throughput of the two evaluators, engine excluded *)
@@ -171,7 +170,7 @@ let run () =
                 failwith
                   (Printf.sprintf "udf: cost metrics differ (%s, %d domains)"
                      (mode_name udf_mode) domains))
-        [ Engine.Interp; Engine.Compiled ])
+        [ Emma.Config.Interp; Emma.Config.Compiled ])
     [ 1; 2; 4 ];
   (* wall clock: best of [reps] per mode on a 1-domain pool *)
   let best_wall udf_mode =
@@ -184,8 +183,8 @@ let run () =
       infinity
       (List.init reps Fun.id)
   in
-  let interp_wall = best_wall Engine.Interp in
-  let compiled_wall = best_wall Engine.Compiled in
+  let interp_wall = best_wall Emma.Config.Interp in
+  let compiled_wall = best_wall Emma.Config.Compiled in
   let speedup = interp_wall /. compiled_wall in
   Emma_util.Tbl.print
     ~title:"per-tuple UDF execution (cost model bit-identical at every row)"

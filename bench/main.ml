@@ -10,11 +10,10 @@
                                          runs partition work on 4 OCaml
                                          domains (results and cost metrics
                                          are identical; wall clock varies)
-     dune exec bench/main.exe -- --skew 1.6 --chunk 64 scaleup
-                                         Zipf exponent / chunk policy for the
-                                         skewed scale-up sections (chunk is
-                                         auto or a row count; neither moves
-                                         results or cost metrics) *)
+     dune exec bench/main.exe -- --skew 1.6 scaleup
+                                         Zipf exponent of the skewed
+                                         scale-up sections (moves neither
+                                         results nor cost metrics) *)
 
 let experiments =
   [ ("table1", Exp_table1.run);
@@ -52,22 +51,14 @@ let () =
             Printf.eprintf "--skew expects a non-negative float, got %S\n" a;
             exit 1);
         parse acc rest
-    | "--chunk" :: c :: rest ->
-        (* same parser as the CLI's --chunk: one grammar, one error message *)
-        (match Emma.Config.parse_chunk c with
-        | Ok spec -> Exp_scaleup.chunk_spec := spec
-        | Error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 1);
-        parse acc rest
     | "--trace" :: file :: rest ->
         trace_file := Some file;
         parse acc rest
     | "--report" :: dir :: rest ->
         report_dir := Some dir;
         parse acc rest
-    | [ ("--domains" | "--skew" | "--chunk" | "--trace" | "--report") ] ->
-        Printf.eprintf "--domains/--skew/--chunk/--trace/--report expect a value\n";
+    | [ ("--domains" | "--skew" | "--trace" | "--report") ] ->
+        Printf.eprintf "--domains/--skew/--trace/--report expect a value\n";
         exit 1
     | name :: rest -> parse (name :: acc) rest
     | [] -> List.rev acc

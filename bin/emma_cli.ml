@@ -173,19 +173,6 @@ let max_inflight_term =
   in
   Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N" ~doc)
 
-let chunk_term =
-  let doc =
-    "Adaptive-chunking policy for partition tasks on the domain pool: \
-     $(b,auto) (the default) runs a stage too small to repay waking the \
-     pool inline and sizes the tasks of the rest from the cost model's \
-     per-row estimate with a granularity floor; an integer $(docv) pins \
-     that many physical rows per task and always uses the pool. Chunking \
-     lets the work-stealing pool steal a skewed partition's tail \
-     mid-partition; results and every cost-model metric are identical for \
-     any policy — only wall-clock time and the par_* counters move."
-  in
-  Arg.(value & opt string "auto" & info [ "chunk" ] ~docv:"auto|N" ~doc)
-
 let udf_mode_term =
   let doc =
     "How per-tuple UDF bodies execute: $(b,compiled) stages each fused UDF \
@@ -319,7 +306,7 @@ let print_ops_trace tracer =
 
 let run_cmd =
   let run name opts engine scale dop domains tables_dir trace_file ops_trace chaos_seed
-      chaos_rates checkpoint_every mem_per_slot spill max_inflight udf_mode chunk
+      chaos_rates checkpoint_every mem_per_slot spill max_inflight udf_mode
       timeout deadline =
     with_entry name (fun e ->
         (* --ops-trace renders the same spans --trace writes *)
@@ -328,7 +315,7 @@ let run_cmd =
           else Emma_util.Trace.create ()
         in
         let config =
-          Emma.Config.of_cli ?udf_mode ~chunk ?chaos_seed ?chaos_rates
+          Emma.Config.of_cli ?udf_mode ?chaos_seed ?chaos_rates
             ?checkpoint_every ?mem_per_slot ~spill ?max_inflight ~domains
             ~timeout:(timeout_or_exit timeout) ?deadline ()
           |> config_or_exit |> Emma.Config.with_trace (Some tracer)
@@ -403,7 +390,7 @@ let run_cmd =
                  engine's stage spans: simulated clock at operator start, \
                  kind, output records and bytes.")
       $ chaos_seed_term $ chaos_rates_term $ checkpoint_term $ mem_per_slot_term
-      $ spill_term $ max_inflight_term $ udf_mode_term $ chunk_term
+      $ spill_term $ max_inflight_term $ udf_mode_term
       $ timeout_term $ deadline_term)
 
 (* ---- explain ---- *)
@@ -484,7 +471,7 @@ let parse_tenants s =
 
 let serve_cmd =
   let run tenants_s queries_s n_events seed rate alpha arrivals_file engine
-      scale dop domains plan_cache udf_mode chunk chaos_seed chaos_rates
+      scale dop domains plan_cache udf_mode chaos_seed chaos_rates
       checkpoint_every mem_per_slot spill max_inflight timeout deadline
       max_queue breaker drain_after counters_json wal recover wal_sync
       snapshot_every wal_crash fingerprint_file =
@@ -518,7 +505,7 @@ let serve_cmd =
     let recovering = recover <> None in
     let wal = match recover with Some _ as r -> r | None -> wal in
     let config =
-      Emma.Config.of_cli ?udf_mode ~chunk ?chaos_seed ?chaos_rates
+      Emma.Config.of_cli ?udf_mode ?chaos_seed ?chaos_rates
         ?checkpoint_every ?mem_per_slot ~spill ?max_inflight ~domains
         ~plan_cache ~timeout:(timeout_or_exit timeout) ?deadline
         ?max_queue ?breaker ?drain_after ?wal ?wal_sync ?snapshot_every ()
@@ -715,7 +702,7 @@ let serve_cmd =
               ~doc:
                 "Plan-cache capacity (LRU over normalized-plan+schema keys); \
                  $(b,off) disables caching.")
-      $ udf_mode_term $ chunk_term $ chaos_seed_term $ chaos_rates_term
+      $ udf_mode_term $ chaos_seed_term $ chaos_rates_term
       $ checkpoint_term $ mem_per_slot_term $ spill_term $ max_inflight_term
       $ timeout_term $ deadline_term $ max_queue_term $ breaker_term
       $ drain_after_term

@@ -5,12 +5,11 @@
    with the staged compiler (`--udf-mode compiled`, the default) — and
    asserts the compilation contract: bit-identical results and
    bit-identical cost-model metrics ([Metrics.cost]), plus equal pool
-   barrier and task counts; wall clock and the chunk and steal counters
+   barrier and task counts; wall clock and the steal counters
    may differ. Any violation exits non-zero and fails the alias. *)
 
 module Value = Emma.Value
 module Metrics = Emma.Metrics
-module Engine = Emma.Engine
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("udf-smoke: " ^ m); exit 1) fmt
 
@@ -30,8 +29,8 @@ let check (e : Registry.entry) =
   let run mode =
     Emma.run_on_exn ~config:(Emma.Config.with_udf_mode mode Emma.Config.default) rt algo ~tables
   in
-  let interp = run Engine.Interp in
-  let compiled = run Engine.Compiled in
+  let interp = run Emma.Config.Interp in
+  let compiled = run Emma.Config.Compiled in
   if not (Value.equal interp.Emma.value compiled.Emma.value) then
     fail "%s: compiled result differs from the interpreter oracle" name;
   if cost_sig interp.Emma.metrics <> cost_sig compiled.Emma.metrics then

@@ -126,11 +126,6 @@ let normalized ?(opts = default_opts) p =
 
 type cache_key = { ck_crc : int; ck_text : string }
 
-type cache = {
-  cache_probe : cache_key -> (Cprog.t * report) option;
-  cache_store : cache_key -> Cprog.t * report -> unit;
-}
-
 (* Every opts field participates in the key: an ablation toggle changes
    which plan the pipeline produces, so it must miss. *)
 let opts_fingerprint o =
@@ -159,7 +154,7 @@ let normalized_key ?(opts = default_opts) ?(schema = "") p =
   in
   { ck_crc = Emma_util.Crc32.string text; ck_text = text }
 
-let compile_cold ?(opts = default_opts) ?trace ?observe p =
+let compile ?(opts = default_opts) ?trace ?observe p =
   let trace = match trace with Some tr -> tr | None -> Trace.global () in
   let fusion_stats = Fusion.fresh_stats () in
   let translation = Translate.fresh_stats () in
@@ -223,15 +218,3 @@ let compile_cold ?(opts = default_opts) ?trace ?observe p =
       translation;
       cached_vars = !cached;
       partitioned_vars = !partitioned } )
-
-let compile ?opts ?trace ?observe ?schema ?cache p =
-  match cache with
-  | None -> compile_cold ?opts ?trace ?observe p
-  | Some cache -> (
-      let key = normalized_key ?opts ?schema p in
-      match cache.cache_probe key with
-      | Some hit -> hit
-      | None ->
-          let r = compile_cold ?opts ?trace ?observe p in
-          cache.cache_store key r;
-          r)

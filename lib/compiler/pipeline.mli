@@ -72,15 +72,6 @@ type cache_key = {
           cache's identity, so CRC collisions are harmless. *)
 }
 
-type cache = {
-  cache_probe : cache_key -> (Emma_dataflow.Cprog.t * report) option;
-  cache_store : cache_key -> Emma_dataflow.Cprog.t * report -> unit;
-}
-(** The plan-cache seam: [compile ~cache] keys the submission, probes
-    before doing any back-end work, and stores cold results. The concrete
-    LRU lives in {!Plan_cache}; this indirection keeps the pipeline free
-    of cache policy. *)
-
 val normalized_key :
   ?opts:opts -> ?schema:string -> Emma_lang.Expr.program -> cache_key
 (** The plan-cache key of a submission: the front-end phases (inline +
@@ -95,8 +86,6 @@ val compile :
   ?opts:opts ->
   ?trace:Emma_util.Trace.t ->
   ?observe:(phase_obs -> unit) ->
-  ?schema:string ->
-  ?cache:cache ->
   Emma_lang.Expr.program ->
   Emma_dataflow.Cprog.t * report
 (** Runs the pipeline. The result is executable by [Emma_engine] and by the
@@ -109,11 +98,9 @@ val compile :
     per phase, in order, with a {!phase_obs} snapshot — the structured feed
     behind [emma explain].
 
-    With [cache], the submission is keyed by {!normalized_key} (using
-    [schema], default [""]) and probed first: a hit returns the cached
-    compiled program without running translation/physical phases (no
-    spans, no [observe] callbacks); a miss compiles cold and stores.
-    Compiled programs are immutable, so sharing them across runs is
+    The plan cache ({!Plan_cache}) sits in front of this: a session keys
+    a submission with {!normalized_key}, probes, and only compiles on a
+    miss. Compiled programs are immutable, so sharing them across runs is
     safe. *)
 
 val normalized : ?opts:opts -> Emma_lang.Expr.program -> Emma_lang.Expr.program

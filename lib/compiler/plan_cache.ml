@@ -159,9 +159,3 @@ let entries_by_recency t =
       t.entries
       |> List.sort (fun a b -> compare a.e_last_use b.e_last_use)
       |> List.map (fun e -> e.e_key))
-
-let as_cache t =
-  {
-    Pipeline.cache_probe = (fun key -> probe t key);
-    Pipeline.cache_store = (fun key r -> ignore (store t key r));
-  }

@@ -43,9 +43,6 @@ val store : t -> Pipeline.cache_key -> Emma_dataflow.Cprog.t * Pipeline.report -
 (** Inserts (or refreshes) the entry and evicts least-recently-used
     entries past capacity; returns the number evicted by this store. *)
 
-val as_cache : t -> Pipeline.cache
-(** The {!Pipeline.compile} seam: probe/store closures over this cache. *)
-
 val touch : t -> Pipeline.cache_key -> unit
 (** Stats-neutral recency refresh: consumes one tick when the key is
     present (exactly what a counted hit would), bumps no counters; no-op

@@ -18,7 +18,7 @@
 
     {b Configuration.} Execution knobs travel in one first-class record,
     {!Config.t} (udf mode, chaos plan, checkpointing, memory governance,
-    admission, pool, chunking, tracing, domains, plan cache), built with
+    admission, pool, tracing, domains, plan cache), built with
     [Config.default] and functional [with_*] setters or parsed from raw
     CLI values with [Config.of_cli]. {!Session} binds a [Config] to a
     runtime once and accepts any number of submissions — the substrate of

@@ -297,20 +297,14 @@ let submit ?(opts = Pipeline.default_opts) ?config ?cluster t source
         | None ->
             let compiled, report = Pipeline.compile ~opts source in
             ({ source; compiled; report; opts }, Uncached, 0)
-        | Some pc ->
-            let before = Plan_cache.stats pc in
-            let compiled, report =
-              Pipeline.compile ~opts ~schema ~cache:(Plan_cache.as_cache pc)
-                source
-            in
-            let after = Plan_cache.stats pc in
-            let status =
-              if after.Plan_cache.hits > before.Plan_cache.hits then Hit
-              else Miss
-            in
-            ( { source; compiled; report; opts },
-              status,
-              after.Plan_cache.evictions - before.Plan_cache.evictions ))
+        | Some pc -> (
+            let key = Pipeline.normalized_key ~opts ~schema source in
+            match Plan_cache.probe pc key with
+            | Some (compiled, report) -> ({ source; compiled; report; opts }, Hit, 0)
+            | None ->
+                let compiled, report = Pipeline.compile ~opts source in
+                let evicted = Plan_cache.store pc key (compiled, report) in
+                ({ source; compiled; report; opts }, Miss, evicted)))
   in
   (if Trace.enabled tracer then
      let name =

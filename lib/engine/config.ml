@@ -1,15 +1,12 @@
 (* First-class engine configuration: one record consolidating every
    execution knob that used to travel as nine separate optional
-   arguments. The canonical home of [udf_mode] and [chunk_spec] (Exec
-   re-exports both so existing [Engine.Interp] / [Engine.Chunk_auto]
-   call sites keep compiling). *)
+   arguments. *)
 
 module Pool = Emma_util.Pool
 module Trace = Emma_util.Trace
 module Json = Emma_util.Json
 
 type udf_mode = Interp | Compiled
-type chunk_spec = Chunk_auto | Chunk_fixed of int
 
 type breaker_spec = { br_threshold : int; br_cooldown_s : float }
 
@@ -21,7 +18,6 @@ type t = {
   spill : bool;
   max_inflight : int option;
   pool : Pool.t option;
-  chunk : chunk_spec;
   trace : Trace.t option;
   domains : int option;
   plan_cache : int option;
@@ -44,7 +40,6 @@ let default =
     spill = false;
     max_inflight = None;
     pool = None;
-    chunk = Chunk_auto;
     trace = None;
     domains = None;
     plan_cache = Some 64;
@@ -65,7 +60,6 @@ let with_mem_budget mem_budget t = { t with mem_budget }
 let with_spill spill t = { t with spill }
 let with_max_inflight max_inflight t = { t with max_inflight }
 let with_pool pool t = { t with pool }
-let with_chunk chunk t = { t with chunk }
 let with_trace trace t = { t with trace }
 let with_domains domains t = { t with domains }
 let with_plan_cache plan_cache t = { t with plan_cache }
@@ -88,23 +82,6 @@ let parse_udf_mode s =
       Error
         (Printf.sprintf
            "--udf-mode %s is invalid: expected `interp' or `compiled'" s)
-
-let parse_chunk s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Ok Chunk_auto
-  | s -> (
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok (Chunk_fixed k)
-      | Some k ->
-          Error
-            (Printf.sprintf
-               "--chunk %d is invalid: a fixed chunk must hold at least 1 row \
-                (or pass `auto' to size chunks from the cost model)"
-               k)
-      | None ->
-          Error
-            (Printf.sprintf
-               "--chunk %s is invalid: expected `auto' or a row count >= 1" s))
 
 let parse_plan_cache s =
   match String.lowercase_ascii (String.trim s) with
@@ -144,7 +121,7 @@ let parse_breaker s =
           Ok (Some { br_threshold = k; br_cooldown_s = cd })
       | _ -> invalid ())
 
-let of_cli ?(base = default) ?udf_mode ?chunk ?chaos_seed ?chaos_rates
+let of_cli ?(base = default) ?udf_mode ?chaos_seed ?chaos_rates
     ?checkpoint_every ?mem_per_slot ?spill ?max_inflight ?domains ?plan_cache
     ?timeout ?deadline ?max_queue ?breaker ?drain_after ?wal ?wal_sync
     ?snapshot_every () =
@@ -153,9 +130,6 @@ let of_cli ?(base = default) ?udf_mode ?chunk ?chaos_seed ?chaos_rates
     match udf_mode with
     | None -> Ok base.udf_mode
     | Some s -> parse_udf_mode s
-  in
-  let* chunk =
-    match chunk with None -> Ok base.chunk | Some s -> parse_chunk s
   in
   let* faults =
     match (chaos_seed, chaos_rates) with
@@ -290,7 +264,6 @@ let of_cli ?(base = default) ?udf_mode ?chunk ?chaos_seed ?chaos_rates
     {
       base with
       udf_mode;
-      chunk;
       faults;
       checkpoint_every;
       mem_budget;
@@ -310,10 +283,6 @@ let of_cli ?(base = default) ?udf_mode ?chunk ?chaos_seed ?chaos_rates
 
 let udf_mode_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
-let chunk_to_string = function
-  | Chunk_auto -> "auto"
-  | Chunk_fixed k -> string_of_int k
-
 let to_json t =
   let opt_int = function Some k -> Json.Int k | None -> Json.Null in
   let opt_float = function Some f -> Json.Float f | None -> Json.Null in
@@ -326,7 +295,6 @@ let to_json t =
       ("spill", Json.Bool t.spill);
       ("max_inflight", opt_int t.max_inflight);
       ("pool", Json.Str (match t.pool with Some _ -> "custom" | None -> "default"));
-      ("chunk", Json.Str (chunk_to_string t.chunk));
       ("trace", Json.Bool (match t.trace with Some tr -> Trace.enabled tr | None -> false));
       ("domains", opt_int t.domains);
       ( "plan_cache",

@@ -3,25 +3,13 @@
     One record holds every execution knob of [Emma.run_on],
     {!Exec.create}, sessions and the CLI. Build one with {!default} and
     the functional [with_*] setters (or {!of_cli} from raw flag values),
-    then hand it to [Emma.Session.create] / [Exec.create ?config].
-
-    [Config] is also the canonical home of {!udf_mode} and
-    {!chunk_spec}; {!Exec} re-exports both so existing
-    [Engine.Interp] / [Engine.Chunk_auto] call sites keep compiling. *)
+    then hand it to [Emma.Session.create] / [Exec.create ?config]. *)
 
 type udf_mode =
   | Interp  (** tree-walk every UDF body per tuple with {!Emma_lang.Eval} *)
   | Compiled
       (** stage each UDF body once through {!Emma_lang.Compile} into a
           host closure (the default) *)
-
-(** Chunk-size policy for the adaptive-chunking barriers: [Chunk_auto]
-    runs a stage whose cost-model work is below [Exec.inline_work_s]
-    inline on the calling domain and otherwise sizes tasks from the cost
-    model's per-row estimate with a granularity floor; [Chunk_fixed k]
-    pins k physical rows per task (the CLI's [--chunk N]) and always
-    dispatches on a multi-domain pool, however small the stage. *)
-type chunk_spec = Chunk_auto | Chunk_fixed of int
 
 (** Per-tenant circuit-breaker policy for [emma serve]: after
     [br_threshold] consecutive [Failed]/[Timed_out]/[Cancelled] outcomes
@@ -51,7 +39,6 @@ type t = {
       (** domain pool for per-partition work (default: the ambient
           {!Emma_util.Pool.default}, or a session-owned pool when
           [domains] is set) *)
-  chunk : chunk_spec;  (** chunking policy (default [Chunk_auto]) *)
   trace : Emma_util.Trace.t option;
       (** span tracer (default: the ambient {!Emma_util.Trace.global}) *)
   domains : int option;
@@ -97,7 +84,7 @@ type t = {
 
 val default : t
 (** [Compiled] UDFs, no chaos, unbounded memory and admission, ambient
-    pool and tracer, auto chunking, a 64-entry plan cache. *)
+    pool and tracer, a 64-entry plan cache. *)
 
 val with_udf_mode : udf_mode -> t -> t
 val with_faults : Faults.t -> t -> t
@@ -106,7 +93,6 @@ val with_mem_budget : float option -> t -> t
 val with_spill : bool -> t -> t
 val with_max_inflight : int option -> t -> t
 val with_pool : Emma_util.Pool.t option -> t -> t
-val with_chunk : chunk_spec -> t -> t
 val with_trace : Emma_util.Trace.t option -> t -> t
 val with_domains : int option -> t -> t
 val with_plan_cache : int option -> t -> t
@@ -117,9 +103,6 @@ val with_breaker : breaker_spec option -> t -> t
 
 val parse_udf_mode : string -> (udf_mode, string) result
 (** ["interp"] / ["compiled"] (case-insensitive). *)
-
-val parse_chunk : string -> (chunk_spec, string) result
-(** ["auto"] or a row count >= 1. *)
 
 val parse_plan_cache : string -> (int option, string) result
 (** ["off"] / ["0"] disables; a capacity >= 1 enables. *)
@@ -132,7 +115,6 @@ val parse_breaker : string -> (breaker_spec option, string) result
 val of_cli :
   ?base:t ->
   ?udf_mode:string ->
-  ?chunk:string ->
   ?chaos_seed:int ->
   ?chaos_rates:string ->
   ?checkpoint_every:int ->
@@ -159,7 +141,6 @@ val of_cli :
     historical CLI behavior. *)
 
 val udf_mode_to_string : udf_mode -> string
-val chunk_to_string : chunk_spec -> string
 
 val to_json : t -> Emma_util.Json.t
 (** Pinned rendering for reports; the pool/trace fields render as

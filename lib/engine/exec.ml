@@ -15,24 +15,6 @@ exception Engine_cancelled of float * string
 
 type location = Mem | Dfs
 
-(* How worker-side UDF bodies execute. [Interp] walks the [Expr] tree with
-   {!Eval} per tuple; [Compiled] stages each body once through
-   {!Emma_lang.Compile} and runs the resulting closure. The choice affects
-   wall-clock only: both paths share the same [worker_env] cost charging
-   and the same [bump_udf] tally, so every cost-model field is
-   bit-identical between modes (differentially tested). Defined in
-   {!Config} (the knob record) and re-exported here. *)
-type udf_mode = Config.udf_mode = Interp | Compiled
-
-(* Chunk-size policy for the adaptive-chunking barriers ([par_chunked]):
-   [Chunk_auto] sizes chunks from the cost model's per-row estimate with a
-   granularity floor; [Chunk_fixed k] pins k physical rows per chunk (the
-   CLI's [--chunk N]). Chunking only splits order-preserving list
-   homomorphisms and reassembles chunk outputs in order, so results and
-   every cost-model metric are bit-identical for every policy — only wall
-   time and the par_* counters move. *)
-type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
-
 (* Mutable chaos bookkeeping. Sequence counters number the injection
    points in coordinator execution order — the same order at any domain
    count, which is what makes injection domain-invariant. *)
@@ -76,7 +58,6 @@ type t = {
   pool : Pool.t;
       (* domain pool running per-partition operator work; shuffles, cost
          charging and the driver stay on the coordinator domain *)
-  chunk : chunk_spec;  (* chunk-size policy for homomorphic barriers *)
   mutable steal_seen : Pool.stats;
       (* pool steal counters at the last accounted barrier; diffed into
          par_steals/par_steal_misses after each barrier (the pool may be
@@ -93,8 +74,12 @@ type t = {
       (* inside the second or later iteration of a driver loop on an
          engine with native iteration support: job submissions reuse the
          deployed dataflow and pay a reduced overhead *)
-  udf_mode : udf_mode;
-      (* interpreted (oracle) or staged-compiled per-tuple UDF execution *)
+  udf_mode : Config.udf_mode;
+      (* How worker-side UDF bodies execute: [Interp] walks the [Expr] tree
+         with {!Eval} per tuple; [Compiled] stages each body once through
+         {!Emma_lang.Compile} and runs the resulting closure. Both share
+         the same [worker_env] cost charging and [bump_udf] tally, so
+         every cost-model field is bit-identical between modes. *)
   faults : Faults.t;
       (* deterministic fault plan: decides task failures, executor losses,
          fetch failures, stragglers, loop losses, OOM kills and checkpoint
@@ -174,7 +159,6 @@ let create ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~prof
     metrics = Metrics.create ();
     eval_ctx;
     pool;
-    chunk = config.Config.chunk;
     steal_seen = Pool.stats pool;
     timeout_s = config.Config.timeout_s;
     deadline_s = config.Config.deadline_s;
@@ -468,34 +452,24 @@ let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
    waking. A barrier's work is the cost model's per-row estimate (per-record
    CPU plus bytes through the UDF throughput) times its physical rows, in
    simulated seconds: exactly what [charge_local_cpu] prices for the whole
-   stage. Under [Chunk_auto], a stage below [inline_work_s] runs inline on
-   the calling domain, as on a one-domain pool: the sleeping workers are not
-   woken and no task is scattered. A stage above it is packed into about
-   [chunk_oversub] tasks per domain, each covering a contiguous range of
-   partitions (or, for [par_chunked], of rows). [Chunk_fixed] always
-   dispatches, so the chunk-size tests keep exercising packing and
-   stealing.
+   stage. A stage below [inline_work_s] runs inline on the calling domain,
+   as on a one-domain pool: the sleeping workers are not woken and no task
+   is scattered. A stage above it is packed into about [chunk_oversub]
+   tasks per domain, each covering a contiguous range of whole partitions;
+   a partition is never split, as on the paper's backends, which run one
+   task per partition.
 
    Packing keeps the contract: the logical partition count still keys the
-   chaos draws, a task runs its partitions (or rows) in ascending order and
-   stops at its first exception, tasks are ordered as the partitions they
-   cover, so the lowest failing task raises the first failing partition's
-   exception, and outputs are reassembled in partition order. Nothing here
-   reads the tracer, so par_stages and par_tasks are the same traced or
-   not. *)
+   chaos draws, a task runs its partitions in ascending order and stops at
+   its first exception, tasks are ordered as the partitions they cover, so
+   the lowest failing task raises the first failing partition's exception,
+   and outputs are reassembled in partition order. Nothing here reads the
+   tracer, so par_stages and par_tasks are the same traced or not. *)
 
-(* With more chunks than domains, late-arriving steals keep everyone busy
+(* With more tasks than domains, late-arriving steals keep everyone busy
    until the tail; 4x oversubscription is plenty before per-task overhead
    shows. *)
 let chunk_oversub = 4
-
-(* Granularity floor: a chunk must carry at least this fraction of one
-   simulated task launch ([sched_linear_s]) in per-row work. The full
-   launch cost models a distributed scheduler (milliseconds); chunks are
-   dispatched on the host pool where a deque push is microseconds, so a
-   small fraction of it is the right floor — big enough that trivial rows
-   get coarse chunks, small enough that a skewed partition still splits. *)
-let chunk_floor_frac = 0.01
 
 (* Inline threshold, in simulated seconds of stage work: the measured
    1-vs-2-domain crossover on a 2-core host (E9d in EXPERIMENTS.md). From
@@ -512,13 +486,12 @@ let stage_work (c : Cluster.t) (pd : Pdata.t) =
 (* Whether a barrier carrying [work] goes to the pool. Callers test
    [Pool.size t.pool > 1] first, so that a one-domain run never computes
    the estimate (or forces a collection's stats for it). *)
-let dispatches t work =
-  match t.chunk with Chunk_fixed _ -> true | Chunk_auto -> work >= inline_work_s
+let dispatches work = work >= inline_work_s
 
-let pooled t pd = Pool.size t.pool > 1 && dispatches t (stage_work t.cluster pd)
+let pooled t pd = Pool.size t.pool > 1 && dispatches (stage_work t.cluster pd)
 
 let pooled2 t a b =
-  Pool.size t.pool > 1 && dispatches t (stage_work t.cluster a +. stage_work t.cluster b)
+  Pool.size t.pool > 1 && dispatches (stage_work t.cluster a +. stage_work t.cluster b)
 
 let barrier_tasks t = Pool.size t.pool * chunk_oversub
 
@@ -526,14 +499,14 @@ let barrier_tasks t = Pool.size t.pool * chunk_oversub
    before its stats pass, only the estimate's record term is known. *)
 let rows_pooled t ~scale vs =
   Pool.size t.pool > 1
-  && dispatches t (float_of_int (List.length vs) *. scale *. t.cluster.Cluster.per_record_cpu)
+  && dispatches (float_of_int (List.length vs) *. scale *. t.cluster.Cluster.per_record_cpu)
 
 (* The same for a whole-state update of a stateful bag. *)
 let state_pooled t sh =
   Pool.size t.pool > 1
   &&
   let entries = Array.fold_left (fun n h -> n + Keyed.length h) 0 sh.s_parts in
-  dispatches t (float_of_int entries *. sh.s_rmult *. t.cluster.Cluster.per_record_cpu)
+  dispatches (float_of_int entries *. sh.s_rmult *. t.cluster.Cluster.per_record_cpu)
 
 let charge_spill t bytes =
   t.metrics.Metrics.spilled_bytes <- t.metrics.Metrics.spilled_bytes +. bytes;
@@ -862,130 +835,12 @@ let read_pdata t name rows =
             { r_rows = rows; r_nparts = nparts; r_scale = scale; r_pd = pd });
       pd
 
-(* Narrow (partition-local) transform on the pool, mirroring
-   [Pdata.map_parts_preserving] — for partition-local work that is NOT a
-   list homomorphism (e.g. within-partition dedup) and must stay whole
-   partitions. *)
-let par_map_parts_preserving t f (pd : Pdata.t) : Pdata.t =
-  Pdata.make ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+(* Narrow (partition-local) transform on the pool: [f] over every whole
+   partition. The output keeps [pd]'s multipliers, and is hash-partitioned
+   by [part_key] when the caller knows [f] keeps every row in place. *)
+let par_map_parts ?part_key t f (pd : Pdata.t) : Pdata.t =
+  Pdata.make ?part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
     (par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)))
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive chunking                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The work-stealing pool balances load at task granularity, so a skewed
-   partition dispatched inside ONE task still pins one domain for its whole
-   duration. For operators that are order-preserving list homomorphisms
-   (f (a @ b) = f a @ f b: map, flatMap, filter, cross/broadcast-join
-   probes, shuffle routing) the barrier below cuts the rows of all
-   partitions, in order, into tasks of [chunk_rows] physical rows and
-   reassembles the pieces' outputs in order — bit-identical results for
-   every chunk size, but a straggler partition's tail can now be stolen
-   mid-partition, and runs of small partitions share one task.
-   Non-homomorphic per-partition work (fold accumulators, groupBy/aggBy
-   hash tables, sort-based distinct/minus, repartition-join builds) keeps
-   whole partitions ([par_run]): splitting a float fold, for instance,
-   would reassociate additions and break the bit-identical invariant
-   across chunk sizes. *)
-
-(* Physical rows per task for a barrier over [pd]. [Chunk_auto] aims for
-   [chunk_oversub] tasks per domain, floored at [chunk_floor_frac] of a
-   task's scheduling cost worth of simulated work per task — the
-   cost-model estimate prices a row, and rows cheaper to process get
-   coarser tasks. *)
-let chunk_rows t (pd : Pdata.t) =
-  match t.chunk with
-  | Chunk_fixed k -> max 1 k
-  | Chunk_auto ->
-      let rows = Pdata.records pd in
-      let per_row_s = stage_work t.cluster pd /. float_of_int rows in
-      let floor_rows =
-        if per_row_s <= 0.0 then rows
-        else
-          int_of_float
-            (Float.min (float_of_int rows)
-               (ceil (t.profile.Cluster.sched_linear_s *. chunk_floor_frac /. per_row_s)))
-      in
-      max 1 (max floor_rows ((rows + barrier_tasks t - 1) / barrier_tasks t))
-
-(* The length of [l], counting no further than [k + 1]. *)
-let rec length_upto k n l =
-  match l with [] -> n | _ :: rest -> if n > k then n else length_upto k (n + 1) rest
-
-let[@tail_mod_cons] rec take k l =
-  match l with x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
-
-(* Chunked barrier for order-preserving list homomorphisms: [f] runs over
-   every piece and the per-partition outputs are the in-order
-   concatenations of their pieces' outputs. Task [j] covers rows
-   [j*k, (j+1)*k) of the partitions' rows laid end to end; it starts at
-   partition [start_p.(j)], at the list tail [start_l.(j)], so a piece that
-   runs to the end of its partition is that tail itself and only a piece
-   cut short by its task's end is copied. Shares all of [par_run]'s
-   bookkeeping discipline: chaos draws and fault charges are keyed on the
-   LOGICAL partition count (never the task count, which varies with the
-   chunk policy), UDF counts tally through the domain-local cell, and cost
-   charging stays on the coordinator. *)
-let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
-  let nparts = Pdata.nparts pd in
-  check_interrupts t;
-  inject_barrier_faults t nparts;
-  let parts = pd.Pdata.parts in
-  let f_traced =
-    if not (Trace.enabled t.tracer) then fun _ rows -> f rows
-    else fun p rows -> task_span t p f rows
-  in
-  let rows = if pooled t pd then Pdata.records pd else 0 in
-  let k = if rows <= 1 then 1 else chunk_rows t pd in
-  let ntasks = if rows = 0 then 0 else 1 + ((rows - 1) / k) in
-  if ntasks <= 1 then Array.init nparts (fun p -> f_traced p parts.(p))
-  else begin
-    let start_p = Array.make ntasks 0 and start_l = Array.make ntasks [] in
-    let rec walk p g l =
-      match l with
-      | [] -> g
-      | _ :: rest ->
-          if g mod k = 0 then begin
-            start_p.(g / k) <- p;
-            start_l.(g / k) <- l;
-            if l != parts.(p) then
-              t.metrics.Metrics.par_chunks <- t.metrics.Metrics.par_chunks + 1
-          end;
-          walk p (g + 1) rest
-    in
-    let g = ref 0 in
-    Array.iteri (fun p l -> g := walk p !g l) parts;
-    (* a task's (partition, output) pieces, last piece first; [left > 0]
-       rows remain, so the partitions do not run out *)
-    let task j =
-      let rec go p l left acc =
-        match l with
-        | [] -> go (p + 1) parts.(p + 1) left acc
-        | _ ->
-            let c = length_upto left 0 l in
-            if c < left then go (p + 1) parts.(p + 1) (left - c) ((p, f_traced p l) :: acc)
-            else if c = left then (p, f_traced p l) :: acc
-            else (p, f_traced p (take left l)) :: acc
-      in
-      go start_p.(j) start_l.(j) (min k (rows - (j * k))) []
-    in
-    let pieces = dispatch t ntasks task in
-    let out = Array.make nparts [] in
-    for j = ntasks - 1 downto 0 do
-      List.iter
-        (fun (p, r) -> out.(p) <- (match out.(p) with [] -> r | later -> r @ later))
-        pieces.(j)
-    done;
-    out
-  end
-
-let par_map_parts_chunked t f (pd : Pdata.t) : Pdata.t =
-  Pdata.make ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult (par_chunked t f pd)
-
-let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
-  Pdata.make ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
-    (par_chunked t f pd)
 
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
@@ -1209,10 +1064,10 @@ and udf_fn_ex t env (u : Plan.udf) : (Value.t -> Value.t) * float =
   let base, inner = worker_env t env ~params:[ u.Plan.param ] [ u.Plan.body ] in
   let f =
     match t.udf_mode with
-    | Interp ->
+    | Config.Interp ->
         fun v ->
           Eval.eval_value t.eval_ctx (Eval.bind u.Plan.param (Eval.V v) base) u.Plan.body
-    | Compiled -> Compile.fn t.eval_ctx base ~param:u.Plan.param u.Plan.body
+    | Config.Compiled -> Compile.fn t.eval_ctx base ~param:u.Plan.param u.Plan.body
   in
   ( (fun v ->
       bump_udf t;
@@ -1227,12 +1082,12 @@ and udf2_fn t env (u : Plan.udf2) : Value.t -> Value.t -> Value.t =
   in
   let f =
     match t.udf_mode with
-    | Interp ->
+    | Config.Interp ->
         fun a b ->
           let e = Eval.bind u.Plan.param1 (Eval.V a) base in
           let e = Eval.bind u.Plan.param2 (Eval.V b) e in
           Eval.eval_value t.eval_ctx e u.Plan.body2
-    | Compiled ->
+    | Config.Compiled ->
         Compile.fn2 t.eval_ctx base ~param1:u.Plan.param1 ~param2:u.Plan.param2
           u.Plan.body2
   in
@@ -1246,14 +1101,14 @@ and fold_runtime t env (fns : Expr.fold_fns) : Compile.algebra =
     worker_env t env ~params:[] [ fns.Expr.f_empty; fns.Expr.f_single; fns.Expr.f_union ]
   in
   match t.udf_mode with
-  | Interp ->
+  | Config.Interp ->
       let empty = Eval.eval_value t.eval_ctx base fns.Expr.f_empty in
       let single_rv = Eval.eval t.eval_ctx base fns.Expr.f_single in
       let union_rv = Eval.eval t.eval_ctx base fns.Expr.f_union in
       let single v = Eval.apply_rv t.eval_ctx single_rv v in
       let union a b = Eval.apply2_rv t.eval_ctx union_rv a b in
       { Compile.empty; single; union; step = (fun acc v -> union acc (single v)) }
-  | Compiled -> Compile.fold_fns t.eval_ctx base fns
+  | Config.Compiled -> Compile.fold_fns t.eval_ctx base fns
 
 and exec_to_bag t env p =
   match exec_plan t env p with
@@ -1320,21 +1175,24 @@ and exec_plan_inner t env (p : Plan.t) : out =
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
       udf_scan_cost t ~inner_records pd;
-      Obag (par_map_parts_chunked t (List.map f) pd)
+      Obag (par_map_parts t (List.map f) pd)
   | Plan.Flat_map (u, q) ->
       let pd = exec_to_bag t env q in
       charge_stage t;
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
       udf_scan_cost t ~inner_records pd;
-      Obag (par_map_parts_chunked t (List.concat_map (fun v -> Value.to_bag (f v))) pd)
+      Obag (par_map_parts t (List.concat_map (fun v -> Value.to_bag (f v))) pd)
   | Plan.Filter (u, q) ->
       let pd = exec_to_bag t env q in
       charge_stage t;
       charge_local_cpu t pd;
       let f, inner_records = udf_fn_ex t env u in
       udf_scan_cost t ~inner_records pd;
-      Obag (par_map_parts_preserving_chunked t (List.filter (fun v -> Value.to_bool (f v))) pd)
+      Obag
+        (par_map_parts ?part_key:pd.Pdata.part_key t
+           (List.filter (fun v -> Value.to_bool (f v)))
+           pd)
   | Plan.Join { kind; lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
@@ -1354,7 +1212,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
       let small_list = Pdata.to_list small in
       let pairs v w = if flip then Value.tuple [ w; v ] else Value.tuple [ v; w ] in
       let result =
-        par_map_parts_chunked t
+        par_map_parts t
           (fun part -> List.concat_map (fun v -> List.map (fun w -> pairs v w) small_list) part)
           big
       in
@@ -1433,7 +1291,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
       reserve_memory t ~op:"distinct" ~needs:(part_needs pd);
       charge_local_cpu t pd;
       Obag
-        (par_map_parts_preserving t
+        (par_map_parts ?part_key:pd.Pdata.part_key t
            (fun part ->
              Emma_databag.Databag.to_list
                (Emma_databag.Databag.distinct ~cmp:Value.compare
@@ -1538,10 +1396,10 @@ and shuffle_by t key keyfn (pd : Pdata.t) : Pdata.t =
     charge_shuffle t (Pdata.logical_bytes pd);
     let nparts = max 1 (dop t) in
     inject_fetch_faults t ~bytes:(Pdata.logical_bytes pd) ~nparts;
+    let route v = (abs (Value.hash (keyfn v)) mod nparts, v) in
     let routed =
-      par_chunked t
-        (List.map (fun v -> (abs (Value.hash (keyfn v)) mod nparts, v)))
-        pd
+      par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i ->
+          List.map route pd.Pdata.parts.(i))
     in
     let parts = Array.make nparts [] in
     Array.iter (List.iter (fun (i, v) -> parts.(i) <- v :: parts.(i))) routed;
@@ -1682,7 +1540,9 @@ and exec_join t env ~kind ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
         charge_local_cpu t lpd;
         (* probe in parallel: the broadcast key set is read-only *)
         Obag
-          (par_map_parts_preserving_chunked t (probe_keys ~keep:(kind = Plan.Semi) keys lfn) lpd)
+          (par_map_parts ?part_key:lpd.Pdata.part_key t
+             (probe_keys ~keep:(kind = Plan.Semi) keys lfn)
+             lpd)
     | Plan.Inner ->
         (* broadcast the smaller side; build a hash map on it *)
         let small, big, small_fn, big_fn, small_left =
@@ -1705,7 +1565,7 @@ and exec_join t env ~kind ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
                 ws
         in
         Obag (Pdata.with_mult ~rmult:out_rmult ~bmult:out_bmult
-                (par_map_parts_chunked t (List.concat_map join_one) big))
+                (par_map_parts t (List.concat_map join_one) big))
   end
   else begin
     (* repartition join: shuffle both sides by their keys (skipping

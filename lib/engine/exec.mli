@@ -59,38 +59,13 @@ type read_memo
 val read_memo : unit -> read_memo
 (** A fresh, empty memo. *)
 
-type udf_mode = Config.udf_mode =
-  | Interp  (** tree-walk every UDF body per tuple with {!Emma_lang.Eval} *)
-  | Compiled
-      (** stage each UDF body once through {!Emma_lang.Compile} into a
-          host closure (the default) *)
-
-(** Chunk-size policy for the adaptive-chunking barriers. Operators that
-    are order-preserving list homomorphisms (map, flatMap, filter, cross
-    and broadcast-join probes, shuffle routing) cut the rows of their
-    partitions, in order, into tasks of this many physical rows before
-    dispatching to the work-stealing pool, so a skewed partition's tail
-    can be stolen mid-partition and runs of small partitions share a
-    task; outputs are reassembled in order, keeping results and every
-    cost-model metric bit-identical across policies. [Chunk_auto] (the
-    default) first decides whether the stage is worth the pool at all
-    (see {!inline_work_s}), then sizes tasks from the cost model's
-    per-row estimate with a granularity floor (each task carries at least
-    a small fraction of one task-scheduling cost in per-row work, so
-    cheap rows get coarse tasks); [Chunk_fixed k] pins k rows per task
-    (the CLI's [--chunk N]) and always dispatches on a multi-domain pool.
-    Non-homomorphic per-partition work (fold accumulators, groupBy/aggBy
-    tables, sort-based distinct/minus, repartition-join builds) is never
-    cut inside a partition — splitting a float fold would reassociate
-    additions — but is packed into tasks of contiguous partitions. *)
-type chunk_spec = Config.chunk_spec = Chunk_auto | Chunk_fixed of int
-
 val inline_work_s : float
-(** Host granularity: under [Chunk_auto], a barrier whose stage work —
-    the cost model's per-row estimate times the physical rows, in
-    simulated seconds — is below this runs inline on the calling domain,
-    exactly as on a one-domain pool; at or above it the barrier is
-    dispatched as at most [chunk_oversub × domains] tasks. *)
+(** Host granularity: a barrier whose stage work — the cost model's
+    per-row estimate times the physical rows, in simulated seconds — is
+    below this runs inline on the calling domain, exactly as on a
+    one-domain pool; at or above it the barrier is dispatched as at most
+    [chunk_oversub × domains] tasks, each a contiguous range of whole
+    partitions (a partition is never split). *)
 
 val chunk_oversub : int
 (** Tasks per domain of a dispatched barrier. *)
@@ -184,8 +159,7 @@ val create :
     domain, so results and every cost-model metric — [sim_time_s],
     [shuffle_bytes], [stages], even [udf_invocations] — are bit-identical
     whatever the pool size; only [wall_time_s] and the [par_*] counters
-    reflect the parallelism. [config.chunk] sets the chunk-size policy
-    ({!chunk_spec}).
+    reflect the parallelism.
 
     [config.trace] is a span tracer (default: {!Emma_util.Trace.global},
     i.e. disabled unless the CLI/bench installed one). When enabled the

@@ -24,9 +24,9 @@ type t = {
           inline on the calling domain is not counted) *)
   mutable par_tasks : int;  (** packed tasks dispatched through the pool *)
   mutable par_chunks : int;
-      (** task boundaries that fall inside a partition under adaptive
-          chunking (each adds one piece to that partition); varies with
-          the chunk policy and domain count *)
+      (** retired, always 0: the engine no longer splits a partition
+          across tasks. Kept, with its report row and JSON key, because
+          perfbench reads it for [pool.chunks]; both go together. *)
   mutable par_steals : int;
       (** pool tasks claimed from another domain's deque during this
           engine's barriers; scheduling-dependent, like [wall_time_s] *)
@@ -102,8 +102,7 @@ val create : unit -> t
 val cost : t -> t
 (** The invariance contract: a copy of the record with every field the
     cost model does not produce zeroed. Two runs of the same program and
-    inputs have equal [cost] views whatever the domain count, chunk
-    policy, UDF mode, tracing, plan cache or pool, so tests compare
+    inputs have equal [cost] views whatever the domain count, UDF mode, tracing, plan cache or pool, so tests compare
     [cost a = cost b]. Two groups are zeroed:
     - host-measured: [wall_time_s] and [par_stages], [par_tasks],
       [par_chunks], [par_steals], [par_steal_misses], which describe how

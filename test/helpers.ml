@@ -97,13 +97,12 @@ let terminated_pipeline_gen =
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-(* The laptop cluster with one simulated second per record: the cost
-   model puts every non-empty stage far above [Exec.inline_work_s], so on
-   a multi-domain pool every barrier with rows to process is dispatched.
+(* Cluster [c] at one simulated second per record: the cost model puts
+   every non-empty stage far above [Exec.inline_work_s], so on a
+   multi-domain pool every barrier with rows to process is dispatched.
    Differential tests that must exercise the pool, even on inputs of a
-   dozen rows, run on it. *)
-let dispatching_cluster () =
-  { (Emma_engine.Cluster.laptop ()) with Emma_engine.Cluster.per_record_cpu = 1.0 }
+   dozen rows, run on such a cluster. *)
+let dispatching (c : Emma_engine.Cluster.t) = { c with Emma_engine.Cluster.per_record_cpu = 1.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Golden files                                                         *)

@@ -75,19 +75,6 @@ let test_bad_flags_exit_2 () =
       ("unknown chaos key", [ "--chaos-seed"; "1"; "--chaos-rates"; "bogus=0.1" ]);
       ("chaos rates without a seed", [ "--chaos-rates"; "task=0.1" ]) ]
 
-let test_bad_chunk_exits_2 () =
-  List.iter
-    (fun (name, args) ->
-      Alcotest.(check int) name 2 (run_cli ("run" :: "q1" :: args)))
-    [ ("zero chunk", [ "--chunk"; "0" ]);
-      ("negative chunk", [ "--chunk=-4" ]);
-      ("non-numeric chunk", [ "--chunk"; "banana" ]) ]
-
-let test_chunk_accepted () =
-  Alcotest.(check int) "--chunk auto exits 0" 0 (run_cli [ "run"; "q1"; "--chunk"; "auto" ]);
-  Alcotest.(check int) "--chunk 64 exits 0" 0
-    (run_cli [ "run"; "q1"; "--chunk"; "64"; "--domains"; "4" ])
-
 let test_valid_flags_accepted () =
   (* the validations must not reject a legitimate governed run *)
   Alcotest.(check int) "governed run exits 0" 0
@@ -309,8 +296,6 @@ let suite =
         Alcotest.test_case "chaos rates rejected, not clamped" `Quick
           test_rates_rejected;
         Alcotest.test_case "bad flag values exit 2" `Quick test_bad_flags_exit_2;
-        Alcotest.test_case "bad --chunk values exit 2" `Quick test_bad_chunk_exits_2;
-        Alcotest.test_case "--chunk auto/N accepted" `Quick test_chunk_accepted;
         Alcotest.test_case "valid flags accepted" `Quick test_valid_flags_accepted;
         Alcotest.test_case "bad --udf-mode exits 2" `Quick test_bad_udf_mode_exits_2;
         Alcotest.test_case "bad --plan-cache exits 2" `Quick

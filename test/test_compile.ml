@@ -12,7 +12,6 @@ module Eval = Emma_lang.Eval
 module Compile = Emma_lang.Compile
 module S = Emma_lang.Surface
 module Metrics = Emma_engine.Metrics
-module Engine = Emma_engine.Exec
 module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 open Helpers
@@ -62,8 +61,8 @@ let run_mode ?pool mode prog tables =
   (r.Emma.value, Metrics.cost r.Emma.metrics)
 
 let check_engine_parity ?pool msg prog tables =
-  let vi, mi = run_mode ?pool Engine.Interp prog tables in
-  let vc, mc = run_mode ?pool Engine.Compiled prog tables in
+  let vi, mi = run_mode ?pool Config.Interp prog tables in
+  let vc, mc = run_mode ?pool Config.Compiled prog tables in
   check_value (msg ^ ": value") vi vc;
   Alcotest.(check bool) (msg ^ ": cost metrics bit-identical") true (mi = mc)
 
@@ -98,8 +97,8 @@ let qcheck_engine_parity =
   qcheck_case ~count:40 "compiled ≡ interpreted (engine metrics)"
     gen_pipeline_with_rows (fun (e, rows) ->
       let prog = S.program ~ret:e [] in
-      let vi, mi = run_mode Engine.Interp prog (rows_tables rows) in
-      let vc, mc = run_mode Engine.Compiled prog (rows_tables rows) in
+      let vi, mi = run_mode Config.Interp prog (rows_tables rows) in
+      let vc, mc = run_mode Config.Compiled prog (rows_tables rows) in
       Value.equal vi vc && mi = mc)
 
 (* Same program, same mode, 1/2/4 domains: compiled execution keeps the
@@ -112,8 +111,8 @@ let check_domain_invariance prog tables =
         Fun.protect
           ~finally:(fun () -> Pool.shutdown pool)
           (fun () ->
-            let vi, mi = run_mode ~pool Engine.Interp prog tables in
-            let vc, mc = run_mode ~pool Engine.Compiled prog tables in
+            let vi, mi = run_mode ~pool Config.Interp prog tables in
+            let vc, mc = run_mode ~pool Config.Compiled prog tables in
             check_value
               (Printf.sprintf "mode parity at %d domains" domains)
               vi vc;

@@ -18,7 +18,6 @@ let err name = function
 let test_default () =
   let c = Config.default in
   Alcotest.(check bool) "compiled UDFs" true (c.Config.udf_mode = Config.Compiled);
-  Alcotest.(check bool) "auto chunking" true (c.Config.chunk = Config.Chunk_auto);
   Alcotest.(check (option int)) "64-entry plan cache" (Some 64) c.Config.plan_cache;
   Alcotest.(check bool) "no chaos" true (c.Config.faults == Faults.none);
   Alcotest.(check (option int)) "unbounded admission" None c.Config.max_inflight;
@@ -44,14 +43,6 @@ let test_parse_udf_mode () =
     (ok (Config.parse_udf_mode "compiled") = Config.Compiled);
   err "bogus mode" (Config.parse_udf_mode "bogus")
 
-let test_parse_chunk () =
-  Alcotest.(check bool) "auto" true (ok (Config.parse_chunk "auto") = Config.Chunk_auto);
-  Alcotest.(check bool) "fixed" true
-    (ok (Config.parse_chunk "64") = Config.Chunk_fixed 64);
-  err "zero rows" (Config.parse_chunk "0");
-  err "negative" (Config.parse_chunk "-3");
-  err "garbage" (Config.parse_chunk "12x")
-
 let test_parse_plan_cache () =
   Alcotest.(check (option int)) "off" None (ok (Config.parse_plan_cache "off"));
   Alcotest.(check (option int)) "zero disables" None (ok (Config.parse_plan_cache "0"));
@@ -62,12 +53,11 @@ let test_parse_plan_cache () =
 let test_of_cli_happy () =
   let c =
     ok
-      (Config.of_cli ~udf_mode:"interp" ~chunk:"32" ~chaos_seed:7
+      (Config.of_cli ~udf_mode:"interp" ~chaos_seed:7
          ~chaos_rates:"task=0.1" ~checkpoint_every:2 ~mem_per_slot:4096.0
          ~spill:true ~max_inflight:3 ~domains:4 ~plan_cache:"off" ())
   in
   Alcotest.(check bool) "udf mode" true (c.Config.udf_mode = Config.Interp);
-  Alcotest.(check bool) "chunk" true (c.Config.chunk = Config.Chunk_fixed 32);
   Alcotest.(check bool) "chaos on" true (c.Config.faults != Faults.none);
   Alcotest.(check (option int)) "checkpoint" (Some 2) c.Config.checkpoint_every;
   Alcotest.(check bool) "mem budget" true (c.Config.mem_budget = Some 4096.0);
@@ -82,7 +72,6 @@ let test_of_cli_defaults () =
 
 let test_of_cli_rejections () =
   err "--udf-mode bogus" (Config.of_cli ~udf_mode:"bogus" ());
-  err "--chunk 0" (Config.of_cli ~chunk:"0" ());
   err "--plan-cache -1" (Config.of_cli ~plan_cache:"-1" ());
   err "--checkpoint-every 0" (Config.of_cli ~checkpoint_every:0 ());
   err "--mem-per-slot -5" (Config.of_cli ~mem_per_slot:(-5.0) ());
@@ -150,8 +139,6 @@ let test_to_json () =
   | Ok j ->
       Alcotest.(check bool) "udf_mode" true
         (Json.member "udf_mode" j = Some (Json.Str "compiled"));
-      Alcotest.(check bool) "chunk" true
-        (Json.member "chunk" j = Some (Json.Str "auto"));
       Alcotest.(check bool) "plan_cache" true
         (Json.member "plan_cache" j = Some (Json.Int 64))
 
@@ -160,7 +147,6 @@ let suite =
       [ Alcotest.test_case "default knobs" `Quick test_default;
         Alcotest.test_case "setters are functional" `Quick test_setters_functional;
         Alcotest.test_case "parse_udf_mode" `Quick test_parse_udf_mode;
-        Alcotest.test_case "parse_chunk" `Quick test_parse_chunk;
         Alcotest.test_case "parse_plan_cache" `Quick test_parse_plan_cache;
         Alcotest.test_case "of_cli accepts the full flag set" `Quick test_of_cli_happy;
         Alcotest.test_case "of_cli with no flags is default" `Quick

@@ -56,7 +56,7 @@ let group_prog =
                    ("b", field (var "g") "key") ])) ]
 
 let run_engine ?(faults = Faults.none) ?checkpoint_every ?timeout_s ?cluster ?pool
-    ?(udf_mode = Engine.Compiled) prog tables =
+    ?(udf_mode = Config.Compiled) prog tables =
   let cluster = match cluster with Some c -> c | None -> Cluster.laptop () in
   let ctx = ctx_with tables in
   let config =
@@ -433,10 +433,10 @@ let test_seeded_loop_loss_bounded () =
 
 let check_mode_parity_under name ?checkpoint_every ~faults prog tables =
   let vi, mi =
-    run_engine ~faults ?checkpoint_every ~udf_mode:Engine.Interp prog tables
+    run_engine ~faults ?checkpoint_every ~udf_mode:Config.Interp prog tables
   in
   let vc, mc =
-    run_engine ~faults ?checkpoint_every ~udf_mode:Engine.Compiled prog tables
+    run_engine ~faults ?checkpoint_every ~udf_mode:Config.Compiled prog tables
   in
   check_value (name ^ ": same value") vi vc;
   Alcotest.(check bool) (name ^ ": cost and recovery metrics bit-identical") true
@@ -459,7 +459,7 @@ let test_compiled_lineage_recompute () =
   let faults = Faults.scripted [ Faults.Exec_loss { barrier = 3; node = 0 } ] in
   check_mode_parity_under "executor loss" ~faults (loop_prog 5) tables;
   let clean, _ = run_engine (loop_prog 5) tables in
-  let v, m = run_engine ~faults ~udf_mode:Engine.Compiled (loop_prog 5) tables in
+  let v, m = run_engine ~faults ~udf_mode:Config.Compiled (loop_prog 5) tables in
   check_value "compiled recomputation is exact" clean v;
   Alcotest.(check bool) "recomputation actually ran" true
     (m.Emma.Metrics.recomputed_partitions > 0)
@@ -474,7 +474,7 @@ let test_compiled_checkpoint_resume () =
     pr_tables;
   let clean, _ = run_engine prog pr_tables in
   let v, m =
-    run_engine ~faults ~checkpoint_every:2 ~udf_mode:Engine.Compiled prog pr_tables
+    run_engine ~faults ~checkpoint_every:2 ~udf_mode:Config.Compiled prog pr_tables
   in
   check_value "compiled resume is exact" clean v;
   Alcotest.(check int) "both restores honoured" 2 m.Emma.Metrics.loop_restores

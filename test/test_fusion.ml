@@ -144,7 +144,7 @@ let test_let_union_not_fused () =
       let config = Emma_engine.Config.(default |> with_udf_mode mode) in
       let r = Emma.run_on_exn ~config (Emma.spark ()) (Emma.parallelize prog) ~tables in
       check_value "engine = native" native r.Emma.value)
-    [ Emma_engine.Exec.Interp; Emma_engine.Exec.Compiled ];
+    [ Emma_engine.Config.Interp; Emma_engine.Config.Compiled ];
   let stats = Fusion.fresh_stats () in
   let _ = Fusion.expr ~stats (Normalize.normalize let_union_query) in
   Alcotest.(check int) "let-bound union not fused" 0 stats.Fusion.fused_folds

@@ -27,11 +27,11 @@ module Pr = Emma_programs
 open Helpers
 
 (* Every barrier with rows dispatches on this cluster (see
-   [Helpers.dispatching_cluster]), so the multi-domain runs below really
-   run on the pool, however small their inputs. *)
+   [Helpers.dispatching]), so the multi-domain runs below really run on
+   the pool, however small their inputs. *)
 let dispatching_rt () =
   Emma.
-    { cluster = Helpers.dispatching_cluster ();
+    { cluster = Helpers.dispatching (Cluster.laptop ());
       profile = Cluster.spark_like;
       timeout_s = None }
 
@@ -39,12 +39,10 @@ let with_pool domains f =
   let pool = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let run_at ?(chunk = Engine.Chunk_auto) ?(faults = Faults.none) ~domains prog tables =
+let run_at ?(faults = Faults.none) ~domains prog tables =
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
-      let config =
-        Config.(default |> with_chunk chunk |> with_faults faults |> with_pool (Some pool))
-      in
+      let config = Config.(default |> with_faults faults |> with_pool (Some pool)) in
       let r = Emma.run_on_exn ~config (dispatching_rt ()) algo ~tables in
       (r.Emma.value, r.Emma.metrics))
 
@@ -162,13 +160,13 @@ let test_udf_tally_exact () =
     [ 2; 4; 8 ]
 
 (* ---------------------------------------------------------------- *)
-(* Zipf skew: stealing + chunking never move results or cost metrics  *)
+(* Zipf skew: stealing never moves results or cost metrics            *)
 (* ---------------------------------------------------------------- *)
 
 (* Zipf(alpha)-distributed keys: partition skew with real teeth — the
    groupBy shuffle concentrates the head key's rows in one partition, and
-   the downstream flatMap/map work over it is what adaptive chunking
-   splits and idle domains steal. *)
+   the downstream flatMap/map work over it is what idle domains steal,
+   a task of whole partitions at a time. *)
 let zipf_rows ~seed ~alpha ~keys ~n =
   let w = Array.init keys (fun k -> (float_of_int (k + 1)) ** -.alpha) in
   let total = Array.fold_left ( +. ) 0.0 w in
@@ -193,7 +191,7 @@ let zipf_rows ~seed ~alpha ~keys ~n =
 (* groupBy the skewed key, then flatMap the group values back out and
    transform them: the flatMap output keeps the groups' partition
    placement, so the map stages downstream run over genuinely skewed
-   partitions (chunked + stolen under the new pool). *)
+   partitions. *)
 let skew_group_prog =
   S.program
     ~ret:S.(sum (map (lam "x" (fun x -> field x "a")) (var "out")))
@@ -206,8 +204,8 @@ let skew_group_prog =
                (lam "g" (fun g -> field g "values"))
                (group_by (lam "x" (fun x -> field x "b")) (read "skewed")))) ]
 
-(* repartition join on the skewed key: both the routing stage (chunked)
-   and the per-partition hash build (never chunked) see the skew *)
+(* repartition join on the skewed key: both the routing stage and the
+   per-partition hash build see the skew *)
 let skew_join_prog =
   S.program
     ~ret:S.(count (var "out") + sum (map (lam "x" (fun x -> field x "a")) (var "out")))
@@ -222,11 +220,6 @@ let skew_join_prog =
                  [ ("a", field (var "x") "a" * field (var "y") "a");
                    ("b", field (var "x") "b") ])) ]
 
-let chunk_specs =
-  [ ("chunk=1", Engine.Chunk_fixed 1);
-    ("chunk=auto", Engine.Chunk_auto);
-    ("chunk=64", Engine.Chunk_fixed 64) ]
-
 let test_skew_differential () =
   let tables =
     [ ("skewed", zipf_rows ~seed:11 ~alpha:1.4 ~keys:24 ~n:600);
@@ -235,54 +228,42 @@ let test_skew_differential () =
   List.iter
     (fun (name, prog) ->
       let native, _ = Emma.run_native (Emma.parallelize prog) ~tables in
-      let v1, m1 = run_at ~chunk:(Engine.Chunk_fixed 1) ~domains:1 prog tables in
+      let v1, m1 = run_at ~domains:1 prog tables in
       check_value (name ^ ": native = engine") native v1;
       List.iter
         (fun d ->
-          List.iter
-            (fun (cname, chunk) ->
-              let v, m = run_at ~chunk ~domains:d prog tables in
-              check_value (Printf.sprintf "%s: value at %d domains, %s" name d cname) v1 v;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: cost metrics at %d domains, %s" name d cname)
-                true
-                (Metrics.cost m1 = Metrics.cost m))
-            chunk_specs)
+          let v, m = run_at ~domains:d prog tables in
+          check_value (Printf.sprintf "%s: value at %d domains" name d) v1 v;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: cost metrics at %d domains" name d)
+            true
+            (Metrics.cost m1 = Metrics.cost m))
         domains_under_test)
     [ ("zipf groupBy", skew_group_prog); ("zipf join", skew_join_prog) ]
 
-(* the deterministic corpus again, this time sweeping the chunk policy:
-   joins/groups/distinct/minus must not notice chunking either *)
-let test_corpus_chunk_invariance () =
+(* the deterministic corpus again, at every domain count under test:
+   joins/groups/distinct/minus must not notice how their barriers are
+   packed into tasks *)
+let test_corpus_packing_invariance () =
   List.iter
     (fun (name, prog) ->
-      let v1, m1 = run_at ~chunk:(Engine.Chunk_fixed 1) ~domains:1 prog corpus_tables in
+      let v1, m1 = run_at ~domains:1 prog corpus_tables in
       List.iter
-        (fun (cname, chunk) ->
-          let v, m = run_at ~chunk ~domains:4 prog corpus_tables in
-          check_value (Printf.sprintf "%s: value under %s" name cname) v1 v;
+        (fun d ->
+          let v, m = run_at ~domains:d prog corpus_tables in
+          check_value (Printf.sprintf "%s: value at %d domains" name d) v1 v;
           Alcotest.(check bool)
-            (Printf.sprintf "%s: cost metrics under %s" name cname)
+            (Printf.sprintf "%s: cost metrics at %d domains" name d)
             true
             (Metrics.cost m1 = Metrics.cost m))
-        chunk_specs)
+        domains_under_test)
     corpus_progs
-
-let prop_random_chunk_sizes =
-  qcheck_case "random fixed chunk sizes: pipelines invariant" ~count:20
-    QCheck2.Gen.(triple (int_range 1 100) Helpers.terminated_pipeline_gen Helpers.rows_gen)
-    (fun (k, e, rows) ->
-      let prog = S.program ~ret:e [] in
-      let tables = [ ("rows", rows) ] in
-      let v1, m1 = run_at ~chunk:(Engine.Chunk_fixed 1) ~domains:1 prog tables in
-      let v, m = run_at ~chunk:(Engine.Chunk_fixed k) ~domains:4 prog tables in
-      Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
 
 (* the new scheduling counters are part of the report surface: rendered
    rows and JSON both carry them, and Metrics.cost zeroes them *)
 let test_steal_counters_reported () =
   let _, m =
-    run_at ~chunk:Engine.Chunk_auto ~domains:4 skew_group_prog
+    run_at ~domains:4 skew_group_prog
       [ ("skewed", zipf_rows ~seed:3 ~alpha:1.2 ~keys:16 ~n:200) ]
   in
   let rows = Metrics.to_rows m in
@@ -299,19 +280,19 @@ let test_steal_counters_reported () =
   | _ -> Alcotest.fail "Metrics.to_json is not an object"
 
 let prop_skew_alpha =
-  qcheck_case "random Zipf exponents: cost metrics chunk- and domain-invariant"
+  qcheck_case "random Zipf exponents: cost metrics domain-invariant"
     ~count:10
     QCheck2.Gen.(pair (int_range 0 25) (int_range 50 300))
     (fun (alpha10, n) ->
       let tables =
         [ ("skewed", zipf_rows ~seed:n ~alpha:(float_of_int alpha10 /. 10.0) ~keys:12 ~n) ]
       in
-      let v1, m1 = run_at ~chunk:(Engine.Chunk_fixed 1) ~domains:1 skew_group_prog tables in
+      let v1, m1 = run_at ~domains:1 skew_group_prog tables in
       List.for_all
-        (fun (d, chunk) ->
-          let v, m = run_at ~chunk ~domains:d skew_group_prog tables in
+        (fun d ->
+          let v, m = run_at ~domains:d skew_group_prog tables in
           Value.equal v1 v && Metrics.cost m1 = Metrics.cost m)
-        [ (2, Engine.Chunk_fixed 3); (8, Engine.Chunk_auto); (8, Engine.Chunk_fixed 64) ])
+        domains_under_test)
 
 (* ---------------------------------------------------------------- *)
 (* TPC-H determinism: 20 repeated parallel runs, byte-identical        *)
@@ -356,8 +337,7 @@ let test_q3_determinism () =
     (Pr.Tpch_q3.program Pr.Tpch_q3.default_params)
     [ ("lineitem", lineitem); ("orders", orders); ("customer", customer) ]
 
-(* the hard case from the issue: 8 oversubscribed domains stealing chunks
-   WHILE a seeded chaos plan injects retries/stragglers/speculation — the
+(* the hard case: 8 oversubscribed domains stealing tasks WHILE a seeded chaos plan injects retries/stragglers/speculation — the
    fault draws are keyed on logical stage/partition ids, so recovery and
    results must replay byte-identically under any steal schedule *)
 let test_q1_determinism_chaos_stealing () =
@@ -393,9 +373,9 @@ let loop_prog iters =
 
 let fault_tables = [ ("t", List.init 20 (fun i -> Helpers.row i (i mod 3))) ]
 
-let run_faulty ?chunk ~domains ~cache_loss_at =
+let run_faulty ~domains ~cache_loss_at =
   let faults = Faults.scripted (List.map (fun k -> Faults.Cache_loss k) cache_loss_at) in
-  run_at ?chunk ~faults ~domains
+  run_at ~faults ~domains
 
 let test_faults_domain_independent () =
   List.iter
@@ -418,28 +398,24 @@ let test_faults_domain_independent () =
         [ 2; 4 ])
     [ []; [ 1 ]; [ 2; 4 ]; List.init 50 (fun i -> i + 1) ]
 
-(* injected faults key on the LOGICAL partition count, never chunk count:
-   a fault plan must replay identically under every chunk policy *)
-let test_faults_chunk_independent () =
+(* injected faults key on the LOGICAL partition count, never the task
+   count: a fault plan must replay identically however the barriers are
+   packed *)
+let test_faults_packing_independent () =
   let losses = [ 1; 3 ] in
-  let v1, m1 =
-    run_faulty ~chunk:(Engine.Chunk_fixed 1) ~domains:1 ~cache_loss_at:losses
-      (loop_prog 5) fault_tables
-  in
+  let v1, m1 = run_faulty ~domains:1 ~cache_loss_at:losses (loop_prog 5) fault_tables in
   List.iter
-    (fun (cname, chunk) ->
-      let v, m = run_faulty ~chunk ~domains:8 ~cache_loss_at:losses (loop_prog 5) fault_tables in
-      check_value (Printf.sprintf "value under %s" cname) v1 v;
+    (fun d ->
+      let v, m = run_faulty ~domains:d ~cache_loss_at:losses (loop_prog 5) fault_tables in
+      check_value (Printf.sprintf "value at %d domains" d) v1 v;
       Alcotest.(check int)
-        (Printf.sprintf "cache losses under %s" cname)
+        (Printf.sprintf "cache losses at %d domains" d)
         m1.Metrics.cache_losses m.Metrics.cache_losses;
       Alcotest.(check bool)
-        (Printf.sprintf "cost metrics under %s" cname)
+        (Printf.sprintf "cost metrics at %d domains" d)
         true
         (Metrics.cost m1 = Metrics.cost m))
-    [ ("chunk=1", Engine.Chunk_fixed 1);
-      ("chunk=auto", Engine.Chunk_auto);
-      ("chunk=64", Engine.Chunk_fixed 64) ]
+    domains_under_test
 
 let prop_faults_parallel =
   qcheck_case "random fault schedules: recovery independent of domain count" ~count:15
@@ -480,16 +456,16 @@ let paper_rt () =
   Emma.
     { cluster = Cluster.paper_cluster (); profile = Cluster.spark_like; timeout_s = None }
 
-let run_outcome ?(chunk = Engine.Chunk_auto) ~domains prog tables =
+let run_outcome ?(rt = paper_rt ()) ~domains prog tables =
   with_pool domains (fun pool ->
-      let config = Config.(default |> with_chunk chunk |> with_pool (Some pool)) in
-      Emma.run_on ~config (paper_rt ()) (Emma.parallelize prog) ~tables)
+      let config = Config.(default |> with_pool (Some pool)) in
+      Emma.run_on ~config rt (Emma.parallelize prog) ~tables)
 
 let finished = function
   | Emma.Finished r -> (r.Emma.value, r.Emma.metrics)
   | _ -> Alcotest.fail "run did not finish"
 
-(* Under [Chunk_auto] a stage below [Exec.inline_work_s] never reaches the
+(* A stage below [Exec.inline_work_s] never reaches the
    pool, and a larger one becomes at most [chunk_oversub] tasks per
    domain; either way values and every cost field equal a one-domain
    run. *)
@@ -534,11 +510,11 @@ let test_read_barrier_counted () =
     (m2.Metrics.par_tasks > 1 && m2.Metrics.par_tasks <= Engine.chunk_oversub * 2)
 
 (* A UDF that fails on two rows, in partitions 5 and 200 of 320 (rows are
-   dealt round-robin): every domain count and chunk policy must report
-   partition 5's failure, the first in sequential order, whether the
-   failing rows land in different tasks or (at 3000 rows per task, for
-   the map) in one. Both a chunked barrier (the bag-valued map) and a
-   whole-partition one (the fold) are covered. *)
+   dealt round-robin): every domain count must report partition 5's
+   failure, the first in sequential order, whether the failing rows land
+   in different tasks or (inline, on one domain) in one. The paper cluster
+   is made to dispatch every barrier, and both a bag-valued map and a
+   fold are covered. *)
 let test_exception_order_packed () =
   let udf =
     S.(
@@ -554,8 +530,9 @@ let test_exception_order_packed () =
     [ ("map", S.program ~ret:S.(map udf (read "rows")) []);
       ("fold", S.program ~ret:S.(sum (map udf (read "rows"))) []) ]
   in
-  let reason ?chunk ~domains prog bad =
-    match run_outcome ?chunk ~domains prog [ ("rows", rows bad) ] with
+  let rt = { (paper_rt ()) with Emma.cluster = Helpers.dispatching (Cluster.paper_cluster ()) } in
+  let reason ~domains prog bad =
+    match run_outcome ~rt ~domains prog [ ("rows", rows bad) ] with
     | exception Value.Type_error reason -> reason
     | Emma.Failed { reason; _ } -> reason
     | _ -> Alcotest.fail "expected the run to fail"
@@ -566,15 +543,10 @@ let test_exception_order_packed () =
       Alcotest.(check bool) (name ^ ": the two failures differ") true (first <> second);
       List.iter
         (fun d ->
-          List.iter
-            (fun (cname, chunk) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s at %d domains, %s" name d cname)
-                first
-                (reason ~chunk ~domains:d prog [ 5; 200 ]))
-            [ ("chunk=auto", Engine.Chunk_auto);
-              ("chunk=1", Engine.Chunk_fixed 1);
-              ("chunk=3000", Engine.Chunk_fixed 3000) ])
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d domains" name d)
+            first
+            (reason ~domains:d prog [ 5; 200 ]))
         domains_under_test)
     progs
 
@@ -584,11 +556,10 @@ let suite =
         Alcotest.test_case "corpus: joins/groups domain-invariant" `Quick
           test_corpus_domain_invariance;
         Alcotest.test_case "udf tally exact across domains" `Quick test_udf_tally_exact;
-        Alcotest.test_case "zipf skew: groupBy/join invariant across domains x chunks"
-          `Quick test_skew_differential;
-        Alcotest.test_case "corpus: joins/groups chunk-invariant" `Quick
-          test_corpus_chunk_invariance;
-        prop_random_chunk_sizes;
+        Alcotest.test_case "zipf skew: groupBy/join invariant across domains" `Quick
+          test_skew_differential;
+        Alcotest.test_case "corpus: joins/groups cost-invariant on the dispatching cluster"
+          `Quick test_corpus_packing_invariance;
         Alcotest.test_case "steal/chunk counters in report surface" `Quick
           test_steal_counters_reported;
         prop_skew_alpha;
@@ -602,8 +573,8 @@ let suite =
           test_q3_determinism_chaos_stealing;
         Alcotest.test_case "fault recovery domain-independent" `Quick
           test_faults_domain_independent;
-        Alcotest.test_case "fault recovery chunk-independent" `Quick
-          test_faults_chunk_independent;
+        Alcotest.test_case "fault recovery packing-independent" `Quick
+          test_faults_packing_independent;
         prop_faults_parallel;
         Alcotest.test_case "split PRNG streams on workers" `Quick
           test_split_streams_parallel_deterministic;
