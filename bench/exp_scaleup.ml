@@ -452,8 +452,6 @@ let run () =
        skew_results);
 
   (* -------- pool-level unchunked-vs-chunked pin -------- *)
-  (* The pool alone, no engine: on a 2-core host the two granularities
-     tie, which is why the engine keeps one task per whole partition. *)
   Exp_common.section
     (Printf.sprintf
        "E9c: chunked vs one task per partition on the stealing pool (Zipf \
