@@ -311,11 +311,11 @@ let suite =
           test_tight_deadline_exits_3;
         Alcotest.test_case "conflicting timeouts exit 2" `Quick
           test_conflicting_timeouts_exit_2;
-        Alcotest.test_case "serve --timeout 7 runs" `Quick
-          test_serve_timeout_accepted;
         Alcotest.test_case "run --ops-trace lines" `Quick test_ops_trace_lines;
         Alcotest.test_case "run == in-process run_on" `Quick
           test_run_matches_run_on;
+        Alcotest.test_case "serve --timeout 7 runs" `Quick
+          test_serve_timeout_accepted;
         Alcotest.test_case "bad wal flags exit 2" `Quick
           test_bad_wal_flags_exit_2;
         Alcotest.test_case "wal then recover exits 0" `Quick
