@@ -287,6 +287,55 @@ let test_random_durations_preserve_order =
           = Array.init (Array.length work) (fun i -> i * 1000))
         adversarial_domains)
 
+(* Three domains outside the pool submit to one shared pool at once, so
+   external submitters' batches interleave: each must get back exactly its
+   own batch's results, or its own lowest failing index, as a sequential
+   [Array.map] would. Batches are 0-40 tasks; every fourth fans out an
+   inner batch per task and every third raises, some of them inside an
+   inner batch. *)
+let test_concurrent_external_submitters () =
+  with_pool 4 (fun p ->
+      let submitter d () =
+        let rng = Random.State.make [| d |] in
+        let mismatches = ref [] in
+        for round = 1 to 200 do
+          let n = Random.State.int rng 41 in
+          let fails =
+            if round mod 3 = 0 then
+              [ Random.State.int rng (n + 1); Random.State.int rng (n + 1) ]
+            else []
+          in
+          let nested = round mod 4 = 0 in
+          let f i =
+            let fail = List.mem i fails in
+            if fail && not nested then (spin (i mod 7); raise (Boom i));
+            let inner =
+              if nested then
+                Array.fold_left ( + ) 0
+                  (Pool.parmap p
+                     (fun j -> if fail && j = 2 then raise (Boom (1000 + i)) else i * j)
+                     (ints 5))
+              else 0
+            in
+            (d * 100_000) + (round * 100) + i + inner
+          in
+          let run map =
+            match map f (ints n) with
+            | rs -> `Ok (Array.to_list rs)
+            | exception Boom i -> `Boom i
+          in
+          if run Array.map <> run (Pool.parmap p) then mismatches := round :: !mismatches
+        done;
+        List.rev !mismatches
+      in
+      let submitters = List.init 3 (fun d -> Domain.spawn (submitter d)) in
+      List.iteri
+        (fun d mismatches ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "submitter %d: rounds that differ from Array.map" d)
+            [] mismatches)
+        (List.map Domain.join submitters))
+
 (* The victim-order seed steers who steals what — it must never steer
    results or exception choice. *)
 let seeded_at =
@@ -362,13 +411,14 @@ let test_thousand_tiny_batches () =
       Alcotest.failf "round %d corrupted" round
   done
 
-(* Every task of every batch is counted exactly once, stolen or not. *)
+(* Every task of a batch runs exactly once: none is lost, none runs
+   twice. *)
 let test_tasks_counted_once () =
   let p = pool_at 8 in
-  let before = (Pool.stats p).Pool.tasks_run in
-  ignore (Pool.parmap p (fun i -> spin (i mod 11); i) (ints 64));
-  let after = (Pool.stats p).Pool.tasks_run in
-  Alcotest.(check int) "64 tasks claimed exactly once" 64 (after - before)
+  let calls = Array.init 64 (fun _ -> Atomic.make 0) in
+  ignore (Pool.parmap p (fun i -> Atomic.incr calls.(i); spin (i mod 11); i) (ints 64));
+  Alcotest.(check (array int)) "each of 64 tasks ran exactly once" (Array.make 64 1)
+    (Array.map Atomic.get calls)
 
 (* Steal statistics are cumulative and non-negative — the cursor the
    engine diffs against (Exec.account_steals) depends on monotonicity. *)
@@ -449,6 +499,8 @@ let suite =
         test_differential_vs_sequential;
         test_differential_vs_sequential_8;
         test_random_durations_preserve_order;
+        Alcotest.test_case "concurrent external submitters" `Quick
+          test_concurrent_external_submitters;
         test_seed_invisible;
         Alcotest.test_case "exception in stolen chunk" `Quick
           test_exception_in_stolen_chunk;
