@@ -11,12 +11,12 @@
      udf_invocations) is bit-identical across domain counts — parallelism
      changes only wall_time_s and the par_* counters.
 
-   Two skew sections give the work-stealing scheduler something to win
+   Two skew sections give the pool's load balancing something to win
    (tune with --skew ALPHA, the Zipf exponent):
    - a Zipf-keyed groupBy pipeline whose shuffle produces partitions as
      skewed as the key distribution, run at every domain count;
-   - a pool-level microbench of the same Zipf-skewed batch on the
-     work-stealing pool, once at one task per partition (the head
+   - a pool-level microbench of the same Zipf-skewed batch on the pool,
+     once at one task per partition (the head
      partition pins a domain) and once with row-chunked tasks, pinned in
      BENCH_steal.json: the chunked 8-domain speedup must not fall below
      the unchunked one. It measures the pool alone; the engine runs one
@@ -135,7 +135,7 @@ let skew_program =
                  (S.group_by (S.lam "x" (fun x -> S.field x "k")) (S.read "skewed"))))) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool-level steal microbench                                          *)
+(* Pool-level task-granularity microbench                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Zipf-proportional partition sizes over [total] rows (each >= 1). *)
@@ -166,7 +166,7 @@ let run_rows (lo, rows) =
 let steal_reps = 3
 let steal_parts = 32
 let steal_rows = 60_000
-let steal_grain = 512  (* rows per chunk task on the stealing pool *)
+let steal_grain = 512  (* rows per chunk task *)
 
 (* (offset, rows) task arrays: one per partition, and one per <= grain-row
    chunk. *)
@@ -398,15 +398,14 @@ let run () =
   Emma_util.Tbl.print
     ~title:"wall-clock scale-up (cost model bit-identical at every row)"
     ~header:
-      [ "domains"; "wall clock"; "speedup"; "sim time"; "par tasks"; "steals" ]
+      [ "domains"; "wall clock"; "speedup"; "sim time"; "par tasks" ]
     (List.map
        (fun (d, _, m) ->
          [ string_of_int d;
            Printf.sprintf "%.3f s" m.Metrics.wall_time_s;
            Printf.sprintf "%.2fx" (base_wall /. m.Metrics.wall_time_s);
            Printf.sprintf "%.1f s" m.Metrics.sim_time_s;
-           string_of_int m.Metrics.par_tasks;
-           string_of_int m.Metrics.par_steals ])
+           string_of_int m.Metrics.par_tasks ])
        results);
   print_endline
     "(speedups are real parallelism: expect ~min(domains, cores) on a multicore host,\n\
@@ -415,7 +414,8 @@ let run () =
   (* -------- Zipf-skewed engine pipeline -------- *)
   Exp_common.section
     (Printf.sprintf
-       "E9b: Zipf-skewed groupBy pipeline (alpha = %.2f) — stealing vs skew" alpha);
+       "E9b: Zipf-skewed groupBy pipeline (alpha = %.2f) — whole-partition tasks vs skew"
+       alpha);
   let skew_algo = Emma.parallelize skew_program in
   let skew_tables = [ ("skewed", gen_skew_rows ~seed:7 ~alpha) ] in
   let skew_results =
@@ -440,21 +440,19 @@ let run () =
   in
   Emma_util.Tbl.print
     ~title:"skewed scale-up (cost model bit-identical at every row)"
-    ~header:[ "domains"; "wall clock"; "speedup"; "par tasks"; "steals"; "misses" ]
+    ~header:[ "domains"; "wall clock"; "speedup"; "par tasks" ]
     (List.map
        (fun (d, _, m) ->
          [ string_of_int d;
            Printf.sprintf "%.3f s" m.Metrics.wall_time_s;
            Printf.sprintf "%.2fx" (skew_base /. m.Metrics.wall_time_s);
-           string_of_int m.Metrics.par_tasks;
-           string_of_int m.Metrics.par_steals;
-           string_of_int m.Metrics.par_steal_misses ])
+           string_of_int m.Metrics.par_tasks ])
        skew_results);
 
   (* -------- pool-level unchunked-vs-chunked pin -------- *)
   Exp_common.section
     (Printf.sprintf
-       "E9c: chunked vs one task per partition on the stealing pool (Zipf \
+       "E9c: chunked vs one task per partition on the pool (Zipf \
         alpha = %.2f, %d rows, %d partitions, %d-row chunks)"
        alpha steal_rows steal_parts steal_grain);
   let uw1, uw8, ww1, ww8 = bench_steal ~alpha in
@@ -506,7 +504,7 @@ let run () =
   let json =
     Json.Obj
       [ ("experiment", Json.Str "steal");
-        ("bench", Json.Str "E9c Zipf-skewed batch, unchunked vs chunked work-stealing pool");
+        ("bench", Json.Str "E9c Zipf-skewed batch, unchunked vs chunked tasks on the pool");
         ("zipf_alpha", Json.Float alpha);
         ("rows", Json.Int steal_rows);
         ("partitions", Json.Int steal_parts);
@@ -521,7 +519,6 @@ let run () =
         ("slack", Json.Float slack);
         ("target_met", Json.Bool passed);
         ("engine_skew_par_tasks", Json.Int sm8.Metrics.par_tasks);
-        ("engine_skew_par_steals", Json.Int sm8.Metrics.par_steals);
         ("cost_model_bit_identical", Json.Bool true) ]
   in
   let path = "BENCH_steal.json" in

@@ -58,10 +58,6 @@ type t = {
   pool : Pool.t;
       (* domain pool running per-partition operator work; shuffles, cost
          charging and the driver stay on the coordinator domain *)
-  mutable steal_seen : Pool.stats;
-      (* pool steal counters at the last accounted barrier; diffed into
-         par_steals/par_steal_misses after each barrier (the pool may be
-         shared, so only deltas are attributable to this engine) *)
   timeout_s : float option;
   deadline_s : float option;
       (* per-query latency budget on the same simulated clock: exceeding
@@ -159,7 +155,6 @@ let create ?(config = Config.default) ?(read_memo = read_memo ()) ~cluster ~prof
     metrics = Metrics.create ();
     eval_ctx;
     pool;
-    steal_seen = Pool.stats pool;
     timeout_s = config.Config.timeout_s;
     deadline_s = config.Config.deadline_s;
     job_depth = 0;
@@ -454,7 +449,7 @@ let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
    simulated seconds: exactly what [charge_local_cpu] prices for the whole
    stage. A stage below [inline_work_s] runs inline on the calling domain,
    as on a one-domain pool: the sleeping workers are not woken and no task
-   is scattered. A stage above it is packed into about [chunk_oversub]
+   is scattered. A stage above it is packed into about [tasks_per_domain]
    tasks per domain, each covering a contiguous range of whole partitions;
    a partition is never split, as on the paper's backends, which run one
    task per partition.
@@ -466,10 +461,10 @@ let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
    and outputs are reassembled in partition order. Nothing here reads the
    tracer, so par_stages and par_tasks are the same traced or not. *)
 
-(* With more tasks than domains, late-arriving steals keep everyone busy
-   until the tail; 4x oversubscription is plenty before per-task overhead
-   shows. *)
-let chunk_oversub = 4
+(* With more tasks than domains, a domain that finishes its ranges early
+   claims more from the batch, so all stay busy until the tail; 4 tasks
+   per domain is plenty before per-task overhead shows. *)
+let tasks_per_domain = 4
 
 (* Inline threshold, in simulated seconds of stage work: the measured
    1-vs-2-domain crossover on a 2-core host (E9d in EXPERIMENTS.md). From
@@ -493,7 +488,7 @@ let pooled t pd = Pool.size t.pool > 1 && dispatches (stage_work t.cluster pd)
 let pooled2 t a b =
   Pool.size t.pool > 1 && dispatches (stage_work t.cluster a +. stage_work t.cluster b)
 
-let barrier_tasks t = Pool.size t.pool * chunk_oversub
+let barrier_tasks t = Pool.size t.pool * tasks_per_domain
 
 (* [pooled] for a driver row list about to be partitioned at [scale]:
    before its stats pass, only the estimate's record term is known. *)
@@ -686,24 +681,6 @@ let add_udf_count t n =
 
 let bump_udf t = add_udf_count t 1
 
-(* Fold the pool's steal counters into the metrics after a barrier, as the
-   delta since the last accounted barrier. Purely observational — like
-   [wall_time_s], the par_* counters are scheduling-dependent and excluded
-   from the bit-identical cost-model invariant. *)
-let account_steals t =
-  let s = Pool.stats t.pool in
-  let steals = s.Pool.steals - t.steal_seen.Pool.steals in
-  let misses = s.Pool.steal_misses - t.steal_seen.Pool.steal_misses in
-  if steals <> 0 || misses <> 0 then begin
-    t.metrics.Metrics.par_steals <- t.metrics.Metrics.par_steals + max 0 steals;
-    t.metrics.Metrics.par_steal_misses <-
-      t.metrics.Metrics.par_steal_misses + max 0 misses;
-    t.steal_seen <- s;
-    if steals > 0 && Trace.enabled t.tracer then
-      Trace.instant t.tracer ~cat:"sched" "steal"
-        ~args:[ ("steals", Trace.A_int steals); ("misses", Trace.A_int misses) ]
-  end
-
 (* Host words on a one-domain pool: a traced span's body runs as
    [measured inner f x], which leaves in [inner] the words [f x]
    allocated; [add_trace_words t w0 inner] then adds to [t.trace_words]
@@ -757,7 +734,6 @@ let dispatch t ntasks (task : int -> 'a) : 'a array =
         run_barrier
     else run_barrier ()
   in
-  account_steals t;
   Array.map
     (fun (r, c) ->
       add_udf_count t c;
@@ -1551,7 +1527,7 @@ and exec_join t env ~kind ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
         charge_broadcast t (Pdata.logical_bytes small);
         (* the broadcast build side's hash index lives on every slot; it
            must fit one slot's budget *)
-        reserve_memory t ~op:"join" ~needs:[| Pdata.logical_bytes small |];
+        reserve_memory t ~op:(Plan.join_name kind) ~needs:[| Pdata.logical_bytes small |];
         let index = join_index ~size:1024 small_fn (Pdata.to_list small) in
         charge_local_cpu t big;
         let out_rmult = Float.max lpd.Pdata.rmult rpd.Pdata.rmult in
@@ -1572,9 +1548,8 @@ and exec_join t env ~kind ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
        co-partitioned inputs) *)
     let l = shuffle_by t lkey lfn lpd in
     let r = shuffle_by t rkey rfn rpd in
-    (* grace-style build: each slot hashes its right partition; the
-       reservation is labelled "join" for the semi-join too *)
-    reserve_memory t ~op:(if kind = Plan.Anti then "antijoin" else "join") ~needs:(part_needs r);
+    (* grace-style build: each slot hashes its right partition *)
+    reserve_memory t ~op:(Plan.join_name kind) ~needs:(part_needs r);
     charge_local_cpu t l;
     charge_local_cpu t r;
     (* partition-local build + probe, whole partitions per task *)

@@ -64,10 +64,10 @@ val inline_work_s : float
     per-row estimate times the physical rows, in simulated seconds — is
     below this runs inline on the calling domain, exactly as on a
     one-domain pool; at or above it the barrier is dispatched as at most
-    [chunk_oversub × domains] tasks, each a contiguous range of whole
+    [tasks_per_domain × domains] tasks, each a contiguous range of whole
     partitions (a partition is never split). *)
 
-val chunk_oversub : int
+val tasks_per_domain : int
 (** Tasks per domain of a dispatched barrier. *)
 
 val stage_work : Cluster.t -> Pdata.t -> float

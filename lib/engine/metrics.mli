@@ -28,10 +28,11 @@ type t = {
           across tasks. Kept, with its report row and JSON key, because
           perfbench reads it for [pool.chunks]; both go together. *)
   mutable par_steals : int;
-      (** pool tasks claimed from another domain's deque during this
-          engine's barriers; scheduling-dependent, like [wall_time_s] *)
-  mutable par_steal_misses : int;
-      (** full claim sweeps that found every deque empty (idle probes) *)
+      (** retired, always 0: the pool has no deques to steal from (every
+          domain claims from a batch's shared next-index counter). Kept,
+          with its report row and JSON key, because perfbench reads it
+          for [pool.steal_ratio]; they go together. *)
+  mutable par_steal_misses : int;  (** retired, always 0, as [par_steals] *)
   mutable retries : int;
       (** failed task attempts injected by the fault plan and re-run
           (each charged backoff + rescheduling) *)

@@ -1,28 +1,28 @@
 (** A fixed pool of worker Domains (OCaml 5 shared-memory parallelism)
-    scheduled by per-domain deques with work stealing.
+    that share batches through claim cursors.
 
-    Each participating domain owns a deque accessed Chase-Lev style — the
-    owner pushes/pops its bottom (LIFO), thieves take the top (FIFO) — and
-    steals from a seeded-deterministic victim order only when its own deque
-    is empty. {!parinit} batches are scattered round-robin across all
-    deques, so the common case is an uncontended local pop; stealing kicks
-    in exactly when work is imbalanced. The scheduling-adversarial test
-    suite checks it against a sequential [Array.map]: same results, and
-    the same exception (that of the lowest failing index).
+    A {!parinit} batch carries an atomic next-index counter: every
+    participating domain claims the next unclaimed index and runs that
+    task, so each task runs exactly once and a domain that finishes early
+    simply claims more. An idle worker takes the newest batch that still
+    has an unclaimed index. The scheduling-adversarial test suite checks
+    the pool against a sequential [Array.map]: same results, and the same
+    exception (that of the lowest failing index).
 
     [create ~domains:n] gives n-way parallelism {e including the caller}:
     n-1 worker Domains are spawned, and the domain calling {!parinit}
     claims and executes tasks alongside them. Nested [parinit] calls are
-    deadlock-free because a batch's submitter can always reach any queued
-    task through its own claim sweep (pop own deque, then steal), and
-    sleeps only when every remaining task of its batch is in flight.
+    deadlock-free because a batch's submitter claims every unclaimed task
+    of its own batch itself, and sleeps only when every remaining task of
+    its batch is in flight on a running domain.
 
     The pool is the machinery behind the engine's multicore execution
     backend: packed ranges of a dataflow operator's partitions are the
     tasks, and the barrier at the end of [parinit] is where the
     coordinator merges per-partition accumulators (the BSP superstep
-    boundary). Scheduling is invisible to the cost model — steal order can
-    move wall time only, never results or charged cost.
+    boundary). Scheduling is invisible to the cost model — which domain
+    runs which task can move wall time only, never results or charged
+    cost.
 
     {b Host granularity.} The pool itself never decides whether a batch is
     worth dispatching; the engine does, per barrier ([Exec], "Host
@@ -33,11 +33,9 @@
 
 type t
 
-val create : ?seed:int -> domains:int -> unit -> t
+val create : domains:int -> unit -> t
 (** Spawns [domains - 1] worker Domains ([domains <= 1] spawns none and
-    makes {!parinit} run inline — the exact sequential execution). [seed]
-    (default 0) keys the per-slot victim permutations, making scheduling
-    traces reproducible; results never depend on it. *)
+    makes {!parinit} run inline — the exact sequential execution). *)
 
 val size : t -> int
 (** The configured degree of parallelism (including the caller). *)
@@ -57,20 +55,6 @@ val parmap : t -> ('a -> 'b) -> 'a array -> 'b array
 val shutdown : t -> unit
 (** Signals every worker to exit and joins them. Idempotent; after
     shutdown, {!parinit} still works but runs inline. *)
-
-(** {1 Scheduler observability} *)
-
-type stats = {
-  steals : int;  (** tasks claimed from another slot's deque *)
-  steal_misses : int;  (** full claim sweeps that found every deque empty *)
-  tasks_run : int;  (** tasks executed through the deques (parallel path) *)
-}
-
-val stats : t -> stats
-(** Monotone counters since [create]. Purely observational: consumers (the
-    engine's [par_steals]/[par_steal_misses] metrics, trace instants) diff
-    snapshots around barriers; nothing in result or cost computation reads
-    them. *)
 
 (** {1 Global default pool}
 

@@ -10,7 +10,7 @@ module S = Emma_lang.Surface
    pool; EMMA_TEST_DOMAINS sets its size (default 2, so every engine test
    also exercises the multicore path; set 1 to force sequential). Requests
    up to 8 are always honored — running 8 domains on fewer cores is exactly
-   the oversubscribed preemption schedule the work-stealing pool must
+   the oversubscribed preemption schedule the domain pool must
    tolerate — and anything above is clamped to the host's recommended
    domain count so a wild value cannot exhaust the runtime's domain limit.
    Results and cost-model metrics are identical at every size — that is

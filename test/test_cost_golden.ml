@@ -159,7 +159,7 @@ let test_join_memory_labels () =
     [ ("inner broadcast", `Inner, Cluster.Force_broadcast, "join");
       ("inner repartition", `Inner, Cluster.Force_repartition, "join");
       ("semi broadcast", `Semi, Cluster.Force_broadcast, "semijoin");
-      ("semi repartition", `Semi, Cluster.Force_repartition, "join");
+      ("semi repartition", `Semi, Cluster.Force_repartition, "semijoin");
       ("anti broadcast", `Anti, Cluster.Force_broadcast, "antijoin");
       ("anti repartition", `Anti, Cluster.Force_repartition, "antijoin") ]
 

@@ -160,12 +160,12 @@ let test_udf_tally_exact () =
     [ 2; 4; 8 ]
 
 (* ---------------------------------------------------------------- *)
-(* Zipf skew: stealing never moves results or cost metrics            *)
+(* Zipf skew: load balancing never moves results or cost metrics      *)
 (* ---------------------------------------------------------------- *)
 
 (* Zipf(alpha)-distributed keys: partition skew with real teeth — the
    groupBy shuffle concentrates the head key's rows in one partition, and
-   the downstream flatMap/map work over it is what idle domains steal,
+   the downstream flatMap/map work over it is what idle domains claim,
    a task of whole partitions at a time. *)
 let zipf_rows ~seed ~alpha ~keys ~n =
   let w = Array.init keys (fun k -> (float_of_int (k + 1)) ** -.alpha) in
@@ -259,9 +259,10 @@ let test_corpus_packing_invariance () =
         domains_under_test)
     corpus_progs
 
-(* the new scheduling counters are part of the report surface: rendered
-   rows and JSON both carry them, and Metrics.cost zeroes them *)
-let test_steal_counters_reported () =
+(* the retired scheduling counters (always 0, read by perfbench) stay on
+   the report surface: rendered rows and JSON both carry them, and
+   Metrics.cost zeroes them *)
+let test_retired_counters_reported () =
   let _, m =
     run_at ~domains:4 skew_group_prog
       [ ("skewed", zipf_rows ~seed:3 ~alpha:1.2 ~keys:16 ~n:200) ]
@@ -337,17 +338,18 @@ let test_q3_determinism () =
     (Pr.Tpch_q3.program Pr.Tpch_q3.default_params)
     [ ("lineitem", lineitem); ("orders", orders); ("customer", customer) ]
 
-(* the hard case: 8 oversubscribed domains stealing tasks WHILE a seeded chaos plan injects retries/stragglers/speculation — the
-   fault draws are keyed on logical stage/partition ids, so recovery and
-   results must replay byte-identically under any steal schedule *)
-let test_q1_determinism_chaos_stealing () =
+(* the hard case: 8 oversubscribed domains claiming tasks WHILE a seeded
+   chaos plan injects retries/stragglers/speculation — the fault draws
+   are keyed on logical stage/partition ids, so recovery and results must
+   replay byte-identically under any claim order *)
+let test_q1_determinism_chaos () =
   let cfg = W.Tpch_gen.of_scale_factor 0.0002 in
   let lineitem = W.Tpch_gen.lineitem ~seed:7 cfg in
   determinism_check ~domains:8 ~faults:(Faults.seeded 21) "TPC-H Q1 + chaos"
     (Pr.Tpch_q1.program Pr.Tpch_q1.default_params)
     [ ("lineitem", lineitem) ]
 
-let test_q3_determinism_chaos_stealing () =
+let test_q3_determinism_chaos () =
   let cfg = W.Tpch_gen.of_scale_factor 0.0003 in
   let lineitem = W.Tpch_gen.lineitem ~seed:7 cfg in
   let orders = W.Tpch_gen.orders ~seed:7 cfg in
@@ -466,7 +468,7 @@ let finished = function
   | _ -> Alcotest.fail "run did not finish"
 
 (* A stage below [Exec.inline_work_s] never reaches the
-   pool, and a larger one becomes at most [chunk_oversub] tasks per
+   pool, and a larger one becomes at most [tasks_per_domain] tasks per
    domain; either way values and every cost field equal a one-domain
    run. *)
 let test_granularity () =
@@ -483,9 +485,9 @@ let test_granularity () =
           Alcotest.(check bool) (at ^ ": some barrier dispatched") true (m.Metrics.par_stages > 0);
           Alcotest.(check bool)
             (Printf.sprintf "%s: %d tasks <= %d barriers x %d x %d" at m.Metrics.par_tasks
-               m.Metrics.par_stages Engine.chunk_oversub d)
+               m.Metrics.par_stages Engine.tasks_per_domain d)
             true
-            (m.Metrics.par_tasks <= m.Metrics.par_stages * Engine.chunk_oversub * d)
+            (m.Metrics.par_tasks <= m.Metrics.par_stages * Engine.tasks_per_domain * d)
         end
         else Alcotest.(check int) (at ^ ": no pool tasks") 0 m.Metrics.par_tasks)
       [ 2; 4; 8 ]
@@ -496,7 +498,7 @@ let test_granularity () =
 (* A [Read] large enough for the pool is partitioned through the same
    packed barrier as the operators, so the par counters see it: on two
    domains the bare read below is one barrier of at most
-   [chunk_oversub × 2] tasks, and nothing on one domain. *)
+   [tasks_per_domain × 2] tasks, and nothing on one domain. *)
 let test_read_barrier_counted () =
   let prog = S.program ~ret:(S.read "rows") [] in
   let tables = [ ("rows", List.init 8000 (fun i -> Helpers.row i (i mod 7))) ] in
@@ -507,7 +509,7 @@ let test_read_barrier_counted () =
   Alcotest.(check int) "one domain: no barrier" 0 m1.Metrics.par_stages;
   Alcotest.(check int) "two domains: the read is one barrier" 1 m2.Metrics.par_stages;
   Alcotest.(check bool) "packed tasks" true
-    (m2.Metrics.par_tasks > 1 && m2.Metrics.par_tasks <= Engine.chunk_oversub * 2)
+    (m2.Metrics.par_tasks > 1 && m2.Metrics.par_tasks <= Engine.tasks_per_domain * 2)
 
 (* A UDF that fails on two rows, in partitions 5 and 200 of 320 (rows are
    dealt round-robin): every domain count must report partition 5's
@@ -561,16 +563,16 @@ let suite =
         Alcotest.test_case "corpus: joins/groups cost-invariant on the dispatching cluster"
           `Quick test_corpus_packing_invariance;
         Alcotest.test_case "steal/chunk counters in report surface" `Quick
-          test_steal_counters_reported;
+          test_retired_counters_reported;
         prop_skew_alpha;
         Alcotest.test_case "TPC-H Q1 20x deterministic under 4 domains" `Quick
           test_q1_determinism;
         Alcotest.test_case "TPC-H Q3 20x deterministic under 4 domains" `Quick
           test_q3_determinism;
         Alcotest.test_case "TPC-H Q1 20x deterministic: 8 domains + chaos" `Quick
-          test_q1_determinism_chaos_stealing;
+          test_q1_determinism_chaos;
         Alcotest.test_case "TPC-H Q3 20x deterministic: 8 domains + chaos" `Quick
-          test_q3_determinism_chaos_stealing;
+          test_q3_determinism_chaos;
         Alcotest.test_case "fault recovery domain-independent" `Quick
           test_faults_domain_independent;
         Alcotest.test_case "fault recovery packing-independent" `Quick

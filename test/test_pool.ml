@@ -2,10 +2,12 @@
    sizes, deterministic exception propagation that leaves the pool
    reusable, idempotent shutdown that joins every domain, and nested
    parmap (which must not deadlock thanks to caller participation) — plus
-   a scheduling-adversarial layer for the work-stealing deques: random
+   a scheduling-adversarial layer for the claim-cursor scheduler: random
    nested-parmap trees with random durations at 1/2/4/8 domains, random
-   failure sets, a stolen-chunk exception case, a 1000-tiny-batch stress,
-   and differential runs against a sequential left-to-right map. *)
+   failure sets, exceptions in tasks the workers claim while the
+   submitter is busy ("stolen" in the test names), concurrent external
+   submitters, a 1000-tiny-batch stress, and differential runs against a
+   sequential left-to-right map. *)
 
 module Pool = Emma_util.Pool
 
@@ -131,8 +133,8 @@ let test_default_pool_switch () =
 (* Scheduling-adversarial suite                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared long-lived pools for the qcheck properties: stealing needs real
-   worker domains, but creating pools per generated input would dominate
+(* Shared long-lived pools for the qcheck properties: interleaving needs
+   real worker domains, but creating pools per generated input would dominate
    the run. Shutdown is idempotent, so at_exit cleanup is safe. *)
 let pool_at =
   let tbl = Hashtbl.create 4 in
@@ -148,7 +150,7 @@ let pool_at =
 let adversarial_domains = [ 1; 2; 4; 8 ]
 
 (* Busy work whose duration the generators randomize: long enough that a
-   worker can be mid-task while its deque is robbed, short enough that
+   worker can be mid-task while others claim the rest, short enough that
    thousands of tasks stay fast. *)
 let spin k =
   for _ = 1 to k * 40 do
@@ -156,9 +158,9 @@ let spin k =
   done
 
 (* Random nested-parmap trees: inner nodes fan out through the pool under
-   test (every level can steal from every other), leaves spin a random
+   test (any domain can claim tasks of any level), leaves spin a random
    duration. The value is a pure function of the tree, so any scheduling
-   divergence — a lost task, a duplicated steal, a misordered result —
+   divergence — a lost task, a task run twice, a misordered result —
    shows up against the sequential reference. *)
 type tree = Leaf of int | Node of tree list
 
@@ -250,7 +252,7 @@ let test_differential_vs_sequential =
       run Array.map = run (Pool.parmap (pool_at 4)))
 
 (* Same property at 8 oversubscribed domains, where preemption makes the
-   steal schedule maximally chaotic. *)
+   claim order maximally chaotic. *)
 let test_differential_vs_sequential_8 =
   Helpers.qcheck_case "work-stealing pool ≡ left-to-right map (8 domains)" ~count:40
     failure_gen (fun (n, fails) ->
@@ -269,7 +271,7 @@ let test_differential_vs_sequential_8 =
       run Array.map = run (Pool.parmap (pool_at 8)))
 
 (* Random durations must never leak into result ORDER: parmap returns by
-   task index, not completion order, whatever got stolen. *)
+   task index, not completion order, whoever claimed what. *)
 let durations_gen =
   QCheck2.Gen.(list_size (int_range 1 64) (int_bound 40))
 
@@ -336,44 +338,14 @@ let test_concurrent_external_submitters () =
             [] mismatches)
         (List.map Domain.join submitters))
 
-(* The victim-order seed steers who steals what — it must never steer
-   results or exception choice. *)
-let seeded_at =
-  let tbl = Hashtbl.create 4 in
-  fun seed ->
-    match Hashtbl.find_opt tbl seed with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~seed ~domains:4 () in
-        Hashtbl.add tbl seed p;
-        at_exit (fun () -> Pool.shutdown p);
-        p
-
-let test_seed_invisible =
-  Helpers.qcheck_case "victim-order seed never affects results" ~count:40
-    failure_gen (fun (n, fails) ->
-      let fails = List.filter (fun (i, _) -> i < n) fails in
-      let f i =
-        match List.assoc_opt i fails with
-        | Some delay ->
-            spin delay;
-            raise (Boom i)
-        | None -> i + 7
-      in
-      let run p = match Pool.parmap p f (ints n) with
-        | rs -> `Ok (Array.to_list rs)
-        | exception Boom i -> `Boom i
-      in
-      let reference = run (seeded_at 100) in
-      List.for_all (fun seed -> run (seeded_at seed) = reference) [ 200; 300 ])
-
-(* A slow first task parks the submitting domain while idle workers steal
-   the tail; a failure in a stolen task must still lose to nothing — the
-   lowest FAILING index wins, however early the steal observed its Boom. *)
+(* A slow first task parks the submitting domain while the workers claim
+   the tail; a failure in a task a worker ran must still lose to nothing —
+   the lowest FAILING index wins, however early a worker observed its
+   Boom. *)
 let test_exception_in_stolen_chunk () =
   let p = pool_at 8 in
   let f i =
-    if i = 0 then spin 2_000 (* pin the submitter: the tail gets stolen *)
+    if i = 0 then spin 2_000 (* pin the submitter: the workers claim the tail *)
     else if i = 5 then (spin 50; raise (Boom 5))
     else if i = 29 then raise (Boom 29);
     i
@@ -385,7 +357,7 @@ let test_exception_in_stolen_chunk () =
     (Array.map succ (ints 64))
     (Pool.parmap p succ (ints 64))
 
-(* Only a stolen-range task fails. *)
+(* Only a task in the tail the workers claim fails. *)
 let test_exception_only_in_tail () =
   let p = pool_at 8 in
   let f i =
@@ -399,9 +371,9 @@ let test_exception_only_in_tail () =
     (Array.map succ (ints 8))
     (Pool.parmap p succ (ints 8))
 
-(* 1000 tiny batches: the wakeup/sleep path (pending counter + broadcast)
-   is exercised far more often than the steady-state steal path; a lost
-   wakeup deadlocks, a stale batch pointer corrupts a later result. *)
+(* 1000 tiny batches: the publish/sleep path (batch list + broadcast) is
+   exercised far more often than the steady-state claim path; a lost
+   wakeup deadlocks, a stale batch corrupts a later result. *)
 let test_thousand_tiny_batches () =
   let p = pool_at 8 in
   for round = 1 to 1000 do
@@ -420,22 +392,6 @@ let test_tasks_counted_once () =
   Alcotest.(check (array int)) "each of 64 tasks ran exactly once" (Array.make 64 1)
     (Array.map Atomic.get calls)
 
-(* Steal statistics are cumulative and non-negative — the cursor the
-   engine diffs against (Exec.account_steals) depends on monotonicity. *)
-let test_stats_monotone () =
-  let p = pool_at 8 in
-  let s0 = Pool.stats p in
-  ignore (Pool.parmap p (fun i -> spin (i mod 13); i) (ints 200));
-  let s1 = Pool.stats p in
-  Alcotest.(check bool) "tasks monotone" true (s1.Pool.tasks_run >= s0.Pool.tasks_run + 200);
-  Alcotest.(check bool) "steals monotone" true (s1.Pool.steals >= s0.Pool.steals);
-  Alcotest.(check bool) "misses monotone" true
-    (s1.Pool.steal_misses >= s0.Pool.steal_misses);
-  ignore (Pool.parmap p Fun.id (ints 10));
-  let s2 = Pool.stats p in
-  Alcotest.(check bool) "still monotone" true
-    (s2.Pool.tasks_run >= s1.Pool.tasks_run + 10 && s2.Pool.steals >= s1.Pool.steals)
-
 (* A big balanced batch: nothing skewed to win, nothing allowed to lose. *)
 let test_large_balanced_batch () =
   let p = pool_at 8 in
@@ -443,7 +399,7 @@ let test_large_balanced_batch () =
     (Array.init 2000 (fun i -> (i * 7) mod 1009))
     (Pool.parmap p (fun i -> (i * 7) mod 1009) (ints 2000))
 
-(* Unboxed float results survive the stealing path too. *)
+(* Unboxed float results survive tasks run on worker domains too. *)
 let test_float_results_stolen () =
   let p = pool_at 8 in
   Alcotest.(check (array (float 1e-9))) "float results under stealing"
@@ -501,7 +457,6 @@ let suite =
         test_random_durations_preserve_order;
         Alcotest.test_case "concurrent external submitters" `Quick
           test_concurrent_external_submitters;
-        test_seed_invisible;
         Alcotest.test_case "exception in stolen chunk" `Quick
           test_exception_in_stolen_chunk;
         Alcotest.test_case "exception only in stolen tail" `Quick
@@ -514,6 +469,5 @@ let suite =
           test_float_results_stolen;
         Alcotest.test_case "tasks counted exactly once" `Quick
           test_tasks_counted_once;
-        Alcotest.test_case "steal stats monotone" `Quick test_stats_monotone;
         Alcotest.test_case "EMMA_TEST_DOMAINS clamped" `Quick
           test_test_domains_clamped ] ) ]
