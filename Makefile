@@ -18,7 +18,7 @@ test-parallel:
 	EMMA_TEST_DOMAINS=4 dune runtest --force
 
 # And pinned to 8 domains: oversubscribed on most hosts, which is exactly
-# the preemption-heavy schedule the work-stealing pool must stay
+# the preemption-heavy schedule the domain pool must stay
 # deterministic under.
 test-parallel8:
 	EMMA_TEST_DOMAINS=8 dune runtest --force
@@ -73,7 +73,7 @@ mem-smoke:
 udf-smoke:
 	dune build @udf-smoke --force
 
-# Short scheduling stress of the work-stealing pool at 8 oversubscribed
+# Short scheduling stress of the domain pool at 8 oversubscribed
 # domains: nested trees, tiny-batch churn, exception storm, differential
 # against a sequential map.
 pool-smoke:

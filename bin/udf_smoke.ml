@@ -5,7 +5,8 @@
    with the staged compiler (`--udf-mode compiled`, the default) — and
    asserts the compilation contract: bit-identical results and
    bit-identical cost-model metrics ([Metrics.cost]), plus equal pool
-   barrier and task counts; only wall clock may differ. Any violation exits non-zero and fails the alias. *)
+   barrier and task counts; only wall clock may differ. Any violation
+   exits non-zero and fails the alias. *)
 
 module Value = Emma.Value
 module Metrics = Emma.Metrics

@@ -448,8 +448,8 @@ let rows_bytes vs = List.fold_left (fun a v -> a + Value.byte_size v) 0 vs
    CPU plus bytes through the UDF throughput) times its physical rows, in
    simulated seconds: exactly what [charge_local_cpu] prices for the whole
    stage. A stage below [inline_work_s] runs inline on the calling domain,
-   as on a one-domain pool: the sleeping workers are not woken and no task
-   is scattered. A stage above it is packed into about [tasks_per_domain]
+   as on a one-domain pool: the sleeping workers are not woken and no batch
+   is published. A stage above it is packed into about [tasks_per_domain]
    tasks per domain, each covering a contiguous range of whole partitions;
    a partition is never split, as on the paper's backends, which run one
    task per partition.

@@ -4,7 +4,7 @@
     fair-share admission scheduler — deficit round-robin over per-tenant
     queues, deterministic tie-break on submission id — dispatches them
     over [max_inflight] service lanes on one shared session (shared
-    work-stealing pool, shared plan cache, per-tenant memory budgets).
+    domain pool, shared plan cache, per-tenant memory budgets).
 
     Serving is a deterministic discrete-event simulation: service time is
     the session's deterministic compile charge plus the engine's
