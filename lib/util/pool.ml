@@ -116,7 +116,7 @@ let parinit t n f =
   (* [Array.init] applies [f] in ascending order, so a failing index
      raises the same (lowest-index) exception the parallel path
      propagates *)
-  if n <= 1 || t.domains <= 1 || t.workers = [] then Array.init n f
+  if n <= 1 || t.workers = [] then Array.init n f
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
