@@ -20,6 +20,16 @@ let rec power_2_above x n =
 let create n = { size = 0; buckets = [||]; initial = power_2_above 16 n }
 let length t = t.size
 
+(* No binding is ever removed, so a table with no bindings has only
+   empty buckets. A grown bucket array is dropped, not cleared: the next
+   insertion makes one of the initial size, as in a fresh table. *)
+let reset t =
+  if t.size > 0 then begin
+    if Array.length t.buckets = t.initial then Array.fill t.buckets 0 t.initial Empty
+    else t.buckets <- [||];
+    t.size <- 0
+  end
+
 (* [compare a b = 0], with the two commonest key shapes decided without
    the polymorphic compare: a different constructor never compares
    equal. *)
@@ -105,6 +115,16 @@ let rec fold_from f b i acc =
   if i = Array.length b then acc else fold_from f b (i + 1) (fold_chain f acc b.(i))
 
 let fold f t init = fold_from f t.buckets 0 init
+
+(* Not tail-recursive: a chain holds about two bindings on average. *)
+let rec fold_chain_rev f acc = function
+  | Empty -> acc
+  | Cons c -> f c.key c.data (fold_chain_rev f acc c.next)
+
+let rec fold_rev_from f b i acc =
+  if i < 0 then acc else fold_rev_from f b (i - 1) (fold_chain_rev f acc b.(i))
+
+let fold_rev f t init = fold_rev_from f t.buckets (Array.length t.buckets - 1) init
 
 let rec iter_chain f = function
   | Empty -> ()

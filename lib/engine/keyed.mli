@@ -19,6 +19,13 @@
     [ref], no [Some]) and hash the key once for the lookup and the
     insertion.
 
+    {b Reuse.} A task that builds one table per partition may build them
+    all in one table, calling {!reset} between partitions: a reset table
+    folds exactly like a fresh [create] of the same size built by the
+    same later calls. The engine's aggBy gives each barrier task one
+    combine table and one reduce table this way, so a task allocates one
+    bucket array, not one per partition.
+
     Adding to a table while folding or iterating over it is unspecified. *)
 
 type 'a t
@@ -29,6 +36,13 @@ val create : int -> 'a t
 
 val length : 'a t -> int
 (** The number of bindings. *)
+
+val reset : 'a t -> unit
+(** Removes every binding. A bucket array of the initial size is kept
+    and cleared; one that grew is dropped, so the next insertion makes
+    one of the initial size. Either way the table then folds exactly like
+    a fresh [create n] (the [n] it was created with) built by the same
+    later calls. *)
 
 val replace : 'a t -> Emma_value.Value.t -> 'a -> unit
 (** [Hashtbl.replace]: overwrite the key and value of the binding of an
@@ -54,6 +68,11 @@ val update_all : ('a -> 'a option) -> 'a t -> 'a list
     [Some v'] in place. Returns the stored values, last visited first. *)
 
 val fold : (Emma_value.Value.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+
+val fold_rev : (Emma_value.Value.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** {!fold} visiting the bindings in the reverse order: consing each one
+    builds a list in {!fold}'s order. *)
+
 val iter : (Emma_value.Value.t -> 'a -> unit) -> 'a t -> unit
 
 val copy : 'a t -> 'a t

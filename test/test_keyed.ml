@@ -147,7 +147,13 @@ let differential ~initial ~pool ~max_ops ~count =
                 keys;
               stdlib_fold h)
            && List.for_all (fun (_, v) -> v = 0) (keyed_fold kt)
-         end)
+         end
+      (* reset (grown or not, depending on the draw), then the same calls
+         again: as a fresh Hashtbl built by them *)
+      &&
+      let ht = Hashtbl.create ~random:false initial in
+      Keyed.reset kt;
+      List.for_all (apply keys kt ht) ops && matches kt ht)
 
 (* Sizes the engine passes today (64 for groupBy and aggBy, a partition's
    length for stateful bags, 16 for changed sets, 1024 for broadcast key
@@ -170,6 +176,44 @@ let test_sizes () =
         [ 1; 3; 9; 17; 40; (8 * buckets) + 7 ])
     [ (0, 16); (5, 16); (16, 16); (17, 32); (64, 64); (1024, 1024) ]
 
+(* A table reset after it grew past two resizes, and one reset without
+   growing, each fold (and fold in reverse) exactly like a fresh Hashtbl
+   built by the same later calls: a first batch of keys, then after the
+   reset a second, overlapping batch. *)
+let test_reset () =
+  List.iter
+    (fun (initial, buckets) ->
+      List.iter
+        (fun (first, second) ->
+          let kt = Keyed.create initial in
+          for i = 0 to first - 1 do
+            Keyed.replace kt (key_of_index i) i
+          done;
+          Keyed.reset kt;
+          let ht = Hashtbl.create ~random:false initial in
+          for i = 0 to second - 1 do
+            let k = key_of_index ((i * 7) mod (first + second)) in
+            Keyed.upsert kt k i ~init:Fun.id ~merge;
+            match Hashtbl.find_opt ht k with
+            | Some r -> r := merge !r i
+            | None -> Hashtbl.add ht k (ref i)
+          done;
+          let name = Printf.sprintf "create %d, %d keys, reset, %d calls" initial first second in
+          Alcotest.(check int) (name ^ ": length") (Hashtbl.length ht) (Keyed.length kt);
+          Alcotest.(check bool) (name ^ ": same order") true (matches kt ht);
+          Alcotest.(check bool)
+            (name ^ ": fold_rev reverses fold")
+            true
+            (same_bindings
+               (Keyed.fold_rev (fun k v acc -> (k, v) :: acc) kt [])
+               (keyed_fold kt)))
+        [ ((8 * buckets) + 7, 40);
+          ((8 * buckets) + 7, (8 * buckets) + 3);
+          (buckets / 2, 40);
+          (buckets / 2, (8 * buckets) + 3);
+          (0, 9) ])
+    [ (16, 16); (64, 64) ]
+
 (* An empty table has no buckets: creating and folding one allocates only
    its three-field header. *)
 let test_empty_allocation () =
@@ -190,6 +234,7 @@ let suite =
   [ ( "keyed",
       [ Alcotest.test_case "initial sizes and resizes" `Quick test_sizes;
         Alcotest.test_case "empty table allocates no buckets" `Quick test_empty_allocation;
+        Alcotest.test_case "reset folds as a fresh table" `Quick test_reset;
         differential ~initial:16 ~pool:300 ~max_ops:400 ~count:100;
         differential ~initial:64 ~pool:1000 ~max_ops:1500 ~count:30;
         differential ~initial:1024 ~pool:12000 ~max_ops:16000 ~count:5 ] ) ]
