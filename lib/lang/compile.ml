@@ -928,6 +928,12 @@ type algebra = {
   step : Value.t -> Value.t -> Value.t;
 }
 
+type owned = {
+  algebra : algebra;
+  merge : Value.t -> Value.t -> Value.t;
+  absorb : Value.t -> Value.t -> Value.t;
+}
+
 (* The fusion rule for [step]: every free occurrence of [b] in [u] is a
    projection [b._i] with [i < n], each [i] occurs exactly once, and each
    occurrence is evaluated exactly once whenever [u] is. A subterm under a
@@ -963,9 +969,10 @@ let fusable st b n u =
 
 (* [union acc (single v)] as one body, when [single] is a tuple literal and
    [union]'s [b] passes [fusable]: [b._i] becomes [single]'s component [i]
-   (the [Cfused] entry), so no intermediate tuple is built. The step's
-   frame holds [acc] in [a]'s slot and the row in [b]'s. *)
-let fused_step ctx base (fns : Expr.fold_fns) =
+   (the [Cfused] entry), so no intermediate tuple is built. [stage] gets
+   the body with its state, scope and the slot of the row: the frame
+   holds [acc] in [a]'s slot 0 and the row in [b]'s. *)
+let fused_step ctx base (fns : Expr.fold_fns) stage =
   match (fns.f_single, fns.f_union) with
   | Lam (x, Tuple cs), Lam (a, Lam (b, u)) ->
       let st = new_state () in
@@ -974,9 +981,80 @@ let fused_step ctx base (fns : Expr.fold_fns) =
         let _, sc = bind (top ctx base st) a in
         let kb, sc = deeper sc in
         let fused = Cfused { b; slot = kb; x; comps = Array.of_list cs } in
-        Some (entry2 st kb (comp { sc with names = fused :: sc.names } u))
+        stage st { sc with names = fused :: sc.names } kb u
       end
   | _ -> None
+
+(* In-place stores, for [fold_fns ~in_place:true]. The body [u] of a
+   union [(a, b) => u] may be stored into its accumulator [a]'s own array
+   when [u] is a tuple literal in which [a] occurs only as [a._i] and
+   never under a lambda (whose closure would read [a] later): then no
+   component's value holds [a]'s array, and every read of [a] is over
+   before the first store. *)
+let storable st a = function
+  | Tuple (_ :: _ as us) ->
+      let rec ok e =
+        match e with
+        | Proj (Var y, _) when String.equal y a -> true
+        | Var y -> not (String.equal y a)
+        | Lam _ -> not (Strset.mem a (info st e).fv)
+        | e ->
+            let r = ref true in
+            ignore
+              (Expr.map_children
+                 (fun c ->
+                   if !r && not (ok c) then r := false;
+                   c)
+                 e);
+            !r
+      in
+      if List.for_all ok us then Some us else None
+  | _ -> None
+
+(* Components [gs.(i) ..] run in order, each value held on the stack
+   until the last has run, then stored into [arr] last to first: a
+   component that raises leaves [arr] untouched. *)
+let rec store_from gs i =
+  if i = Array.length gs then fun _ _ -> ()
+  else
+    let g = gs.(i) and rest = store_from gs (i + 1) in
+    fun fr arr ->
+      let v = g fr in
+      rest fr arr;
+      arr.(i) <- v
+
+(* A tuple body [us] in store form: [fresh a b] stores the components
+   into a new tuple, [into a b] into [a]'s array when [a] has their arity
+   (and is otherwise [fresh]). The frame holds [a] in slot 0 and [b] in
+   slot [kb], as in [entry2]. *)
+let stored st sc kb us =
+  let cs = List.map (comp sc) us in
+  let store = store_from (Array.of_list (List.map vstage cs)) 0 in
+  let n = List.length us in
+  let run =
+    if List.for_all is_static cs then fun arr _ _ -> store no_frame arr
+    else
+      match frame_size st with
+      | 2 when kb = 1 -> fun arr a b -> store [| a; b |] arr
+      | size ->
+          fun arr a b ->
+            let fr = Array.make size a in
+            fr.(kb) <- b;
+            store fr arr
+  in
+  let fresh a b =
+    let arr = Array.make n Value.Unit in
+    run arr a b;
+    Value.Tuple arr
+  in
+  let into a b =
+    match a with
+    | Value.Tuple arr when Array.length arr = n ->
+        run arr a b;
+        a
+    | _ -> fresh a b
+  in
+  (fresh, into)
 
 (* [e] staged and run once, on a frame of its own. *)
 let eager ctx base e =
@@ -984,17 +1062,27 @@ let eager ctx base e =
   let g = stage (comp (top ctx base st) e) in
   g (Array.make (frame_size st) Value.Unit)
 
+(* Emma expressions are pure, and on success a fused body evaluates the
+   same subterms on the same values as [unfused]; on a classified error,
+   re-running [unfused] raises the interpreter's error, in its order. *)
+let or_unfused fused unfused =
+  let step acc v = try fused acc v with e when classified e -> unfused acc v in
+  step
+
+(* Evaluated eagerly, like the engine's interpreted fold runtime; a
+   literal lambda's evaluation cannot fail, so it is staged instead. *)
+let eval_empty ctx base (fns : Expr.fold_fns) = force (eager ctx base fns.f_empty)
+
+let stage_single ctx base (fns : Expr.fold_fns) =
+  match fns.f_single with
+  | Lam (param, s) -> fn ctx base ~param s
+  | f ->
+      let fv = eager ctx base f in
+      fun v -> apply1 fv v
+
 let fold_fns ctx base (fns : Expr.fold_fns) =
-  (* Evaluated eagerly, like the engine's interpreted fold runtime; a
-     literal lambda's evaluation cannot fail, so it is staged instead. *)
-  let empty = force (eager ctx base fns.f_empty) in
-  let single =
-    match fns.f_single with
-    | Lam (param, s) -> fn ctx base ~param s
-    | f ->
-        let fv = eager ctx base f in
-        fun v -> apply1 fv v
-  in
+  let empty = eval_empty ctx base fns in
+  let single = stage_single ctx base fns in
   let union =
     match fns.f_union with
     | Lam (param1, Lam (param2, u)) -> fn2 ctx base ~param1 ~param2 u
@@ -1004,15 +1092,43 @@ let fold_fns ctx base (fns : Expr.fold_fns) =
   in
   let unfused acc v = union acc (single v) in
   let step =
-    match fused_step ctx base fns with
+    match fused_step ctx base fns (fun st sc kb u -> Some (entry2 st kb (comp sc u))) with
     | None -> unfused
-    | Some fused ->
-        (* Emma expressions are pure, and on success the fused body
-           evaluates the same subterms on the same values as [unfused]; on
-           a classified error, re-running [unfused] raises the
-           interpreter's error, in its order. *)
-        fun acc v -> ( try fused acc v with e when classified e -> unfused acc v)
+    | Some fused -> or_unfused fused unfused
   in
   { empty; single; union; step }
+
+let owned_fns ctx base (fns : Expr.fold_fns) =
+  let in_place_union =
+    match fns.f_union with
+    | Lam (param1, Lam (param2, u)) -> (
+        let st = new_state () in
+        match storable st param1 u with
+        | None -> None
+        | Some us ->
+            let _, sc = bind (top ctx base st) param1 in
+            let k2, sc = bind sc param2 in
+            Some (stored st sc k2 us))
+    | _ -> None
+  in
+  match in_place_union with
+  | None ->
+      let algebra = fold_fns ctx base fns in
+      { algebra; merge = algebra.step; absorb = algebra.union }
+  | Some (union, absorb) ->
+      let empty = eval_empty ctx base fns in
+      let single = stage_single ctx base fns in
+      (* every tuple [union] returns is a new one, and so is every one
+         [step] returns: the fused body is the same tuple literal *)
+      let unfused acc v = union acc (single v) in
+      let step, merge =
+        match
+          fused_step ctx base fns (fun st sc kb u ->
+              match u with Tuple us -> Some (stored st sc kb us) | _ -> None)
+        with
+        | None -> (unfused, fun acc v -> absorb acc (single v))
+        | Some (fresh, into) -> (or_unfused fresh unfused, or_unfused into unfused)
+      in
+      { algebra = { empty; single; union; step }; merge; absorb }
 
 let value ctx base e = force (eager ctx base e)

@@ -92,6 +92,39 @@ val fold_fns : Eval.ctx -> Eval.env -> Expr.fold_fns -> algebra
     a classified error, re-runs [union acc (single v)] so the interpreter's
     error is the one raised. Otherwise [step] is [union acc (single v)]. *)
 
+type owned = {
+  algebra : algebra;
+  merge : Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t;
+      (** [merge acc v] is [algebra.step acc v], but may store the result
+          into [acc]'s own array and return [acc]. *)
+  absorb : Emma_value.Value.t -> Emma_value.Value.t -> Emma_value.Value.t;
+      (** [absorb a b] is [algebra.union a b], but may store the result
+          into [a]'s own array and return [a]. *)
+}
+(** A fold algebra whose caller owns its accumulators: aggBy's.
+
+    {b Ownership rule.} [merge] and [absorb] may write into their first
+    argument, so the caller must own it: it was returned by [step],
+    [union], [merge] or [absorb] of this algebra (never [empty]), no one
+    else holds it, and no one will read it again as it was. Every tuple
+    [step] and [union] return is a new one, so [step empty v] is owned by
+    its caller. A classified error leaves the argument untouched. The
+    engine's aggBy keeps each map-side accumulator in one cell of a table
+    private to one partition task, so its combine uses [merge]; its
+    reduce adopts each key's first map-side partial, which no one reads
+    after the shuffle, and [absorb]s the others into it. *)
+
+val owned_fns : Eval.ctx -> Eval.env -> Expr.fold_fns -> owned
+(** [fold_fns], with in-place forms when [union] is
+    [(a, b) => (u_0, ..., u_m-1)] and [a] occurs in it only as [a._i] and
+    never under a lambda. Each body is still staged once, in store form:
+    it computes every component, holding the values, and only then stores
+    them into a new tuple ([union], [step]) or into its first argument's
+    array ([absorb], [merge], which allocate only their frame and the
+    components' values). [merge acc v] is then the fused step stored into
+    [acc], or [absorb acc (single v)] when [step] is not fused. With any
+    other [union], [merge] is [step] and [absorb] is [union]. *)
+
 val value : Eval.ctx -> Eval.env -> Expr.expr -> Emma_value.Value.t
 (** Whole-expression evaluation via staging; observationally equivalent to
     {!Eval.eval_value}. Used by the differential test-suite. *)

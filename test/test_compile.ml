@@ -441,6 +441,56 @@ let qcheck_fold_algebras =
       same interp compiled && same compiled stepped && same fold_i fold_c)
   |> QCheck_alcotest.to_alcotest
 
+(* The same random algebras through aggBy's owned form: the combine's
+   [step] then [merge] per row, and the reduce's [absorb] of one half's
+   partial into the other's, give what the interpreter's [union acc
+   (single v)] gives (value or classified error), and [empty] is never
+   written. *)
+let qcheck_owned_algebras =
+  QCheck2.Test.make ~count:500 ~name:"random fold algebras: owned merge and absorb ≡ interpreted"
+    ~print:(fun (fns, _) -> print_algebra fns)
+    QCheck2.Gen.(pair algebra_gen rows_gen)
+    (fun (fns, rows) ->
+      let ctx = ctx_with (rows_tables rows) in
+      let env = Eval.empty_env in
+      let single = Eval.eval ctx env fns.Expr.f_single in
+      let union = Eval.eval ctx env fns.Expr.f_union in
+      let interp_fold rows =
+        List.fold_left
+          (fun acc v -> Eval.apply2_rv ctx union acc (Eval.apply_rv ctx single v))
+          (Eval.eval_value ctx env fns.Expr.f_empty)
+          rows
+      in
+      let own = Compile.owned_fns ctx env fns in
+      let alg = own.Compile.algebra in
+      let empty_before = Value.tuple [ alg.empty ] in
+      (* the combine's first row goes through [step empty], the others
+         through [merge] *)
+      let combine = function
+        | [] -> alg.empty
+        | v :: rest -> List.fold_left own.merge (alg.step alg.empty v) rest
+      in
+      let n = List.length rows / 2 in
+      let left = List.filteri (fun i _ -> i < n) rows
+      and right = List.filteri (fun i _ -> i >= n) rows in
+      let same a b =
+        match (a, b) with
+        | Val x, Val y -> Value.equal x y
+        | Err x, Err y -> String.equal x y
+        | _ -> false
+      in
+      same (classify (fun () -> interp_fold rows)) (classify (fun () -> combine rows))
+      && (left = [] || right = []
+         || same
+              (classify (fun () ->
+                   let l = interp_fold left in
+                   Eval.apply2_rv ctx union l (interp_fold right)))
+              (classify (fun () ->
+                   let l = combine left in
+                   own.absorb l (combine right))))
+      && Value.equal empty_before (Value.tuple [ alg.empty ]))
+  |> QCheck_alcotest.to_alcotest
+
 (* Rows holding the same fields in different orders: a compiled field
    access must find the right field whichever layout the previous row had. *)
 let test_mixed_field_order () =
@@ -745,6 +795,30 @@ let minor_words_per_call f =
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
+(* Q1's fused aggBy algebra, as fold-group fusion emits it, and a line. *)
+let q1 =
+  let price x = S.field x "extendedPrice" and disc x = S.field x "discount" in
+  { Expr.f_empty = S.tup (List.init 6 (fun _ -> S.int_ 0));
+    f_single =
+      S.lam "x" (fun x ->
+          S.(
+            tup
+              [ price x * (float_ 1.0 - disc x);
+                price x * (float_ 1.0 - disc x) * (float_ 1.0 + field x "tax");
+                disc x;
+                int_ 1;
+                price x;
+                field x "quantity" ]));
+    f_union = S.lam2 "a" "b" (fun a b -> S.tup (List.init 6 (fun i -> S.(proj a i + proj b i))));
+    f_tag = Expr.Tag_generic }
+
+let q1_line =
+  Value.record
+    [ ("orderKey", Value.Int 7); ("quantity", Value.Float 17.0);
+      ("extendedPrice", Value.Float 2104.5); ("discount", Value.Float 0.04);
+      ("tax", Value.Float 0.02); ("returnFlag", Value.String "N");
+      ("lineStatus", Value.String "O"); ("shipDate", Value.Int 9000) ]
+
 let test_allocation_guard () =
   let ctx = ctx_with [] in
   let wide =
@@ -754,32 +828,8 @@ let test_allocation_guard () =
   let get_f = Compile.fn ctx Eval.empty_env ~param:"x" (S.field (S.var "x") "f") in
   check_value "x.f" (Value.Int 42) (get_f wide);
   let field_words = minor_words_per_call (fun () -> get_f wide) in
-  (* Q1's fused aggBy algebra, as fold-group fusion emits it *)
-  let q1 =
-    let price x = S.field x "extendedPrice" and disc x = S.field x "discount" in
-    { Expr.f_empty = S.tup (List.init 6 (fun _ -> S.int_ 0));
-      f_single =
-        S.lam "x" (fun x ->
-            S.(
-              tup
-                [ price x * (float_ 1.0 - disc x);
-                  price x * (float_ 1.0 - disc x) * (float_ 1.0 + field x "tax");
-                  disc x;
-                  int_ 1;
-                  price x;
-                  field x "quantity" ]));
-      f_union =
-        S.lam2 "a" "b" (fun a b -> S.tup (List.init 6 (fun i -> S.(proj a i + proj b i))));
-      f_tag = Expr.Tag_generic }
-  in
   let alg = Compile.fold_fns ctx Eval.empty_env q1 in
-  let line =
-    Value.record
-      [ ("orderKey", Value.Int 7); ("quantity", Value.Float 17.0);
-        ("extendedPrice", Value.Float 2104.5); ("discount", Value.Float 0.04);
-        ("tax", Value.Float 0.02); ("returnFlag", Value.String "N");
-        ("lineStatus", Value.String "O"); ("shipDate", Value.Int 9000) ]
-  in
+  let line = q1_line in
   let acc = alg.Compile.step alg.Compile.empty line in
   check_value "step = union acc (single v)"
     (alg.Compile.union acc (alg.Compile.single line))
@@ -793,6 +843,58 @@ let test_allocation_guard () =
   Alcotest.(check bool)
     (Printf.sprintf "Q1 step allocates %.1f <= 58 words per call" step_words)
     true (step_words <= 58.0)
+
+(* aggBy's owned form of Q1's algebra. [merge] stores into the
+   accumulator it is given and returns it: 49 words per call, its
+   two-slot frame and the boxed results, against the 58 of [step], which
+   also builds the new tuple (a 7-word array and its 2-word box). [absorb] does the same for [union]. A merge whose second
+   component raises leaves the accumulator untouched, and raises the
+   interpreter's error. *)
+let test_owned_merge () =
+  let ctx = ctx_with [] in
+  let own = Compile.owned_fns ctx Eval.empty_env q1 in
+  let alg = own.Compile.algebra in
+  let copy = function Value.Tuple a -> Value.Tuple (Array.copy a) | v -> v in
+  let acc = alg.Compile.step alg.Compile.empty q1_line in
+  let expected = alg.Compile.union (copy acc) (alg.Compile.single q1_line) in
+  let merged = own.Compile.merge acc q1_line in
+  Alcotest.(check bool) "merge returns its accumulator" true (merged == acc);
+  check_value "merge = union acc (single v)" expected merged;
+  let other = alg.Compile.step alg.Compile.empty q1_line in
+  let expected = alg.Compile.union (copy acc) other in
+  let absorbed = own.Compile.absorb acc other in
+  Alcotest.(check bool) "absorb returns its first argument" true (absorbed == acc);
+  check_value "absorb = union" expected absorbed;
+  check_value "empty untouched" (Value.tuple (List.init 6 (fun _ -> Value.Int 0))) alg.Compile.empty;
+  let merge_words = minor_words_per_call (fun () -> own.Compile.merge acc q1_line) in
+  let absorb_words = minor_words_per_call (fun () -> own.Compile.absorb acc other) in
+  Printf.printf "owned Q1: merge %.1f words/call, absorb %.1f words/call\n" merge_words
+    absorb_words;
+  Alcotest.(check bool)
+    (Printf.sprintf "Q1 merge allocates %.1f <= 49 words per call" merge_words)
+    true (merge_words <= 49.0);
+  (* three components, the second raising on [b = 0] *)
+  let fns =
+    { Expr.f_empty = S.(tup [ int_ 0; int_ 0; int_ 0 ]);
+      f_single =
+        S.lam "x" (fun x -> S.tup [ S.field x "a"; S.(field x "a" / field x "b"); S.int_ 1 ]);
+      f_union = S.lam2 "p" "q" (fun p q -> S.tup (List.init 3 (fun i -> S.(proj p i + proj q i))));
+      f_tag = Expr.Tag_generic }
+  in
+  let own = Compile.owned_fns ctx Eval.empty_env fns in
+  let acc = own.Compile.algebra.Compile.step own.Compile.algebra.Compile.empty (row 4 2) in
+  let before = copy acc in
+  let interp =
+    classify (fun () ->
+        let union = Eval.eval ctx Eval.empty_env fns.Expr.f_union in
+        let single = Eval.eval ctx Eval.empty_env fns.Expr.f_single in
+        Eval.apply2_rv ctx union acc (Eval.apply_rv ctx single (row 5 0)))
+  in
+  Alcotest.check outcome_testable "the interpreter's error"
+    (Err "Type_error: div: integer division by zero") interp;
+  Alcotest.check outcome_testable "merge raises it" interp
+    (classify (fun () -> own.Compile.merge acc (row 5 0)));
+  check_value "the accumulator is untouched" before acc
 
 (* PageRank's message UDF, as the compiler emits it: the rank share
    [v._1.rank / to_float(count(v._2.neighbors))] does not depend on the
@@ -861,6 +963,7 @@ let suite =
         Alcotest.test_case "captured curried closure" `Quick test_captured_curried_closure;
         Alcotest.test_case "constructor errors" `Quick test_constructor_errors;
         qcheck_fold_algebras;
+        qcheck_owned_algebras;
         Alcotest.test_case "mixed field order" `Quick test_mixed_field_order;
         Alcotest.test_case "invariant not evaluated" `Quick test_invariant_not_evaluated;
         Alcotest.test_case "invariant shadowed" `Quick test_invariant_shadowed;
@@ -871,5 +974,7 @@ let suite =
           test_invariant_raises_second_call;
         qcheck_comp_udfs;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
+        Alcotest.test_case "owned merge in place" `Quick test_owned_merge;
         Alcotest.test_case "PageRank message allocation" `Quick test_pagerank_message_allocation
       ] ) ]
+
