@@ -698,14 +698,14 @@ let add_trace_words t w0 inner = t.trace_words <- t.trace_words + (minor_words (
 
 (* Partition-task spans run on the emitting worker domain: the span's tid
    IS the domain id, and the args repeat it next to the partition index.
-   The wrapper only observes — never counts or charges. *)
-let task_span t i f x =
+   The wrapper runs [f s i] and only observes — never counts or charges. *)
+let task_span t i f s =
   let w0 = minor_words () in
   let inner = ref 0 in
   let r =
     Trace.span t.tracer ~cat:"task" "task"
       ~args:[ ("partition", Trace.A_int i); ("domain", Trace.A_int (Domain.self () :> int)) ]
-      (measured inner f x)
+      (measured inner (f s) i)
   in
   if Pool.size t.pool <= 1 then add_trace_words t w0 !inner;
   r
@@ -740,16 +740,25 @@ let dispatch t ntasks (task : int -> 'a) : 'a array =
       r)
     rs
 
-(* [f 0 .. f (n-1)] on the pool, packed into at most [barrier_tasks] tasks
-   of contiguous ranges, each run in ascending order; results in order. *)
-let packed t n f =
+(* [f s 0 .. f s (n-1)] on the pool, packed into at most [barrier_tasks]
+   tasks of contiguous ranges, each run in ascending order with its own
+   [s = init ()]; results in order. *)
+let packed t n ~init f =
   let ntasks = min n (barrier_tasks t) in
   let ranges =
     dispatch t ntasks (fun j ->
+        let s = init () in
         let lo = j * n / ntasks in
-        Array.init (((j + 1) * n / ntasks) - lo) (fun i -> f (lo + i)))
+        Array.init (((j + 1) * n / ntasks) - lo) (fun i -> f s (lo + i)))
   in
   Array.concat (Array.to_list ranges)
+
+(* Chaos first, before any inline shortcut: injected barrier faults must
+   be drawn for every barrier whatever the pool size, or fault plans would
+   stop being domain-count invariant. *)
+let start_barrier t n =
+  check_interrupts t;
+  inject_barrier_faults t n
 
 (* Run [f 0 .. f (n-1)], one call per partition, inline or packed on the
    pool as [pooled] decided ([pooled] is [false] on a one-domain pool).
@@ -758,13 +767,19 @@ let packed t n f =
    every other cost field are bit-identical whatever the domain count.
    Exceptions surface deterministically (lowest partition index first). *)
 let par_run t ~pooled n (f : int -> 'a) : 'a array =
-  (* Chaos first, before the inline shortcut below: injected barrier
-     faults must be drawn for every barrier whatever the pool size, or
-     fault plans would stop being domain-count invariant. *)
-  check_interrupts t;
-  inject_barrier_faults t n;
-  let f = if not (Trace.enabled t.tracer) then f else fun i -> task_span t i f i in
-  if n <= 1 || not pooled then Array.init n f else packed t n f
+  start_barrier t n;
+  let f = if not (Trace.enabled t.tracer) then f else fun i -> task_span t i Fun.id f in
+  if n <= 1 || not pooled then Array.init n f else packed t n ~init:ignore (fun () -> f)
+
+(* [par_run] with scratch state private to one task: each task makes one
+   [s = init ()], and so does the calling domain once when the barrier
+   runs inline, and runs [f s i] for each of its partitions in ascending
+   order. [f] may reuse [s] from one partition to the next, but must
+   return nothing that still depends on it. *)
+let par_run_with t ~pooled n ~init (f : 's -> int -> 'a) : 'a array =
+  start_barrier t n;
+  let f = if not (Trace.enabled t.tracer) then f else fun s i -> task_span t i f s in
+  if n <= 1 || not pooled then Array.init n (f (init ())) else packed t n ~init f
 
 (* Round-robin partitioning of driver rows at [scale] (a [Read] or a
    driver bag). A large list is sliced on the pool, one residue class per
@@ -774,7 +789,8 @@ let par_run t ~pooled n (f : int -> 'a) : 'a array =
 let partition_rows t ~scale vs =
   let nparts = dop t in
   if nparts > 1 && vs <> [] && rows_pooled t ~scale vs then
-    Pdata.make ~rmult:scale ~bmult:scale (packed t nparts (Pdata.round_robin ~nparts vs))
+    let slice = Pdata.round_robin ~nparts vs in
+    Pdata.make ~rmult:scale ~bmult:scale (packed t nparts ~init:ignore (fun () -> slice))
   else Pdata.of_list ~rmult:scale ~bmult:scale ~nparts vs
 
 (* DRV → DFL: partition a driver-local bag and charge its bytes. *)
@@ -821,6 +837,18 @@ let par_map_parts ?part_key t f (pd : Pdata.t) : Pdata.t =
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* One aggBy table per task, reset for each of its partitions. *)
+let agg_table () = Keyed.create 64
+
+(* Cons each (key, acc) pair onto the list of the destination its key
+   hashes to. *)
+let rec scatter dests = function
+  | [] -> ()
+  | pair :: rest ->
+      let i = abs (Value.hash (Value.proj pair 0)) mod Array.length dests in
+      dests.(i) <- pair :: dests.(i);
+      scatter dests rest
 
 (* Keyed tables that joins only probe, so their fold order is never seen.
    A broadcast side still gets 1024 buckets whatever its length: sized to
@@ -1071,20 +1099,32 @@ and udf2_fn t env (u : Plan.udf2) : Value.t -> Value.t -> Value.t =
     bump_udf t;
     f a b
 
-(* Runtime form of a fold algebra. *)
+(* Runtime form of a fold algebra, and of aggBy's, whose caller owns its
+   accumulators (see [Compile.owned]). *)
 and fold_runtime t env (fns : Expr.fold_fns) : Compile.algebra =
-  let base, _ =
-    worker_env t env ~params:[] [ fns.Expr.f_empty; fns.Expr.f_single; fns.Expr.f_union ]
-  in
+  let base = fold_env t env fns in
+  match t.udf_mode with
+  | Config.Interp -> interp_algebra t base fns
+  | Config.Compiled -> Compile.fold_fns t.eval_ctx base fns
+
+and owned_runtime t env (fns : Expr.fold_fns) : Compile.owned =
+  let base = fold_env t env fns in
   match t.udf_mode with
   | Config.Interp ->
-      let empty = Eval.eval_value t.eval_ctx base fns.Expr.f_empty in
-      let single_rv = Eval.eval t.eval_ctx base fns.Expr.f_single in
-      let union_rv = Eval.eval t.eval_ctx base fns.Expr.f_union in
-      let single v = Eval.apply_rv t.eval_ctx single_rv v in
-      let union a b = Eval.apply2_rv t.eval_ctx union_rv a b in
-      { Compile.empty; single; union; step = (fun acc v -> union acc (single v)) }
-  | Config.Compiled -> Compile.fold_fns t.eval_ctx base fns
+      let algebra = interp_algebra t base fns in
+      { Compile.algebra; merge = algebra.Compile.step; absorb = algebra.Compile.union }
+  | Config.Compiled -> Compile.owned_fns t.eval_ctx base fns
+
+and fold_env t env (fns : Expr.fold_fns) =
+  fst (worker_env t env ~params:[] [ fns.Expr.f_empty; fns.Expr.f_single; fns.Expr.f_union ])
+
+and interp_algebra t base (fns : Expr.fold_fns) : Compile.algebra =
+  let empty = Eval.eval_value t.eval_ctx base fns.Expr.f_empty in
+  let single_rv = Eval.eval t.eval_ctx base fns.Expr.f_single in
+  let union_rv = Eval.eval t.eval_ctx base fns.Expr.f_union in
+  let single v = Eval.apply_rv t.eval_ctx single_rv v in
+  let union a b = Eval.apply2_rv t.eval_ctx union_rv a b in
+  { Compile.empty; single; union; step = (fun acc v -> union acc (single v)) }
 
 and exec_to_bag t env p =
   match exec_plan t env p with
@@ -1211,7 +1251,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
       charge_stage t;
       charge_local_cpu t pd;
       let keyfn = udf_fn t env key in
-      exec_agg_by t key keyfn (fold_runtime t env fold) pd
+      exec_agg_by t key keyfn (owned_runtime t env fold) pd
   | Plan.Fold (fns, q) ->
       let pd = exec_to_bag t env q in
       charge_stage t;
@@ -1365,7 +1405,8 @@ and exec_plan_inner t env (p : Plan.t) : out =
 (* Shuffle to a hash partitioning by [key] unless already co-partitioned.
    The map side — evaluating the key UDF and routing every element — runs
    per partition on the pool; the scatter itself is coordinator-side list
-   surgery, reproducing [Pdata.repartition]'s layout exactly. *)
+   surgery. Each destination lists its rows source partition by source
+   partition, each source's rows in their order. *)
 and shuffle_by t key keyfn (pd : Pdata.t) : Pdata.t =
   if Pdata.co_partitioned pd key then pd
   else begin
@@ -1427,45 +1468,66 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
   charge_local_cpu t out;
   Obag out
 
-and exec_agg_by t key keyfn { Compile.empty; union; step; _ } (pd : Pdata.t) : out =
-  (* map-side combine: one (key, acc) pair per distinct key per partition *)
+and exec_agg_by t key keyfn (fns : Compile.owned) (pd : Pdata.t) : out =
+  let { Compile.algebra = { empty; step; _ }; merge; absorb } = fns in
+  (* Map-side combine: one (key, acc) pair per distinct key per partition.
+     [first v] is a new accumulator that its table cell owns, so [merge]
+     updates it in place (see [Compile.owned]). Each task folds all its
+     partitions in one table, reset between them. Pairs bound for the
+     shuffle are emitted in reverse fold order, which the scatter below
+     turns back. *)
   let first v = step empty v in
-  let combine part =
-    let h = Keyed.create 64 in
-    List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:first ~merge:step) part;
-    Keyed.fold (fun k acc l -> Value.Tuple [| k; acc |] :: l) h []
+  let co_partitioned = Pdata.co_partitioned pd key in
+  let emit = if co_partitioned then Keyed.fold else Keyed.fold_rev in
+  let combine h i =
+    match pd.Pdata.parts.(i) with
+    | [] -> []
+    | part ->
+        Keyed.reset h;
+        List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:first ~merge) part;
+        emit (fun k acc l -> Value.Tuple [| k; acc |] :: l) h []
   in
   let combined =
     Pdata.make ~rmult:1.0 ~bmult:1.0
-      (par_run t ~pooled:(pooled t pd) (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i)))
+      (par_run_with t ~pooled:(pooled t pd) (Pdata.nparts pd) ~init:agg_table combine)
   in
-  (* the map-side combine hash table: one (key, acc) pair per distinct
-     key per partition *)
+  (* The combined pairs' bytes are read here, before the reduce merges
+     into their accumulators: this forces [combined]'s stats. *)
   reserve_memory t ~op:"aggBy" ~needs:(part_needs combined);
   (* shuffle only the combined aggregates *)
-  let pair_key = Plan.udf_of_expr (Expr.Lam ("p", Expr.Proj (Expr.Var "p", 0))) in
   let shuffled =
-    if Pdata.co_partitioned pd key then
+    if co_partitioned then
       (* input was already partitioned by key: aggregates stay local *)
-      combined
+      combined.Pdata.parts
     else begin
       charge_shuffle t (Pdata.logical_bytes combined);
-      inject_fetch_faults t ~bytes:(Pdata.logical_bytes combined) ~nparts:(max 1 (dop t));
-      Pdata.repartition ~nparts:(dop t) ~key:pair_key (fun p -> Value.proj p 0) combined
+      let nparts = max 1 (dop t) in
+      inject_fetch_faults t ~bytes:(Pdata.logical_bytes combined) ~nparts;
+      (* sources last to first, each in reverse fold order, consed: each
+         destination lists its pairs source by source, in fold order *)
+      let dests = Array.make nparts [] in
+      for src = Pdata.nparts combined - 1 downto 0 do
+        scatter dests combined.Pdata.parts.(src)
+      done;
+      dests
     end
   in
-  (* reduce side: merge partials per key *)
-  let reduce part =
-    let h = Keyed.create 64 in
-    List.iter
-      (fun pair -> Keyed.upsert h (Value.proj pair 0) (Value.proj pair 1) ~init:Fun.id ~merge:union)
-      part;
-    Keyed.fold (fun k acc l -> Value.Record [| ("key", k); ("agg", acc) |] :: l) h []
+  (* reduce side: merge partials per key, in place into the partial
+     adopted first *)
+  let reduce h i =
+    match shuffled.(i) with
+    | [] -> []
+    | part ->
+        Keyed.reset h;
+        List.iter
+          (fun pair ->
+            Keyed.upsert h (Value.proj pair 0) (Value.proj pair 1) ~init:Fun.id ~merge:absorb)
+          part;
+        Keyed.fold (fun k acc l -> Value.Record [| ("key", k); ("agg", acc) |] :: l) h []
   in
   let out =
     Pdata.make ~part_key:(group_key_udf ()) ~rmult:1.0 ~bmult:1.0
-      (par_run t ~pooled:(pooled t combined) (Pdata.nparts shuffled) (fun i ->
-           reduce shuffled.Pdata.parts.(i)))
+      (par_run_with t ~pooled:(pooled t combined) (Array.length shuffled) ~init:agg_table reduce)
   in
   (* the reduce-side merge hash table *)
   reserve_memory t ~op:"aggBy" ~needs:(part_needs out);

@@ -65,15 +65,6 @@ let logical_bytes t = bytes t *. t.bmult
 let part_bytes t = (stats t).part_bytes
 let max_elem_bytes t = (stats t).max_elem_bytes
 
-let repartition ~nparts ~key keyfn t =
-  let parts = Array.make (max 1 nparts) [] in
-  Array.iter
-    (List.iter (fun v ->
-         let i = abs (Value.hash (keyfn v)) mod Array.length parts in
-         parts.(i) <- v :: parts.(i)))
-    t.parts;
-  make ~part_key:key ~rmult:t.rmult ~bmult:t.bmult (Array.map List.rev parts)
-
 let co_partitioned t key =
   match t.part_key with
   | Some k -> Plan.udf_alpha_equal k key

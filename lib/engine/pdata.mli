@@ -98,10 +98,6 @@ val part_bytes : t -> int array
 val max_elem_bytes : t -> int
 (** Physical bytes of the largest element (0 when empty). *)
 
-val repartition : nparts:int -> key:Plan.udf -> (Value.t -> Value.t) -> t -> t
-(** Hash-partitions by the evaluated key and records the partitioning
-    property; multipliers are preserved. *)
-
 val co_partitioned : t -> Plan.udf -> bool
 (** Whether the data is already hash-partitioned by an alpha-equal key. *)
 

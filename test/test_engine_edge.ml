@@ -279,10 +279,14 @@ let own_words ~op prog tables =
       | [] -> Alcotest.failf "no %s stage" op
       | ws -> List.fold_left ( +. ) 0.0 ws)
 
-(* A fused aggBy of 300 rows over 3 keys: the combine side builds a table
-   in each of the ~300 partitions that hold a row, the reduce side only in
-   the 3 that receive a key; 42.6k words in all. Building a 64-bucket
-   table (70 words) in every partition on both sides, with a [ref] and a
+(* A fused aggBy of 300 rows over 3 keys: the combine side folds each of
+   the ~300 partitions that hold a row, the reduce side only the 3 that
+   receive a key; 16.7k words in all, bounded here with a 5% margin. Each
+   task folds its partitions in one reused table, an accumulator is
+   updated in place, and the shuffle conses each pair once. A table per
+   partition, a new accumulator tuple per row and a second
+   cons-and-reverse pass in the shuffle took 42.6k; a 64-bucket table
+   (70 words) in every partition on both sides, with a [ref] and a
    [Some] per hit, took 72.8k. *)
 let test_agg_by_allocation () =
   let prog =
@@ -299,7 +303,39 @@ let test_agg_by_allocation () =
   in
   let w = own_words ~op:"aggBy" prog [ ("t", List.init 300 (fun i -> Helpers.row i (i mod 3))) ] in
   Printf.printf "aggBy over 320 partitions, 300 rows, 3 keys: %.0f words\n" w;
-  Alcotest.(check bool) (Printf.sprintf "aggBy allocates %.0f <= 50000 words" w) true (w <= 50000.0)
+  Alcotest.(check bool) (Printf.sprintf "aggBy allocates %.0f <= 17500 words" w) true (w <= 17500.0)
+
+(* Words per row of a fused three-component aggBy (an int sum, a count
+   and a float sum), at the margin: the aggBy's own words over 6400 rows
+   less those over 3200, per added row. Each partition of the 320 holds
+   rows of one key, so every added row is a combine [merge] into an
+   accumulator that its table cell owns: 17 words, the key UDF's frame
+   (2), the step's (3) and the boxed results (12). Building a new
+   accumulator tuple per row took 23. *)
+let test_agg_by_words_per_row () =
+  let prog =
+    S.program
+      ~ret:
+        S.(
+          for_
+            [ gen "g" (group_by (lam "x" (fun x -> field x "b")) (read "t")) ]
+            ~yield:
+              (let values = field (var "g") "values" in
+               tup
+                 [ field (var "g") "key";
+                   sum (map (lam "x" (fun x -> field x "a")) values);
+                   count values;
+                   sum (map (lam "x" (fun x -> to_float (field x "a"))) values) ]))
+      []
+  in
+  let words n =
+    own_words ~op:"aggBy" prog [ ("t", List.init n (fun i -> Helpers.row i (i mod 4))) ]
+  in
+  let per_row = (words 6400 -. words 3200) /. 3200.0 in
+  Printf.printf "fused three-component aggBy: %.2f words per added row\n" per_row;
+  Alcotest.(check bool)
+    (Printf.sprintf "aggBy allocates %.2f <= 17 words per added row" per_row)
+    true (per_row <= 17.0)
 
 (* Point updates whose messages are all filtered away: every one of the
    320 message partitions is empty, so no partition builds a changed-key
@@ -348,6 +384,7 @@ let suite =
         Alcotest.test_case "execution trace" `Quick test_execution_trace;
         Alcotest.test_case "stateful read snapshot" `Quick test_stateful_read_snapshot;
         Alcotest.test_case "aggBy allocation over 320 partitions" `Quick test_agg_by_allocation;
+        Alcotest.test_case "aggBy words per row" `Quick test_agg_by_words_per_row;
         Alcotest.test_case "no changed set on empty message partitions" `Quick
           test_empty_changed_sets ] )
   ]

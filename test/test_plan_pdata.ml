@@ -108,20 +108,6 @@ let test_pdata_roundtrip () =
   Alcotest.(check int) "records" 10 (Pdata.records pd);
   Helpers.check_bag "round trip" vs (Pdata.to_list pd)
 
-let test_pdata_repartition () =
-  let vs = List.init 20 Value.int in
-  let key = P.udf_of_expr (Expr.Lam ("x", Expr.Var "x")) in
-  let pd = Pdata.repartition ~nparts:4 ~key Fun.id (Pdata.of_list ~nparts:4 vs) in
-  Alcotest.(check bool) "co-partitioned after repartition" true (Pdata.co_partitioned pd key);
-  (* element placement matches the hash *)
-  Array.iteri
-    (fun part vs ->
-      List.iter
-        (fun v -> Alcotest.(check int) "placement" part (abs (Value.hash v) mod 4))
-        vs)
-    pd.Pdata.parts;
-  Helpers.check_bag "content preserved" vs (Pdata.to_list pd)
-
 let test_pdata_mult_propagation () =
   let vs = List.init 8 Value.int in
   let pd = Pdata.of_list ~rmult:10.0 ~bmult:20.0 ~nparts:2 vs in
@@ -134,7 +120,11 @@ let test_pdata_mult_propagation () =
 
 let test_pdata_key_property () =
   let key = P.udf_of_expr (Expr.Lam ("x", Expr.Var "x")) in
-  let pd = Pdata.repartition ~nparts:2 ~key Fun.id (Pdata.of_list ~nparts:2 [ Value.int 1 ]) in
+  let home = abs (Value.hash (Value.int 1)) mod 2 in
+  let pd =
+    Pdata.make ~part_key:key ~rmult:1.0 ~bmult:1.0
+      (Array.init 2 (fun i -> if i = home then [ Value.int 1 ] else []))
+  in
   Alcotest.(check bool) "map_parts clears key" false
     (Pdata.co_partitioned (Pdata.map_parts Fun.id pd) key);
   Alcotest.(check bool) "preserving keeps key" true
@@ -230,7 +220,7 @@ let constructions (parts, parts') =
   [ ("make", fresh ());
     ("of_list", Pdata.of_list ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
     ("round_robin pooled", Pdata.make ~rmult:2.0 ~bmult:4.0 (pooled_round_robin pool n vs));
-    ("repartition", Pdata.repartition ~nparts:3 ~key Fun.id (fresh ()));
+    ("make ~part_key", Pdata.make ~part_key:key ~rmult:3.0 ~bmult:1.5 parts);
     ("map_parts", Pdata.map_parts (List.filter (fun v -> Value.byte_size v > 8)) (fresh ()));
     ("map_parts_preserving", Pdata.map_parts_preserving List.rev (forced ()));
     ("union", Pdata.union (fresh ()) (other ()));
@@ -255,7 +245,6 @@ let suite =
         Alcotest.test_case "cprog helpers" `Quick test_cprog_pp_and_helpers ] );
     ( "pdata",
       [ Alcotest.test_case "round trip" `Quick test_pdata_roundtrip;
-        Alcotest.test_case "repartition" `Quick test_pdata_repartition;
         Alcotest.test_case "multiplier propagation" `Quick test_pdata_mult_propagation;
         Alcotest.test_case "key property" `Quick test_pdata_key_property;
         test_round_robin_layout;
