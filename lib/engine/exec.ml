@@ -841,6 +841,23 @@ let par_map_parts ?part_key t f (pd : Pdata.t) : Pdata.t =
 (* One aggBy table per task, reset for each of its partitions. *)
 let agg_table () = Keyed.create 64
 
+(* aggBy's per-partition loops are top-level functions: a local closure
+   over the table would cost a few words per partition. The combine
+   binds each row's key to [init v] or [merge]s the row into its
+   accumulator; the reduce adopts each key's first partial and
+   [absorb]s the others into it. *)
+let rec combine_rows h keyfn init merge = function
+  | [] -> ()
+  | v :: rest ->
+      Keyed.upsert h (keyfn v) v ~init ~merge;
+      combine_rows h keyfn init merge rest
+
+let rec reduce_pairs h absorb = function
+  | [] -> ()
+  | pair :: rest ->
+      Keyed.upsert h (Value.proj pair 0) (Value.proj pair 1) ~init:Fun.id ~merge:absorb;
+      reduce_pairs h absorb rest
+
 (* Cons each (key, acc) pair onto the list of the destination its key
    hashes to. *)
 let rec scatter dests = function
@@ -1484,7 +1501,7 @@ and exec_agg_by t key keyfn (fns : Compile.owned) (pd : Pdata.t) : out =
     | [] -> []
     | part ->
         Keyed.reset h;
-        List.iter (fun v -> Keyed.upsert h (keyfn v) v ~init:first ~merge) part;
+        combine_rows h keyfn first merge part;
         emit (fun k acc l -> Value.Tuple [| k; acc |] :: l) h []
   in
   let combined =
@@ -1519,10 +1536,7 @@ and exec_agg_by t key keyfn (fns : Compile.owned) (pd : Pdata.t) : out =
     | [] -> []
     | part ->
         Keyed.reset h;
-        List.iter
-          (fun pair ->
-            Keyed.upsert h (Value.proj pair 0) (Value.proj pair 1) ~init:Fun.id ~merge:absorb)
-          part;
+        reduce_pairs h absorb part;
         Keyed.fold (fun k acc l -> Value.Record [| ("key", k); ("agg", acc) |] :: l) h []
   in
   let out =
