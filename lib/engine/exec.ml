@@ -775,7 +775,8 @@ let par_run t ~pooled n (f : int -> 'a) : 'a array =
    [s = init ()], and so does the calling domain once when the barrier
    runs inline, and runs [f s i] for each of its partitions in ascending
    order. [f] may reuse [s] from one partition to the next, but must
-   return nothing that still depends on it. *)
+   return nothing that still depends on it. ([par_run] is not this with
+   a unit state, which would allocate a closure per barrier.) *)
 let par_run_with t ~pooled n ~init (f : 's -> int -> 'a) : 'a array =
   start_barrier t n;
   let f = if not (Trace.enabled t.tracer) then f else fun s i -> task_span t i f s in

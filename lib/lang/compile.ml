@@ -934,6 +934,17 @@ type owned = {
   absorb : Value.t -> Value.t -> Value.t;
 }
 
+(* [p] holds for every child of [e]; stops at the first that fails. *)
+let for_all_children p e =
+  let ok = ref true in
+  ignore
+    (Expr.map_children
+       (fun c ->
+         if !ok && not (p c) then ok := false;
+         c)
+       e);
+  !ok
+
 (* The fusion rule for [step]: every free occurrence of [b] in [u] is a
    projection [b._i] with [i < n], each [i] occurs exactly once, and each
    occurrence is evaluated exactly once whenever [u] is. A subterm under a
@@ -955,15 +966,7 @@ let fusable st b n u =
     | Lam _ | Comp _ | AggBy _ -> not (mentions e)
     | If (c, t, el) -> strict c && (not (mentions t)) && not (mentions el)
     | Let (y, a, body) -> strict a && (String.equal y b || strict body)
-    | e ->
-        let ok = ref true in
-        ignore
-          (Expr.map_children
-             (fun c ->
-               if !ok && not (strict c) then ok := false;
-               c)
-             e);
-        !ok
+    | e -> for_all_children strict e
   in
   strict u && Array.for_all (fun c -> c = 1) uses
 
@@ -985,28 +988,17 @@ let fused_step ctx base (fns : Expr.fold_fns) stage =
       end
   | _ -> None
 
-(* In-place stores, for [fold_fns ~in_place:true]. The body [u] of a
-   union [(a, b) => u] may be stored into its accumulator [a]'s own array
-   when [u] is a tuple literal in which [a] occurs only as [a._i] and
-   never under a lambda (whose closure would read [a] later): then no
-   component's value holds [a]'s array, and every read of [a] is over
-   before the first store. *)
-let storable st a = function
+(* In-place stores, for [owned_fns]. The body [u] of a union
+   [(a, b) => u] may be stored into its accumulator [a]'s own array when
+   [u] is a tuple literal in which [a] occurs only as [a._i]: then no
+   component's value holds [a]'s array (a value holds no closure), and
+   every read of [a] is over before the first store. *)
+let storable a = function
   | Tuple (_ :: _ as us) ->
-      let rec ok e =
-        match e with
+      let rec ok = function
         | Proj (Var y, _) when String.equal y a -> true
         | Var y -> not (String.equal y a)
-        | Lam _ -> not (Strset.mem a (info st e).fv)
-        | e ->
-            let r = ref true in
-            ignore
-              (Expr.map_children
-                 (fun c ->
-                   if !r && not (ok c) then r := false;
-                   c)
-                 e);
-            !r
+        | e -> for_all_children ok e
       in
       if List.for_all ok us then Some us else None
   | _ -> None
@@ -1102,10 +1094,10 @@ let owned_fns ctx base (fns : Expr.fold_fns) =
   let in_place_union =
     match fns.f_union with
     | Lam (param1, Lam (param2, u)) -> (
-        let st = new_state () in
-        match storable st param1 u with
+        match storable param1 u with
         | None -> None
         | Some us ->
+            let st = new_state () in
             let _, sc = bind (top ctx base st) param1 in
             let k2, sc = bind sc param2 in
             Some (stored st sc k2 us))

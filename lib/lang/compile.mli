@@ -116,8 +116,8 @@ type owned = {
 
 val owned_fns : Eval.ctx -> Eval.env -> Expr.fold_fns -> owned
 (** [fold_fns], with in-place forms when [union] is
-    [(a, b) => (u_0, ..., u_m-1)] and [a] occurs in it only as [a._i] and
-    never under a lambda. Each body is still staged once, in store form:
+    [(a, b) => (u_0, ..., u_m-1)] and [a] occurs in it only as [a._i].
+    Each body is still staged once, in store form:
     it computes every component, holding the values, and only then stores
     them into a new tuple ([union], [step]) or into its first argument's
     array ([absorb], [merge], which allocate only their frame and the

@@ -847,9 +847,10 @@ let test_allocation_guard () =
 (* aggBy's owned form of Q1's algebra. [merge] stores into the
    accumulator it is given and returns it: 49 words per call, its
    two-slot frame and the boxed results, against the 58 of [step], which
-   also builds the new tuple (a 7-word array and its 2-word box). [absorb] does the same for [union]. A merge whose second
-   component raises leaves the accumulator untouched, and raises the
-   interpreter's error. *)
+   also builds the new tuple (a 7-word array and its 2-word box).
+   [absorb] does the same for [union]. A merge whose second component
+   raises leaves the accumulator untouched, and raises the interpreter's
+   error. A union that holds its accumulator whole is not done in place. *)
 let test_owned_merge () =
   let ctx = ctx_with [] in
   let own = Compile.owned_fns ctx Eval.empty_env q1 in
@@ -894,7 +895,18 @@ let test_owned_merge () =
     (Err "Type_error: div: integer division by zero") interp;
   Alcotest.check outcome_testable "merge raises it" interp
     (classify (fun () -> own.Compile.merge acc (row 5 0)));
-  check_value "the accumulator is untouched" before acc
+  check_value "the accumulator is untouched" before acc;
+  (* in place, the accumulator would contain itself *)
+  let fns =
+    { fns with
+      Expr.f_empty = S.(tup [ int_ 0; bag_of [] ]);
+      f_single = S.lam "x" (fun x -> S.tup [ S.field x "a"; S.bag_of [] ]);
+      f_union = S.lam2 "p" "q" (fun p q -> S.tup [ S.(proj p 0 + proj q 0); S.bag_of [ p ] ]) }
+  in
+  let own = Compile.owned_fns ctx Eval.empty_env fns in
+  let acc = own.Compile.algebra.Compile.step own.Compile.algebra.Compile.empty (row 4 2) in
+  Alcotest.(check bool) "merge builds a new tuple" false (own.Compile.merge acc (row 5 1) == acc);
+  Alcotest.(check bool) "absorb builds a new tuple" false (own.Compile.absorb acc acc == acc)
 
 (* PageRank's message UDF, as the compiler emits it: the rank share
    [v._1.rank / to_float(count(v._2.neighbors))] does not depend on the
