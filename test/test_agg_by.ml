@@ -171,6 +171,54 @@ let test_unfused_tuple_union () =
   in
   ignore (check_native "unfused min and count" (over_t fns) [ ("t", rows) ])
 
+(* The engine's fold order is part of its results, since later float
+   folds associate in it (DESIGN, "Keyed tables"). The union
+   [(p, q) => ((31 p._0 + q._0) mod 1000003)] makes each key's result
+   depend on the order in which its rows and partials are merged, and a
+   fingerprint of the output list depends on the output order; both are
+   pinned, the same at every domain count and in either UDF mode. Over
+   1000 keys, a partition's tables hold chains of several keys, whose
+   order follows the insertion order. The outer aggBy's input is
+   partitioned by its key, so its pairs reach the reduce unshuffled. *)
+let test_fold_order_pinned () =
+  let mix p q = S.tup [ S.((proj p 0 * int_ 31 + proj q 0) mod int_ 1000003) ] in
+  let inner =
+    agg_by by_b
+      (algebra ~empty:S.(tup [ int_ 0 ])
+         ~single:(S.lam "x" (fun x -> S.tup [ S.field x "a" ]))
+         ~union:(S.lam2 "p" "q" mix))
+      (S.read "t")
+  in
+  let outer =
+    agg_by
+      (S.lam "g" (fun g -> S.field g "key"))
+      (algebra ~empty:S.(tup [ int_ 0 ])
+         ~single:(S.lam "g" (fun g -> S.tup [ S.proj (S.field g "agg") 0 ]))
+         ~union:(S.lam2 "p" "q" mix))
+      inner
+  in
+  let tables = [ ("t", List.init 3000 (fun i -> Helpers.row i (i * 7919 mod 1000))) ] in
+  let fingerprint = function
+    | Val (Value.Bag rs) ->
+        List.fold_left
+          (fun h r ->
+            ((h * 1000003) + Hashtbl.hash (Format.asprintf "%a" Value.pp r)) land 0x3FFFFFFF)
+          0 rs
+    | Val v -> Alcotest.failf "not a bag: %a" Value.pp v
+    | Err m -> Alcotest.failf "failed: %s" m
+  in
+  List.iter
+    (fun (name, e, pinned) ->
+      List.iter
+        (fun r ->
+          let domains, mode = r in
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s" name (run_name r))
+            pinned
+            (fingerprint (run_engine ~domains mode (S.program ~ret:e []) tables)))
+        runs)
+    [ ("shuffled", inner, 807327143); ("co-partitioned", outer, 807327143) ]
+
 let suite =
   [ ( "agg_by",
       [ Alcotest.test_case "fused step raising mid-way = interpreter" `Quick
@@ -179,4 +227,5 @@ let suite =
         Alcotest.test_case "co-partitioned input = native" `Quick test_co_partitioned;
         Alcotest.test_case "constant tuple union = native" `Quick test_constant_union;
         Alcotest.test_case "argument-returning union = native" `Quick test_argument_union;
-        Alcotest.test_case "unfused tuple union = native" `Quick test_unfused_tuple_union ] ) ]
+        Alcotest.test_case "unfused tuple union = native" `Quick test_unfused_tuple_union;
+        Alcotest.test_case "fold and output order pinned" `Quick test_fold_order_pinned ] ) ]

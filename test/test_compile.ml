@@ -447,7 +447,8 @@ let qcheck_fold_algebras =
    (single v)] gives (value or classified error), and [empty] is never
    written. *)
 let qcheck_owned_algebras =
-  QCheck2.Test.make ~count:500 ~name:"random fold algebras: owned merge and absorb ≡ interpreted"
+  QCheck2.Test.make ~count:500
+    ~name:"random fold algebras: owned merge and absorb ≡ interpreted"
     ~print:(fun (fns, _) -> print_algebra fns)
     QCheck2.Gen.(pair algebra_gen rows_gen)
     (fun (fns, rows) ->
@@ -866,7 +867,9 @@ let test_owned_merge () =
   let absorbed = own.Compile.absorb acc other in
   Alcotest.(check bool) "absorb returns its first argument" true (absorbed == acc);
   check_value "absorb = union" expected absorbed;
-  check_value "empty untouched" (Value.tuple (List.init 6 (fun _ -> Value.Int 0))) alg.Compile.empty;
+  check_value "empty untouched"
+    (Value.tuple (List.init 6 (fun _ -> Value.Int 0)))
+    alg.Compile.empty;
   let merge_words = minor_words_per_call (fun () -> own.Compile.merge acc q1_line) in
   let absorb_words = minor_words_per_call (fun () -> own.Compile.absorb acc other) in
   Printf.printf "owned Q1: merge %.1f words/call, absorb %.1f words/call\n" merge_words
@@ -879,7 +882,8 @@ let test_owned_merge () =
     { Expr.f_empty = S.(tup [ int_ 0; int_ 0; int_ 0 ]);
       f_single =
         S.lam "x" (fun x -> S.tup [ S.field x "a"; S.(field x "a" / field x "b"); S.int_ 1 ]);
-      f_union = S.lam2 "p" "q" (fun p q -> S.tup (List.init 3 (fun i -> S.(proj p i + proj q i))));
+      f_union =
+        S.lam2 "p" "q" (fun p q -> S.tup (List.init 3 (fun i -> S.(proj p i + proj q i))));
       f_tag = Expr.Tag_generic }
   in
   let own = Compile.owned_fns ctx Eval.empty_env fns in
@@ -905,7 +909,9 @@ let test_owned_merge () =
   in
   let own = Compile.owned_fns ctx Eval.empty_env fns in
   let acc = own.Compile.algebra.Compile.step own.Compile.algebra.Compile.empty (row 4 2) in
-  Alcotest.(check bool) "merge builds a new tuple" false (own.Compile.merge acc (row 5 1) == acc);
+  Alcotest.(check bool)
+    "merge builds a new tuple" false
+    (own.Compile.merge acc (row 5 1) == acc);
   Alcotest.(check bool) "absorb builds a new tuple" false (own.Compile.absorb acc acc == acc)
 
 (* PageRank's message UDF, as the compiler emits it: the rank share
