@@ -45,6 +45,28 @@ let run_program ?(tables = []) p = Eval.eval_program (ctx_with tables) p
 let assert_equiv ?(tables = []) msg e1 e2 =
   check_value msg (eval_expr ~tables e1) (eval_expr ~tables e2)
 
+(* Outcome classification: a compiled or engine run must either produce
+   the same value or raise the same classified error as the oracle. *)
+type outcome = Val of Value.t | Err of string
+
+let classify f =
+  match f () with
+  | v -> Val v
+  | exception Eval.Eval_error m -> Err ("Eval_error: " ^ m)
+  | exception Value.Type_error m -> Err ("Type_error: " ^ m)
+  | exception Invalid_argument m -> Err ("Invalid_argument: " ^ m)
+
+let outcome_testable : outcome Alcotest.testable =
+  Alcotest.testable
+    (fun fmt -> function
+      | Val v -> Format.fprintf fmt "Val %a" Value.pp v
+      | Err m -> Format.fprintf fmt "Err %s" m)
+    (fun a b ->
+      match (a, b) with
+      | Val x, Val y -> Value.equal x y
+      | Err x, Err y -> String.equal x y
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Random pipelines for property tests                                  *)
 (* ------------------------------------------------------------------ *)

@@ -12,32 +12,11 @@
 
 module Value = Emma_value.Value
 module Expr = Emma_lang.Expr
-module Eval = Emma_lang.Eval
 module S = Emma_lang.Surface
 module Cluster = Emma_engine.Cluster
 module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 open Helpers
-
-type outcome = Val of Value.t | Err of string
-
-let classify f =
-  match f () with
-  | v -> Val v
-  | exception Eval.Eval_error m -> Err ("Eval_error: " ^ m)
-  | exception Value.Type_error m -> Err ("Type_error: " ^ m)
-  | exception Invalid_argument m -> Err ("Invalid_argument: " ^ m)
-
-let pp_outcome fmt = function
-  | Val v -> Format.fprintf fmt "Val %a" Value.pp v
-  | Err m -> Format.fprintf fmt "Err %s" m
-
-let outcome_testable =
-  Alcotest.testable pp_outcome (fun a b ->
-      match (a, b) with
-      | Val x, Val y -> Value.equal x y
-      | Err x, Err y -> String.equal x y
-      | _ -> false)
 
 let algebra ~empty ~single ~union =
   { Expr.f_empty = empty; f_single = single; f_union = union; f_tag = Expr.Tag_generic }

@@ -16,31 +16,6 @@ module Config = Emma_engine.Config
 module Pool = Emma_util.Pool
 open Helpers
 
-(* ---------------------------------------------------------------- *)
-(* Outcome classification: a compiled run must either produce the    *)
-(* same value or raise the same classified error as the oracle.      *)
-(* ---------------------------------------------------------------- *)
-
-type outcome = Val of Value.t | Err of string
-
-let classify f =
-  match f () with
-  | v -> Val v
-  | exception Eval.Eval_error m -> Err ("Eval_error: " ^ m)
-  | exception Value.Type_error m -> Err ("Type_error: " ^ m)
-  | exception Invalid_argument m -> Err ("Invalid_argument: " ^ m)
-
-let outcome_testable : outcome Alcotest.testable =
-  Alcotest.testable
-    (fun fmt -> function
-      | Val v -> Format.fprintf fmt "Val %a" Value.pp v
-      | Err m -> Format.fprintf fmt "Err %s" m)
-    (fun a b ->
-      match (a, b) with
-      | Val x, Val y -> Value.equal x y
-      | Err x, Err y -> String.equal x y
-      | _ -> false)
-
 let both ?(tables = []) ?(env = Eval.empty_env) e =
   let ctx = ctx_with tables in
   let interp = classify (fun () -> Eval.eval_value ctx env e) in
