@@ -40,6 +40,8 @@ let fold ~empty ~single ~union xs =
   in
   go xs
 
+let fold_array ~empty ~single ~union arr = fold ~empty ~single ~union (of_array arr)
+
 let to_list xs =
   (* Accumulator-based flatten: avoids quadratic list appends. *)
   let rec go acc = function

@@ -47,6 +47,10 @@ val fold : empty:'b -> single:('a -> 'b) -> union:('b -> 'b -> 'b) -> 'a t -> 'b
     is independent of the tree shape iff [union] is associative and
     commutative with unit [empty] (§2.2.2, well-definedness conditions). *)
 
+val fold_array : empty:'b -> single:('a -> 'b) -> union:('b -> 'b -> 'b) -> 'a array -> 'b
+(** [fold_array ~empty ~single ~union arr] is [fold ~empty ~single ~union
+    (of_array arr)]. *)
+
 (** {1 Monad operators (enable comprehension syntax)} *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t

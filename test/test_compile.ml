@@ -688,6 +688,31 @@ let test_invariant_raises_second_call () =
   check_udf_parity "invariant raises on the second vertex" ~param:"v" body
     [ vertex 12 [ 1; 2; 3 ]; vertex 5 [ 4; 5 ]; vertex 7 [ 6; 7; 8; 9 ]; vertex 1 [] ]
 
+(* A fold's [single] raising on two different elements, [x.b] (division
+   by zero) and [x.a], the last one (modulo by zero): which error surfaces
+   depends on the order the fold calls [single] in. The staged folds over
+   a comprehension, a bag and an aggBy group must raise the
+   interpreter's, at every size and every pair of positions. *)
+let test_fold_call_order () =
+  let x = S.var "x" in
+  let two_errors =
+    { Expr.f_empty = S.int_ 0;
+      f_single =
+        S.lam "z" (fun z ->
+            S.(if_ (z = field x "b") (z / int_ 0) (if_ (z = field x "a") (z mod int_ 0) z)));
+      f_union = S.lam2 "p" "q" (fun p q -> S.(p + q));
+      f_tag = Expr.Tag_generic }
+  in
+  let upto = S.range (S.int_ 1) (S.field x "a") in
+  let rows = List.concat (List.init 17 (fun a -> List.init (a + 1) (fun b -> row a b))) in
+  check_udf_parity "comprehension fold" ~param:"x"
+    (comp ~alg:(Expr.Alg_fold two_errors) S.(var "n" * int_ 1) [ qgen "n" upto ])
+    rows;
+  check_udf_parity "bag fold" ~param:"x" (Expr.Fold (two_errors, upto)) rows;
+  check_udf_parity "aggBy group" ~param:"x"
+    (Expr.AggBy (S.lam "n" (fun _ -> S.int_ 0), two_errors, upto))
+    rows
+
 (* Random comprehension bodies over the row [x] and the names [n] and [m],
    which generators, [let]s and lambdas bind and shadow at any depth, with
    divisions that raise, [If] branches and nested comprehensions: staged
@@ -965,6 +990,7 @@ let suite =
         Alcotest.test_case "let-bound lambda" `Quick test_let_bound_lambda;
         Alcotest.test_case "invariant raises on second call" `Quick
           test_invariant_raises_second_call;
+        Alcotest.test_case "fold call order" `Quick test_fold_call_order;
         qcheck_comp_udfs;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
         Alcotest.test_case "owned merge in place" `Quick test_owned_merge;

@@ -63,6 +63,41 @@ let prop_fold_shape_independent =
       && Databag.size bag = Databag.size left_deep
       && Databag.min_opt bag = Databag.min_opt left_deep)
 
+(* [fold_array] must fold [of_array]'s tree without changing anything a
+   fold can observe. The union here parenthesises, so it reveals the
+   association; both callbacks log their calls, so the log reveals the
+   call order. *)
+type call = Single of int | Union of string * string
+
+let folds_alike arr =
+  let fold_with f =
+    let log = ref [] in
+    let single x =
+      log := Single x :: !log;
+      string_of_int x
+    in
+    let union a b =
+      log := Union (a, b) :: !log;
+      "(" ^ a ^ " " ^ b ^ ")"
+    in
+    let r = f ~empty:"e" ~single ~union in
+    (r, List.rev !log)
+  in
+  let via_tree = fold_with (fun ~empty ~single ~union ->
+      Databag.fold ~empty ~single ~union (Databag.of_array arr))
+  in
+  via_tree = fold_with (fun ~empty ~single ~union -> Databag.fold_array ~empty ~single ~union arr)
+
+let test_fold_array_small () =
+  for n = 0 to 64 do
+    Alcotest.(check bool) (Printf.sprintf "size %d" n) true (folds_alike (Array.init n Fun.id))
+  done
+
+let prop_fold_array =
+  Helpers.qcheck_case "fold_array = fold of_array (shape and call order)"
+    QCheck2.Gen.(array_size (int_bound 3000) small_int)
+    folds_alike
+
 let prop_union_commutative =
   Helpers.qcheck_case "union is commutative up to bag equality"
     QCheck2.Gen.(pair (list_size (int_bound 10) small_int) (list_size (int_bound 10) small_int))
@@ -135,6 +170,8 @@ let suite =
         Alcotest.test_case "group_by" `Quick test_group_by;
         Alcotest.test_case "minus/distinct" `Quick test_minus_distinct;
         prop_fold_shape_independent;
+        Alcotest.test_case "fold_array sizes 0-64" `Quick test_fold_array_small;
+        prop_fold_array;
         prop_union_commutative;
         prop_group_by_partitions;
         prop_minus_size ] );

@@ -92,6 +92,95 @@ let test_vec_dim_mismatch () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* The kernels' reference definitions: each result is built by
+   [Array.mapi]/[Array.map], and the distance is the norm of the
+   difference, summed left to right. The kernels must agree bit for bit,
+   signed zeros and NaN payloads included, and raise the same message on
+   a dimension mismatch ([dist] reports it as [sub] did). *)
+module Vec_ref = struct
+  let check_dim a b name =
+    if Array.length a <> Array.length b then
+      invalid_arg
+        (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name (Array.length a)
+           (Array.length b))
+
+  let add a b =
+    check_dim a b "add";
+    Array.mapi (fun i x -> x +. b.(i)) a
+
+  let sub a b =
+    check_dim a b "sub";
+    Array.mapi (fun i x -> x -. b.(i)) a
+
+  let scale c a = Array.map (fun x -> c *. x) a
+  let div_scalar a c = Array.map (fun x -> x /. c) a
+
+  let dist a b =
+    let d = sub a b in
+    let acc = ref 0.0 in
+    for i = 0 to Array.length d - 1 do
+      acc := !acc +. (d.(i) *. d.(i))
+    done;
+    sqrt !acc
+end
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let float_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (6, float_range (-1e3) 1e3);
+        (2, float);
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; infinity; neg_infinity; nan; Int64.float_of_bits 0x7ff8000000000123L;
+              Float.min_float; Float.max_float; 1e-310 ] ) ])
+
+let prop_vec_kernels =
+  let vec n = QCheck2.Gen.array_size (QCheck2.Gen.return n) float_gen in
+  Helpers.qcheck_case "vec kernels match their reference bit for bit" ~count:500
+    QCheck2.Gen.(
+      int_range 0 9 >>= fun n ->
+      int_range 0 9 >>= fun m ->
+      let m = if m < 3 then n else m in
+      quad (vec n) (vec n) (vec m) float_gen)
+    (fun (a, b, c, s) ->
+      let vec_eq f g =
+        match (outcome f, outcome g) with
+        | Ok x, Ok y -> same_vec x y
+        | Error x, Error y -> String.equal x y
+        | _ -> false
+      in
+      let float_eq f g =
+        match (outcome f, outcome g) with
+        | Ok x, Ok y -> same_bits x y
+        | Error x, Error y -> String.equal x y
+        | _ -> false
+      in
+      List.for_all
+        (fun (x, y) ->
+          vec_eq (fun () -> Vec.add x y) (fun () -> Vec_ref.add x y)
+          && vec_eq (fun () -> Vec.sub x y) (fun () -> Vec_ref.sub x y)
+          && float_eq (fun () -> Vec.dist x y) (fun () -> Vec_ref.dist x y))
+        [ (a, b); (a, c); (c, a) ]
+      && vec_eq (fun () -> Vec.scale s a) (fun () -> Vec_ref.scale s a)
+      && vec_eq (fun () -> Vec.div_scalar a s) (fun () -> Vec_ref.div_scalar a s))
+
+let test_vec_mismatch_messages () =
+  let a = [| 1.0 |] and b = [| 1.0; 2.0 |] in
+  List.iter
+    (fun (name, f, expected) ->
+      match f () with
+      | () -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument m -> Alcotest.(check string) name expected m)
+    [ ("add", (fun () -> ignore (Vec.add a b)), "Vec.add: dimension mismatch (1 vs 2)");
+      ("sub", (fun () -> ignore (Vec.sub b a)), "Vec.sub: dimension mismatch (2 vs 1)");
+      ("dist", (fun () -> ignore (Vec.dist a b)), "Vec.sub: dimension mismatch (1 vs 2)") ]
+
 (* ---- Dist ----------------------------------------------------------- *)
 
 let test_dist_in_range () =
@@ -154,6 +243,8 @@ let suite =
         Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         Alcotest.test_case "vec ops" `Quick test_vec_ops;
         Alcotest.test_case "vec dim mismatch" `Quick test_vec_dim_mismatch;
+        prop_vec_kernels;
+        Alcotest.test_case "vec mismatch messages" `Quick test_vec_mismatch_messages;
         Alcotest.test_case "dist in range" `Quick test_dist_in_range;
         Alcotest.test_case "pareto hot key ≈35%" `Quick test_pareto_hot_key;
         Alcotest.test_case "uniform flat" `Quick test_uniform_flat;
