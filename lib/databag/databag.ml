@@ -40,7 +40,17 @@ let fold ~empty ~single ~union xs =
   in
   go xs
 
-let fold_array ~empty ~single ~union arr = fold ~empty ~single ~union (of_array arr)
+(* [fold] over [of_array arr] without building the tree: the same split
+   and the same expression [union (go lo mid) (go mid hi)], so the same
+   association and the same order of [single]/[union] calls. *)
+let fold_array ~empty ~single ~union arr =
+  let rec go lo hi =
+    if hi - lo = 1 then single arr.(lo)
+    else
+      let mid = (lo + hi) / 2 in
+      union (go lo mid) (go mid hi)
+  in
+  if Array.length arr = 0 then empty else go 0 (Array.length arr)
 
 let to_list xs =
   (* Accumulator-based flatten: avoids quadratic list appends. *)

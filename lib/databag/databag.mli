@@ -49,7 +49,12 @@ val fold : empty:'b -> single:('a -> 'b) -> union:('b -> 'b -> 'b) -> 'a t -> 'b
 
 val fold_array : empty:'b -> single:('a -> 'b) -> union:('b -> 'b -> 'b) -> 'a array -> 'b
 (** [fold_array ~empty ~single ~union arr] is [fold ~empty ~single ~union
-    (of_array arr)]. *)
+    (of_array arr)] without building the tree. It has the same shape and the
+    same call order: [empty] only for an empty array, otherwise [single] at
+    the leaves and [union] over the halves [lo, mid) and [mid, hi) with
+    [mid = (lo + hi) / 2], each [union]'s arguments evaluated in the order
+    [fold]'s are. So the result is the same even when [union] is neither
+    associative nor commutative, and so is the first exception raised. *)
 
 (** {1 Monad operators (enable comprehension syntax)} *)
 

@@ -345,6 +345,20 @@ and each inner k fr acc = function
       fr.(k) <- v;
       each inner k fr (inner fr acc) vs
 
+(* [Array.of_list (List.rev xs)], filled from the end without the
+   reversed list. *)
+let rec fill_down a i = function
+  | [] -> a
+  | v :: vs ->
+      a.(i) <- v;
+      fill_down a (i - 1) vs
+
+let array_of_rev_list = function
+  | [] -> [||]
+  | x :: _ as xs ->
+      let n = List.length xs in
+      fill_down (Array.make n x) (n - 1) xs
+
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -630,7 +644,7 @@ and comp_node sc (e : Expr.expr) : code =
       Dynv
         (fun fr ->
           let elems = gxs fr in
-          run_fold fr elems)
+          run_fold fr (Array.of_list elems))
   | AggBy (k, fns, xs) ->
       let gk = stage (comp sc k) in
       let gxs = bstage (comp sc xs) in
@@ -646,7 +660,7 @@ and comp_node sc (e : Expr.expr) : code =
           in
           let to_record (g : (_, _) Databag.grp) =
             Value.record
-              [ ("key", g.key); ("agg", run_fold fr (Databag.to_list g.values)) ]
+              [ ("key", g.key); ("agg", run_fold fr (Databag.to_array g.values)) ]
           in
           Value.bag (List.map to_record (Databag.to_list groups)))
   | Union (a, b) ->
@@ -672,18 +686,19 @@ and comp_node sc (e : Expr.expr) : code =
       let cquals, sc_head = comp_quals (Some sc) { sc with regions = region :: sc.regions } quals in
       let run = chain (vstage (comp sc_head head)) cquals in
       let cells = Array.of_list region.cells in
+      (* [run] produces the head values last first. *)
       let run_alg =
         match alg with
-        | Alg_bag -> fun _fr produced -> Value.bag produced
+        | Alg_bag -> fun _fr rev_produced -> Value.bag (List.rev rev_produced)
         | Alg_fold fns ->
             (* The algebra evaluates in the comprehension's outer scope. *)
-            comp_fold sc fns
+            let run_fold = comp_fold sc fns in
+            fun fr rev_produced -> run_fold fr (array_of_rev_list rev_produced)
       in
       Dynv
         (fun fr ->
           reset fr cells;
-          let produced = List.rev (run fr []) in
-          run_alg fr produced)
+          run_alg fr (run fr []))
   | Flatten a ->
       let ga = bstage (comp sc a) in
       Dynv
@@ -862,10 +877,11 @@ and comp_union sc = function
         fun x y -> apply2 fv x y
 
 (* Fold algebras re-evaluate [empty]/[single]/[union] per run (and [AggBy]
-   per group), exactly like [Eval.eval_fold], and keep [Databag.fold]'s
-   tree shape, so float association does not change. A slot body binds
-   its arguments in the running frame: [Databag.fold] calls [single] and
-   [union] one at a time. *)
+   per group), exactly like [Eval.eval_fold], and keep the association
+   and call order of [Databag.fold]'s tree without building it
+   ([Databag.fold_array]), so float association and the first error
+   raised do not change. A slot body binds its arguments in the running
+   frame: the fold calls [single] and [union] one at a time. *)
 and comp_fold sc (fns : Expr.fold_fns) =
   let vempty = vstage (comp sc fns.f_empty) in
   let gsingle = comp_single sc fns.f_single in
@@ -874,7 +890,7 @@ and comp_fold sc (fns : Expr.fold_fns) =
     let empty = vempty fr in
     let single = gsingle fr in
     let union = gunion fr in
-    Databag.fold ~empty ~single ~union (Databag.of_list elems)
+    Databag.fold_array ~empty ~single ~union elems
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)

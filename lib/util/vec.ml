@@ -1,23 +1,42 @@
 type t = float array
 
 let zeros n = Array.make n 0.0
-let of_list = Array.of_list
-let dim = Array.length
 
 let check_dim a b name =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name (Array.length a) (Array.length b))
 
+(* Each kernel fills a fresh [Array.create_float] in one loop: no closure
+   and no temporary array, so the result is all it allocates. *)
 let add a b =
   check_dim a b "add";
-  Array.mapi (fun i x -> x +. b.(i)) a
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) +. b.(i)
+  done;
+  r
 
 let sub a b =
   check_dim a b "sub";
-  Array.mapi (fun i x -> x -. b.(i)) a
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) -. b.(i)
+  done;
+  r
 
-let scale c a = Array.map (fun x -> c *. x) a
-let div_scalar a c = Array.map (fun x -> x /. c) a
+let scale c a =
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- c *. a.(i)
+  done;
+  r
+
+let div_scalar a c =
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) /. c
+  done;
+  r
 
 let dot a b =
   check_dim a b "dot";
@@ -27,14 +46,17 @@ let dot a b =
   done;
   !acc
 
-let norm2 a = sqrt (dot a a)
-
-let dist a b = norm2 (sub a b)
+(* The norm of [sub a b], summed in the same order, without building the
+   difference; a mismatch still reports [sub]. *)
+let dist a b =
+  check_dim a b "sub";
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    acc := !acc +. (d *. d)
+  done;
+  sqrt !acc
 
 let equal ?(eps = 1e-9) a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b
-
-let pp ppf a =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%g") a)))

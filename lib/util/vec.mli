@@ -1,12 +1,10 @@
 (** Small dense float vectors, used by the k-means workloads and the linear
-    algebra example layer. All operations allocate fresh arrays and check
-    dimensions. *)
+    algebra example layer. The kernels allocate only their result (a fresh
+    array, or a boxed float for [dot] and [dist]), and check dimensions. *)
 
 type t = float array
 
 val zeros : int -> t
-val of_list : float list -> t
-val dim : t -> int
 
 val add : t -> t -> t
 (** Component-wise sum. Raises [Invalid_argument] on dimension mismatch. *)
@@ -15,13 +13,10 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val div_scalar : t -> float -> t
 val dot : t -> t -> float
-val norm2 : t -> float
-(** Euclidean norm. *)
 
 val dist : t -> t -> float
-(** Euclidean distance. *)
+(** Euclidean distance: the norm of [sub a b], summed left to right, with
+    [sub]'s dimension check and message. *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Component-wise comparison within [eps] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -95,7 +95,7 @@ let test_vec_dim_mismatch () =
 (* The kernels' reference definitions: each result is built by
    [Array.mapi]/[Array.map], and the distance is the norm of the
    difference, summed left to right. The kernels must agree bit for bit,
-   signed zeros and NaN payloads included, and raise the same message on
+   signed zeros, infinities and NaNs included, and raise the same message on
    a dimension mismatch ([dist] reports it as [sub] did). *)
 module Vec_ref = struct
   let check_dim a b name =
@@ -130,15 +130,20 @@ let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a
 
 let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
+(* One NaN payload only: when both operands of [+.] or [*.] are NaNs,
+   which payload survives depends on the operand order the code generator
+   picks, which IEEE 754 leaves open and which no comparison, hash or
+   printer can see. A NaN against a number, and the NaN an invalid
+   operation makes, are deterministic and covered. *)
 let float_gen =
   QCheck2.Gen.(
     frequency
       [ (6, float_range (-1e3) 1e3);
-        (2, float);
+        (2, map (fun x -> if Float.is_nan x then nan else x) float);
         ( 2,
           oneofl
-            [ 0.0; -0.0; infinity; neg_infinity; nan; Int64.float_of_bits 0x7ff8000000000123L;
-              Float.min_float; Float.max_float; 1e-310 ] ) ])
+            [ 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float; Float.max_float; 1e-310 ] )
+      ])
 
 let prop_vec_kernels =
   let vec n = QCheck2.Gen.array_size (QCheck2.Gen.return n) float_gen in
