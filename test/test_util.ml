@@ -87,16 +87,24 @@ let test_vec_ops () =
   Alcotest.(check bool) "scale" true (Vec.equal (Vec.scale 2.0 a) [| 2.0; 4.0 |]);
   Alcotest.(check bool) "div" true (Vec.equal (Vec.div_scalar b 2.0) [| 1.5; 2.0 |])
 
+(* [dist] reports a mismatch under [sub]'s name: it is the norm of
+   [sub a b]. *)
 let test_vec_dim_mismatch () =
-  match Vec.add [| 1.0 |] [| 1.0; 2.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  let a = [| 1.0 |] and b = [| 1.0; 2.0 |] in
+  List.iter
+    (fun (name, f, expected) ->
+      match f () with
+      | () -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument m -> Alcotest.(check string) name expected m)
+    [ ("add", (fun () -> ignore (Vec.add a b)), "Vec.add: dimension mismatch (1 vs 2)");
+      ("sub", (fun () -> ignore (Vec.sub b a)), "Vec.sub: dimension mismatch (2 vs 1)");
+      ("dist", (fun () -> ignore (Vec.dist a b)), "Vec.sub: dimension mismatch (1 vs 2)") ]
 
 (* The kernels' reference definitions: each result is built by
    [Array.mapi]/[Array.map], and the distance is the norm of the
    difference, summed left to right. The kernels must agree bit for bit,
    signed zeros, infinities and NaNs included, and raise the same message on
-   a dimension mismatch ([dist] reports it as [sub] did). *)
+   a dimension mismatch. *)
 module Vec_ref = struct
   let check_dim a b name =
     if Array.length a <> Array.length b then
@@ -128,7 +136,14 @@ let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
 
-let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+(* Both return [eq]-equal results, or both raise [Invalid_argument] with
+   the same message. *)
+let agree eq f g =
+  let run h = match h () with v -> Ok v | exception Invalid_argument m -> Error m in
+  match (run f, run g) with
+  | Ok x, Ok y -> eq x y
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
 
 (* One NaN payload only: when both operands of [+.] or [*.] are NaNs,
    which payload survives depends on the operand order the code generator
@@ -154,37 +169,14 @@ let prop_vec_kernels =
       let m = if m < 3 then n else m in
       quad (vec n) (vec n) (vec m) float_gen)
     (fun (a, b, c, s) ->
-      let vec_eq f g =
-        match (outcome f, outcome g) with
-        | Ok x, Ok y -> same_vec x y
-        | Error x, Error y -> String.equal x y
-        | _ -> false
-      in
-      let float_eq f g =
-        match (outcome f, outcome g) with
-        | Ok x, Ok y -> same_bits x y
-        | Error x, Error y -> String.equal x y
-        | _ -> false
-      in
       List.for_all
         (fun (x, y) ->
-          vec_eq (fun () -> Vec.add x y) (fun () -> Vec_ref.add x y)
-          && vec_eq (fun () -> Vec.sub x y) (fun () -> Vec_ref.sub x y)
-          && float_eq (fun () -> Vec.dist x y) (fun () -> Vec_ref.dist x y))
+          agree same_vec (fun () -> Vec.add x y) (fun () -> Vec_ref.add x y)
+          && agree same_vec (fun () -> Vec.sub x y) (fun () -> Vec_ref.sub x y)
+          && agree same_bits (fun () -> Vec.dist x y) (fun () -> Vec_ref.dist x y))
         [ (a, b); (a, c); (c, a) ]
-      && vec_eq (fun () -> Vec.scale s a) (fun () -> Vec_ref.scale s a)
-      && vec_eq (fun () -> Vec.div_scalar a s) (fun () -> Vec_ref.div_scalar a s))
-
-let test_vec_mismatch_messages () =
-  let a = [| 1.0 |] and b = [| 1.0; 2.0 |] in
-  List.iter
-    (fun (name, f, expected) ->
-      match f () with
-      | () -> Alcotest.failf "%s: expected Invalid_argument" name
-      | exception Invalid_argument m -> Alcotest.(check string) name expected m)
-    [ ("add", (fun () -> ignore (Vec.add a b)), "Vec.add: dimension mismatch (1 vs 2)");
-      ("sub", (fun () -> ignore (Vec.sub b a)), "Vec.sub: dimension mismatch (2 vs 1)");
-      ("dist", (fun () -> ignore (Vec.dist a b)), "Vec.sub: dimension mismatch (1 vs 2)") ]
+      && agree same_vec (fun () -> Vec.scale s a) (fun () -> Vec_ref.scale s a)
+      && agree same_vec (fun () -> Vec.div_scalar a s) (fun () -> Vec_ref.div_scalar a s))
 
 (* ---- Dist ----------------------------------------------------------- *)
 
@@ -249,7 +241,6 @@ let suite =
         Alcotest.test_case "vec ops" `Quick test_vec_ops;
         Alcotest.test_case "vec dim mismatch" `Quick test_vec_dim_mismatch;
         prop_vec_kernels;
-        Alcotest.test_case "vec mismatch messages" `Quick test_vec_mismatch_messages;
         Alcotest.test_case "dist in range" `Quick test_dist_in_range;
         Alcotest.test_case "pareto hot key ≈35%" `Quick test_pareto_hot_key;
         Alcotest.test_case "uniform flat" `Quick test_uniform_flat;
