@@ -18,16 +18,20 @@ let union a b =
 
 let plus = union
 
-let of_array arr =
-  (* Balanced tree so that fold recursion depth is logarithmic. *)
-  let rec build lo hi =
-    if lo >= hi then Emp
-    else if hi - lo = 1 then Sng arr.(lo)
+(* The fold of a balanced union tree over [arr], without building it. The
+   tree is balanced so that fold recursion depth is logarithmic, and
+   [of_array] is this fold with the constructors, so [fold (of_array arr)]
+   makes the same [single]/[union] calls in the same order. *)
+let fold_array ~empty ~single ~union arr =
+  let rec go lo hi =
+    if hi - lo = 1 then single arr.(lo)
     else
       let mid = (lo + hi) / 2 in
-      Uni (build lo mid, build mid hi)
+      union (go lo mid) (go mid hi)
   in
-  build 0 (Array.length arr)
+  if Array.length arr = 0 then empty else go 0 (Array.length arr)
+
+let of_array arr = fold_array ~empty:Emp ~single:singleton ~union arr
 
 let of_list xs = of_array (Array.of_list xs)
 let of_seq s = of_array (Array.of_seq s)
@@ -39,18 +43,6 @@ let fold ~empty ~single ~union xs =
     | Uni (l, r) -> union (go l) (go r)
   in
   go xs
-
-(* [fold] over [of_array arr] without building the tree: the same split
-   and the same expression [union (go lo mid) (go mid hi)], so the same
-   association and the same order of [single]/[union] calls. *)
-let fold_array ~empty ~single ~union arr =
-  let rec go lo hi =
-    if hi - lo = 1 then single arr.(lo)
-    else
-      let mid = (lo + hi) / 2 in
-      union (go lo mid) (go mid hi)
-  in
-  if Array.length arr = 0 then empty else go 0 (Array.length arr)
 
 let to_list xs =
   (* Accumulator-based flatten: avoids quadratic list appends. *)

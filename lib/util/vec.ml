@@ -47,7 +47,7 @@ let dot a b =
   !acc
 
 (* The norm of [sub a b], summed in the same order, without building the
-   difference; a mismatch still reports [sub]. *)
+   difference; a mismatch reports [sub]'s name. *)
 let dist a b =
   check_dim a b "sub";
   let acc = ref 0.0 in

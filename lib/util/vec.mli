@@ -1,6 +1,6 @@
 (** Small dense float vectors, used by the k-means workloads and the linear
-    algebra example layer. The kernels allocate only their result (a fresh
-    array, or a boxed float for [dot] and [dist]), and check dimensions. *)
+    algebra example layer. The kernels allocate only their result, and
+    check dimensions. *)
 
 type t = float array
 
