@@ -706,7 +706,7 @@ let test_fold_call_order () =
   let upto = S.range (S.int_ 1) (S.field x "a") in
   let rows = List.concat (List.init 17 (fun a -> List.init (a + 1) (fun b -> row a b))) in
   check_udf_parity "comprehension fold" ~param:"x"
-    (comp ~alg:(Expr.Alg_fold two_errors) S.(var "n" * int_ 1) [ qgen "n" upto ])
+    (comp ~alg:(Expr.Alg_fold two_errors) (S.var "n") [ qgen "n" upto ])
     rows;
   check_udf_parity "bag fold" ~param:"x" (Expr.Fold (two_errors, upto)) rows;
   check_udf_parity "aggBy group" ~param:"x"
