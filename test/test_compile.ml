@@ -780,6 +780,156 @@ let qcheck_comp_udfs =
         rows)
   |> QCheck_alcotest.to_alcotest
 
+(* ---------------------------------------------------------------- *)
+(* Float arithmetic                                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* Values compared bit for bit: a float by its bits (so -0.0, every NaN
+   payload and every subnormal count), an [Int] only as an [Int]. *)
+let rec same_bits a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int x, Value.Int y -> x = y
+  | Value.String x, Value.String y -> String.equal x y
+  | Value.Tuple xs, Value.Tuple ys ->
+      Array.length xs = Array.length ys && Array.for_all2 same_bits xs ys
+  | _ -> false
+
+let same_outcome a b =
+  match (a, b) with
+  | Val x, Val y -> same_bits x y
+  | Err x, Err y -> String.equal x y
+  | _ -> false
+
+let nan_payload = Int64.float_of_bits 0x7ff8_0000_0000_0123L
+
+let special_floats =
+  [ 0.0; -0.0; 1.5; -2.25; 0.1; 1e308; -1e308; infinity; neg_infinity; nan_payload;
+    4.9e-324; -2.2e-310; Float.min_float; 3.0 ]
+
+(* A row [x] of five fields [v0]..[v4], each an [Int] (0 included, so
+   [Int / Int] may divide by zero), a float from [special_floats] or a
+   string. *)
+let float_row_gen =
+  let open QCheck2.Gen in
+  let cell =
+    frequency
+      [ (3, map (fun i -> Value.Int i) (int_range (-3) 3));
+        (1, map (fun i -> Value.Int i) (oneofl [ max_int; min_int; 1 lsl 53 + 1 ]));
+        (6, map (fun f -> Value.Float f) (oneofl special_floats));
+        (1, pure (Value.String "s")) ]
+  in
+  list_repeat 5 cell
+  >|= fun cells -> Value.record (List.mapi (fun i v -> (Printf.sprintf "v%d" i, v)) cells)
+
+(* Random trees of [add], [sub], [mul], [div], [neg], [abs], [sqrt],
+   [floor] and [to_float] over the row's fields, a missing field, and
+   [Int] and [Float] constants. *)
+let float_tree_gen =
+  let open QCheck2.Gen in
+  let x = S.var "x" in
+  let leaf =
+    frequency
+      [ (8, map (fun i -> S.field x (Printf.sprintf "v%d" i)) (int_range 0 4));
+        (1, pure (S.field x "nope"));
+        (2, map S.int_ (int_range (-2) 2));
+        (3, map S.float_ (oneofl special_floats)) ]
+  in
+  let unary = oneofl Emma_lang.Prim.[ Neg; Abs; Sqrt; Floor; To_float ] in
+  let binary = oneofl Emma_lang.Prim.[ Add; Sub; Mul; Div ] in
+  sized_size (int_range 1 4)
+  @@ fix (fun self d ->
+         if d = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (2, map2 (fun p a -> Expr.Prim (p, [ a ])) unary (self (d - 1)));
+               ( 5,
+                 map3 (fun p a b -> Expr.Prim (p, [ a; b ])) binary (self (d - 1)) (self (d - 1)) )
+             ])
+
+(* Staged float trees against [Eval], bit for bit, value or classified
+   error: as a plain [fn] body; and as [single]'s component under a fused
+   [union (a, b) => (a._0 op b._0)], through the staged [step], and
+   aggBy's [merge] and [absorb]. *)
+let qcheck_float_trees =
+  QCheck2.Test.make ~count:1000 ~name:"random float trees: staged ≡ interpreted, bit for bit"
+    ~print:(fun (e, op, rows) ->
+      Fmt.str "%s, union op %s, rows %a" (Emma_lang.Pretty.expr_to_string e)
+        (Emma_lang.Prim.name op) (Fmt.Dump.list Value.pp) rows)
+    QCheck2.Gen.(
+      triple float_tree_gen (oneofl Emma_lang.Prim.[ Add; Sub; Mul; Div ])
+        (list_size (int_range 1 3) float_row_gen))
+    (fun (tree, op, rows) ->
+      let ctx = ctx_with [] in
+      let env = Eval.empty_env in
+      let staged = Compile.fn ctx env ~param:"x" tree in
+      let plain =
+        List.for_all
+          (fun v ->
+            same_outcome
+              (classify (fun () -> Eval.eval_value ctx (Eval.bind "x" (Eval.V v) env) tree))
+              (classify (fun () -> staged v)))
+          rows
+      in
+      let fns =
+        { Expr.f_empty = S.tup [ S.int_ 0 ];
+          f_single = Expr.Lam ("x", S.tup [ tree ]);
+          f_union =
+            S.lam2 "a" "b" (fun a b -> S.tup [ Expr.Prim (op, [ S.proj a 0; S.proj b 0 ]) ]);
+          f_tag = Expr.Tag_generic }
+      in
+      let single = Eval.eval ctx env fns.Expr.f_single in
+      let union = Eval.eval ctx env fns.Expr.f_union in
+      let interp_fold rows =
+        List.fold_left
+          (fun acc v -> Eval.apply2_rv ctx union acc (Eval.apply_rv ctx single v))
+          (Eval.eval_value ctx env fns.Expr.f_empty)
+          rows
+      in
+      let alg = Compile.fold_fns ctx env fns in
+      let own = Compile.owned_fns ctx env fns in
+      let interp = classify (fun () -> interp_fold rows) in
+      let stepped = classify (fun () -> List.fold_left alg.step alg.empty rows) in
+      let merged =
+        classify (fun () ->
+            match rows with
+            | [] -> own.algebra.empty
+            | v :: rest -> List.fold_left own.merge (own.algebra.step own.algebra.empty v) rest)
+      in
+      let absorbed =
+        classify (fun () ->
+            List.fold_left
+              (fun acc v -> own.absorb acc (own.algebra.single v))
+              (Value.tuple [ Value.Int 0 ]) rows)
+      in
+      plain && same_outcome interp stepped && same_outcome interp merged
+      && same_outcome interp absorbed)
+  |> QCheck_alcotest.to_alcotest
+
+(* The first leaf an [Int] and a later one raising: the staged tree
+   raises the interpreter's error, the later one's, not a type error of
+   its own; and where the [Int]s meet, [Int] arithmetic and its
+   division by zero come first. *)
+let test_float_error_order () =
+  let x = S.var "x" in
+  let f = S.field x in
+  let module Prim = Emma_lang.Prim in
+  let line =
+    Value.record
+      [ ("i", Value.Int 3); ("z", Value.Int 0); ("f", Value.Float 2.5);
+        ("s", Value.String "s") ]
+  in
+  let cases =
+    [ ("missing field", S.(f "i" + (f "f" * f "nope")));
+      ("string leaf", S.(f "i" * float_ 2.0 + (f "f" - f "s")));
+      ("Int product, then string", S.(f "i" * f "i" + (f "f" - f "s")));
+      ("Int / Int by zero", S.(f "f" + (f "i" / f "z")));
+      ("Int under neg", S.(Expr.Prim (Prim.Neg, [ f "i" ]) * f "f"));
+      ("Int under sqrt", S.(Expr.Prim (Prim.Sqrt, [ f "i" ]) * f "f")) ]
+  in
+  List.iter (fun (msg, body) -> check_udf_parity msg ~param:"x" body [ line ]) cases
+
 (* Allocation guard: minor-heap words per call of staged functions,
    measured on the calling domain. The bounds are what the staged code
    allocates: 2 words for the field access (its one-slot frame) and 58
@@ -1026,6 +1176,8 @@ let suite =
           test_invariant_raises_second_call;
         Alcotest.test_case "fold call order" `Quick test_fold_call_order;
         qcheck_comp_udfs;
+        qcheck_float_trees;
+        Alcotest.test_case "float error order" `Quick test_float_error_order;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
         Alcotest.test_case "owned merge in place" `Quick test_owned_merge;
         Alcotest.test_case "PageRank message allocation" `Quick test_pagerank_message_allocation;
