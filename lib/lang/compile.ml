@@ -14,7 +14,10 @@
    word and allocates nothing. And a comprehension's head and guards have
    their maximal subterms that do not depend on its generators hoisted
    into frame cells, filled on first use in each entry to the
-   comprehension. *)
+   comprehension.
+
+   Arithmetic trees are staged a second time as float paths, which box
+   only their root's result (see "Float paths"). *)
 
 module Value = Emma_value.Value
 module Databag = Emma_databag.Databag
@@ -300,6 +303,9 @@ let hoist_target sc e =
     in
     outermost None sc.regions
 
+(* [comp sc e] would hoist [e] into a cell. *)
+let hoisted sc e = sc.regions <> [] && Option.is_some (hoist_target sc e)
+
 (* A hoisted cell: [g] runs at most once per entry into the cell's
    comprehension, at the first evaluation that reaches it — where the
    interpreter evaluates it first, so a subterm under an empty generator,
@@ -358,6 +364,209 @@ let array_of_rev_list = function
   | x :: _ as xs ->
       let n = List.length xs in
       fill_down (Array.make n x) (n - 1) xs
+
+(* ------------------------------------------------------------------ *)
+(* Float paths                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [p] applied to staged arguments of the right arity, folded when every
+   argument is static: the generic code of a primitive. *)
+let prim_static p gs =
+  static_or_raiser (fun () -> Sval (Prim.apply p (List.map (fun g -> g no_frame) gs)))
+
+let prim_dyn p = function
+  | [ g ] -> fun fr -> Prim.apply1 p (g fr)
+  | [ g1; g2 ] ->
+      fun fr ->
+        let a = g1 fr in
+        let b = g2 fr in
+        Prim.apply2 p a b
+  | gs -> fun fr -> Prim.apply p (List.map (fun g -> g fr) gs)
+
+(* The primitives a float path computes, applied to the right number of
+   arguments. *)
+let is_arith p args =
+  (match p with
+  | Prim.(Add | Sub | Mul | Div | Neg | Abs | Sqrt | Floor | To_float) -> true
+  | _ -> false)
+  && List.compare_length_with args (Prim.arity p) = 0
+
+(* A float path computes an arithmetic tree on unboxed floats and boxes
+   only its root. Without flambda, a float passed to or returned from a
+   closure is boxed, so no closure here takes or returns one: each op
+   writes its result into a slot of a flat [float array], the scratch,
+   and each is specialised by the kind of its operands, with the operator
+   matched inside ([op2], [op1]). An operand is a leaf, the value of a
+   non-arithmetic subterm; a [Float] constant; or the slot an op below
+   wrote. Where the generic code would not return a [Float] (an operand
+   is no number, two [Int]s meet, an [Int] is under [neg] or [abs]), the
+   path raises [Not_float] and the generic code runs instead; an [Int]
+   beside a float converts, as in [Prim.num2].
+
+   No float-valued [match] is bound to a name, which would box it: each
+   leaf's constructor is matched around the op. And where both operands
+   are NaNs, x86 keeps the payload of the one in the destination
+   register. ocamlopt puts the left operand there, unless the left is
+   read from memory and the right is not, when it swaps a commutative op.
+   [Prim]'s operators read both from memory, so the left's payload wins;
+   here a right operand that may be a NaN is read from memory too (a
+   boxed leaf, a constant, or [op2s]'s slot), so the same one wins. *)
+exception Not_float
+
+(* An arithmetic subterm staged for a float path, or any other code, a
+   leaf. A node's [gen] is its generic code, [run] its op, writing the
+   slot its parent chose, and [size] the scratch length its ops need;
+   [nested] says whether an operand is a node. *)
+type farg =
+  | Fcode of code
+  | Fnode of { gen : frame -> Value.t; run : frame -> float array -> unit; size : int; nested : bool }
+
+let[@inline] op2 p x y =
+  match p with Prim.Add -> x +. y | Prim.Sub -> x -. y | Prim.Mul -> x *. y | _ -> x /. y
+
+(* [op2] with the right operand read from slot [kb] in place. *)
+let[@inline] op2s p x s kb =
+  match p with
+  | Prim.Add -> x +. Array.unsafe_get s kb
+  | Prim.Sub -> x -. Array.unsafe_get s kb
+  | Prim.Mul -> x *. Array.unsafe_get s kb
+  | _ -> x /. Array.unsafe_get s kb
+
+(* [op2] with the left or the right operand a leaf's value. *)
+let[@inline] op2_vf p a y =
+  match a with
+  | Value.Float x -> op2 p x y
+  | Value.Int i -> op2 p (float_of_int i) y
+  | _ -> raise_notrace Not_float
+
+let[@inline] op2_fv p x b =
+  match b with
+  | Value.Float y -> op2 p x y
+  | Value.Int j -> op2 p x (float_of_int j)
+  | _ -> raise_notrace Not_float
+
+let[@inline] op1 p x =
+  match p with
+  | Prim.Neg -> -.x
+  | Prim.Abs -> Float.abs x
+  | Prim.Sqrt -> sqrt x
+  | Prim.Floor -> Float.floor x
+  | _ -> x
+
+(* The op of a binary node writing slot [k], its operands staged as [xa]
+   and [xb] with values [ga] and [gb]. They run left to right, as in
+   [Eval]: a left node writes slot [k] and the right one slot [k + 1]
+   when the left is a node too ([float_node]), so no op overwrites a slot
+   still to be read. *)
+let run2 p k xa ga xb gb =
+  let kb = match xa with Fnode _ -> k + 1 | Fcode _ -> k in
+  match (xa, xb) with
+  | Fnode { run = ra; _ }, Fnode { run = rb; _ } ->
+      fun fr s ->
+        ra fr s;
+        rb fr s;
+        s.(k) <- op2s p (Array.unsafe_get s k) s kb
+  | Fnode { run = ra; _ }, Fcode (Static (Sval (Value.Float y))) ->
+      fun fr s ->
+        ra fr s;
+        s.(k) <- op2 p (Array.unsafe_get s k) y
+  | Fnode { run = ra; _ }, Fcode _ ->
+      fun fr s ->
+        ra fr s;
+        let b = gb fr in
+        s.(k) <- op2_fv p (Array.unsafe_get s k) b
+  | Fcode (Static (Sval (Value.Float x))), Fnode { run = rb; _ } ->
+      fun fr s ->
+        rb fr s;
+        s.(k) <- op2s p x s kb
+  | Fcode (Static (Sval (Value.Float x))), Fcode (Static (Sval (Value.Float y))) ->
+      fun _ s -> s.(k) <- op2 p x y
+  | Fcode (Static (Sval (Value.Float x))), Fcode _ -> fun fr s -> s.(k) <- op2_fv p x (gb fr)
+  | Fcode _, Fnode { run = rb; _ } ->
+      fun fr s ->
+        let a = ga fr in
+        rb fr s;
+        s.(k) <-
+          (match a with
+          | Value.Float x -> op2s p x s kb
+          | Value.Int i -> op2s p (float_of_int i) s kb
+          | _ -> raise_notrace Not_float)
+  | Fcode _, Fcode (Static (Sval (Value.Float y))) -> fun fr s -> s.(k) <- op2_vf p (ga fr) y
+  | Fcode _, Fcode _ ->
+      fun fr s ->
+        let a = ga fr in
+        let b = gb fr in
+        s.(k) <-
+          (match a with
+          | Value.Float x -> op2_fv p x b
+          | Value.Int i -> (
+              match b with
+              | Value.Float y -> op2 p (float_of_int i) y
+              | _ -> raise_notrace Not_float)
+          | _ -> raise_notrace Not_float)
+
+(* The op of a unary node, as [Prim.apply1]: [neg] and [abs] keep an
+   [Int] an [Int]; [sqrt], [floor] and [to_float] convert it. *)
+let run1 p k xa ga =
+  match xa with
+  | Fnode { run; _ } ->
+      fun fr s ->
+        run fr s;
+        s.(k) <- op1 p (Array.unsafe_get s k)
+  | Fcode (Static (Sval (Value.Float x))) -> fun _ s -> s.(k) <- op1 p x
+  | Fcode _ -> begin
+      match p with
+      | Prim.Neg | Prim.Abs ->
+          fun fr s ->
+            s.(k) <- (match ga fr with Value.Float x -> op1 p x | _ -> raise_notrace Not_float)
+      | _ ->
+          fun fr s ->
+            s.(k) <-
+              (match ga fr with
+              | Value.Float x -> op1 p x
+              | Value.Int i -> op1 p (float_of_int i)
+              | _ -> raise_notrace Not_float)
+    end
+
+let farg_value = function Fnode { gen; _ } -> gen | Fcode c -> vstage c
+let farg_size = function Fnode { size; _ } -> size | Fcode _ -> 0
+let is_fnode = function Fnode _ -> true | Fcode _ -> false
+
+let[@inline] float_result run gen fr s =
+  match run fr s with () -> Value.Float s.(0) | exception Not_float -> gen fr
+
+(* A root's code: its op on a fresh scratch, boxing the result; on
+   [Not_float], its generic code. The common scratch lengths are array
+   literals, allocated inline (see [fn]). *)
+let float_root gen run size =
+  match size with
+  | 1 -> fun fr -> float_result run gen fr [| 0. |]
+  | 2 -> fun fr -> float_result run gen fr [| 0.; 0. |]
+  | n -> fun fr -> float_result run gen fr (Array.create_float n)
+
+(* [x._i] stands for an arithmetic subterm: [x] is a fused binder ([Cfused])
+   whose component [i] is one. Allocates nothing. *)
+let rec fused_arith names x i =
+  match names with
+  | [] -> false
+  | Cfused { b; comps; _ } :: _ when String.equal b x -> (
+      i >= 0
+      && i < Array.length comps
+      && match comps.(i) with Prim (p, args) -> is_arith p args | _ -> false)
+  | ce :: rest -> (not (String.equal (entry_name ce) x)) && fused_arith rest x i
+
+let is_arith_arg sc = function
+  | Prim (p, args) -> is_arith p args
+  | Proj (Var x, i) -> fused_arith sc.names x i
+  | _ -> false
+
+let rec has_arith_arg sc = function
+  | [] -> false
+  | a :: rest -> is_arith_arg sc a || has_arith_arg sc rest
+
+(* The scope a fused binder's [b._i] is staged in: [single]'s binder in
+   [b]'s slot. *)
+let fused_scope sc slot x = { sc with names = [ Cslot (x, slot) ]; regions = [] }
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                         *)
@@ -488,6 +697,11 @@ and comp_node sc (e : Expr.expr) : code =
           let hint = ref 0 in
           Dynv (fun fr -> Value.field_hinted hint (g fr) n)
     end
+  | Prim (p, args) when is_arith p args && has_arith_arg sc args -> begin
+      match float_node sc 0 p args with
+      | Fcode c -> c
+      | Fnode { gen; run; size; nested } -> Dynv (if nested then float_root gen run size else gen)
+    end
   | Prim (p, args) ->
       let cs = List.map (comp sc) args in
       let gs = List.map vstage cs in
@@ -502,20 +716,8 @@ and comp_node sc (e : Expr.expr) : code =
           (fun fr ->
             let _ = List.map (fun g -> g fr) gs in
             invalid_arg msg)
-      else if List.for_all is_static cs then
-        static_or_raiser (fun () ->
-            Sval (Prim.apply p (List.map (fun g -> g no_frame) gs)))
-      else begin
-        match gs with
-        | [ g ] -> Dynv (fun fr -> Prim.apply1 p (g fr))
-        | [ g1; g2 ] ->
-            Dynv
-              (fun fr ->
-                let a = g1 fr in
-                let b = g2 fr in
-                Prim.apply2 p a b)
-        | gs -> Dynv (fun fr -> Prim.apply p (List.map (fun g -> g fr) gs))
-      end
+      else if List.for_all is_static cs then prim_static p gs
+      else Dynv (prim_dyn p gs)
   | If (c, t, el) -> begin
       match comp sc c with
       | Static _ as cc -> begin
@@ -788,6 +990,54 @@ and inline sc ~names x b a =
       fr.(k) <- ga fr;
       gb fr)
 
+(* An arithmetic root with an arithmetic argument is staged once, both
+   ways: every subterm below it that is not arithmetic, a leaf, is staged
+   by [comp], as the generic code would stage it, and shared by the two
+   paths. An arithmetic subterm that [comp] would hoist stays a leaf. *)
+and float_arg sc k e =
+  match e with
+  | Prim (p, args) when is_arith p args && not (hoisted sc e) -> float_node sc k p args
+  | Proj (Var y, i) when fused_arith sc.names y i && not (hoisted sc e) -> begin
+      match lookup sc.names y with
+      | Some (Cfused { slot; x; comps; _ }) -> begin
+          match comps.(i) with
+          | Prim (p, args) -> float_node (fused_scope sc slot x) k p args
+          | c -> Fcode (comp (fused_scope sc slot x) c)
+        end
+      | _ -> Fcode (comp sc e)
+    end
+  | _ -> Fcode (comp sc e)
+
+(* A node of arity 1 or 2 ([is_arith]) writing slot [k]; folded, as the
+   generic code is, when every operand is static. *)
+and float_node sc k p args =
+  match args with
+  | [ a ] -> begin
+      match float_arg sc k a with
+      | Fcode c when is_static c -> Fcode (prim_static p [ vstage c ])
+      | xa ->
+          let ga = farg_value xa in
+          Fnode
+            { gen = prim_dyn p [ ga ];
+              run = run1 p k xa ga;
+              size = max (k + 1) (farg_size xa);
+              nested = is_fnode xa }
+    end
+  | [ a; b ] -> begin
+      let xa = float_arg sc k a in
+      let xb = float_arg sc (if is_fnode xa then k + 1 else k) b in
+      let ga = farg_value xa and gb = farg_value xb in
+      match (xa, xb) with
+      | Fcode ca, Fcode cb when is_static ca && is_static cb -> Fcode (prim_static p [ ga; gb ])
+      | _ ->
+          Fnode
+            { gen = prim_dyn p [ ga; gb ];
+              run = run2 p k xa ga xb gb;
+              size = max (k + 1) (max (farg_size xa) (farg_size xb));
+              nested = is_fnode xa || is_fnode xb }
+    end
+  | _ -> assert false (* [is_arith] *)
+
 (* Never folded: folding applications of self-applying closures could
    diverge at compile time; the interpreter only pays when it runs. The
    result is forced ([apply1]), so the node is value-typed. *)
@@ -837,7 +1087,7 @@ and fused_component sc a i =
   | Var y -> begin
       match lookup sc.names y with
       | Some (Cfused { slot; x; comps; _ }) when i >= 0 && i < Array.length comps ->
-          Some (comp { sc with names = [ Cslot (x, slot) ]; regions = [] } comps.(i))
+          Some (comp (fused_scope sc slot x) comps.(i))
       | _ -> None
     end
   | _ -> None

@@ -35,6 +35,20 @@
     subterm: so a subterm under an empty generator, a false guard or an
     untaken branch is never run, and errors surface at the same point.
 
+    {b Float paths.} An arithmetic root ([add], [sub], [mul], [div],
+    [neg], [abs], [sqrt], [floor], [to_float]) with at least one
+    arithmetic argument, also one reached through a fused binder's
+    [b._i], is staged a second time as a float path that runs first: it
+    computes the whole tree on unboxed floats in a small per-evaluation
+    scratch array and boxes only the root's [Float]. An [Int] operand
+    beside a float, or under [sqrt], [floor] or [to_float], converts as
+    [Prim] converts it. Where the generic code would not return a
+    [Float], because an operand is no number, two [Int]s meet, or an
+    [Int] is under [neg] or [abs], the path stops and the generic code
+    runs the tree again. The code is pure, so only the result counts. The
+    two paths share the staging of every non-arithmetic subterm, and
+    bodies without such a root stage exactly as before.
+
     The reference interpreter ({!Eval}) remains the semantics and serves as
     the differential-testing oracle: compiled closures produce the same
     values, raise the same classified errors ([Eval.Eval_error],

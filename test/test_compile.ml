@@ -932,11 +932,12 @@ let test_float_error_order () =
 
 (* Allocation guard: minor-heap words per call of staged functions,
    measured on the calling domain. The bounds are what the staged code
-   allocates: 2 words for the field access (its one-slot frame) and 58
-   for Q1's fused step (its two-slot frame, the boxed float results and
-   the new accumulator), where [union acc (single v)] takes 69. A
-   reintroduced per-access closure, consed environment or intermediate
-   tuple fails here, not only in the benchmark. *)
+   allocates: 2 words for the field access (its one-slot frame) and 39
+   for Q1's fused step (its two-slot frame, the scratch of two float
+   paths, the boxed float results and the new accumulator), where
+   [union acc (single v)] takes 69. A reintroduced per-access closure,
+   consed environment, intermediate tuple or intermediate float box fails
+   here, not only in the benchmark. *)
 let minor_words_per_call f =
   let calls = 2000 in
   ignore (Sys.opaque_identity (f ()));
@@ -992,13 +993,15 @@ let test_allocation_guard () =
     (Printf.sprintf "x.f allocates %.1f <= 2 words per call" field_words)
     true (field_words <= 2.0);
   Alcotest.(check bool)
-    (Printf.sprintf "Q1 step allocates %.1f <= 58 words per call" step_words)
-    true (step_words <= 58.0)
+    (Printf.sprintf "Q1 step allocates %.1f <= 39 words per call" step_words)
+    true (step_words <= 39.0)
 
 (* aggBy's owned form of Q1's algebra. [merge] stores into the
-   accumulator it is given and returns it: 49 words per call, its
-   two-slot frame and the boxed results, against the 58 of [step], which
-   also builds the new tuple (a 7-word array and its 2-word box).
+   accumulator it is given and returns it: 30 words per call, its
+   two-slot frame, the scratch of the two float paths that nest and the
+   five boxed [Float] results, against the 39 of [step], which also
+   builds the new tuple (a 7-word array and its 2-word box). Boxing the
+   six intermediate floats too made it 49.
    [absorb] does the same for [union]. A merge whose second component
    raises leaves the accumulator untouched, and raises the interpreter's
    error. A union that holds its accumulator whole is not done in place. *)
@@ -1025,8 +1028,8 @@ let test_owned_merge () =
   Printf.printf "owned Q1: merge %.1f words/call, absorb %.1f words/call\n" merge_words
     absorb_words;
   Alcotest.(check bool)
-    (Printf.sprintf "Q1 merge allocates %.1f <= 49 words per call" merge_words)
-    true (merge_words <= 49.0);
+    (Printf.sprintf "Q1 merge allocates %.1f <= 30 words per call" merge_words)
+    true (merge_words <= 30.0);
   (* three components, the second raising on [b = 0] *)
   let fns =
     { Expr.f_empty = S.(tup [ int_ 0; int_ 0; int_ 0 ]);
@@ -1064,14 +1067,40 @@ let test_owned_merge () =
     (own.Compile.merge acc (row 5 1) == acc);
   Alcotest.(check bool) "absorb builds a new tuple" false (own.Compile.absorb acc acc == acc)
 
+(* [a + b * (c - d)] over a row's fields, staged as one float path:
+   beyond its one-slot frame (2 words) it allocates the root's boxed
+   [Float] (4) and a one-slot scratch (2), so 8 words per call, with the
+   [Int] beside a float converted in place. Boxing the two intermediate
+   floats made it 14. *)
+let test_float_tree_allocation () =
+  let ctx = ctx_with [] in
+  let f = S.field (S.var "x") in
+  let body = S.(f "a" + (f "b" * (f "c" - f "d"))) in
+  let tree = Compile.fn ctx Eval.empty_env ~param:"x" body in
+  let row a =
+    Value.record
+      [ ("a", a); ("b", Value.Float 1.5); ("c", Value.Float 4.0); ("d", Value.Float 0.25) ]
+  in
+  List.iter
+    (fun (what, a) ->
+      let v = row a in
+      check_value what (Eval.eval_value ctx (Eval.bind "x" (Eval.V v) Eval.empty_env) body) (tree v);
+      let words = minor_words_per_call (fun () -> tree v) in
+      Printf.printf "a + b * (c - d), %s: %.1f words/call\n" what words;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f <= 8 words per call" what words)
+        true (words <= 8.0))
+    [ ("float a", Value.Float 2.0); ("int a", Value.Int 2) ]
+
 (* PageRank's message UDF, as the compiler emits it: the rank share
    [v._1.rank / to_float(count(v._2.neighbors))] does not depend on the
    neighbor [n], so it is computed once per vertex. Words per emitted
-   message then stay bounded as the degree grows (27.1 at degree 8, 23.5
+   message then stay bounded as the degree grows (26.9 at degree 8, 23.5
    at 64: the per-vertex count spreads over more messages); recounting
    the neighbors per message would make them grow with the degree. The
    count folds the neighbors' array without building a union tree, which
-   took 35.9 and 31.6. *)
+   took 35.9 and 31.6, and the share boxes only its quotient, not the
+   count's [to_float] too (27.1 at degree 8). *)
 let test_pagerank_message_allocation () =
   let ctx = ctx_with [] in
   let v = S.var "v" in
@@ -1180,6 +1209,7 @@ let suite =
         Alcotest.test_case "float error order" `Quick test_float_error_order;
         Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
         Alcotest.test_case "owned merge in place" `Quick test_owned_merge;
+        Alcotest.test_case "float tree allocation" `Quick test_float_tree_allocation;
         Alcotest.test_case "PageRank message allocation" `Quick test_pagerank_message_allocation;
         Alcotest.test_case "k-means assignment allocation" `Quick test_kmeans_assign_allocation
       ] ) ]
