@@ -58,9 +58,28 @@ let tables_dir_term =
   let doc = "Load input tables from CSV files in $(docv) instead of generating them." in
   Arg.(value & opt (some dir) None & info [ "tables" ] ~docv:"DIR" ~doc)
 
+(* Flag validation errors: one actionable line on stderr, exit 2 (the
+   engine's own job-failure exit is also 2; both mean "this invocation
+   cannot succeed as given"). *)
+let usage_fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "emma: %s\n" m;
+      exit 2)
+    fmt
+
+(* [Csv.read_tables], file by file, so that a file that does not parse
+   is named in its one-line error. *)
 let load_tables (e : Registry.entry) = function
   | None -> e.Registry.tables ()
-  | Some dir -> Emma_io.Csv.read_tables ~dir
+  | Some dir ->
+      let read (name, path) =
+        match Emma_io.Csv.read_file path with
+        | rows -> (name, rows)
+        | exception Emma_io.Csv.Parse_error { line; message } ->
+            usage_fail "--tables: %s, line %d: %s" path line message
+      in
+      List.map read (Emma_io.Csv.table_files ~dir)
 
 let with_entry name f =
   match Registry.find name with
@@ -227,16 +246,6 @@ let drain_after_term =
      and the final report accounts for every submission."
   in
   Arg.(value & opt (some float) None & info [ "drain-after" ] ~docv:"S" ~doc)
-
-(* Flag validation errors: one actionable line on stderr, exit 2 (the
-   engine's own job-failure exit is also 2; both mean "this invocation
-   cannot succeed as given"). *)
-let usage_fail fmt =
-  Printf.ksprintf
-    (fun m ->
-      Printf.eprintf "emma: %s\n" m;
-      exit 2)
-    fmt
 
 (* Every run/serve knob parses through Config.of_cli, the one shared
    flag-validation path, which holds the one-line exit-2 messages. *)

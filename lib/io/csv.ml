@@ -214,8 +214,12 @@ let write_tables ~dir tables =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter (fun (name, rows) -> write_file (Filename.concat dir (name ^ ".csv")) rows) tables
 
-let read_tables ~dir =
+let table_files ~dir =
   Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".csv")
-  |> List.map (fun f -> (Filename.chop_suffix f ".csv", read_file (Filename.concat dir f)))
+  |> List.filter_map (fun f ->
+         if Filename.check_suffix f ".csv" then
+           Some (Filename.chop_suffix f ".csv", Filename.concat dir f)
+         else None)
   |> List.sort compare
+
+let read_tables ~dir = List.map (fun (name, path) -> (name, read_file path)) (table_files ~dir)

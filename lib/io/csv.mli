@@ -32,5 +32,8 @@ val read_file : string -> Value.t list
 val write_tables : dir:string -> (string * Value.t list) list -> unit
 (** Write each named table to [dir/<name>.csv], creating [dir]. *)
 
+val table_files : dir:string -> (string * string) list
+(** Every [*.csv] in [dir] as a (table name, path) pair, sorted by name. *)
+
 val read_tables : dir:string -> (string * Value.t list) list
 (** Read every [*.csv] in [dir] as a (table name, rows) pair. *)

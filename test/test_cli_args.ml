@@ -290,6 +290,44 @@ let test_arrivals_accepted () =
            [ "serve"; "--arrivals"; file; "--tenants"; "acme:2,beta";
              "--queries"; "q1,group-min" ]))
 
+(* --tables: a CSV that does not parse dies with one line naming the
+   file, the line and the reason, and exit 2, on run and native alike *)
+let test_bad_tables_exit_2 () =
+  let header =
+    "orderKey:int,lineNumber:int,quantity:float,extendedPrice:float,discount:float,\
+     tax:float,returnFlag:string,lineStatus:string,shipDate:int,commitDate:int,receiptDate:int\n"
+  in
+  let good = "1041,0,13,8445.99,0,0.03,R,F,368,351,395\n" in
+  List.iter
+    (fun (name, bad, why) ->
+      with_temp_dir @@ fun dir ->
+      Sys.mkdir dir 0o755;
+      let csv = Filename.concat dir "lineitem.csv" in
+      Out_channel.with_open_bin csv (fun oc -> Out_channel.output_string oc (header ^ good ^ bad));
+      let err = Filename.concat dir "stderr.txt" in
+      List.iter
+        (fun cmd ->
+          let code =
+            Sys.command
+              (Filename.quote_command cli [ cmd; "q1"; "--tables"; dir ] ~stdout:"/dev/null"
+                 ~stderr:err)
+          in
+          let lines =
+            In_channel.with_open_bin err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          Alcotest.(check int) (Printf.sprintf "%s: %s exits 2" name cmd) 2 code;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s says where" name cmd)
+            [ Printf.sprintf "emma: --tables: %s, line 3: %s" csv why ]
+            lines)
+        [ "run"; "native" ])
+    [ ("2 of 11 cells", "1,2\n", "expected 11 cells, found 2");
+      ( "abc in a float column",
+        "688,1,abc,9213.37,0.02,0.04,R,F,2175,2235,2185\n",
+        "cannot parse \"abc\" as float" ) ]
+
 let suite =
   [ ( "cli_args",
       [ Alcotest.test_case "chaos rates parse" `Quick test_rates_parse_ok;
@@ -322,6 +360,7 @@ let suite =
           test_wal_roundtrip_exits_0;
         Alcotest.test_case "bad arrivals files exit 2" `Quick
           test_bad_arrivals_exit_2;
+        Alcotest.test_case "bad --tables CSV exits 2" `Quick test_bad_tables_exit_2;
         Alcotest.test_case "arrivals file accepted" `Quick
           test_arrivals_accepted ] )
   ]
