@@ -79,6 +79,46 @@ let rows_gen =
     list_size (int_bound 12)
       (map2 (fun a b -> row a b) (int_range (-20) 20) (int_range 0 5)))
 
+(* Two optimizer shapes over {a; b} tables "t1" and "t2". Matmul: an
+   equi-join on b whose products are grouped by a tuple key and summed,
+   which fold-group fusion turns into one aggBy. Triangles: an equi-join
+   guarded by an exists whose predicate compares a field of each outer
+   generator, so the guard unnests into a composite-key semi-join after
+   the join. *)
+let matmul_shape =
+  S.(
+    for_
+      [ gen "g"
+          (group_by
+             (lam "p" (fun p -> tup [ field p "i"; field p "j" ]))
+             (for_
+                [ gen "x" (read "t1");
+                  gen "y" (read "t2");
+                  when_ (field (var "x") "b" = field (var "y") "b") ]
+                ~yield:
+                  (record
+                     [ ("i", field (var "x") "a" mod int_ 3);
+                       ("j", field (var "y") "a" mod int_ 2);
+                       ("v", field (var "x") "a" * field (var "y") "a") ]))) ]
+      ~yield:
+        (record
+           [ ("a", sum (map (lam "p" (fun p -> field p "v")) (field (var "g") "values")));
+             ("b", proj (field (var "g") "key") 0) ]))
+
+let triangle_shape =
+  S.(
+    for_
+      [ gen "x" (read "t1");
+        gen "y" (read "t2");
+        when_ (field (var "x") "b" = field (var "y") "b");
+        when_
+          (exists
+             (lam "z" (fun z ->
+                  (field z "a" = field (var "x") "a") && (field z "b" = field (var "y") "a")))
+             (read "t1")) ]
+      ~yield:
+        (record [ ("a", field (var "x") "a" * field (var "y") "a"); ("b", field (var "y") "a") ]))
+
 (* A random chain of DataBag operators over the "rows" table, written
    against the desugared surface (exactly what user code looks like). *)
 let pipeline_gen =

@@ -39,10 +39,13 @@ let with_pool domains f =
   let pool = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let run_at ?(faults = Faults.none) ~domains prog tables =
+let run_at ?(faults = Faults.none) ?(udf_mode = Config.Compiled) ~domains prog tables =
   with_pool domains (fun pool ->
       let algo = Emma.parallelize prog in
-      let config = Config.(default |> with_faults faults |> with_pool (Some pool)) in
+      let config =
+        Config.(
+          default |> with_faults faults |> with_pool (Some pool) |> with_udf_mode udf_mode)
+      in
       let r = Emma.run_on_exn ~config (dispatching_rt ()) algo ~tables in
       (r.Emma.value, r.Emma.metrics))
 
@@ -111,7 +114,9 @@ let corpus_progs =
                  [ ("a", sum (map (lam "x" (fun x -> field x "a")) (field (var "g") "values")));
                    ("b", field (var "g") "key") ])) );
     ("distinct of union", mk S.(distinct (union (read "t1") (read "t2"))));
-    ("minus", mk S.(minus (read "t1") (read "t2"))) ]
+    ("minus", mk S.(minus (read "t1") (read "t2")));
+    ("matmul (join + grouped sum)", mk Helpers.matmul_shape);
+    ("triangles (join + composite-key semi-join)", mk Helpers.triangle_shape) ]
 
 let test_corpus_domain_invariance () =
   List.iter
@@ -119,6 +124,12 @@ let test_corpus_domain_invariance () =
       let native, _ = Emma.run_native (Emma.parallelize prog) ~tables:corpus_tables in
       let v1, m1 = run_at ~domains:1 prog corpus_tables in
       check_value (name ^ ": native = engine") native v1;
+      let vi, mi = run_at ~udf_mode:Config.Interp ~domains:1 prog corpus_tables in
+      check_value (name ^ ": interpreted UDFs = compiled") v1 vi;
+      Alcotest.(check bool)
+        (name ^ ": cost metrics with interpreted UDFs")
+        true
+        (Metrics.cost m1 = Metrics.cost mi);
       List.iter
         (fun d ->
           let v, m = run_at ~domains:d prog corpus_tables in

@@ -189,6 +189,34 @@ let test_pipeline_group_query () =
   Alcotest.(check bool) "fusion applied" true (Pipeline.applied_group_fusion report);
   Alcotest.(check bool) "no caching (no reuse)" false (Pipeline.applied_caching report)
 
+(* --- the matmul and triangle shapes of the parallel corpus -------------- *)
+
+let plans_have pred cprog =
+  let found = ref false in
+  Emma_dataflow.Cprog.iter_plans (fun p -> if plan_has pred p then found := true) cprog;
+  !found
+
+let test_matmul_shape () =
+  let cprog, _ =
+    Pipeline.compile
+      (S.program ~ret:S.unit_ [ S.s_let "r" Helpers.matmul_shape; S.write "out" (S.var "r") ])
+  in
+  Alcotest.(check bool) "matmul uses an eq-join" true
+    (plans_have (function P.Join { kind = P.Inner; _ } -> true | _ -> false) cprog);
+  Alcotest.(check bool) "matmul's sum is fused into aggBy" true
+    (plans_have (function P.Agg_by _ -> true | _ -> false) cprog);
+  Alcotest.(check bool) "no groupBy survives" false
+    (plans_have (function P.Group_by _ -> true | _ -> false) cprog)
+
+let test_triangle_shape () =
+  (* the exists compares a field of each outer generator, so it can only
+     unnest after join extraction, as a semi-join on a composite key *)
+  let _, report = Pipeline.compile (S.program ~ret:(S.count Helpers.triangle_shape) []) in
+  let stats = report.Pipeline.translation in
+  Alcotest.(check int) "one eq-join" 1 stats.Translate.eq_joins;
+  Alcotest.(check int) "one semi-join (composite key, post-join)" 1 stats.Translate.semi_joins;
+  Alcotest.(check int) "no broadcast-filter fallback" 0 stats.Translate.broadcast_filters
+
 let suite =
   [ ( "translate",
       [ Alcotest.test_case "filter pushdown" `Quick test_filter_pushdown;
@@ -201,4 +229,7 @@ let suite =
         Alcotest.test_case "fold plan" `Quick test_fold_plan;
         Alcotest.test_case "broadcast annotation" `Quick test_broadcast_annotation;
         Alcotest.test_case "pipeline: spam-like program" `Quick test_pipeline_spamlike;
-        Alcotest.test_case "pipeline: group query" `Quick test_pipeline_group_query ] ) ]
+        Alcotest.test_case "pipeline: group query" `Quick test_pipeline_group_query;
+        Alcotest.test_case "matmul: join + aggBy, no groupBy" `Quick test_matmul_shape;
+        Alcotest.test_case "triangles: join + composite semi-join" `Quick test_triangle_shape
+      ] ) ]
