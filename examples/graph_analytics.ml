@@ -1,7 +1,6 @@
 (* Graph analytics: PageRank (Listing 6) and Connected Components
-   (Listing 7) over StatefulBags on a generated power-law graph, plus the
-   Emma_graph library (degrees, triangle counting) — all with oracle
-   checks (plain-OCaml PageRank, union-find, brute-force triangles).
+   (Listing 7) over StatefulBags on a generated power-law graph, both
+   with oracle checks (plain-OCaml PageRank, union-find).
 
      dune exec examples/graph_analytics.exe *)
 
@@ -65,28 +64,7 @@ let () =
     |> List.sort_uniq compare |> List.length
   in
   assert (List.length distinct_components = oracle_count);
-  Format.printf "  union-find oracle agrees (%d components)@." oracle_count;
-
-  (* ---- Emma_graph library: degrees and triangles ---- *)
-  let module G = Emma_graph.Graph in
-  let edges = G.edges_of_adjacency undirected in
-  let tri_prog =
-    Emma.Surface.program ~ret:(G.triangle_count (Emma.Surface.read "edges")) []
-  in
-  let tri_algo = Emma.parallelize tri_prog in
-  let tri_native, _ = Emma.run_native tri_algo ~tables:[ ("edges", edges) ] in
-  let pairs =
-    List.map
-      (fun e -> (Value.to_int (Value.field e "src"), Value.to_int (Value.field e "dst")))
-      edges
-  in
-  Format.printf "Triangles (directed rotations): %d — brute-force oracle: %d@."
-    (Value.to_int tri_native)
-    (G.triangle_count_reference pairs);
-  assert (Value.to_int tri_native = G.triangle_count_reference pairs);
-  Format.printf "  (compiled as %d equi-join + %d semi-join)@.@."
-    tri_algo.Emma.report.Emma.Pipeline.translation.Emma_compiler.Translate.eq_joins
-    tri_algo.Emma.report.Emma.Pipeline.translation.Emma_compiler.Translate.semi_joins;
+  Format.printf "  union-find oracle agrees (%d components)@.@." oracle_count;
 
   (* ---- and on the simulated engine ---- *)
   match
