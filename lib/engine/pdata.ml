@@ -70,11 +70,6 @@ let co_partitioned t key =
   | Some k -> Plan.udf_alpha_equal k key
   | None -> false
 
-let map_parts f t = make ~rmult:t.rmult ~bmult:t.bmult (Array.map f t.parts)
-
-let map_parts_preserving f t =
-  make ?part_key:t.part_key ~rmult:t.rmult ~bmult:t.bmult (Array.map f t.parts)
-
 let union a b =
   let n = max (nparts a) (nparts b) in
   let part t i = if i < nparts t then t.parts.(i) else [] in

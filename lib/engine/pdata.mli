@@ -101,14 +101,6 @@ val max_elem_bytes : t -> int
 val co_partitioned : t -> Plan.udf -> bool
 (** Whether the data is already hash-partitioned by an alpha-equal key. *)
 
-val map_parts : (Value.t list -> Value.t list) -> t -> t
-(** Narrow (partition-local) transformation; clears the key property,
-    preserves multipliers. *)
-
-val map_parts_preserving : (Value.t list -> Value.t list) -> t -> t
-(** Narrow transformation that cannot change element identity w.r.t. the
-    partitioning key (e.g. a filter); keeps the key property. *)
-
 val union : t -> t -> t
 (** Zips partitions pairwise; clears the key property; multipliers are the
     pairwise maxima. *)

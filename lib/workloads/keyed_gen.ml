@@ -29,8 +29,3 @@ let tuples ~seed cfg =
       let payload = Prng.string rng ~len:(Prng.int_in rng cfg.payload_min cfg.payload_max) in
       Value.record
         [ ("key", Value.Int key); ("value", Value.Int value); ("payload", Value.String payload) ])
-
-let avg_tuple_bytes cfg =
-  (* record overhead 8 + key 8 + value 8 + string (8 + avg len) *)
-  8.0 +. 8.0 +. 8.0 +. 8.0
-  +. (float_of_int (cfg.payload_min + cfg.payload_max) /. 2.0)

@@ -22,6 +22,3 @@ val pareto : n_keys:int -> Emma_util.Dist.t
 
 val tuples : seed:int -> config -> Emma_value.Value.t list
 (** Records [{key; value; payload}]. *)
-
-val avg_tuple_bytes : config -> float
-(** Mean logical size of one tuple under the byte-size model. *)

@@ -113,22 +113,17 @@ let test_pdata_mult_propagation () =
   let pd = Pdata.of_list ~rmult:10.0 ~bmult:20.0 ~nparts:2 vs in
   Alcotest.(check (float 1e-9)) "logical records" 80.0 (Pdata.logical_records pd);
   Alcotest.(check (float 1e-9)) "logical bytes" (20.0 *. Pdata.bytes pd) (Pdata.logical_bytes pd);
-  let filtered = Pdata.map_parts_preserving (List.filter (fun _ -> true)) pd in
-  Alcotest.(check (float 1e-9)) "mult preserved" 10.0 filtered.Pdata.rmult;
   let u = Pdata.union pd (Pdata.of_list ~nparts:2 vs) in
   Alcotest.(check (float 1e-9)) "union takes max" 10.0 u.Pdata.rmult
 
 let test_pdata_key_property () =
   let key = P.udf_of_expr (Expr.Lam ("x", Expr.Var "x")) in
   let home = abs (Value.hash (Value.int 1)) mod 2 in
-  let pd =
-    Pdata.make ~part_key:key ~rmult:1.0 ~bmult:1.0
-      (Array.init 2 (fun i -> if i = home then [ Value.int 1 ] else []))
-  in
-  Alcotest.(check bool) "map_parts clears key" false
-    (Pdata.co_partitioned (Pdata.map_parts Fun.id pd) key);
-  Alcotest.(check bool) "preserving keeps key" true
-    (Pdata.co_partitioned (Pdata.map_parts_preserving Fun.id pd) key);
+  let parts = Array.init 2 (fun i -> if i = home then [ Value.int 1 ] else []) in
+  let pd = Pdata.make ~part_key:key ~rmult:1.0 ~bmult:1.0 parts in
+  Alcotest.(check bool) "make without a key" false
+    (Pdata.co_partitioned (Pdata.make ~rmult:1.0 ~bmult:1.0 parts) key);
+  Alcotest.(check bool) "make ~part_key keeps key" true (Pdata.co_partitioned pd key);
   Alcotest.(check bool) "union clears key" false
     (Pdata.co_partitioned (Pdata.union pd pd) key)
 
@@ -221,8 +216,6 @@ let constructions (parts, parts') =
     ("of_list", Pdata.of_list ~rmult:2.0 ~bmult:4.0 ~nparts:n vs);
     ("round_robin pooled", Pdata.make ~rmult:2.0 ~bmult:4.0 (pooled_round_robin pool n vs));
     ("make ~part_key", Pdata.make ~part_key:key ~rmult:3.0 ~bmult:1.5 parts);
-    ("map_parts", Pdata.map_parts (List.filter (fun v -> Value.byte_size v > 8)) (fresh ()));
-    ("map_parts_preserving", Pdata.map_parts_preserving List.rev (forced ()));
     ("union", Pdata.union (fresh ()) (other ()));
     ("with_mult", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (forced ()));
     ("with_mult unforced", Pdata.with_mult ~rmult:7.0 ~bmult:0.25 (fresh ())) ]
