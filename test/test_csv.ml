@@ -95,6 +95,62 @@ let prop_roundtrip =
       let back = Csv.of_string (Csv.to_string rows) in
       Value.equal (Value.bag rows) (Value.bag back))
 
+(* Parser robustness: on any input, [of_string] returns rows or raises
+   [Parse_error], and nothing else. The inputs are every prefix of a
+   valid table with one column of each scalar type, and random byte edits
+   of it. *)
+let typed_table_gen =
+  QCheck2.Gen.(
+    let str = string_size ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; ';'; ' ' ]) (int_bound 6) in
+    let row =
+      map
+        (fun (i, s, (f, ok, pos)) ->
+          Value.record
+            [ ("i", Value.Int i);
+              ("s", Value.String s);
+              ("f", Value.Float f);
+              ("ok", Value.Bool ok);
+              ("pos", Value.Vector (Array.of_list pos)) ])
+        (triple int str (triple float bool (list_size (int_bound 3) float)))
+    in
+    map Csv.to_string (list_size (int_range 1 4) row))
+
+let parses_or_parse_error s =
+  match Csv.of_string s with
+  | _ -> true
+  | exception Csv.Parse_error _ -> true
+  | exception e -> QCheck2.Test.fail_reportf "%S raised %s" s (Printexc.to_string e)
+
+let prop_prefixes_fail_cleanly =
+  Helpers.qcheck_case "every prefix parses or raises Parse_error" ~count:100 typed_table_gen
+    (fun text ->
+      List.for_all parses_or_parse_error
+        (List.init (String.length text + 1) (fun n -> String.sub text 0 n)))
+
+(* An edit replaces, inserts or deletes one byte at a position taken
+   modulo the text's length. *)
+let apply_edit text (kind, pos, c) =
+  let n = String.length text in
+  if n = 0 then String.make 1 c
+  else
+    let pos = pos mod n in
+    let before = String.sub text 0 pos and from i = String.sub text i (n - i) in
+    match kind with
+    | 0 -> before ^ String.make 1 c ^ from (pos + 1)
+    | 1 -> before ^ String.make 1 c ^ from pos
+    | _ -> before ^ from (pos + 1)
+
+let prop_edits_fail_cleanly =
+  Helpers.qcheck_case "random byte edits parse or raise Parse_error" ~count:500
+    QCheck2.Gen.(
+      pair typed_table_gen
+        (list_size (int_range 1 8)
+           (triple (int_bound 2) nat
+              (frequency
+                 [ (3, oneofl [ ','; '"'; '\n'; ':'; ';'; '-'; '.'; 'e'; '0'; ' ' ]);
+                   (1, char) ]))))
+    (fun (text, edits) -> parses_or_parse_error (List.fold_left apply_edit text edits))
+
 let suite =
   [ ( "csv",
       [ Alcotest.test_case "round trip" `Quick test_roundtrip;
@@ -103,4 +159,6 @@ let suite =
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "files and directories" `Quick test_files_and_dirs;
         Alcotest.test_case "workload round trip" `Quick test_workload_roundtrip;
-        prop_roundtrip ] ) ]
+        prop_roundtrip;
+        prop_prefixes_fail_cleanly;
+        prop_edits_fail_cleanly ] ) ]

@@ -455,6 +455,24 @@ let test_arrival_parse_errors () =
       ("bad time", "x acme sum\n");
       ("negative time", "-1.0 acme sum\n") ]
 
+(* Garbage text never makes the parser raise: it returns events or a
+   one-line error. *)
+let prop_arrival_garbage =
+  Helpers.qcheck_case "arrival parser never raises on garbage" ~count:500
+    QCheck2.Gen.(
+      string_size ~gen:
+        (frequency
+           [ (4, oneofl [ ' '; '\t'; '\n'; '\r'; '#'; '.'; '-'; '+'; 'e'; 'x'; '_' ]);
+             (3, numeral);
+             (2, printable);
+             (1, char) ])
+        (int_bound 80))
+    (fun text ->
+      match Arrival.of_string text with
+      | Ok _ -> true
+      | Error e -> not (String.contains e '\n')
+      | exception e -> QCheck2.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
 let test_arrival_generate_deterministic () =
   let a = Arrival.generate ~seed:9 ~rate:2.0 ~alpha:1.2 ~tenants:[ "t1"; "t2" ]
             ~queries:[ "q" ] ~n:50 in
@@ -505,5 +523,6 @@ let suite =
         Alcotest.test_case "arrival trace round-trips" `Quick test_arrival_roundtrip;
         Alcotest.test_case "arrival parse errors are one line" `Quick
           test_arrival_parse_errors;
+        prop_arrival_garbage;
         Alcotest.test_case "arrival generation deterministic" `Quick
           test_arrival_generate_deterministic ] ) ]
