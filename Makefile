@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden serve-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden serve-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
 
 all: build
 
@@ -97,10 +97,15 @@ overload-smoke:
 crash-smoke:
 	dune build @crash-smoke --force
 
+# Every example under examples/, each checked by its own asserts against
+# an oracle (plain-OCaml reference or native evaluation).
+examples-smoke:
+	dune build @examples-smoke --force
+
 # The full pre-merge flow: build, tier-1 tests on 2, 4 and 8 domains,
 # chaos smoke, memory smoke, UDF-mode differential smoke, pool stress,
-# service-layer smoke, crash-recovery smoke.
-check: build test test-parallel test-parallel8 chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke
+# service-layer smoke, crash-recovery smoke, examples smoke.
+check: build test test-parallel test-parallel8 chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke
 
 bench:
 	dune exec bench/main.exe

@@ -30,6 +30,14 @@ let () =
 
   let oracle = Pr.Kmeans.reference ~params:{ params with dim = cfg.W.Points_gen.dim } ~points ~centroids0 in
   Format.printf "centroids (oracle): %a@." Value.pp (Value.bag oracle);
+  let by_cid cs =
+    List.sort (fun a b -> Value.compare (Value.field a "cid") (Value.field b "cid")) cs
+    |> List.map (fun c -> Value.to_vector (Value.field c "pos"))
+  in
+  assert (
+    List.for_all2
+      (fun a b -> Emma_util.Vec.dist a b < 1e-6)
+      (by_cid (Value.to_bag native)) (by_cid oracle));
 
   List.iter
     (fun (name, rt) ->
