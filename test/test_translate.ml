@@ -7,6 +7,11 @@ module Pipeline = Emma_compiler.Pipeline
 
 let plan_has pred p = P.fold_plan (fun acc n -> acc || pred n) false p
 
+let plans_have pred cprog =
+  let found = ref false in
+  Emma_dataflow.Cprog.iter_plans (fun p -> if plan_has pred p then found := true) cprog;
+  !found
+
 let to_plan ?unnest e = Translate.to_plan ?unnest (Normalize.normalize e)
 
 let test_filter_pushdown () =
@@ -161,12 +166,8 @@ let test_pipeline_spamlike () =
   Alcotest.(check bool) "blacklist cached" true
     (List.mem "blacklist" report.Pipeline.cached_vars);
   (* and the cached plans carry an enforced partitioning on ip *)
-  let has_partition = ref false in
-  Emma_dataflow.Cprog.iter_plans
-    (fun p ->
-      if plan_has (function P.Partition_by _ -> true | _ -> false) p then has_partition := true)
-    cprog;
-  Alcotest.(check bool) "partition enforced at producer" true !has_partition
+  Alcotest.(check bool) "partition enforced at producer" true
+    (plans_have (function P.Partition_by _ -> true | _ -> false) cprog)
 
 let test_pipeline_group_query () =
   let prog =
@@ -190,11 +191,6 @@ let test_pipeline_group_query () =
   Alcotest.(check bool) "no caching (no reuse)" false (Pipeline.applied_caching report)
 
 (* --- the matmul and triangle shapes of the parallel corpus -------------- *)
-
-let plans_have pred cprog =
-  let found = ref false in
-  Emma_dataflow.Cprog.iter_plans (fun p -> if plan_has pred p then found := true) cprog;
-  !found
 
 let test_matmul_shape () =
   let cprog, _ =
