@@ -75,4 +75,4 @@ let () =
       Format.printf "engine run: %.1f simulated s, %d jobs, %d shuffle MB@."
         metrics.Emma.Metrics.sim_time_s metrics.Emma.Metrics.jobs
         (int_of_float (metrics.Emma.Metrics.shuffle_bytes /. 1e6))
-  | _ -> print_endline "engine run failed"
+  | _ -> failwith "engine run failed"

@@ -73,7 +73,7 @@ let () =
         metrics.Emma.Metrics.sim_time_s metrics.Emma.Metrics.jobs;
       assert (Value.equal native value);
       print_endline "native and distributed execution agree."
-  | Emma.Failed { reason; _ } -> Format.printf "engine failed: %s@." reason
-  | Emma.Timed_out { at_s; _ } -> Format.printf "engine timed out at %.0f s@." at_s
+  | Emma.Failed { reason; _ } -> failwith ("engine failed: " ^ reason)
+  | Emma.Timed_out { at_s; _ } -> Printf.ksprintf failwith "engine timed out at %.0f s" at_s
   | Emma.Cancelled { at_s; reason; _ } ->
-      Format.printf "engine cancelled at %.0f s: %s@." at_s reason
+      Printf.ksprintf failwith "engine cancelled at %.0f s: %s" at_s reason

@@ -61,4 +61,4 @@ let () =
       Format.printf "Q4 on simulated cluster (logical SF 10): %.0f s, %s shuffled@."
         metrics.Emma.Metrics.sim_time_s
         (Printf.sprintf "%.1f GB" (metrics.Emma.Metrics.shuffle_bytes /. 1e9))
-  | _ -> print_endline "engine run failed"
+  | _ -> failwith "engine run failed"
