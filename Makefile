@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden serve-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden cost-golden alloc-golden serve-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke perfbench-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
 
 all: build
 
@@ -102,10 +102,17 @@ crash-smoke:
 examples-smoke:
 	dune build @examples-smoke --force
 
+# The benchmark's workloads for a few ops each (about 20 s): fails if an
+# op fails its checks or a 1-domain op allocates differently on its
+# second pass, so state carried over between ops shows up here.
+perfbench-smoke:
+	dune build @perfbench/smoke --force
+
 # The full pre-merge flow: build, tier-1 tests on 2, 4 and 8 domains,
 # chaos smoke, memory smoke, UDF-mode differential smoke, pool stress,
-# service-layer smoke, crash-recovery smoke, examples smoke.
-check: build test test-parallel test-parallel8 chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke
+# service-layer smoke, crash-recovery smoke, examples smoke, benchmark
+# smoke.
+check: build test test-parallel test-parallel8 chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke examples-smoke perfbench-smoke
 
 bench:
 	dune exec bench/main.exe

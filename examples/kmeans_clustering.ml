@@ -44,9 +44,10 @@ let () =
       match Emma.run_on rt algo ~tables with
       | Emma.Finished { metrics; _ } ->
           Format.printf "@.--- %s profile ---@.%a@." name Emma.Metrics.pp metrics
-      | Emma.Failed { reason; _ } -> Format.printf "%s failed: %s@." name reason
-      | Emma.Timed_out { at_s; _ } -> Format.printf "%s timed out at %.0f s@." name at_s
+      | Emma.Failed { reason; _ } -> Printf.ksprintf failwith "%s failed: %s" name reason
+      | Emma.Timed_out { at_s; _ } ->
+          Printf.ksprintf failwith "%s timed out at %.0f s" name at_s
       | Emma.Cancelled { at_s; reason; _ } ->
-          Format.printf "%s cancelled at %.0f s: %s@." name at_s reason)
+          Printf.ksprintf failwith "%s cancelled at %.0f s: %s" name at_s reason)
     [ ("spark-like", Emma.spark ~cluster:(Emma.Cluster.paper_cluster ()) ());
       ("flink-like", Emma.flink ~cluster:(Emma.Cluster.paper_cluster ()) ()) ]

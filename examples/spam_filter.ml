@@ -56,8 +56,9 @@ let () =
             name metrics.Emma.Metrics.sim_time_s
             (metrics.Emma.Metrics.shuffle_bytes /. 1e9)
             (metrics.Emma.Metrics.broadcast_bytes /. 1e9)
-      | Emma.Failed { reason; _ } -> Format.printf "  %s FAILED: %s@." name reason
-      | Emma.Timed_out { at_s; _ } -> Format.printf "  %s timed out at %.0f s@." name at_s
+      | Emma.Failed { reason; _ } -> Printf.ksprintf failwith "%s failed: %s" name reason
+      | Emma.Timed_out { at_s; _ } ->
+          Printf.ksprintf failwith "%s timed out at %.0f s" name at_s
       | Emma.Cancelled { at_s; reason; _ } ->
-          Format.printf "  %s cancelled at %.0f s: %s@." name at_s reason)
+          Printf.ksprintf failwith "%s cancelled at %.0f s: %s" name at_s reason)
     configs

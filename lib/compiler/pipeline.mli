@@ -80,7 +80,9 @@ val normalized_key :
     combined with an [opts] fingerprint and the caller's table-[schema]
     fingerprint. Same source modulo alpha-renaming of compiler-invented
     names + same opts + same schema ⇒ same key; any plan-affecting change
-    ⇒ different key. *)
+    ⇒ different key. Computing a key costs a front-end pass and a
+    rendering (tens of thousands of words for TPC-H Q1), so a session
+    memoizes each key it computes (see [Emma.Session.submit]). *)
 
 val compile :
   ?opts:opts ->

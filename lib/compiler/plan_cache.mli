@@ -4,6 +4,9 @@
     CRC32-indexed rendering of the normalized program + opts + table
     schema) and reuse the compiled {!Emma_dataflow.Cprog.t} + report on a
     hit, skipping the whole normalize/fusion/translate/physical pipeline.
+    The key itself costs a front-end pass, so each session memoizes the
+    keys it computes (per program value, opts and schema) and a warm
+    probe pays neither.
     Compiled programs are immutable, so a cached plan is shared across
     runs without copying.
 

@@ -64,6 +64,17 @@ let make_ctx tables =
 (* Sessions                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* One memoized plan-cache key: the program is matched by physical
+   identity, because structural equality would confuse constants that
+   print differently (0.0 and -0.0). A structurally equal copy just
+   computes its key again. *)
+type key_entry = {
+  ke_source : Expr.program;
+  ke_opts : Pipeline.opts;
+  ke_schema : string;
+  ke_key : Pipeline.cache_key;
+}
+
 type t = {
   rt : runtime;
   config : Config.t;  (* with [pool] resolved to the session pool *)
@@ -78,6 +89,9 @@ type t = {
   read_memo : Engine.read_memo;
       (* every run's partitioned input tables: a table submitted again
          (the same row list) is partitioned and sized once per session *)
+  mutable keys : key_entry list;
+      (* the plan-cache keys this session computed, newest first, at most
+         the cache's capacity; guarded by [compile_lock] *)
 }
 
 (* Timeout unification: [Session.spark ?timeout_s] and [Config.timeout_s]
@@ -118,6 +132,7 @@ let create ?(config = Config.default) rt =
     cache;
     compile_lock = Mutex.create ();
     read_memo = Engine.read_memo ();
+    keys = [];
   }
 
 let close t = if t.owns_pool then Pool.shutdown t.pool
@@ -243,6 +258,26 @@ type submit_info = {
 let cold_compile_s source = 0.05 +. (1.0e-4 *. float_of_int (Pipeline.program_size source))
 let hit_compile_s = 0.002
 
+(* The plan-cache key of [source] under [opts] and [schema], from the
+   session's memo when this very program was keyed before. Computing a
+   key runs the whole front end and the printer, so a warm session must
+   not pay it on every submit, probe and prime. An uncached session keeps
+   no entries. The caller holds [compile_lock]: it guards the memo and
+   the fresh-name counter that [Pipeline.normalized_key] resets. *)
+let memo_key t ~opts ~schema source =
+  match
+    List.find_opt
+      (fun e -> e.ke_source == source && e.ke_opts = opts && String.equal e.ke_schema schema)
+      t.keys
+  with
+  | Some e -> e.ke_key
+  | None ->
+      let key = Pipeline.normalized_key ~opts ~schema source in
+      let entry = { ke_source = source; ke_opts = opts; ke_schema = schema; ke_key = key } in
+      let cap = match t.cache with Some pc -> Plan_cache.capacity pc | None -> 0 in
+      t.keys <- List.filteri (fun i _ -> i < cap) (entry :: t.keys);
+      key
+
 (* Uncounted plan-cache membership: would this submission hit? Used by
    the serve degradation ladder's plan-cache-only rung to shed queries
    that would compile cold, without perturbing the counted probe/store
@@ -252,13 +287,14 @@ let would_hit ?(opts = Pipeline.default_opts) t source ~tables =
   | None -> false
   | Some pc ->
       let schema = schema_of_tables tables in
-      Plan_cache.mem pc (Pipeline.normalized_key ~opts ~schema source)
+      with_lock t.compile_lock (fun () ->
+          Plan_cache.mem pc (memo_key t ~opts ~schema source))
 
 (* The ck_text a [submit] of this program/opts/schema is keyed by.
    Serve snapshots use it to persist cache contents as query names. *)
-let plan_key ?(opts = Pipeline.default_opts) source ~tables =
+let plan_key ?(opts = Pipeline.default_opts) t source ~tables =
   let schema = schema_of_tables tables in
-  (Pipeline.normalized_key ~opts ~schema source).Pipeline.ck_text
+  (with_lock t.compile_lock (fun () -> memo_key t ~opts ~schema source)).Pipeline.ck_text
 
 (* Current cache keys, least-recently-used first; [] when uncached. *)
 let plan_cache_keys t =
@@ -279,8 +315,8 @@ let prime ?(opts = Pipeline.default_opts) t source ~tables =
   | None -> ()
   | Some pc ->
       let schema = schema_of_tables tables in
-      let key = Pipeline.normalized_key ~opts ~schema source in
       with_lock t.compile_lock (fun () ->
+          let key = memo_key t ~opts ~schema source in
           if Plan_cache.mem pc key then Plan_cache.touch pc key
           else
             let compiled, report = Pipeline.compile ~opts source in
@@ -298,7 +334,7 @@ let submit ?(opts = Pipeline.default_opts) ?config ?cluster t source
             let compiled, report = Pipeline.compile ~opts source in
             ({ source; compiled; report; opts }, Uncached, 0)
         | Some pc -> (
-            let key = Pipeline.normalized_key ~opts ~schema source in
+            let key = memo_key t ~opts ~schema source in
             match Plan_cache.probe pc key with
             | Some (compiled, report) -> ({ source; compiled; report; opts }, Hit, 0)
             | None ->

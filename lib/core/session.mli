@@ -166,7 +166,16 @@ val submit :
     misses. Cache hits/misses/evictions are recorded in the returned
     outcome's {!Metrics.t} ([plan_cache_*] fields) and as Trace instants.
     Results and engine cost metrics are bit-identical between a hit and a
-    cold compile (property-tested). *)
+    cold compile (property-tested).
+
+    The session memoizes each key it computes, so a warm session does not
+    run the front end again to probe: the memo is matched on the program's
+    physical identity ([==]), [opts] and the schema fingerprint, holds at
+    most the plan cache's capacity (oldest dropped first) and is empty on
+    an uncached session. A structurally equal copy of a program computes
+    its key again and hits as before. {!would_hit}, {!prime} and
+    {!plan_key} share the memo; all four read it under the session's
+    compile lock. *)
 
 val would_hit :
   ?opts:Pipeline.opts ->
@@ -178,8 +187,10 @@ val would_hit :
     program/opts/schema would hit right now. Never bumps cache stats or
     LRU recency ({!Plan_cache.mem}), so peeking is free of observable
     side effects — the serve degradation ladder's plan-cache-only rung
-    uses it to shed queries that would compile cold. Always [false] on an
-    uncached session. *)
+    uses it to shed queries that would compile cold. Its key comes from
+    the session's key memo (see {!submit}), so a probe of a program the
+    session has keyed before allocates only the schema fingerprint.
+    Always [false] on an uncached session. *)
 
 val prime :
   ?opts:Pipeline.opts ->
@@ -192,17 +203,21 @@ val prime :
     with {!Plan_cache.store}'s tick and eviction behavior but no counter
     bumps. Replaying the journaled hit/miss sequence through [prime]
     reconstructs the uninterrupted run's cache population and LRU order
-    exactly; the pre-crash counts are reported as a separate base. No-op
-    on an uncached session. *)
+    exactly; the pre-crash counts are reported as a separate base. Keyed
+    through the session's key memo, as {!submit} is. No-op on an uncached
+    session. *)
 
 val plan_key :
   ?opts:Pipeline.opts ->
+  t ->
   Expr.program ->
   tables:(string * Value.t list) list ->
   string
 (** The cache-key text a {!submit} of this program/opts/schema is keyed
-    by — serve snapshots persist cache contents as query names via this
-    mapping. *)
+    by, taken from (and added to) the session's key memo — serve
+    snapshots persist cache contents as query names via this mapping.
+    Equal to [(Pipeline.normalized_key ~opts ~schema prog).ck_text] with
+    [schema = schema_of_tables tables]. *)
 
 val plan_cache_keys : t -> string list
 (** Current plan-cache key texts, least-recently-used first; [[]] when

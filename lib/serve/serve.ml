@@ -534,15 +534,19 @@ let snapshot_payload ctx (st : state) j =
         | Sched.Br_open until -> Printf.sprintf "breaker %d open %s\n" ti (fhex until)
         | Sched.Br_half_open -> Printf.sprintf "breaker %d half\n" ti))
     st.Sched.breakers;
-  let key2name =
-    List.map (fun (name, (prog, tables)) -> (Session.plan_key prog ~tables, name)) ctx.workload
+  (* A cached key is named by the first workload query, in workload
+     order, keyed by it. The scan stops at that query, and the keys come
+     from the session's memo, so a warm session computes none. *)
+  let name_of key =
+    match
+      List.find_opt
+        (fun (_, (prog, tables)) -> String.equal (Session.plan_key ctx.session prog ~tables) key)
+        ctx.workload
+    with
+    | Some (name, _) -> name
+    | None -> raise (Recovery_error "snapshot: cached plan not in the workload")
   in
-  line "lru"
-    (fun key ->
-      match List.assoc_opt key key2name with
-      | Some name -> name
-      | None -> raise (Recovery_error "snapshot: cached plan not in the workload"))
-    (Array.of_list (Session.plan_cache_keys ctx.session));
+  line "lru" name_of (Array.of_list (Session.plan_cache_keys ctx.session));
   Array.iter
     (Option.iter (fun (r, evictions) ->
          Buffer.add_string b ("result " ^ encode_outcome ~evictions r ^ "\n")))

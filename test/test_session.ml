@@ -314,6 +314,104 @@ let test_would_hit_is_uncounted () =
   Alcotest.(check bool) "uncached session: never" false
     (Session.would_hit s2 sum_prog ~tables)
 
+(* The session memoizes plan-cache keys. A warm probe must not run the
+   front end again: before the memo, [would_hit] on Q1 allocated about
+   73k words, all of it the key. *)
+let test_would_hit_warm_allocation () =
+  let e = Option.get (Registry.find "q1") in
+  let tables = e.Registry.tables () in
+  with_session ~config:(Config.with_plan_cache (Some 4) Config.default) rt
+  @@ fun s ->
+  ignore (finished (fst (Session.submit s e.Registry.program ~tables)));
+  let w0 = Gc.minor_words () in
+  let hit = Session.would_hit s e.Registry.program ~tables in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "submitted Q1 would hit" true hit;
+  if words > 1000.0 then
+    Alcotest.failf "warm would_hit allocated %.0f words (at most 1000)" words
+
+(* A fresh, physically distinct program, structurally equal to every
+   other [add_prog k]. *)
+let add_prog k =
+  S.program
+    ~ret:S.(sum (map (lam "x" (fun x -> field x "a" + int_ k)) (read "rows")))
+    []
+
+let test_key_memo_matches () =
+  with_session ~config:(Config.with_plan_cache (Some 8) Config.default) rt
+  @@ fun s ->
+  let tables = [ ("rows", rows 20) ] in
+  let status ?opts ?(tables = tables) p =
+    (snd (Session.submit ?opts s p ~tables)).Session.si_cache
+  in
+  let p = add_prog 1 and copy = add_prog 1 in
+  Alcotest.(check bool) "the copy is a distinct value" true (p != copy);
+  Alcotest.check cache_status "cold" Session.Miss (status p);
+  Alcotest.check cache_status "structurally equal copy hits" Session.Hit
+    (status copy);
+  Alcotest.check cache_status "changed schema misses" Session.Miss
+    (status p ~tables:[ ("rows", [ Value.record [ ("a", Value.Int 1) ] ]) ]);
+  let no_fuse = Emma.Pipeline.with_ ~fuse:false () in
+  Alcotest.(check bool) "changed opts would not hit" false
+    (Session.would_hit ~opts:no_fuse s p ~tables);
+  Alcotest.check cache_status "changed opts misses" Session.Miss
+    (status ~opts:no_fuse p);
+  Alcotest.check cache_status "original key still hits" Session.Hit (status p);
+  (* 0.0 = -0.0 structurally, yet the two constants print, and so key,
+     differently *)
+  let const c = S.program ~ret:S.(sum (map (lam "x" (fun _ -> float_ c)) (read "rows"))) [] in
+  Alcotest.check cache_status "0.0 compiles cold" Session.Miss (status (const 0.0));
+  Alcotest.check cache_status "-0.0 compiles cold" Session.Miss (status (const (-0.0)))
+
+let test_plan_key_is_normalized_key () =
+  let check s (e : Registry.entry) what =
+    let tables = e.Registry.tables () in
+    let expected =
+      (Emma.Pipeline.normalized_key ~schema:(Session.schema_of_tables tables)
+         e.Registry.program)
+        .Emma.Pipeline.ck_text
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s: plan_key, %s" e.Registry.name what)
+      expected
+      (Session.plan_key s e.Registry.program ~tables)
+  in
+  with_session ~config:(Config.with_plan_cache (Some 16) Config.default) rt
+  @@ fun s ->
+  List.iter (fun e -> check s e "cold memo") Registry.all;
+  List.iter (fun e -> check s e "warm memo") Registry.all;
+  with_session ~config:(Config.with_plan_cache None Config.default) rt
+  @@ fun s -> List.iter (fun e -> check s e "uncached session") Registry.all
+
+(* More distinct programs than the cache (and so the key memo) holds:
+   every submission's verdict, eviction count and the final stats equal
+   a reference run whose programs are all fresh copies, which the memo
+   never matches. *)
+let test_key_memo_past_capacity () =
+  let tables = [ ("rows", rows 10) ] in
+  let order = [ 0; 1; 2; 0; 3; 1; 4; 0; 2; 2; 3; 0; 1; 4; 4; 1 ] in
+  let trace pick =
+    with_session ~config:(Config.with_plan_cache (Some 2) Config.default) rt
+    @@ fun s ->
+    let steps =
+      List.map
+        (fun k ->
+          let peek = Session.would_hit s (pick k) ~tables in
+          let _, i = Session.submit s (pick k) ~tables in
+          (peek, i.Session.si_cache, i.Session.si_evictions))
+        order
+    in
+    (steps, Session.plan_cache_stats s, Session.plan_cache_keys s)
+  in
+  let progs = Array.init 5 add_prog in
+  let memo = trace (fun k -> progs.(k)) and reference = trace add_prog in
+  Alcotest.(check bool) "same verdicts, evictions, stats and keys" true (memo = reference);
+  let steps, stats, _ = reference in
+  Alcotest.(check int) "the reference run hits" 3
+    (List.length (List.filter (fun (_, c, _) -> c = Session.Hit) steps));
+  Alcotest.(check bool) "the reference run evicts" true
+    (match stats with Some st -> st.Emma.Plan_cache.evictions > 0 | None -> false)
+
 (* exec.mli documents that [timeout_s] fires mid-recovery: recovery
    charges (retry backoff) flow through the same clock the timeout
    watches. Classified-outcome version of the raw-engine test in
@@ -563,6 +661,14 @@ let suite =
           test_timeout_conflict_rejected;
         Alcotest.test_case "would_hit peeks without counting" `Quick
           test_would_hit_is_uncounted;
+        Alcotest.test_case "key memo: warm would_hit allocates little" `Quick
+          test_would_hit_warm_allocation;
+        Alcotest.test_case "key memo: identity, schema and opts" `Quick
+          test_key_memo_matches;
+        Alcotest.test_case "key memo: plan_key = normalized_key" `Quick
+          test_plan_key_is_normalized_key;
+        Alcotest.test_case "key memo: past capacity = reference" `Quick
+          test_key_memo_past_capacity;
         Alcotest.test_case "timeout mid-recovery is classified" `Quick
           test_timeout_mid_recovery_classified;
         Alcotest.test_case "read memo: repeat submits == fresh sessions" `Quick
